@@ -25,11 +25,14 @@
 # versions, diverged replicas), so this doubles as a cross-subsystem
 # consistency check, not just a crash test.
 #
-# --mvcc-stress loops the MVCC snapshot-semantics suite and the
-# multi-reader/writer stress tests (mvcc_test + concurrency_test)
+# --mvcc-stress loops the MVCC snapshot-semantics suite, the
+# multi-reader/writer stress tests and the secured-view differential
+# (mvcc_test + concurrency_test + view_acl_test)
 # DOMINO_MVCC_STRESS_ITERS times (default 20) inside each sanitizer
 # build — snapshot-isolation races are interleaving-sensitive, so one
-# pass per sanitizer is not enough signal.
+# pass per sanitizer is not enough signal. The looped view_acl_test runs
+# DOMINO_VIEW_ACL_ROUNDS seeded rounds per mode (default 100 here; the
+# plain ctest pass runs its full 1 000).
 #
 # When clang++ is on PATH, a static thread-safety pass also runs first:
 # a Clang build of src/ with -Wthread-safety promoted to an error, which
@@ -97,6 +100,9 @@ for SANITIZER in "${SANITIZERS[@]}"; do
     "$BUILD_DIR/tests/mvcc_test" --gtest_repeat="$ITERS" \
       --gtest_break_on_failure
     "$BUILD_DIR/tests/concurrency_test" --gtest_repeat="$ITERS" \
+      --gtest_break_on_failure
+    DOMINO_VIEW_ACL_ROUNDS="${DOMINO_VIEW_ACL_ROUNDS:-100}" \
+      "$BUILD_DIR/tests/view_acl_test" --gtest_repeat="$ITERS" \
       --gtest_break_on_failure
   fi
   if [ "$WORKLOAD_SMOKE" -eq 1 ]; then

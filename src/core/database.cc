@@ -831,24 +831,32 @@ Status Database::TraverseViewAs(
   if (view == nullptr) {
     return Status::NotFound("view " + std::string(view_name));
   }
-  const Epoch at = txn.epoch();
   // Collect rows, drop unreadable documents, then prune category rows
-  // left without any visible descendants. Documents resolve at the pinned
-  // epoch, so the row set and the note contents agree even while writers
-  // commit mid-traversal.
+  // left without any visible descendants. Each entry carries its
+  // document's reader names as of the entry's version, so the check never
+  // opens a note, and an entry visible at the pin is a live note at the
+  // pin. The verdict is memoized per interned reader set: a pass costs one
+  // name match per distinct set, and unrestricted rows cost none.
   std::vector<ViewRow> rows;
-  view->TraverseAt(at, [&](const ViewRow& row) {
-    if (row.kind == ViewRow::Kind::kDocument) {
-      NoteHandle note = ResolveAt(row.entry->note_id, at);
-      if (note == nullptr || note->deleted() ||
-          !CanReadDocument(access, who, *note)) {
+  std::vector<int8_t> verdicts;  // by set id: 0 unknown, 1 read, -1 not
+  bool dropped = false;
+  view->TraverseAt(txn.epoch(), [&](const ViewRow& row) {
+    if (row.reader_names != nullptr) {
+      const ReaderSetId id = row.entry->reader_set;
+      if (id >= verdicts.size()) verdicts.resize(id + 1, 0);
+      if (verdicts[id] == 0) {
+        verdicts[id] = CanReadWithNames(access, who, *row.reader_names) ? 1
+                                                                        : -1;
+      }
+      if (verdicts[id] < 0) {
+        dropped = true;
         return;
       }
     }
     rows.push_back(row);
   });
   for (size_t i = 0; i < rows.size(); ++i) {
-    if (rows[i].kind == ViewRow::Kind::kCategory) {
+    if (dropped && rows[i].kind == ViewRow::Kind::kCategory) {
       bool has_docs = false;
       for (size_t j = i + 1; j < rows.size(); ++j) {
         if (rows[j].kind == ViewRow::Kind::kCategory &&
@@ -1416,6 +1424,12 @@ NoteHandle Database::FindByUnid(const Unid& unid) const {
 
 NoteHandle Database::FindById(NoteId id) const {
   NoteHandle note = store_->Find(id);
+  return (note != nullptr && !note->deleted()) ? note : nullptr;
+}
+
+NoteHandle Database::FindByIdAt(NoteId id, Epoch at) const {
+  if (at == kEpochNone) return FindById(id);
+  NoteHandle note = ResolveAt(id, at);
   return (note != nullptr && !note->deleted()) ? note : nullptr;
 }
 

@@ -308,10 +308,11 @@ class Database : public NoteResolver {
   Status RunCompact();
 
   // -- NoteResolver (for view indexes) ---------------------------------------
-  // Latest-state reads backed by the store's / catalog's own locks (index
-  // maintenance always works against the newest state).
+  // Reads backed by the store's / catalog's own locks: the latest state,
+  // except FindByIdAt, which resolves at a commit epoch like a reader.
   NoteHandle FindByUnid(const Unid& unid) const override;
   NoteHandle FindById(NoteId id) const override;
+  NoteHandle FindByIdAt(NoteId id, Epoch at) const override;
   std::vector<NoteId> ChildrenOf(const Unid& parent) const override;
 
  private:

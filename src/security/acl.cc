@@ -153,52 +153,95 @@ Result<Acl> Acl::FromNote(const Note& note) {
   return acl;
 }
 
-bool NameListMatches(const std::vector<std::string>& names,
-                     const Principal& who,
-                     const std::vector<std::string>& roles) {
-  for (const std::string& name : names) {
-    if (EqualsIgnoreCase(name, who.name)) return true;
-    for (const std::string& group : who.groups) {
-      if (EqualsIgnoreCase(name, group)) return true;
-    }
-    if (name.size() >= 2 && name.front() == '[' && name.back() == ']') {
-      for (const std::string& role : roles) {
-        if (EqualsIgnoreCase(name, role)) return true;
-      }
+namespace {
+
+bool NameMatches(std::string_view name, const Principal& who,
+                 const std::vector<std::string>& roles) {
+  if (EqualsIgnoreCase(name, who.name)) return true;
+  for (const std::string& group : who.groups) {
+    if (EqualsIgnoreCase(name, group)) return true;
+  }
+  if (name.size() >= 2 && name.front() == '[' && name.back() == ']') {
+    for (const std::string& role : roles) {
+      if (EqualsIgnoreCase(name, role)) return true;
     }
   }
   return false;
 }
 
-namespace {
-
-/// Collects the text values of every item with `flag` set.
-std::vector<std::string> NamesWithFlag(const Note& note, uint8_t flag) {
-  std::vector<std::string> out;
+/// Scans the non-empty texts of every item with `flag` set, in place.
+/// Sets `*any` (when given) if there is at least one; true as soon as one
+/// names the principal.
+bool FlaggedNameMatches(const Note& note, uint8_t flag, const Principal& who,
+                        const std::vector<std::string>& roles,
+                        bool* any = nullptr) {
   for (const Item& item : note.items()) {
     if ((item.flags & flag) == 0) continue;
     for (const std::string& s : item.value.texts()) {
-      if (!s.empty()) out.push_back(s);
+      if (s.empty()) continue;
+      if (any != nullptr) *any = true;
+      if (NameMatches(s, who, roles)) return true;
     }
   }
-  return out;
+  return false;
+}
+
+/// Appends the non-empty texts of every item with `flag` set.
+void AppendNamesWithFlag(const Note& note, uint8_t flag,
+                         std::vector<std::string>* out) {
+  for (const Item& item : note.items()) {
+    if ((item.flags & flag) == 0) continue;
+    for (const std::string& s : item.value.texts()) {
+      if (!s.empty()) out->push_back(s);
+    }
+  }
 }
 
 }  // namespace
+
+bool NameListMatches(const std::vector<std::string>& names,
+                     const Principal& who,
+                     const std::vector<std::string>& roles) {
+  for (const std::string& name : names) {
+    if (NameMatches(name, who, roles)) return true;
+  }
+  return false;
+}
+
+std::vector<std::string> ReaderNamesOf(const Note& note) {
+  std::vector<std::string> names;
+  AppendNamesWithFlag(note, kItemReaders, &names);
+  if (names.empty()) return names;  // no reader restriction
+  // Authors named on the document can always read it.
+  AppendNamesWithFlag(note, kItemAuthors, &names);
+  std::sort(names.begin(), names.end());
+  names.erase(std::unique(names.begin(), names.end()), names.end());
+  return names;
+}
 
 AccessContext ResolveAccess(const Acl& acl, const Principal& who) {
   return AccessContext{acl.LevelFor(who), acl.RolesFor(who)};
 }
 
+bool CanReadWithNames(const AccessContext& access, const Principal& who,
+                      const std::vector<std::string>& reader_names) {
+  if (access.level < AccessLevel::kReader) return false;
+  return reader_names.empty() ||
+         NameListMatches(reader_names, who, access.roles);
+}
+
 bool CanReadDocument(const AccessContext& access, const Principal& who,
                      const Note& note) {
+  // The CanReadWithNames rule over ReaderNamesOf(note), evaluated in place
+  // so the per-document check allocates nothing.
   if (access.level < AccessLevel::kReader) return false;
-  std::vector<std::string> readers = NamesWithFlag(note, kItemReaders);
-  if (readers.empty()) return true;  // no reader restriction
-  // Authors named on the document can always read it.
-  std::vector<std::string> authors = NamesWithFlag(note, kItemAuthors);
-  readers.insert(readers.end(), authors.begin(), authors.end());
-  return NameListMatches(readers, who, access.roles);
+  bool restricted = false;
+  if (FlaggedNameMatches(note, kItemReaders, who, access.roles,
+                         &restricted)) {
+    return true;
+  }
+  if (!restricted) return true;
+  return FlaggedNameMatches(note, kItemAuthors, who, access.roles);
 }
 
 bool CanEditDocument(const AccessContext& access, const Principal& who,
@@ -209,8 +252,7 @@ bool CanEditDocument(const AccessContext& access, const Principal& who,
   }
   if (access.level == AccessLevel::kAuthor) {
     if (!CanReadDocument(access, who, note)) return false;
-    std::vector<std::string> authors = NamesWithFlag(note, kItemAuthors);
-    return NameListMatches(authors, who, access.roles);
+    return FlaggedNameMatches(note, kItemAuthors, who, access.roles);
   }
   return false;
 }

@@ -114,6 +114,19 @@ bool NameListMatches(const std::vector<std::string>& names,
                      const Principal& who,
                      const std::vector<std::string>& roles);
 
+/// The names that gate reading `note`: the non-empty texts of its reader
+/// items and, only when there is at least one, of its author items too
+/// (authors named on a document can always read it). Sorted and
+/// deduplicated; empty means the document has no reader restriction.
+/// View indexes keep this set per entry so secured traversals never open
+/// the note.
+std::vector<std::string> ReaderNamesOf(const Note& note);
+
+/// CanReadDocument over a pre-collected ReaderNamesOf list: Reader level or
+/// above, and either no restriction or a name matching the principal.
+bool CanReadWithNames(const AccessContext& access, const Principal& who,
+                      const std::vector<std::string>& reader_names);
+
 }  // namespace dominodb
 
 #endif  // DOMINODB_SECURITY_ACL_H_

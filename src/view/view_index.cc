@@ -5,6 +5,7 @@
 
 #include "base/string_util.h"
 #include "indexer/thread_pool.h"
+#include "security/acl.h"
 
 namespace dominodb {
 
@@ -53,6 +54,7 @@ ViewIndex::ViewIndex(ViewDesign design, const Clock* clock,
   ctr_updates_ = &reg.GetCounter("Database.View.Updates");
   ctr_rebuilds_ = &reg.GetCounter("Database.View.Rebuilds");
   hist_rebuild_micros_ = &reg.GetHistogram("Database.View.RebuildMicros");
+  gauge_reader_sets_ = &reg.GetGauge("Database.View.ReaderSets");
   for (const ViewColumn& col : design_.columns()) {
     if (col.sort != ColumnSort::kNone) {
       descending_.push_back(col.sort == ColumnSort::kDescending);
@@ -64,7 +66,12 @@ ViewIndex::ViewIndex(ViewDesign design, const Clock* clock,
   bundle_ = std::make_unique<EvalBundle>(design_);
 }
 
-std::optional<ViewEntry> ViewIndex::EvalNoteAgainst(
+ViewIndex::~ViewIndex() {
+  WriterLock lock(&mu_);
+  ClearLocked();  // takes this index's sets off the shared gauge
+}
+
+std::optional<ViewIndex::EvaluatedEntry> ViewIndex::EvalNoteAgainst(
     const Note& note, const NoteResolver* resolver, EvalBundle* bundle,
     ViewStats* tally) const {
   if (note.deleted() || note.note_class() != NoteClass::kDocument) {
@@ -110,7 +117,9 @@ std::optional<ViewEntry> ViewIndex::EvalNoteAgainst(
   }
   if (!selected) return std::nullopt;
 
-  ViewEntry entry;
+  EvaluatedEntry eval;
+  eval.reader_names = ReaderNamesOf(note);
+  ViewEntry& entry = eval.entry;
   entry.note_id = note.id();
   entry.unid = note.unid();
   entry.parent_unid = note.parent_unid();
@@ -135,7 +144,7 @@ std::optional<ViewEntry> ViewIndex::EvalNoteAgainst(
       entry.column_values.push_back(std::move(*v));
     }
   }
-  return entry;
+  return eval;
 }
 
 void ViewIndex::MergeTally(const ViewStats& tally) {
@@ -150,13 +159,13 @@ void ViewIndex::MergeTally(const ViewStats& tally) {
   if (tally.formula_errors > 0) ctr_formula_errors_->Add(tally.formula_errors);
 }
 
-Result<std::optional<ViewEntry>> ViewIndex::EvaluateNote(
+Result<std::optional<ViewIndex::EvaluatedEntry>> ViewIndex::EvaluateNote(
     const Note& note, const NoteResolver* resolver) {
   ViewStats tally;
-  std::optional<ViewEntry> entry =
+  std::optional<EvaluatedEntry> eval =
       EvalNoteAgainst(note, resolver, bundle_.get(), &tally);
   MergeTally(tally);
-  return Result<std::optional<ViewEntry>>(std::move(entry));
+  return Result<std::optional<EvaluatedEntry>>(std::move(eval));
 }
 
 ViewIndex::RowKey ViewIndex::BuildKey(const ViewEntry& entry) const {
@@ -173,8 +182,45 @@ ViewIndex::RowKey ViewIndex::BuildKey(const ViewEntry& entry) const {
   return key;
 }
 
-void ViewIndex::PlaceEntryLocked(ViewEntry entry,
+ReaderSetId ViewIndex::AcquireReaderSetLocked(
+    std::vector<std::string> names) {
+  if (names.empty()) return kUnrestricted;
+  auto [it, inserted] =
+      reader_set_ids_.try_emplace(std::move(names), kUnrestricted);
+  if (inserted) {
+    if (free_reader_set_ids_.empty()) {
+      reader_sets_.emplace_back();
+      it->second = static_cast<ReaderSetId>(reader_sets_.size());
+    } else {
+      it->second = free_reader_set_ids_.back();
+      free_reader_set_ids_.pop_back();
+    }
+    reader_sets_[it->second - 1].it = it;
+    gauge_reader_sets_->Add(1);
+  }
+  ++reader_sets_[it->second - 1].refs;
+  return it->second;
+}
+
+void ViewIndex::ReleaseReaderSetLocked(ReaderSetId id) {
+  if (id == kUnrestricted) return;
+  ReaderSet& set = reader_sets_[id - 1];
+  if (--set.refs > 0) return;
+  reader_set_ids_.erase(set.it);
+  free_reader_set_ids_.push_back(id);
+  gauge_reader_sets_->Add(-1);
+}
+
+const std::vector<std::string>* ViewIndex::ReaderNamesLocked(
+    ReaderSetId id) const {
+  if (id == kUnrestricted) return nullptr;
+  return &reader_sets_[id - 1].it->first;
+}
+
+void ViewIndex::PlaceEntryLocked(EvaluatedEntry eval,
                                  const NoteResolver* resolver) {
+  ViewEntry& entry = eval.entry;
+  entry.reader_set = AcquireReaderSetLocked(std::move(eval.reader_names));
   const NoteId id = entry.note_id;
   Location loc;
   bool placed_as_response = false;
@@ -186,14 +232,19 @@ void ViewIndex::PlaceEntryLocked(ViewEntry entry,
       loc.parent = entry.parent_unid;
       loc.resp_key =
           ResponseKey{entry.created, entry.note_id, entry.added_epoch};
-      responses_[entry.parent_unid][loc.resp_key] = std::move(entry);
+      auto [slot, fresh] =
+          responses_[entry.parent_unid].try_emplace(loc.resp_key);
+      if (!fresh) ReleaseReaderSetLocked(slot->second.reader_set);
+      slot->second = std::move(entry);
       placed_as_response = true;
     }
   }
   if (!placed_as_response) {
     loc.is_response_row = false;
     loc.main_key = BuildKey(entry);
-    rows_[loc.main_key] = std::move(entry);
+    auto [slot, fresh] = rows_.try_emplace(loc.main_key);
+    if (!fresh) ReleaseReaderSetLocked(slot->second.reader_set);
+    slot->second = std::move(entry);
   }
   row_of_note_[id] = loc;
   {
@@ -215,12 +266,13 @@ ViewEntry* ViewIndex::EntryAtLocked(const Location& loc) {
 }
 
 void ViewIndex::ErasePhysicalLocked(const Location& loc) {
+  const ViewEntry* entry = EntryAtLocked(loc);
+  if (entry == nullptr) return;
+  ReleaseReaderSetLocked(entry->reader_set);
   if (loc.is_response_row) {
     auto parent_it = responses_.find(loc.parent);
-    if (parent_it != responses_.end()) {
-      parent_it->second.erase(loc.resp_key);
-      if (parent_it->second.empty()) responses_.erase(parent_it);
-    }
+    parent_it->second.erase(loc.resp_key);
+    if (parent_it->second.empty()) responses_.erase(parent_it);
   } else {
     rows_.erase(loc.main_key);
   }
@@ -264,18 +316,18 @@ Status ViewIndex::UpdateOne(const Note& note, const NoteResolver* resolver,
   // the removal above and the placement below is invisible to snapshot
   // readers (they see the zombie); only latest-mode reads — which run on
   // the writer's own thread — could observe it.
-  DOMINO_ASSIGN_OR_RETURN(auto entry_opt, EvaluateNote(note, resolver));
-  if (entry_opt.has_value()) {
-    entry_opt->added_epoch = epoch;
+  DOMINO_ASSIGN_OR_RETURN(auto eval, EvaluateNote(note, resolver));
+  if (eval.has_value()) {
+    eval->entry.added_epoch = epoch;
     WriterLock lock(&mu_);
-    PlaceEntryLocked(std::move(*entry_opt), resolver);
+    PlaceEntryLocked(std::move(*eval), resolver);
   }
   // Membership/placement of responses depends on this note; re-evaluate
   // the known children (recursively through UpdateOne's own walk).
   if (needs_response_walk_ && resolver != nullptr &&
       depth < kMaxResponseDepth) {
     for (NoteId child_id : resolver->ChildrenOf(note.unid())) {
-      NoteHandle child = resolver->FindById(child_id);
+      NoteHandle child = resolver->FindByIdAt(child_id, epoch);
       if (child != nullptr) {
         DOMINO_RETURN_IF_ERROR(UpdateOne(*child, resolver, depth + 1, epoch));
       }
@@ -304,11 +356,20 @@ size_t ViewIndex::zombie_count() const {
   return zombies_.size();
 }
 
+size_t ViewIndex::reader_set_count() const {
+  ReaderLock lock(&mu_);
+  return reader_set_ids_.size();
+}
+
 void ViewIndex::ClearLocked() {
   rows_.clear();
   responses_.clear();
   row_of_note_.clear();
   zombies_.clear();
+  gauge_reader_sets_->Add(-static_cast<int64_t>(reader_set_ids_.size()));
+  reader_set_ids_.clear();
+  reader_sets_.clear();
+  free_reader_set_ids_.clear();
 }
 
 void ViewIndex::Clear() {
@@ -379,12 +440,12 @@ void ViewIndex::RebuildParallel(const std::vector<Note>& notes,
   const bool flat = !design_.show_response_hierarchy();
   struct ShardRow {
     RowKey key;  // flat path only
-    ViewEntry entry;
+    EvaluatedEntry eval;
   };
   struct Shard {
     size_t begin = 0;
     size_t end = 0;
-    std::vector<std::optional<ViewEntry>> entries;  // hierarchy path
+    std::vector<std::optional<EvaluatedEntry>> entries;  // hierarchy path
     std::vector<ShardRow> rows;                     // flat path, sorted
     ViewStats tally;
   };
@@ -403,15 +464,15 @@ void ViewIndex::RebuildParallel(const std::vector<Note>& notes,
       // CompiledFormula while owning their VM register files.
       EvalBundle bundle(design_);
       for (size_t i = shard.begin; i < shard.end; ++i) {
-        std::optional<ViewEntry> entry =
+        std::optional<EvaluatedEntry> eval =
             EvalNoteAgainst(notes[i], resolver, &bundle, &shard.tally);
         if (flat) {
-          if (entry.has_value()) {
-            RowKey key = BuildKey(*entry);
-            shard.rows.push_back(ShardRow{std::move(key), std::move(*entry)});
+          if (eval.has_value()) {
+            RowKey key = BuildKey(eval->entry);
+            shard.rows.push_back(ShardRow{std::move(key), std::move(*eval)});
           }
         } else {
-          shard.entries.push_back(std::move(entry));
+          shard.entries.push_back(std::move(eval));
         }
       }
       if (flat) {
@@ -430,8 +491,8 @@ void ViewIndex::RebuildParallel(const std::vector<Note>& notes,
     // slices of the depth-sorted note list).
     WriterLock lock(&mu_);
     for (Shard& shard : shards) {
-      for (std::optional<ViewEntry>& entry : shard.entries) {
-        if (entry.has_value()) PlaceEntryLocked(std::move(*entry), resolver);
+      for (std::optional<EvaluatedEntry>& eval : shard.entries) {
+        if (eval.has_value()) PlaceEntryLocked(std::move(*eval), resolver);
       }
     }
     return;
@@ -455,12 +516,14 @@ void ViewIndex::RebuildParallel(const std::vector<Note>& notes,
       }
       if (best == shards.size()) break;
       ShardRow& row = shards[best].rows[heads[best]++];
-      const NoteId id = row.entry.note_id;
+      const NoteId id = row.eval.entry.note_id;
+      row.eval.entry.reader_set =
+          AcquireReaderSetLocked(std::move(row.eval.reader_names));
       Location loc;
       loc.is_response_row = false;
       loc.main_key = row.key;
       rows_.emplace_hint(rows_.end(), std::move(row.key),
-                         std::move(row.entry));
+                         std::move(row.eval.entry));
       row_of_note_[id] = std::move(loc);
       ++inserted;
     }
@@ -497,6 +560,7 @@ void ViewIndex::EmitEntryAndResponses(
   row.kind = ViewRow::Kind::kDocument;
   row.indent = indent;
   row.entry = &entry;
+  row.reader_names = ReaderNamesLocked(entry.reader_set);
   visit(row);
   auto it = responses_.find(entry.unid);
   if (it == responses_.end()) return;

@@ -46,9 +46,23 @@ class NoteResolver {
   virtual NoteHandle FindByUnid(const Unid& unid) const = 0;
   /// Live note by id (null when absent or a deletion stub).
   virtual NoteHandle FindById(NoteId id) const = 0;
+  /// Live note by id as of commit `at` (kEpochNone: latest). A deferred
+  /// index event re-evaluates the changed note's responses through this,
+  /// so they are indexed as they were at the event's epoch even when the
+  /// store already holds a later commit.
+  virtual NoteHandle FindByIdAt(NoteId id, Epoch at) const {
+    (void)at;
+    return FindById(id);
+  }
   /// Note ids of direct responses of `parent`.
   virtual std::vector<NoteId> ChildrenOf(const Unid& parent) const = 0;
 };
+
+/// Id of a reader/author name set interned by a ViewIndex (see
+/// ReaderNamesOf in security/acl.h). Ids are small and dense within one
+/// index; kUnrestricted marks a document without reader names.
+using ReaderSetId = uint32_t;
+constexpr ReaderSetId kUnrestricted = 0;
 
 /// One indexed document in a view. An entry is one *version* of a note's
 /// row: visible to snapshot readers pinned in [added_epoch, removed_epoch)
@@ -62,6 +76,9 @@ struct ViewEntry {
   Micros created = 0;
   Epoch added_epoch = kEpochNone;
   Epoch removed_epoch = kEpochMax;
+  /// The document's reader names as of this version, interned by the
+  /// owning index, so an ACL-checked read never opens the note.
+  ReaderSetId reader_set = kUnrestricted;
   std::vector<Value> column_values;
 
   /// Display text of column `i` ("" when out of range).
@@ -92,6 +109,9 @@ struct ViewRow {
   std::string category;            // kCategory only
   size_t descendant_count = 0;     // kCategory only: documents beneath
   const ViewEntry* entry = nullptr;  // kDocument only
+  /// kDocument only: the names of entry->reader_set, null when
+  /// unrestricted. Valid as long as `entry` is.
+  const std::vector<std::string>* reader_names = nullptr;
 };
 
 struct ViewStats {
@@ -134,12 +154,18 @@ struct ViewStats {
 /// valid while the caller's epoch is pinned: node-based maps never move
 /// surviving entries, and reclamation only drops versions below the
 /// oldest pin. Standalone single-threaded use needs no external locking.
+///
+/// Reader sets: evaluation also collects each document's reader names
+/// (ReaderNamesOf) and the index interns them, one copy per distinct set,
+/// referenced by ViewEntry::reader_set. A set lives while any physical
+/// entry, zombies included, carries it.
 class ViewIndex {
  public:
   /// `stats` (nullable → the global registry) receives the server-wide
   /// `Database.View.*` counters alongside the per-index ViewStats.
   ViewIndex(ViewDesign design, const Clock* clock,
             stats::StatRegistry* stats = nullptr);
+  ~ViewIndex();
 
   const ViewDesign& design() const { return design_; }
 
@@ -159,6 +185,9 @@ class ViewIndex {
 
   /// Zombie versions currently retained for pinned readers.
   size_t zombie_count() const;
+
+  /// Distinct reader sets currently interned (zombies' sets included).
+  size_t reader_set_count() const;
 
   /// Drops everything and re-indexes the whole database. `for_each_note`
   /// must invoke its callback once per note. Used on view creation and by
@@ -261,28 +290,51 @@ class ViewIndex {
     std::vector<std::optional<formula::BatchEvaluator>> column_evals;
   };
 
+  /// An evaluated row before placement: placement interns
+  /// `reader_names` into entry.reader_set.
+  struct EvaluatedEntry {
+    ViewEntry entry;
+    std::vector<std::string> reader_names;  // ReaderNamesOf(note)
+  };
+
+  /// One interned reader set; its names are the map key.
+  using ReaderSetMap = std::map<std::vector<std::string>, ReaderSetId>;
+  struct ReaderSet {
+    ReaderSetMap::iterator it;
+    size_t refs = 0;  // physical entries (zombies included) carrying it
+  };
+
   /// nullopt = not selected. Runs with no lock held (see class comment).
-  Result<std::optional<ViewEntry>> EvaluateNote(const Note& note,
-                                                const NoteResolver* resolver);
+  Result<std::optional<EvaluatedEntry>> EvaluateNote(
+      const Note& note, const NoteResolver* resolver);
   /// Thread-safe evaluation core shared by the serial path and parallel
   /// rebuild shards: evaluates against the caller's bundle, tallies into
   /// `tally`, and never touches the index containers or mirrors.
-  std::optional<ViewEntry> EvalNoteAgainst(const Note& note,
-                                           const NoteResolver* resolver,
-                                           EvalBundle* bundle,
-                                           ViewStats* tally) const;
+  std::optional<EvaluatedEntry> EvalNoteAgainst(const Note& note,
+                                                const NoteResolver* resolver,
+                                                EvalBundle* bundle,
+                                                ViewStats* tally) const;
   /// Adds an eval tally to the per-index stats and server-wide mirrors.
   void MergeTally(const ViewStats& tally);
   RowKey BuildKey(const ViewEntry& entry) const;
   /// Inserts an evaluated entry (response placement or main row) and
   /// records its location. Parents must already be placed for response
   /// nesting to engage.
-  void PlaceEntryLocked(ViewEntry entry, const NoteResolver* resolver)
+  void PlaceEntryLocked(EvaluatedEntry eval, const NoteResolver* resolver)
       REQUIRES(mu_);
+  /// Returns the id of `names` (kUnrestricted when empty), interning it on
+  /// first use, and counts one more entry carrying it.
+  ReaderSetId AcquireReaderSetLocked(std::vector<std::string> names)
+      REQUIRES(mu_);
+  /// Counts one entry fewer carrying `id`; frees the set with the last.
+  void ReleaseReaderSetLocked(ReaderSetId id) REQUIRES(mu_);
+  const std::vector<std::string>* ReaderNamesLocked(ReaderSetId id) const
+      REQUIRES_SHARED(mu_);
   /// Versioned (epoch != kEpochNone): stamps the current row's
   /// removed_epoch and queues it as a zombie. Unversioned: erases it.
   void RemoveLocationLocked(NoteId id, Epoch epoch) REQUIRES(mu_);
-  /// Physically erases the entry at `loc` from rows_/responses_.
+  /// Physically erases the entry at `loc` from rows_/responses_ and
+  /// releases its reader set.
   void ErasePhysicalLocked(const Location& loc) REQUIRES(mu_);
   ViewEntry* EntryAtLocked(const Location& loc) REQUIRES(mu_);
   void ClearLocked() REQUIRES(mu_);
@@ -317,6 +369,10 @@ class ViewIndex {
       GUARDED_BY(mu_);
   std::unordered_map<NoteId, Location> row_of_note_ GUARDED_BY(mu_);
   std::deque<Zombie> zombies_ GUARDED_BY(mu_);
+  ReaderSetMap reader_set_ids_ GUARDED_BY(mu_);
+  // Slot id - 1 holds set `id`; freed ids are reused so ids stay dense.
+  std::vector<ReaderSet> reader_sets_ GUARDED_BY(mu_);
+  std::vector<ReaderSetId> free_reader_set_ids_ GUARDED_BY(mu_);
   /// Guards the ViewStats tallies (bumped from unlocked eval phases).
   mutable Mutex stats_mu_;
   ViewStats stats_ GUARDED_BY(stats_mu_);
@@ -330,6 +386,7 @@ class ViewIndex {
   stats::Counter* ctr_updates_;
   stats::Counter* ctr_rebuilds_;
   stats::Histogram* hist_rebuild_micros_;
+  stats::Gauge* gauge_reader_sets_;
 };
 
 }  // namespace dominodb

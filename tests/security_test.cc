@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "base/rng.h"
 #include "security/acl.h"
 #include "tests/test_util.h"
 
@@ -184,6 +185,59 @@ TEST(DocumentSecurityTest, AccessContextMatchesAclOverloads) {
       EXPECT_EQ(CanEditDocument(access, who, *note),
                 CanEditDocument(acl, who, *note))
           << who.name << "/" << note->GetText("Subject");
+    }
+  }
+}
+
+TEST(DocumentSecurityTest, ReaderNamesOfCollectsReadersThenAuthors) {
+  Note open = testing_util::MakeDoc("Memo", "open");
+  open.SetItem("DocAuthors", Value::TextList({"Carol"}),
+               kItemAuthors | kItemNames);
+  // Author names alone do not restrict reading.
+  EXPECT_TRUE(ReaderNamesOf(open).empty());
+  Note doc = open;
+  doc.SetItem("DocReaders", Value::TextList({"bob", "", "[Ops]"}),
+              kItemReaders | kItemNames);
+  doc.SetItem("MoreReaders", Value::TextList({"bob"}),
+              kItemReaders | kItemNames);
+  EXPECT_EQ(ReaderNamesOf(doc),
+            (std::vector<std::string>{"Carol", "[Ops]", "bob"}));
+  Note blank = open;
+  blank.SetItem("DocReaders", Value::TextList({""}),
+                kItemReaders | kItemNames);
+  EXPECT_TRUE(ReaderNamesOf(blank).empty());  // empty names name no one
+}
+
+TEST(DocumentSecurityTest, InPlaceCheckMatchesCollectedNames) {
+  // CanReadDocument scans a note's items in place; view traversals apply
+  // CanReadWithNames to ReaderNamesOf collected at index time. Both must
+  // give the same verdict for every reader/author shape.
+  const char* const pool[] = {"Alice", "alice", "BOB",   "Sales Team",
+                              "[ops]", "[Ops]", "[X]",   "Nobody", ""};
+  const Principal principals[] = {
+      Principal{"Alice", {"sales team"}}, Principal::User("bob"),
+      Principal::User("Carol")};
+  Rng rng(2024);
+  for (int round = 0; round < 2000; ++round) {
+    Note note = testing_util::MakeDoc("Memo", "x");
+    for (const char* item : {"R1", "R2", "A1"}) {
+      if (rng.Bernoulli(0.5)) continue;
+      std::vector<std::string> names;
+      for (size_t n = 1 + rng.Uniform(3); n > 0; --n) {
+        names.push_back(pool[rng.Uniform(std::size(pool))]);
+      }
+      note.SetItem(item, Value::TextList(std::move(names)),
+                   (item[0] == 'R' ? kItemReaders : kItemAuthors) |
+                       kItemNames);
+    }
+    const std::vector<std::string> names = ReaderNamesOf(note);
+    for (const Principal& who : principals) {
+      AccessContext access;
+      access.level = static_cast<AccessLevel>(rng.Uniform(7));
+      if (rng.Bernoulli(0.5)) access.roles.push_back("[OPS]");
+      EXPECT_EQ(CanReadDocument(access, who, note),
+                CanReadWithNames(access, who, names))
+          << "round " << round << " " << who.name;
     }
   }
 }

@@ -7,6 +7,7 @@
 
 #include "server/server.h"
 #include "tests/test_util.h"
+#include "view/view_design.h"
 
 namespace dominodb {
 namespace {
@@ -414,6 +415,39 @@ TEST_F(ServerStatsFixture, MvccStatsShowUpInShowStat) {
       hub_stats_.FindCounter("Db.Mvcc.ReclaimedVersions");
   ASSERT_NE(reclaimed, nullptr);
   EXPECT_GT(reclaimed->value(), 0u);
+}
+
+TEST_F(ServerStatsFixture, ViewReaderSetsGaugeTracksInternedSets) {
+  DatabaseOptions options;
+  ASSERT_OK_AND_ASSIGN(Database * db, hub_->OpenDatabase("app.nsf", options));
+  ViewColumn subject;
+  subject.title = "Subject";
+  subject.formula_source = "Subject";
+  subject.sort = ColumnSort::kAscending;
+  ASSERT_OK(db->CreateView(*ViewDesign::Create("all", "SELECT @All",
+                                               {subject}))
+                .status());
+  auto restricted = [](const std::string& subject_text,
+                       std::vector<std::string> readers) {
+    Note doc = MakeDoc("Memo", subject_text);
+    doc.SetItem("DocReaders", Value::TextList(std::move(readers)),
+                kItemReaders | kItemNames);
+    return doc;
+  };
+  ASSERT_OK(db->CreateNote(restricted("a", {"Alice"})).status());
+  ASSERT_OK(db->CreateNote(restricted("b", {"Alice"})).status());
+  ASSERT_OK_AND_ASSIGN(NoteId bob_doc,
+                       db->CreateNote(restricted("c", {"Bob", "Carol"})));
+  ASSERT_OK(db->CreateNote(MakeDoc("Memo", "open")).status());
+  const stats::Gauge* sets = hub_stats_.FindGauge("Database.View.ReaderSets");
+  ASSERT_NE(sets, nullptr);
+  // Two distinct sets; the unrestricted document interns none.
+  EXPECT_EQ(sets->value(), 2);
+  EXPECT_NE(hub_->ShowStat("Database.View.*")
+                .find("Database.View.ReaderSets = 2"),
+            std::string::npos);
+  ASSERT_OK(db->DeleteNote(bob_doc));
+  EXPECT_EQ(sets->value(), 1);  // dropped with the last entry using it
 }
 
 TEST_F(ServerStatsFixture, SnapshotDiffBracketsAWorkload) {
