@@ -3,7 +3,7 @@
 // the Domino R5 transaction-logging story.
 //
 // E14 — Group commit on the server-wide shared log: commits/sec vs writer
-// thread count for fsync-per-commit (private logs, shared log) against
+// thread count for fsync-per-commit (one log per store, shared log) against
 // leader/follower group commit, showing the fsync count staying near-flat
 // as writers scale.
 
@@ -36,9 +36,10 @@ struct E14Result {
 };
 
 // `writers` threads, each committing `per_writer` docs into its own store.
-// kPrivate: one private log per store (fsync/commit; the kernel may merge
-// flushes of DIFFERENT files). kSharedSerialized / kSharedGrouped: all
-// stores multiplex one SharedLog, fsync-per-commit vs group commit.
+// kPrivate: each store opens a one-stream log of its own (fsync/commit;
+// the kernel may merge flushes of DIFFERENT files). kSharedSerialized /
+// kSharedGrouped: all stores multiplex one SharedLog, fsync-per-commit vs
+// group commit.
 enum class E14Mode {
   kPrivate,
   kSharedSerialized,
@@ -98,9 +99,7 @@ E14Result RunE14(E14Mode mode, int writers, int per_writer) {
   E14Result result;
   result.commits = static_cast<uint64_t>(writers) * per_writer;
   result.commits_per_sec = result.commits / secs;
-  result.syncs = log != nullptr
-                     ? stats.GetCounter("Server.WAL.Syncs").value()
-                     : stats.GetCounter("WAL.Syncs").value();
+  result.syncs = stats.GetCounter("Server.WAL.Syncs").value();
   return result;
 }
 

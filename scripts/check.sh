@@ -11,7 +11,11 @@
 #
 # --crash-matrix upgrades the torn-page recovery tests from their
 # sampled default to the exhaustive sweep (DOMINO_CRASH_MATRIX=1: every
-# checkpoint fault point × every tearable page, every WAL cut offset).
+# checkpoint fault point × every tearable page, every WAL cut offset),
+# then reruns the log-recovery tests every store now depends on: the
+# store crash/truncation tests in storage_test and the SharedLog torn-tail
+# and store-on-log tests in shared_log_test (every NoteStore, standalone
+# or on a server, recovers through a SharedLog stream).
 #
 # --formula-diff re-runs the tree-walker-vs-bytecode-VM differential
 # harness with a much larger generated corpus (DOMINO_FORMULA_DIFF_N)
@@ -89,6 +93,10 @@ for SANITIZER in "${SANITIZERS[@]}"; do
     echo "== check.sh: $SANITIZER exhaustive crash matrix =="
     DOMINO_CRASH_MATRIX=1 "$BUILD_DIR/tests/pager_test" \
       --gtest_filter='*CheckpointFaultMatrix*:*CrashMatrixTest*'
+    DOMINO_CRASH_MATRIX=1 "$BUILD_DIR/tests/storage_test" \
+      --gtest_filter='*NoteStoreTest.Crash*:*BatchIsAtomic*'
+    DOMINO_CRASH_MATRIX=1 "$BUILD_DIR/tests/shared_log_test" \
+      --gtest_filter='*TornTail*:*NoteStoreSharedLog*'
   fi
   if [ "$FORMULA_DIFF" -eq 1 ]; then
     echo "== check.sh: $SANITIZER formula differential harness (10k) =="

@@ -123,8 +123,8 @@ class Server {
   /// appends to, with leader/follower group commit amortizing the fsync
   /// across concurrent committers (`Server.WAL.*` stats: batch size
   /// histogram, syncs saved, leader/follower counts). Databases already
-  /// open keep their private logs. Idempotent; options are fixed by the
-  /// first call.
+  /// open keep their own one-stream logs. Idempotent; options are fixed
+  /// by the first call.
   Status EnableSharedLog(wal::SharedLogOptions options = {});
   wal::SharedLog* shared_log() { return shared_log_.get(); }
 

@@ -7,7 +7,6 @@
 #include "base/coding.h"
 #include "base/crc32c.h"
 #include "base/env.h"
-#include "wal/log_reader.h"
 
 namespace dominodb {
 
@@ -18,7 +17,6 @@ constexpr uint8_t kOpPut = 1;
 constexpr uint8_t kOpErase = 2;
 constexpr uint8_t kOpInfo = 3;
 
-constexpr char kSnapshotMagic[] = "DSNP1";
 constexpr char kMetaMagic[] = "DMET1";
 constexpr uint8_t kMetaVersion = 1;
 constexpr uint8_t kPagerSnapshotVersion = 1;
@@ -150,6 +148,20 @@ Result<std::unique_ptr<NoteStore>> NoteStore::Open(
     return Status::InvalidArgument("page size must be <= 32768");
   }
 
+  if (options.shared_log != nullptr) {
+    store->log_ = options.shared_log;
+    store->stream_ = options.shared_stream;
+  } else {
+    wal::SharedLogOptions log_options;
+    log_options.sync_mode = options.sync_mode;
+    log_options.stats = store->registry_;
+    DOMINO_ASSIGN_OR_RETURN(store->own_log_,
+                            wal::SharedLog::Open(dir + "/log", log_options));
+    store->log_ = store->own_log_.get();
+    DOMINO_ASSIGN_OR_RETURN(store->stream_,
+                            store->own_log_->RegisterStream("notes"));
+  }
+
   DOMINO_ASSIGN_OR_RETURN(store->pager_,
                           pager::Pager::Open(store->PagesPath(), page_size));
   store->pool_ = std::make_unique<pager::BufferPool>(
@@ -161,19 +173,11 @@ Result<std::unique_ptr<NoteStore>> NoteStore::Open(
     WriterLock lock(&store->mu_);
     DOMINO_RETURN_IF_ERROR(store->Recover(default_info, meta_blob, have_meta));
   }
-  // Fresh = nothing on disk and nothing replayed from the shared log; the
-  // seed metadata is then persisted below so the replica id survives.
-  const bool fresh = !have_meta && !FileExists(store->SnapshotPath()) &&
-                     !FileExists(store->WalPath()) &&
-                     store->stats().recovered_records == 0;
+  // Fresh = no meta and nothing replayed from the log; the seed metadata
+  // is then persisted below so the replica id survives.
+  const bool fresh = !have_meta && store->stats().recovered_records == 0;
   store->registry_->GetCounter("Database.Opens").Add();
   store->gauge_notes_->Add(static_cast<int64_t>(store->note_count()));
-  if (!store->uses_shared_log()) {
-    DOMINO_ASSIGN_OR_RETURN(store->wal_,
-                            wal::LogWriter::Open(store->WalPath(),
-                                                 options.sync_mode,
-                                                 store->registry_));
-  }
   if (fresh) {
     // Persist the seed metadata so the replica id survives reopen.
     DOMINO_RETURN_IF_ERROR(store->UpdateInfo(store->info()));
@@ -190,36 +194,37 @@ Status NoteStore::Recover(const DatabaseInfo& default_info,
     // can leave an id-table page torn, and the snapshot record in the log
     // must repair it before anything reads it.
     DOMINO_RETURN_IF_ERROR(DecodeMetaBlob(meta_blob));
-  } else {
-    // Pre-pager stores kept a monolithic snapshot; migrate it into pages
-    // (it is deleted once the first checkpoint lands a meta file).
-    auto snapshot = ReadFileToString(SnapshotPath());
-    if (snapshot.ok()) {
-      DOMINO_RETURN_IF_ERROR(LoadLegacySnapshot(*snapshot));
-    } else if (!snapshot.status().IsNotFound()) {
-      return snapshot.status();
-    }
   }
-  if (uses_shared_log()) {
-    DOMINO_RETURN_IF_ERROR(RecoverFromSharedLog());
-  } else {
-    auto log = ReadFileToString(WalPath());
-    if (log.ok()) {
-      wal::LogReader reader(std::move(*log));
-      wal::RecordType type;
-      std::string_view payload;
-      std::vector<std::pair<wal::RecordType, std::string>> records;
-      while (reader.ReadRecord(&type, &payload)) {
-        records.emplace_back(type, std::string(payload));
-      }
-      {
-        MutexLock stats_lock(&stats_mu_);
-        stats_.recovered_torn_tail = reader.tail_corrupted();
-      }
-      DOMINO_RETURN_IF_ERROR(ReplayRecords(records));
-    } else if (!log.status().IsNotFound()) {
-      return log.status();
+  // Demultiplex this stream, keeping only what follows its last
+  // checkpoint marker or page-image snapshot. Everything before a marker
+  // is already captured in the meta/page state loaded above. A snapshot
+  // supersedes everything before it, and its images must go down first:
+  // they repair any page torn by a crashed in-place checkpoint write
+  // (replaying logical ops through a torn page would fail its CRC check).
+  std::vector<std::pair<wal::RecordType, std::string>> records;
+  bool torn = false;
+  DOMINO_RETURN_IF_ERROR(log_->ReplayStream(
+      stream_,
+      [&records](wal::RecordType type, std::string_view payload) {
+        if (type != wal::RecordType::kData) records.clear();
+        if (type != wal::RecordType::kCheckpoint) {
+          records.emplace_back(type, std::string(payload));
+        }
+        return Status::Ok();
+      },
+      &torn));
+  {
+    MutexLock stats_lock(&stats_mu_);
+    stats_.recovered_torn_tail = torn;
+  }
+  for (const auto& [type, payload] : records) {
+    if (type == wal::RecordType::kPagerSnapshot) {
+      DOMINO_RETURN_IF_ERROR(AdoptPagerSnapshot(payload));
+      continue;
     }
+    DOMINO_RETURN_IF_ERROR(ApplyBatchPayload(payload, true));
+    MutexLock stats_lock(&stats_mu_);
+    stats_.recovered_records++;
   }
   // Authoritative index state from the (now repaired) id-table pages.
   // Replay above maintained counts incrementally; this scan replaces them
@@ -244,54 +249,6 @@ Status NoteStore::Recover(const DatabaseInfo& default_info,
         "Store",
         "WAL recovery ran: replayed " + std::to_string(recovered_records) +
             " record(s)" + (torn_tail ? ", torn tail discarded" : ""));
-  }
-  return Status::Ok();
-}
-
-Status NoteStore::RecoverFromSharedLog() {
-  // Collect this stream's records, then replay only the suffix after its
-  // last checkpoint marker: everything at or before the marker is already
-  // captured in the meta/page state loaded above.
-  std::vector<std::pair<wal::RecordType, std::string>> records;
-  bool torn = false;
-  DOMINO_RETURN_IF_ERROR(options_.shared_log->ReplayStream(
-      options_.shared_stream,
-      [&records](wal::RecordType type, std::string_view payload) {
-        records.emplace_back(type, std::string(payload));
-        return Status::Ok();
-      },
-      &torn));
-  size_t start = 0;
-  for (size_t i = 0; i < records.size(); ++i) {
-    if (records[i].first == wal::RecordType::kCheckpoint) start = i + 1;
-  }
-  records.erase(records.begin(), records.begin() + start);
-  {
-    MutexLock stats_lock(&stats_mu_);
-    stats_.recovered_torn_tail = torn;
-  }
-  return ReplayRecords(records);
-}
-
-Status NoteStore::ReplayRecords(
-    const std::vector<std::pair<wal::RecordType, std::string>>& records) {
-  // The last kPagerSnapshot supersedes everything before it — and its
-  // page images must go down first, because they are what repairs a page
-  // torn by a crashed in-place checkpoint write (replaying logical ops
-  // through a torn page would fail its CRC check).
-  size_t start = 0;
-  for (size_t i = records.size(); i > 0; --i) {
-    if (records[i - 1].first == wal::RecordType::kPagerSnapshot) {
-      DOMINO_RETURN_IF_ERROR(AdoptPagerSnapshot(records[i - 1].second));
-      start = i;
-      break;
-    }
-  }
-  for (size_t i = start; i < records.size(); ++i) {
-    if (records[i].first != wal::RecordType::kData) continue;
-    DOMINO_RETURN_IF_ERROR(ApplyBatchPayload(records[i].second, true));
-    MutexLock stats_lock(&stats_mu_);
-    stats_.recovered_records++;
   }
   return Status::Ok();
 }
@@ -457,31 +414,6 @@ Status NoteStore::RebuildIndexFromIdTable() {
       }
       if (id >= next_id_) next_id_ = id + 1;
     }
-  }
-  return Status::Ok();
-}
-
-Status NoteStore::LoadLegacySnapshot(std::string_view data) {
-  if (data.size() < sizeof(kSnapshotMagic) - 1 ||
-      data.substr(0, sizeof(kSnapshotMagic) - 1) != kSnapshotMagic) {
-    return Status::Corruption("snapshot: bad magic");
-  }
-  std::string_view input = data.substr(sizeof(kSnapshotMagic) - 1);
-  DOMINO_RETURN_IF_ERROR(DatabaseInfo::DecodeFrom(&input, &info_));
-  uint32_t next_id = 0;
-  uint64_t count = 0;
-  if (!GetFixed32(&input, &next_id) || !GetVarint64(&input, &count)) {
-    return Status::Corruption("snapshot: truncated header");
-  }
-  next_id_ = next_id;
-  for (uint64_t i = 0; i < count; ++i) {
-    std::string_view encoded;
-    if (!GetLengthPrefixed(&input, &encoded)) {
-      return Status::Corruption("snapshot: truncated note");
-    }
-    Note note;
-    DOMINO_RETURN_IF_ERROR(Note::DecodeFromString(encoded, &note));
-    DOMINO_RETURN_IF_ERROR(ApplyNote(std::move(note)).status());
   }
   return Status::Ok();
 }
@@ -922,27 +854,14 @@ Status NoteStore::CommitPayload(const std::string& payload) {
   // sync modes) must not block concurrent shared-lock readers. Writers
   // are serialized by the owning Database, so two commits never race.
   auto start = std::chrono::steady_clock::now();
-  uint64_t wal_bytes = 0;
-  if (uses_shared_log()) {
-    DOMINO_RETURN_IF_ERROR(options_.shared_log->Commit(
-        options_.shared_stream, wal::RecordType::kData, payload));
-    wal_bytes = shared_bytes_since_checkpoint_.fetch_add(
-                    payload.size(), std::memory_order_relaxed) +
-                payload.size();
-  } else {
-    DOMINO_RETURN_IF_ERROR(
-        wal_->AppendRecord(wal::RecordType::kData, payload));
-    wal_bytes = wal_->bytes_written();
-  }
+  DOMINO_RETURN_IF_ERROR(
+      log_->Commit(stream_, wal::RecordType::kData, payload));
+  bytes_since_checkpoint_.fetch_add(payload.size(),
+                                    std::memory_order_relaxed);
   hist_commit_micros_->Record(static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - start)
           .count()));
-  {
-    MutexLock stats_lock(&stats_mu_);
-    stats_.wal_bytes_written = wal_bytes;
-    stats_.wal_records_written++;
-  }
   ctr_wal_records_->Add();
   ctr_wal_bytes_->Add(payload.size());
   return Status::Ok();
@@ -950,11 +869,9 @@ Status NoteStore::CommitPayload(const std::string& payload) {
 
 Status NoteStore::MaybeCheckpoint() {
   if (options_.checkpoint_threshold_bytes == 0) return Status::Ok();
-  const uint64_t obligation =
-      uses_shared_log()
-          ? shared_bytes_since_checkpoint_.load(std::memory_order_relaxed)
-          : (wal_ != nullptr ? wal_->bytes_written() : 0);
-  if (obligation <= options_.checkpoint_threshold_bytes) return Status::Ok();
+  if (wal_size_bytes() <= options_.checkpoint_threshold_bytes) {
+    return Status::Ok();
+  }
   return Checkpoint();
 }
 
@@ -1122,15 +1039,9 @@ Status NoteStore::Checkpoint() {
 
   // 1. One atomic record carrying meta + every dirty page image. Once it
   //    is durable, any torn in-place write below is repairable.
-  if (uses_shared_log()) {
-    DOMINO_RETURN_IF_ERROR(options_.shared_log->Commit(
-        options_.shared_stream, wal::RecordType::kPagerSnapshot, snapshot));
-    DOMINO_RETURN_IF_ERROR(options_.shared_log->SyncAll());
-  } else {
-    DOMINO_RETURN_IF_ERROR(
-        wal_->AppendRecord(wal::RecordType::kPagerSnapshot, snapshot));
-    DOMINO_RETURN_IF_ERROR(wal_->Sync());
-  }
+  DOMINO_RETURN_IF_ERROR(
+      log_->Commit(stream_, wal::RecordType::kPagerSnapshot, snapshot));
+  DOMINO_RETURN_IF_ERROR(log_->SyncAll());
   DOMINO_RETURN_IF_ERROR(Fault("pager:after_log"));
 
   // 2. Write the dirty pages in place.
@@ -1156,27 +1067,14 @@ Status NoteStore::Checkpoint() {
   PutFixed32(&meta, crc32c::Mask(crc32c::Value(blob)));
   DOMINO_RETURN_IF_ERROR(WriteFileAtomic(MetaPath(), meta));
   DOMINO_RETURN_IF_ERROR(Fault("pager:after_meta"));
-  DOMINO_RETURN_IF_ERROR(RemoveFileIfExists(SnapshotPath()));
 
-  // 4. Truncate the WAL obligation.
-  if (uses_shared_log()) {
-    // Marker first (recovery skips everything at or before it), then
-    // advance this stream's low-water mark so segments every stream has
-    // checkpointed past can be physically dropped.
-    DOMINO_RETURN_IF_ERROR(options_.shared_log->Commit(
-        options_.shared_stream, wal::RecordType::kCheckpoint, ""));
-    DOMINO_RETURN_IF_ERROR(
-        options_.shared_log->AdvanceCheckpoint(options_.shared_stream));
-    shared_bytes_since_checkpoint_.store(0, std::memory_order_relaxed);
-  } else {
-    // Start a fresh WAL; the page file + meta now carry all state.
-    wal_.reset();
-    DOMINO_RETURN_IF_ERROR(RemoveFileIfExists(WalPath()));
-    DOMINO_ASSIGN_OR_RETURN(wal_,
-                            wal::LogWriter::Open(WalPath(),
-                                                 options_.sync_mode,
-                                                 registry_));
-  }
+  // 4. Truncate the WAL obligation: marker first (recovery skips
+  //    everything at or before it), then advance this stream's low-water
+  //    mark so segments every stream has checkpointed past are dropped.
+  DOMINO_RETURN_IF_ERROR(
+      log_->Commit(stream_, wal::RecordType::kCheckpoint, ""));
+  DOMINO_RETURN_IF_ERROR(log_->AdvanceCheckpoint(stream_));
+  bytes_since_checkpoint_.store(0, std::memory_order_relaxed);
   pool_->MarkAllClean();
   DOMINO_RETURN_IF_ERROR(pager_->TruncateToWatermark());
   {
@@ -1266,11 +1164,7 @@ uint64_t NoteStore::dead_bytes() const {
 }
 
 uint64_t NoteStore::wal_size_bytes() const {
-  if (uses_shared_log()) {
-    return shared_bytes_since_checkpoint_.load(std::memory_order_relaxed);
-  }
-  auto size = FileSize(WalPath());
-  return size.ok() ? *size : 0;
+  return bytes_since_checkpoint_.load(std::memory_order_relaxed);
 }
 
 uint64_t NoteStore::pages_size_bytes() const {

@@ -19,7 +19,6 @@
 #include "pager/buffer_pool.h"
 #include "pager/pager.h"
 #include "stats/stats.h"
-#include "wal/log_writer.h"
 #include "wal/shared_log.h"
 
 namespace dominodb {
@@ -39,8 +38,9 @@ struct DatabaseInfo {
 };
 
 struct StoreOptions {
-  /// Durability policy of the private per-database log. Ignored when
-  /// `shared_log` is set — the SharedLog's own sync mode governs then.
+  /// Durability policy of the store's own log (a `shared_log` has its
+  /// own). kNone: an acknowledged Put has reached the OS, so it survives a
+  /// process crash but not a power loss; the fsyncing modes survive both.
   wal::SyncMode sync_mode = wal::SyncMode::kNone;
   /// MaybeCheckpoint() snapshots once the WAL obligation exceeds this
   /// size (0 disables). Checkpointing is never triggered from inside the
@@ -48,13 +48,14 @@ struct StoreOptions {
   /// MaybeCheckpoint explicitly.
   uint64_t checkpoint_threshold_bytes = 16ull << 20;
   /// When set, this store logs through the server-wide shared transaction
-  /// log instead of a private `notes.wal`: commits are tagged with
-  /// `shared_stream` (obtained from SharedLog::RegisterStream) and ride
-  /// the group-commit protocol. The SharedLog must outlive the store.
+  /// log: commits are tagged with `shared_stream` (obtained from
+  /// SharedLog::RegisterStream) and ride the group-commit protocol. The
+  /// SharedLog must outlive the store. When null, the store opens a
+  /// one-stream SharedLog of its own under `<dir>/log`.
   wal::SharedLog* shared_log = nullptr;
   uint32_t shared_stream = 0;
-  /// Registry receiving the `Database.*` and `WAL.*` stats of this store;
-  /// null → the process-wide StatRegistry::Global().
+  /// Registry receiving the `Database.*` stats (and its own log's
+  /// `Server.WAL.*`); null → the process-wide StatRegistry::Global().
   stats::StatRegistry* stats = nullptr;
 
   // -- Paged storage ------------------------------------------------------
@@ -77,8 +78,6 @@ struct StoreOptions {
 };
 
 struct StoreStats {
-  uint64_t wal_records_written = 0;
-  uint64_t wal_bytes_written = 0;
   uint64_t checkpoints = 0;
   uint64_t recovered_records = 0;
   bool recovered_torn_tail = false;
@@ -102,13 +101,14 @@ struct CompactStats {
 /// working set. Durable geometry (page count, free list, id-table pages)
 /// lives in `notes.meta`, written atomically at checkpoint.
 ///
-/// Durability: logical ops commit to the WAL exactly as before (same
-/// record format); page mutations stay in the buffer pool until
+/// Durability: logical ops commit to a SharedLog stream (the server's or
+/// the store's own); page mutations stay in the buffer pool until
 /// Checkpoint(), which first logs one atomic kPagerSnapshot record
 /// containing every dirty page image, then writes the pages in place —
 /// so a torn in-place write is always repaired from the logged images.
-/// Crash recovery = adopt meta + replay WAL (images first if a snapshot
-/// record is present, then the logical suffix).
+/// Crash recovery = adopt meta + demultiplex the stream, skip to its last
+/// checkpoint marker and replay the suffix (images first if a snapshot
+/// record is present, then the logical ops).
 ///
 /// Compaction: updates and erases leave dead slot bytes behind;
 /// CompactStep() copies the live slots of the deadest pages into fresh
@@ -194,9 +194,9 @@ class NoteStore {
   /// WAL obligation. Protocol: (1) append one atomic kPagerSnapshot
   /// record — meta + every dirty page image — to the log and sync it;
   /// (2) write the dirty pages in place and sync the page file; (3)
-  /// atomically replace `notes.meta`; (4) reset the private log (or
-  /// commit a checkpoint marker and advance the shared-log low-water
-  /// mark). A crash anywhere in between recovers: the logged images
+  /// atomically replace `notes.meta`; (4) commit a checkpoint marker and
+  /// advance the stream's low-water mark, which lets the log drop what no
+  /// stream needs. A crash anywhere in between recovers: the logged images
   /// repair any torn in-place write.
   Status Checkpoint();
 
@@ -223,6 +223,7 @@ class NoteStore {
 
   StoreStats stats() const;
   CompactStats compact_stats() const;
+  /// Payload bytes committed since the last checkpoint.
   uint64_t wal_size_bytes() const;
   /// Size of the page file in bytes.
   uint64_t pages_size_bytes() const;
@@ -239,25 +240,13 @@ class NoteStore {
     Micros seq_time = 0;
   };
 
-  std::string WalPath() const { return dir_ + "/notes.wal"; }
-  std::string SnapshotPath() const { return dir_ + "/notes.snap"; }
   std::string MetaPath() const { return dir_ + "/notes.meta"; }
   std::string PagesPath() const { return dir_ + "/notes.pages"; }
 
-  bool uses_shared_log() const { return options_.shared_log != nullptr; }
-
+  /// Adopts the meta geometry, then demultiplexes this store's stream and
+  /// replays the suffix after its last checkpoint marker.
   Status Recover(const DatabaseInfo& default_info, std::string_view meta_blob,
                  bool have_meta) REQUIRES(mu_);
-  /// Shared-log recovery: demultiplexes this store's stream and replays
-  /// the suffix after its last checkpoint marker.
-  Status RecoverFromSharedLog() REQUIRES(mu_);
-  /// Ordered replay of one stream's record suffix: adopt the last
-  /// kPagerSnapshot (if any) first — its images repair torn pages — then
-  /// apply the kData records that follow it.
-  Status ReplayRecords(
-      const std::vector<std::pair<wal::RecordType, std::string>>& records)
-      REQUIRES(mu_);
-  Status LoadLegacySnapshot(std::string_view data) REQUIRES(mu_);
   Status ApplyBatchPayload(std::string_view payload, bool from_recovery)
       REQUIRES(mu_);
   Status CommitPayload(const std::string& payload);
@@ -317,14 +306,17 @@ class NoteStore {
   mutable SharedMutex mu_;
 
   DatabaseInfo info_ GUARDED_BY(mu_);
-  /// Private log; null when the store runs on the shared log. The log
-  /// itself is NOT guarded by mu_: commits append outside the exclusive
-  /// section, relying on the owning Database serializing all writers
-  /// (readers never touch it).
-  std::unique_ptr<wal::LogWriter> wal_;
-  /// Shared-log mode: payload bytes committed since the last checkpoint
-  /// (the store's WAL obligation, driving MaybeCheckpoint).
-  std::atomic<uint64_t> shared_bytes_since_checkpoint_{0};
+  /// The store's own one-stream log; null when it runs on a server's.
+  std::unique_ptr<wal::SharedLog> own_log_;
+  /// The log and stream this store commits to: `own_log_` or
+  /// StoreOptions::shared_log. Not guarded by mu_: commits append outside
+  /// the exclusive section, relying on the owning Database serializing
+  /// all writers (readers never touch it).
+  wal::SharedLog* log_ = nullptr;
+  uint32_t stream_ = 0;
+  /// Payload bytes committed since the last checkpoint (the store's WAL
+  /// obligation, driving MaybeCheckpoint).
+  std::atomic<uint64_t> bytes_since_checkpoint_{0};
 
   std::unique_ptr<pager::Pager> pager_;
   std::unique_ptr<pager::BufferPool> pool_;

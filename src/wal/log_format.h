@@ -30,9 +30,8 @@ enum class RecordType : uint8_t {
 
 constexpr uint64_t kMaxRecordPayload = 1ull << 30;  // sanity bound, 1 GiB
 
-/// Encodes one CRC-framed record onto the end of `dst`. Shared by the
-/// private LogWriter and the server-wide SharedLog so both speak the same
-/// on-disk dialect (LogReader decodes either).
+/// Encodes one CRC-framed record onto the end of `dst`. SharedLog writes
+/// its segments with it; LogReader decodes them.
 void AppendFrameTo(std::string* dst, RecordType type,
                    std::string_view payload);
 

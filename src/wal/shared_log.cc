@@ -35,10 +35,6 @@ SharedLog::SharedLog(std::string dir, const SharedLogOptions& options)
   hist_sync_micros_ = &registry_->GetHistogram("WAL.SyncMicros");
 }
 
-SharedLog::~SharedLog() {
-  // WritableFile flushes on destruction; durable modes synced already.
-}
-
 Result<std::unique_ptr<SharedLog>> SharedLog::Open(
     const std::string& dir, const SharedLogOptions& options) {
   DOMINO_RETURN_IF_ERROR(CreateDirIfMissing(dir));
@@ -56,6 +52,7 @@ Result<std::unique_ptr<SharedLog>> SharedLog::Open(
     if (!FileExists(log->SegmentPath(seg))) break;
     DOMINO_RETURN_IF_ERROR(RemoveFileIfExists(log->SegmentPath(seg)));
   }
+  DOMINO_RETURN_IF_ERROR(log->TrimTornTailLocked());
   DOMINO_RETURN_IF_ERROR(log->OpenCurrentSegmentLocked());
   return log;
 }
@@ -91,7 +88,7 @@ Status SharedLog::LoadManifest() {
         !GetVarint64(&input, &low)) {
       return Status::Corruption("shared log manifest: truncated stream");
     }
-    streams_[id] = StreamInfo{std::string(name), low};
+    streams_[id] = StreamInfo{std::string(name), low, /*appended=*/true};
     stream_ids_[std::string(name)] = id;
     next_stream_id_ = std::max(next_stream_id_, id + 1);
   }
@@ -119,16 +116,39 @@ Status SharedLog::OpenCurrentSegmentLocked() {
   return Status::Ok();
 }
 
-Status SharedLog::MaybeRollSegmentLocked() {
-  if (segment_base_bytes_ + file_->bytes_written() < options_.segment_bytes) {
-    return Status::Ok();
+Status SharedLog::TrimTornTailLocked() {
+  const std::string path = SegmentPath(current_segment_);
+  auto contents = ReadFileToString(path);
+  if (contents.status().IsNotFound()) return Status::Ok();
+  DOMINO_RETURN_IF_ERROR(contents.status());
+  LogReader reader(std::move(*contents));
+  RecordType type;
+  std::string_view payload;
+  while (reader.ReadRecord(&type, &payload)) {
   }
+  if (!reader.tail_corrupted()) return Status::Ok();
+  torn_at_open_ = true;
+  registry_->events().Log(
+      stats::Severity::kWarning, "SharedLog",
+      "torn tail cut from segment " + std::to_string(current_segment_) +
+          " at offset " + std::to_string(reader.offset()));
+  return TruncateFile(path, reader.offset());
+}
+
+Status SharedLog::RollSegmentLocked() {
   // Completed segments are immutable from here on; seal with a sync so
   // truncation decisions never outrun the device.
   DOMINO_RETURN_IF_ERROR(file_->Sync());
   file_.reset();
   ++current_segment_;
   return OpenCurrentSegmentLocked();
+}
+
+Status SharedLog::MaybeRollSegmentLocked() {
+  if (segment_base_bytes_ + file_->bytes_written() < options_.segment_bytes) {
+    return Status::Ok();
+  }
+  return RollSegmentLocked();
 }
 
 Result<uint32_t> SharedLog::RegisterStream(const std::string& name) {
@@ -164,10 +184,12 @@ Status SharedLog::Commit(uint32_t stream, RecordType type,
   mux.append(payload);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (streams_.count(stream) == 0) {
+    auto it = streams_.find(stream);
+    if (it == streams_.end()) {
       return Status::InvalidArgument("shared log: unregistered stream " +
                                      std::to_string(stream));
     }
+    it->second.appended = true;
   }
   if (options_.sync_mode == SyncMode::kGroupCommit) {
     return CommitGrouped(type, mux);
@@ -287,7 +309,7 @@ Status SharedLog::ReplayStream(
       DOMINO_RETURN_IF_ERROR(file_->Flush());
     }
   }
-  bool torn = false;
+  bool torn = torn_at_open_;
   for (uint64_t seg = lo; seg <= hi; ++seg) {
     auto contents = ReadFileToString(SegmentPath(seg));
     if (contents.status().IsNotFound()) continue;  // truncated underneath us
@@ -305,12 +327,12 @@ Status SharedLog::ReplayStream(
       DOMINO_RETURN_IF_ERROR(fn(type, input));
     }
     if (reader.tail_corrupted()) {
-      torn = true;
       if (seg != hi) {
-        registry_->events().Log(
-            stats::Severity::kWarning, "SharedLog",
-            "torn frame inside non-final segment " + std::to_string(seg));
+        return Status::Corruption("shared log: bad frame in sealed segment " +
+                                  SegmentPath(seg) + " at offset " +
+                                  std::to_string(reader.offset()));
       }
+      torn = true;
     }
   }
   if (torn_tail != nullptr) *torn_tail = torn;
@@ -318,13 +340,26 @@ Status SharedLog::ReplayStream(
 }
 
 Status SharedLog::AdvanceCheckpoint(uint32_t stream) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock(mu_);
+  // A roll swaps file_, so no group-commit leader may be writing to it.
+  cv_.wait(lock, [&] { return !writing_ || !io_error_.ok(); });
+  if (!io_error_.ok()) return io_error_;
   auto it = streams_.find(stream);
   if (it == streams_.end()) {
     return Status::InvalidArgument("shared log: unregistered stream " +
                                    std::to_string(stream));
   }
   it->second.low_segment = current_segment_;
+  it->second.appended = false;
+  const bool all_checkpointed =
+      std::none_of(streams_.begin(), streams_.end(),
+                   [](const auto& entry) { return entry.second.appended; });
+  if (all_checkpointed) {
+    // Nothing logged so far is needed by anyone: drop it all, the current
+    // segment included, rather than re-reading it at the next open.
+    DOMINO_RETURN_IF_ERROR(RollSegmentLocked());
+    for (auto& [id, info] : streams_) info.low_segment = current_segment_;
+  }
   uint64_t min_low = current_segment_;
   for (const auto& [id, info] : streams_) {
     min_low = std::min(min_low, info.low_segment);
@@ -360,11 +395,6 @@ uint64_t SharedLog::first_segment() const {
 uint64_t SharedLog::current_segment() const {
   std::lock_guard<std::mutex> lock(mu_);
   return current_segment_;
-}
-
-uint64_t SharedLog::committed_records() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return durable_seq_;
 }
 
 }  // namespace dominodb::wal

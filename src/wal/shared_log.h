@@ -14,9 +14,18 @@
 #include "base/result.h"
 #include "base/status.h"
 #include "stats/stats.h"
-#include "wal/log_writer.h"
+#include "wal/log_format.h"
 
 namespace dominodb::wal {
+
+/// Durability policy for commits. Domino R5 offered similar knobs; E7/E14
+/// benchmark the cost of each.
+enum class SyncMode {
+  kNone,         // written to the OS, never fsynced: survives a process
+                 // crash, not a power loss
+  kEveryCommit,  // fsync per commit: durable, one device flush per record
+  kGroupCommit   // leader/follower: concurrent committers share one fsync
+};
 
 struct SharedLogOptions {
   SyncMode sync_mode = SyncMode::kGroupCommit;
@@ -52,13 +61,17 @@ struct SharedLogOptions {
 /// The log is a sequence of numbered segment files plus a manifest
 /// recording the stream table and per-stream checkpoint low-water marks.
 /// A database checkpoint advances only its own mark; segments below every
-/// stream's mark are physically deleted. Thread-safe throughout.
+/// stream's mark are physically deleted. A standalone database (no server)
+/// runs the same code on a one-stream log of its own. Thread-safe
+/// throughout.
 class SharedLog {
  public:
+  /// Opens (or creates) the log in `dir`, cutting a torn tail (a crash
+  /// mid-append) off the final segment so later commits stay readable.
   static Result<std::unique_ptr<SharedLog>> Open(
       const std::string& dir, const SharedLogOptions& options);
 
-  ~SharedLog();
+  ~SharedLog() = default;  // WritableFile flushes on destruction
   SharedLog(const SharedLog&) = delete;
   SharedLog& operator=(const SharedLog&) = delete;
 
@@ -75,9 +88,10 @@ class SharedLog {
   Status Commit(uint32_t stream, RecordType type, std::string_view payload);
 
   /// Replays the committed records of `stream`, in commit order, across
-  /// all retained segments. A torn tail on the final segment ends the
-  /// replay (committed-prefix semantics) and sets `*torn_tail`; torn
-  /// middles of non-final segments are logged and skipped the same way.
+  /// all retained segments. A torn tail on the final segment (or one cut
+  /// off at Open) ends the replay (committed-prefix semantics) and sets
+  /// `*torn_tail`. A bad frame in an earlier, already-fsynced segment is
+  /// not a crash artifact: it fails the replay with Corruption.
   Status ReplayStream(
       uint32_t stream,
       const std::function<Status(RecordType type, std::string_view payload)>&
@@ -86,24 +100,26 @@ class SharedLog {
 
   /// Records that `stream` needs nothing logged before now (its state is
   /// captured in a snapshot), then deletes every segment all streams have
-  /// moved past.
+  /// moved past. When no stream has appended since its own checkpoint,
+  /// the log also seals and rolls past the current segment, dropping it.
   Status AdvanceCheckpoint(uint32_t stream);
 
   /// Forces any pending group batch to disk (shutdown convenience).
   Status SyncAll();
 
-  const SharedLogOptions& options() const { return options_; }
   std::string SegmentPath(uint64_t index) const;
 
   // Introspection (tests, `show stat`).
   uint64_t first_segment() const;
   uint64_t current_segment() const;
-  uint64_t committed_records() const;
 
  private:
   struct StreamInfo {
     std::string name;
     uint64_t low_segment = 1;  // needs nothing below this segment
+    // Appended since its last checkpoint; assumed for streams loaded at
+    // Open, whose history is unknown.
+    bool appended = false;
   };
 
   SharedLog(std::string dir, const SharedLogOptions& options);
@@ -112,8 +128,12 @@ class SharedLog {
   Status LoadManifest();
   Status PersistManifestLocked();
   Status OpenCurrentSegmentLocked();
-  /// Rolls to a fresh segment once the current one is over budget. Called
+  /// Cuts a torn tail off the final segment (see Open).
+  Status TrimTornTailLocked();
+  /// Seals the current segment with a sync and opens the next one. Called
   /// with mu_ held and no flush in progress.
+  Status RollSegmentLocked();
+  /// RollSegmentLocked once the current segment is over budget.
   Status MaybeRollSegmentLocked();
   /// Serialized append (+ optional sync) for the non-group modes.
   Status CommitSerialized(RecordType type, std::string_view mux_payload);
@@ -148,6 +168,7 @@ class SharedLog {
   uint64_t first_segment_ = 1;          // lowest retained segment
   uint64_t current_segment_ = 1;
   uint64_t segment_base_bytes_ = 0;  // size of current segment at open
+  bool torn_at_open_ = false;        // Open cut a torn tail off
 
   uint64_t next_seq_ = 0;     // last assigned commit sequence number
   uint64_t durable_seq_ = 0;  // every seq <= this is durable

@@ -19,6 +19,7 @@
 namespace dominodb {
 namespace {
 
+using testing_util::FirstLogSegment;
 using testing_util::MakeDoc;
 using testing_util::ScratchDir;
 
@@ -588,7 +589,7 @@ TEST_P(CheckpointFaultMatrix, TornPagesRecoverFromLoggedImages) {
     }
   };
   const std::string crashed_pages = snapshot_file("notes.pages");
-  const std::string crashed_wal = snapshot_file("notes.wal");
+  const std::string crashed_wal = snapshot_file("log/seg-00000001.wal");
   const std::string crashed_meta = snapshot_file("notes.meta");
 
   const uint32_t page_size = options.page_size;
@@ -598,7 +599,7 @@ TEST_P(CheckpointFaultMatrix, TornPagesRecoverFromLoggedImages) {
   StoreOptions clean = TinyPagedOptions();
   for (uint32_t pg = 0; pg < npages; pg += stride) {
     restore_file("notes.pages", crashed_pages);
-    restore_file("notes.wal", crashed_wal);
+    restore_file("log/seg-00000001.wal", crashed_wal);
     restore_file("notes.meta", crashed_meta);
     {
       // Tear exactly page `pg`: its second half reads back as zeros, the
@@ -643,7 +644,7 @@ TEST(CrashMatrixTest, WalCutSweepRecoversCommittedPrefix) {
       subjects.push_back(note.GetText("Subject"));
     }
   }
-  std::string wal_path = db_dir + "/notes.wal";
+  std::string wal_path = FirstLogSegment(db_dir);
   ASSERT_OK_AND_ASSIGN(std::string full_wal, ReadFileToString(wal_path));
   const uint64_t stride = FullCrashMatrix()
                               ? 1

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <filesystem>
 #include <functional>
 #include <map>
 #include <memory>
@@ -220,6 +221,42 @@ TEST_P(SharedLogTornTailSweep, CommittedPrefixPerStream) {
 INSTANTIATE_TEST_SUITE_P(CutPoints, SharedLogTornTailSweep,
                          ::testing::Values(0, 1, 2, 3, 5, 8, 13, 17, 21, 40));
 
+void FlipByteMidFile(const std::string& path) {
+  ASSERT_OK_AND_ASSIGN(std::string contents, ReadFileToString(path));
+  ASSERT_GT(contents.size(), 2u);
+  contents[contents.size() / 2] ^= 0x5a;
+  ASSERT_OK(WriteFileAtomic(path, contents));
+}
+
+// A sealed segment was fsynced before the log moved past it, so a bad
+// frame there is corruption, not a crash artifact: replay must stop with
+// an error rather than apply the records that follow the hole.
+TEST(SharedLogTest, CorruptSealedSegmentFailsReplay) {
+  ScratchDir dir;
+  wal::SharedLogOptions options = BufferedLog();
+  options.segment_bytes = 256;
+  uint32_t a = 0;
+  {
+    ASSERT_OK_AND_ASSIGN(auto log,
+                         wal::SharedLog::Open(dir.Sub("txnlog"), options));
+    ASSERT_OK_AND_ASSIGN(a, log->RegisterStream("a.nsf"));
+    for (int i = 0; log->current_segment() < 3; ++i) {
+      ASSERT_OK(log->Commit(a, wal::RecordType::kData,
+                            "record-" + std::to_string(i) +
+                                std::string(60, 'x')));
+    }
+    FlipByteMidFile(log->SegmentPath(1));
+  }
+  ASSERT_OK_AND_ASSIGN(auto log,
+                       wal::SharedLog::Open(dir.Sub("txnlog"), options));
+  Status status = log->ReplayStream(
+      a, [](wal::RecordType, std::string_view) { return Status::Ok(); },
+      nullptr);
+  EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+  EXPECT_NE(status.ToString().find(log->SegmentPath(1)), std::string::npos)
+      << status.ToString();
+}
+
 // ---------------------------------------------- NoteStore on a SharedLog --
 
 StoreOptions SharedStoreOptions(wal::SharedLog* log, uint32_t stream) {
@@ -380,6 +417,176 @@ TEST(NoteStoreSharedLogTest, TornTailRecoversCommittedPrefixPerStore) {
       EXPECT_EQ(doc.GetText("Subject"), prefix + std::to_string(i));
     }
     EXPECT_FALSE(store->ContainsUnid(Unid{0x11, base + count}));
+  }
+}
+
+// The same rule seen from a store: a flipped byte in sealed segment 1
+// fails the open, while a cut on the final segment is a torn tail and
+// still recovers the committed prefix.
+class NoteStoreSharedLogDamage : public ::testing::TestWithParam<bool> {};
+
+TEST_P(NoteStoreSharedLogDamage, SealedCorruptionFailsTornTailRecovers) {
+  const bool corrupt_sealed = GetParam();
+  ScratchDir dir;
+  wal::SharedLogOptions options = BufferedLog();
+  options.segment_bytes = 256;
+  uint32_t sa = 0;
+  int written = 0;
+  std::string final_segment;
+  {
+    ASSERT_OK_AND_ASSIGN(auto log,
+                         wal::SharedLog::Open(dir.Sub("txnlog"), options));
+    ASSERT_OK_AND_ASSIGN(sa, log->RegisterStream("a.nsf"));
+    ASSERT_OK_AND_ASSIGN(auto store,
+                         NoteStore::Open(dir.Sub("a"),
+                                         SharedStoreOptions(log.get(), sa),
+                                         StoreInfo(1)));
+    for (; log->current_segment() < 3; ++written) {
+      Note doc = StampedDoc("d" + std::to_string(written),
+                            static_cast<uint64_t>(written + 1), written + 1);
+      ASSERT_OK(store->Put(&doc));
+    }
+    // Leave the final segment non-empty so there is a tail to tear.
+    Note doc = StampedDoc("d" + std::to_string(written),
+                          static_cast<uint64_t>(written + 1), written + 1);
+    ASSERT_OK(store->Put(&doc));
+    ++written;
+    ASSERT_EQ(log->current_segment(), 3u);
+    if (corrupt_sealed) {
+      FlipByteMidFile(log->SegmentPath(1));
+    } else {
+      final_segment = log->SegmentPath(3);
+    }
+  }
+  if (!corrupt_sealed) {
+    ASSERT_OK_AND_ASSIGN(uint64_t size, FileSize(final_segment));
+    ASSERT_OK(TruncateFile(final_segment, size - 5));
+  }
+  ASSERT_OK_AND_ASSIGN(auto log,
+                       wal::SharedLog::Open(dir.Sub("txnlog"), options));
+  auto reopened = NoteStore::Open(
+      dir.Sub("a"), SharedStoreOptions(log.get(), sa), StoreInfo(1));
+  if (corrupt_sealed) {
+    EXPECT_TRUE(reopened.status().IsCorruption())
+        << reopened.status().ToString();
+    return;
+  }
+  ASSERT_OK(reopened.status());
+  NoteStore* store = reopened->get();
+  EXPECT_TRUE(store->stats().recovered_torn_tail);
+  const size_t count = store->note_count();
+  EXPECT_LT(count, static_cast<size_t>(written));
+  for (size_t i = 0; i < count; ++i) {
+    ASSERT_OK_AND_ASSIGN(Note doc, store->GetByUnid(Unid{0x11, i + 1}));
+    EXPECT_EQ(doc.GetText("Subject"), "d" + std::to_string(i));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Damage, NoteStoreSharedLogDamage,
+                         ::testing::Values(true, false),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "FlipInSealedSegment"
+                                             : "CutFinalSegment";
+                         });
+
+// ------------------------------------------- checkpoint truncation rule --
+
+// A standalone store runs on a one-stream log of its own. Once its only
+// stream checkpoints, nothing in the log is needed: the segment holding
+// the 200 puts is dropped and reopen replays nothing.
+TEST(NoteStoreSharedLogTest, OneStreamCheckpointDropsWholeLog) {
+  ScratchDir dir;
+  StoreOptions options;
+  options.checkpoint_threshold_bytes = 0;
+  {
+    ASSERT_OK_AND_ASSIGN(auto store,
+                         NoteStore::Open(dir.Sub("db"), options,
+                                         StoreInfo(1)));
+    for (int i = 0; i < 200; ++i) {
+      Note doc = StampedDoc("n" + std::to_string(i),
+                            static_cast<uint64_t>(i + 1), i + 1);
+      ASSERT_OK(store->Put(&doc));
+    }
+    ASSERT_OK(store->Checkpoint());
+  }
+  std::vector<std::string> segments;
+  bool have_manifest = false;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(dir.Sub("db/log"))) {
+    const std::string name = entry.path().filename().string();
+    if (name == "streams.manifest") {
+      have_manifest = true;
+    } else {
+      segments.push_back(entry.path().string());
+    }
+  }
+  EXPECT_TRUE(have_manifest);
+  ASSERT_EQ(segments.size(), 1u);
+  ASSERT_OK_AND_ASSIGN(uint64_t segment_size, FileSize(segments[0]));
+  EXPECT_EQ(segment_size, 0u);
+
+  ASSERT_OK_AND_ASSIGN(auto store,
+                       NoteStore::Open(dir.Sub("db"), options, StoreInfo(1)));
+  EXPECT_EQ(store->stats().recovered_records, 0u);
+  EXPECT_EQ(store->note_count(), 200u);
+}
+
+// Stream B appends after its own checkpoint; A's checkpoint must then keep
+// every segment, because B's suffix lives there.
+TEST(NoteStoreSharedLogTest, CheckpointKeepsOtherStreamsSuffix) {
+  ScratchDir dir;
+  ASSERT_OK_AND_ASSIGN(auto log,
+                       wal::SharedLog::Open(dir.Sub("txnlog"), BufferedLog()));
+  ASSERT_OK_AND_ASSIGN(uint32_t sa, log->RegisterStream("a.nsf"));
+  ASSERT_OK_AND_ASSIGN(uint32_t sb, log->RegisterStream("b.nsf"));
+  constexpr int kPostCheckpoint = 7;
+  {
+    ASSERT_OK_AND_ASSIGN(auto store_a,
+                         NoteStore::Open(dir.Sub("a"),
+                                         SharedStoreOptions(log.get(), sa),
+                                         StoreInfo(1)));
+    ASSERT_OK_AND_ASSIGN(auto store_b,
+                         NoteStore::Open(dir.Sub("b"),
+                                         SharedStoreOptions(log.get(), sb),
+                                         StoreInfo(2)));
+    for (int i = 0; i < 10; ++i) {
+      Note doc = StampedDoc("a" + std::to_string(i),
+                            static_cast<uint64_t>(i + 1), i + 1);
+      ASSERT_OK(store_a->Put(&doc));
+      Note other = StampedDoc("b" + std::to_string(i),
+                              static_cast<uint64_t>(100 + i), i + 1);
+      ASSERT_OK(store_b->Put(&other));
+    }
+    ASSERT_OK(store_b->Checkpoint());
+    for (int i = 0; i < kPostCheckpoint; ++i) {
+      Note other = StampedDoc("b-post" + std::to_string(i),
+                              static_cast<uint64_t>(200 + i), 50 + i);
+      ASSERT_OK(store_b->Put(&other));
+    }
+    const uint64_t first = log->first_segment();
+    const uint64_t current = log->current_segment();
+    ASSERT_OK(store_a->Checkpoint());
+    EXPECT_EQ(log->first_segment(), first);
+    EXPECT_EQ(log->current_segment(), current);
+    for (uint64_t seg = first; seg <= current; ++seg) {
+      EXPECT_TRUE(FileExists(log->SegmentPath(seg))) << "segment " << seg;
+    }
+  }
+  log.reset();
+  ASSERT_OK_AND_ASSIGN(log,
+                       wal::SharedLog::Open(dir.Sub("txnlog"), BufferedLog()));
+  ASSERT_OK_AND_ASSIGN(auto store_b,
+                       NoteStore::Open(dir.Sub("b"),
+                                       SharedStoreOptions(log.get(), sb),
+                                       StoreInfo(2)));
+  EXPECT_EQ(store_b->stats().recovered_records,
+            static_cast<uint64_t>(kPostCheckpoint));
+  EXPECT_EQ(store_b->note_count(), 10u + kPostCheckpoint);
+  for (int i = 0; i < kPostCheckpoint; ++i) {
+    ASSERT_OK_AND_ASSIGN(
+        Note doc,
+        store_b->GetByUnid(Unid{0x11, static_cast<uint64_t>(200 + i)}));
+    EXPECT_EQ(doc.GetText("Subject"), "b-post" + std::to_string(i));
   }
 }
 

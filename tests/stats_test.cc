@@ -366,7 +366,7 @@ TEST_F(ServerStatsFixture, ReplicationAndMailShowUpInShowStat) {
 
   // Store/WAL instrumentation fed the same registry.
   EXPECT_GT(counter("Database.Docs.Added"), 0u);
-  EXPECT_GT(counter("WAL.Appends"), 0u);
+  EXPECT_GT(counter("Server.WAL.Commits"), 0u);
 }
 
 TEST_F(ServerStatsFixture, DeadMailFiresThresholdEvent) {

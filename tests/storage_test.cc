@@ -1,33 +1,29 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
 #include "base/env.h"
 #include "base/rng.h"
 #include "storage/note_store.h"
 #include "tests/test_util.h"
+#include "wal/log_format.h"
 #include "wal/log_reader.h"
-#include "wal/log_writer.h"
 
 namespace dominodb {
 namespace {
 
+using testing_util::FirstLogSegment;
 using testing_util::MakeDoc;
 using testing_util::ScratchDir;
 
 // -------------------------------------------------------------------- WAL --
 
 TEST(WalTest, WriteAndReadRecords) {
-  ScratchDir dir;
-  std::string path = dir.Sub("test.wal");
-  {
-    auto writer = wal::LogWriter::Open(path, wal::SyncMode::kNone);
-    ASSERT_OK(writer);
-    ASSERT_OK((*writer)->AppendRecord(wal::RecordType::kData, "one"));
-    ASSERT_OK((*writer)->AppendRecord(wal::RecordType::kCheckpoint, ""));
-    ASSERT_OK((*writer)->AppendRecord(wal::RecordType::kData,
-                                      std::string(100000, 'z')));
-    ASSERT_OK((*writer)->Sync());
-  }
-  ASSERT_OK_AND_ASSIGN(std::string contents, ReadFileToString(path));
+  std::string contents;
+  wal::AppendFrameTo(&contents, wal::RecordType::kData, "one");
+  wal::AppendFrameTo(&contents, wal::RecordType::kCheckpoint, "");
+  wal::AppendFrameTo(&contents, wal::RecordType::kData,
+                     std::string(100000, 'z'));
   wal::LogReader reader(contents);
   wal::RecordType type;
   std::string_view payload;
@@ -45,18 +41,11 @@ TEST(WalTest, WriteAndReadRecords) {
 class WalTornTailSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(WalTornTailSweep, TruncationYieldsCommittedPrefix) {
-  ScratchDir dir;
-  std::string path = dir.Sub("torn.wal");
   std::vector<std::string> payloads = {"alpha", "bravo", "charlie", "delta"};
-  {
-    auto writer = wal::LogWriter::Open(path, wal::SyncMode::kNone);
-    ASSERT_OK(writer);
-    for (const auto& p : payloads) {
-      ASSERT_OK((*writer)->AppendRecord(wal::RecordType::kData, p));
-    }
-    ASSERT_OK((*writer)->Sync());
+  std::string full;
+  for (const auto& p : payloads) {
+    wal::AppendFrameTo(&full, wal::RecordType::kData, p);
   }
-  ASSERT_OK_AND_ASSIGN(std::string full, ReadFileToString(path));
   // Cut `cut` bytes off the tail.
   size_t cut = static_cast<size_t>(GetParam());
   ASSERT_LE(cut, full.size());
@@ -80,16 +69,9 @@ INSTANTIATE_TEST_SUITE_P(CutPoints, WalTornTailSweep,
                          ::testing::Values(0, 1, 2, 3, 5, 8, 11, 12, 20));
 
 TEST(WalTest, CorruptedRecordStopsIteration) {
-  ScratchDir dir;
-  std::string path = dir.Sub("bad.wal");
-  {
-    auto writer = wal::LogWriter::Open(path, wal::SyncMode::kNone);
-    ASSERT_OK(writer);
-    ASSERT_OK((*writer)->AppendRecord(wal::RecordType::kData, "good"));
-    ASSERT_OK((*writer)->AppendRecord(wal::RecordType::kData, "soon bad"));
-    ASSERT_OK((*writer)->Sync());
-  }
-  ASSERT_OK_AND_ASSIGN(std::string contents, ReadFileToString(path));
+  std::string contents;
+  wal::AppendFrameTo(&contents, wal::RecordType::kData, "good");
+  wal::AppendFrameTo(&contents, wal::RecordType::kData, "soon bad");
   contents[contents.size() - 2] ^= 0x40;  // flip a bit in the last payload
   wal::LogReader reader(contents);
   wal::RecordType type;
@@ -206,7 +188,7 @@ TEST(NoteStoreTest, CrashTruncationRecoversCommittedPrefix) {
     }
   }
   // Simulate a torn write: chop arbitrary byte counts off the WAL tail.
-  std::string wal_path = db_dir + "/notes.wal";
+  std::string wal_path = FirstLogSegment(db_dir);
   ASSERT_OK_AND_ASSIGN(uint64_t size, FileSize(wal_path));
   Rng rng(5);
   for (int trial = 0; trial < 10; ++trial) {
@@ -227,6 +209,70 @@ TEST(NoteStoreTest, CrashTruncationRecoversCommittedPrefix) {
   }
 }
 
+// Recovery cuts a torn tail off the log, so a commit made after the crash
+// is not stranded behind unreadable bytes at the next recovery.
+TEST(NoteStoreTest, CrashThenCommitSurvivesNextRecovery) {
+  ScratchDir dir;
+  std::string db_dir = dir.Sub("db");
+  {
+    ASSERT_OK_AND_ASSIGN(auto store,
+                         NoteStore::Open(db_dir, FastOptions(), TestInfo()));
+    for (int i = 0; i < 5; ++i) {
+      Note note = StampedDoc("t" + std::to_string(i),
+                             static_cast<uint64_t>(i + 1), i);
+      ASSERT_OK(store->Put(&note));
+    }
+  }
+  std::string wal_path = FirstLogSegment(db_dir);
+  ASSERT_OK_AND_ASSIGN(uint64_t size, FileSize(wal_path));
+  ASSERT_OK(TruncateFile(wal_path, size - 3));
+  {
+    ASSERT_OK_AND_ASSIGN(auto store,
+                         NoteStore::Open(db_dir, FastOptions(), TestInfo()));
+    EXPECT_TRUE(store->stats().recovered_torn_tail);
+    EXPECT_EQ(store->note_count(), 4u);
+    Note late = StampedDoc("late", 100, 100);
+    ASSERT_OK(store->Put(&late));
+  }
+  ASSERT_OK_AND_ASSIGN(auto store,
+                       NoteStore::Open(db_dir, FastOptions(), TestInfo()));
+  EXPECT_FALSE(store->stats().recovered_torn_tail);
+  EXPECT_EQ(store->note_count(), 5u);
+  ASSERT_OK_AND_ASSIGN(Note late, store->GetByUnid(Unid{0x11, 100}));
+  EXPECT_EQ(late.GetText("Subject"), "late");
+}
+
+// The kNone contract: Put returns once the commit has reached the OS, so
+// a process crash loses no acknowledged commit (a power loss may). A copy
+// of a still-open, never-checkpointed store is what such a crash leaves.
+TEST(NoteStoreTest, CrashOfProcessKeepsAcknowledgedCommits) {
+  ScratchDir dir;
+  ASSERT_EQ(FastOptions().sync_mode, wal::SyncMode::kNone);
+  constexpr int kNotes = 100;
+  ASSERT_OK_AND_ASSIGN(auto store,
+                       NoteStore::Open(dir.Sub("db"), FastOptions(),
+                                       TestInfo()));
+  for (int i = 0; i < kNotes; ++i) {
+    Note note = StampedDoc("ack" + std::to_string(i),
+                           static_cast<uint64_t>(i + 1), i);
+    ASSERT_OK(store->Put(&note));
+  }
+  std::error_code ec;
+  std::filesystem::copy(dir.Sub("db"), dir.Sub("crashed"),
+                        std::filesystem::copy_options::recursive, ec);
+  ASSERT_FALSE(ec) << ec.message();
+  ASSERT_OK_AND_ASSIGN(auto recovered,
+                       NoteStore::Open(dir.Sub("crashed"), FastOptions(),
+                                       TestInfo()));
+  EXPECT_EQ(recovered->note_count(), static_cast<size_t>(kNotes));
+  for (int i = 0; i < kNotes; ++i) {
+    ASSERT_OK_AND_ASSIGN(
+        Note note,
+        recovered->GetByUnid(Unid{0x11, static_cast<uint64_t>(i + 1)}));
+    EXPECT_EQ(note.GetText("Subject"), "ack" + std::to_string(i));
+  }
+}
+
 TEST(NoteStoreTest, BatchIsAtomicUnderTruncation) {
   ScratchDir dir;
   std::string db_dir = dir.Sub("db");
@@ -240,7 +286,7 @@ TEST(NoteStoreTest, BatchIsAtomicUnderTruncation) {
     }
     ASSERT_OK(store->PutBatch(&batch));
   }
-  std::string wal_path = db_dir + "/notes.wal";
+  std::string wal_path = FirstLogSegment(db_dir);
   ASSERT_OK_AND_ASSIGN(uint64_t size, FileSize(wal_path));
   ASSERT_OK(TruncateFile(wal_path, size - 1));
   ASSERT_OK_AND_ASSIGN(auto store,

@@ -39,6 +39,12 @@ class ScratchDir {
   std::string path_;
 };
 
+/// The segment a standalone store's own one-stream log writes until its
+/// first checkpoint — the file crash tests cut or snapshot.
+inline std::string FirstLogSegment(const std::string& store_dir) {
+  return store_dir + "/log/seg-00000001.wal";
+}
+
 /// Quick document builder.
 inline Note MakeDoc(const std::string& form, const std::string& subject,
                     double amount = 0) {
