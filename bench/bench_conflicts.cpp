@@ -83,7 +83,7 @@ int main() {
         clock.Advance(1000);
         // Replicate between ops so clean edits never collide: only the
         // deliberate double-writes above conflict.
-        if (op % 20 == 19) scheduler.RunRound().ok();
+        if (op % 20 == 19) scheduler.RunAllDue(clock.Now());
       }
 
       auto rounds = scheduler.RunUntilConverged(20);

@@ -6,7 +6,7 @@
 // retry traffic.
 
 #include "bench/bench_util.h"
-#include "repl/repl_scheduler.h"
+#include "repl/replicator_task.h"
 #include "server/replication_scheduler.h"
 #include "server/server.h"
 

@@ -62,20 +62,21 @@ int main() {
           : kind == 1 ? RingTopology(names)
                       : MeshTopology(names);
       scheduler.SetTopology(links);
+      scheduler.InstallConnections().ok();
 
       net.ResetStats();
       int rounds = 0;
-      ReplicationReport total;
+      size_t sessions = 0;
       while (rounds < 32 && !scheduler.Converged()) {
-        auto report = scheduler.RunRound();
-        if (!report.ok()) break;
-        total.MergeFrom(*report);
+        repl::SchedulerRunReport report = scheduler.RunAllDue(clock.Now());
+        sessions += report.attempted;
+        if (report.succeeded != report.attempted) break;
         ++rounds;
         clock.Advance(1'000'000);
       }
 
       printf("%-9d %-10s | %-8d %-10zu %-10llu %-12llu %-12.2f\n", n,
-             topo_name, rounds, links.size() * rounds,
+             topo_name, rounds, sessions,
              static_cast<unsigned long long>(net.total().messages),
              static_cast<unsigned long long>(net.total().bytes),
              static_cast<double>(clock.Now() - start_time) / 1e6);

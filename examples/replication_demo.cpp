@@ -94,6 +94,7 @@ int main(int argc, char** argv) {
   scheduler.SetTopology(HubSpokeTopology({"hq", "east", "west"}));
   auto rounds = scheduler.RunUntilConverged(8);
   printf("Converged after %d round(s).\n", rounds.ok() ? *rounds : -1);
+  bool all_converged = rounds.ok();
 
   auto winner = hq_db->FormulaSearch(
       "SELECT Customer = \"Customer 0\" & @IsUnavailable($Conflict)");
@@ -108,7 +109,7 @@ int main(int argc, char** argv) {
   auto doomed = hq_db->FormulaSearch("SELECT Customer = \"Customer 1\"");
   hq_db->DeleteNote((*doomed)[0].id()).ok();
   clock.Advance(1'000'000);
-  scheduler.RunUntilConverged(8).ok();
+  all_converged &= scheduler.RunUntilConverged(8).ok();
   printf("east now has %zu invoices, %zu deletion stub(s).\n",
          east_db->note_count(), east_db->stub_count());
 
@@ -164,8 +165,10 @@ int main(int argc, char** argv) {
       break;
     }
   }
+  bool wan_converged = DatabasesConverged({hq_db, east_db, west_db});
   printf("Converged after %d poll(s) despite the faults: %s\n", polls,
-         DatabasesConverged({hq_db, east_db, west_db}) ? "yes" : "no");
+         wan_converged ? "yes" : "no");
+  all_converged &= wan_converged;
 
   printf("\nTotal simulated network traffic: %llu bytes in %llu messages.\n",
          static_cast<unsigned long long>(net.total().bytes),
@@ -175,5 +178,7 @@ int main(int argc, char** argv) {
   // them reports the whole run (Domino console: `show stat Replica`).
   printf("\n> show stat Replica\n%s", hq.ShowStat("Replica").c_str());
   printf("\n> show stat Net\n%s", hq.ShowStat("Net").c_str());
-  return 0;
+  // Non-zero exit when any convergence above failed, so a test run of the
+  // demo catches it.
+  return all_converged ? 0 : 1;
 }

@@ -1,6 +1,5 @@
 #include "formula/formula.h"
 
-#include <cstdlib>
 #include <mutex>
 #include <unordered_map>
 
@@ -93,16 +92,6 @@ void ScanForResponseSelectors(const Expr& e, bool* children,
 
 }  // namespace
 
-const FormulaOptions& FormulaOptions::Default() {
-  static const FormulaOptions options = [] {
-    FormulaOptions o;
-    const char* env = std::getenv("DOMINO_FORMULA_VM");
-    if (env != nullptr && env[0] == '0') o.use_vm = false;
-    return o;
-  }();
-  return options;
-}
-
 Result<Formula> Formula::Compile(std::string_view source) {
   Formula f;
   f.source_ = std::string(source);
@@ -123,10 +112,6 @@ Result<Formula> Formula::Compile(std::string_view source) {
   return f;
 }
 
-Result<Value> Formula::Evaluate(const EvalContext& ctx) const {
-  return Evaluate(ctx, FormulaOptions::Default());
-}
-
 Result<Value> Formula::Evaluate(const EvalContext& ctx,
                                 const FormulaOptions& opts) const {
   if (compiled_ == nullptr) {
@@ -145,10 +130,6 @@ Result<Value> Formula::Evaluate(const EvalContext& ctx,
   }();
   if (!result.ok()) Counters().errors->Add();
   return result;
-}
-
-Result<bool> Formula::Matches(const EvalContext& ctx) const {
-  return Matches(ctx, FormulaOptions::Default());
 }
 
 Result<bool> Formula::Matches(const EvalContext& ctx,
@@ -221,9 +202,6 @@ struct BatchEvaluator::Impl {
     if (pending_evals >= 256) Flush();
   }
 };
-
-BatchEvaluator::BatchEvaluator(const Formula& formula)
-    : BatchEvaluator(formula, FormulaOptions::Default()) {}
 
 BatchEvaluator::BatchEvaluator(const Formula& formula,
                                const FormulaOptions& opts)

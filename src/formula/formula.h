@@ -22,12 +22,10 @@ class CompiledFormula;
 /// (bytecode.h/vm.h); the tree-walking interpreter remains available as
 /// the differential-testing oracle and as the fallback for formulas the
 /// compiler declines (register overflow — practically unreachable).
+/// Callers that pass no options get the VM; differential tests and
+/// benches pick the tree-walker with `use_vm = false`.
 struct FormulaOptions {
   bool use_vm = true;
-
-  /// Process-wide default. `DOMINO_FORMULA_VM=0` in the environment turns
-  /// the VM off globally (sanitizer runs, bisecting engine differences).
-  static const FormulaOptions& Default();
 };
 
 /// Everything a formula evaluation may touch. All pointers are borrowed
@@ -78,16 +76,14 @@ class Formula {
 
   /// Runs the statement list, returning the final value. FIELD
   /// assignments mutate ctx.mutable_note if provided.
-  Result<Value> Evaluate(const EvalContext& ctx) const;
   Result<Value> Evaluate(const EvalContext& ctx,
-                         const FormulaOptions& opts) const;
+                         const FormulaOptions& opts = FormulaOptions()) const;
 
   /// Selection semantics: the value of the SELECT statement if present,
   /// otherwise the truthiness of the final value. Used by view selection
   /// and selective replication.
-  Result<bool> Matches(const EvalContext& ctx) const;
   Result<bool> Matches(const EvalContext& ctx,
-                       const FormulaOptions& opts) const;
+                       const FormulaOptions& opts = FormulaOptions()) const;
 
   /// True if the formula source was compiled (non-default object).
   bool valid() const { return compiled_ != nullptr; }
@@ -124,8 +120,8 @@ class Formula {
 /// Formula/CompiledFormula is shared and immutable).
 class BatchEvaluator {
  public:
-  explicit BatchEvaluator(const Formula& formula);
-  BatchEvaluator(const Formula& formula, const FormulaOptions& opts);
+  explicit BatchEvaluator(const Formula& formula,
+                          const FormulaOptions& opts = FormulaOptions());
   ~BatchEvaluator();
   BatchEvaluator(BatchEvaluator&&) noexcept;
   BatchEvaluator& operator=(BatchEvaluator&&) noexcept;

@@ -1,6 +1,8 @@
 #include "server/replication_scheduler.h"
 
+#include <algorithm>
 #include <map>
+#include <optional>
 
 #include "base/hash.h"
 
@@ -76,9 +78,8 @@ Server* ReplicationScheduler::FindServer(const std::string& name) const {
   return nullptr;
 }
 
-Result<ReplicationReport> ReplicationScheduler::RunRound(
-    const ReplicationOptions& options) {
-  ReplicationReport total;
+Status ReplicationScheduler::AddConnections(
+    Micros interval, const ReplicationOptions& options) {
   for (const TopologyLink& link : links_) {
     Server* a = FindServer(link.a);
     Server* b = FindServer(link.b);
@@ -86,34 +87,27 @@ Result<ReplicationReport> ReplicationScheduler::RunRound(
       return Status::NotFound("unknown server in topology: " + link.a +
                               " / " + link.b);
     }
-    DOMINO_ASSIGN_OR_RETURN(ReplicationReport report,
-                            a->ReplicateWith(*b, file_, options));
-    total.MergeFrom(report);
+    DOMINO_RETURN_IF_ERROR(
+        a->AddConnection(*b, file_, interval, options).status());
   }
-  return total;
+  installed_ = true;
+  return Status::Ok();
 }
 
 Status ReplicationScheduler::InstallConnections(
     Micros interval, const ReplicationOptions& options,
     repl::RetryPolicy policy, uint64_t seed) {
   for (const TopologyLink& link : links_) {
-    Server* a = FindServer(link.a);
-    Server* b = FindServer(link.b);
-    if (a == nullptr || b == nullptr) {
-      return Status::NotFound("unknown server in topology: " + link.a +
-                              " / " + link.b);
+    if (Server* a = FindServer(link.a)) {
+      DOMINO_RETURN_IF_ERROR(a->StartReplicator(policy, seed));
     }
-    DOMINO_RETURN_IF_ERROR(a->StartReplicator(policy, seed));
-    DOMINO_RETURN_IF_ERROR(
-        a->AddConnection(*b, file_, interval, options).status());
   }
-  return Status::Ok();
+  return AddConnections(interval, options);
 }
 
 repl::SchedulerRunReport ReplicationScheduler::RunAllDue(Micros now) {
   repl::SchedulerRunReport merged;
   for (Server* server : servers_) {
-    if (server->replicator() == nullptr) continue;
     repl::SchedulerRunReport report = server->replicator()->RunDue(now);
     merged.attempted += report.attempted;
     merged.succeeded += report.succeeded;
@@ -127,10 +121,38 @@ repl::SchedulerRunReport ReplicationScheduler::RunAllDue(Micros now) {
   return merged;
 }
 
-Result<int> ReplicationScheduler::RunUntilConverged(
-    int max_rounds, const ReplicationOptions& options) {
+std::vector<const repl::ConnectionState*>
+ReplicationScheduler::ConnectionStates() const {
+  std::vector<const repl::ConnectionState*> states;
+  for (Server* server : servers_) {
+    const repl::ReplicatorTask& task = *server->replicator();
+    for (size_t i = 0; i < task.connection_count(); ++i) {
+      if (task.state(i).doc.file == file_) states.push_back(&task.state(i));
+    }
+  }
+  return states;
+}
+
+Result<int> ReplicationScheduler::RunUntilConverged(int max_rounds) {
+  if (!installed_) DOMINO_RETURN_IF_ERROR(AddConnections(0, {}));
+  Micros now = 0;
   for (int round = 1; round <= max_rounds; ++round) {
-    DOMINO_RETURN_IF_ERROR(RunRound(options).status());
+    for (Server* server : servers_) {
+      const Clock* clock = server->clock();
+      if (clock != nullptr) now = std::max(now, clock->Now());
+    }
+    std::optional<Micros> due;  // earliest time a live connection is due
+    for (const repl::ConnectionState* state : ConnectionStates()) {
+      if (state->dead) continue;
+      due = std::min(due.value_or(state->next_due), state->next_due);
+    }
+    now = std::max(now, due.value_or(now));
+    RunAllDue(now);
+    // Before Converged(): Replicas() skips a server that lacks the file,
+    // so a quarantined pair could otherwise pass for a converged fleet.
+    for (const repl::ConnectionState* state : ConnectionStates()) {
+      if (state->dead) return state->last_error;
+    }
     if (Converged()) return round;
   }
   return Status::FailedPrecondition("not converged after " +

@@ -26,8 +26,9 @@ std::vector<TopologyLink> MeshTopology(const std::vector<std::string>& names);
 /// content, stubs included).
 bool DatabasesConverged(const std::vector<Database*>& replicas);
 
-/// Drives scheduled replication of one database file across a server
-/// topology, like the Domino connection documents + replicator task.
+/// Topology front end for one database file: installs the links as
+/// connection documents on the servers' replicator tasks and polls them.
+/// It runs no session itself.
 class ReplicationScheduler {
  public:
   ReplicationScheduler(std::vector<Server*> servers, std::string file)
@@ -36,44 +37,39 @@ class ReplicationScheduler {
   void SetTopology(std::vector<TopologyLink> links) {
     links_ = std::move(links);
   }
-  const std::vector<TopologyLink>& topology() const { return links_; }
 
-  /// Replicates every link once (in order). Returns the merged report.
-  /// Fail-fast: the first failing session aborts the round — use the
-  /// resilient path (InstallConnections + RunAllDue) when links are lossy.
-  Result<ReplicationReport> RunRound(
-      const ReplicationOptions& options = ReplicationOptions());
-
-  /// Bridges the static topology into the resilient replicator tasks:
-  /// starts each link's first server's replicator (with `policy`) and
-  /// registers the link as a connection document there. Backoff, circuit
-  /// breaking and permanent-failure quarantine then apply per pair.
+  /// Registers each link as a connection document on its first server's
+  /// replicator task and gives that task `policy`.
   Status InstallConnections(Micros interval = 0,
                             const ReplicationOptions& options =
                                 ReplicationOptions(),
                             repl::RetryPolicy policy = repl::RetryPolicy(),
                             uint64_t seed = 0);
 
-  /// Polls every server's replicator task once at time `now`; merges the
-  /// per-server run reports. Unlike RunRound, a failing pair only backs
-  /// itself off — healthy pairs still replicate.
+  /// Polls every server's replicator task once at time `now` (fleet order)
+  /// and merges the reports. A failing pair only backs itself off.
   repl::SchedulerRunReport RunAllDue(Micros now);
 
-  /// Runs rounds until all replicas converge or `max_rounds` is hit.
-  /// Returns the number of rounds executed (error if not converged).
-  Result<int> RunUntilConverged(
-      int max_rounds,
-      const ReplicationOptions& options = ReplicationOptions());
+  /// RunAllDue until the replicas converge; returns the polls run. Installs
+  /// default connection documents (not policies) unless InstallConnections
+  /// ran. A poll runs when the first live connection is due, if that is
+  /// past the clock, so backoff and cool-offs hold without moving the
+  /// clock. Fails with the error of a connection the tasks disabled, or
+  /// after `max_rounds`.
+  Result<int> RunUntilConverged(int max_rounds);
 
   bool Converged() const;
   std::vector<Database*> Replicas() const;
 
  private:
   Server* FindServer(const std::string& name) const;
+  Status AddConnections(Micros interval, const ReplicationOptions& options);
+  std::vector<const repl::ConnectionState*> ConnectionStates() const;
 
   std::vector<Server*> servers_;
   std::string file_;
   std::vector<TopologyLink> links_;
+  bool installed_ = false;
 };
 
 }  // namespace dominodb

@@ -13,7 +13,16 @@ Server::Server(std::string name, std::string base_dir, const Clock* clock,
       clock_(clock),
       net_(net),
       directory_(directory),
-      stats_(stats != nullptr ? stats : &stats::StatRegistry::Global()) {
+      stats_(stats != nullptr ? stats : &stats::StatRegistry::Global()),
+      replicator_(
+          [this](const repl::ConnectionDoc& doc) -> Result<ReplicationReport> {
+            auto it = known_peers_.find(doc.remote);
+            if (it == known_peers_.end()) {
+              return Status::NotFound("unknown peer server: " + doc.remote);
+            }
+            return ReplicateWith(*it->second, doc.file, doc.options);
+          },
+          repl::RetryPolicy(), Fnv1a64(name_), stats_) {
   gauge_databases_ = &stats_->GetGauge("Server.Databases");
   // Default event generators, after Domino's statistic events: dead mail
   // and failed replication sessions are worth an operator's attention.
@@ -95,39 +104,20 @@ ReplicationHistory* Server::HistoryFor(const std::string& file) {
 }
 
 Status Server::StartReplicator(repl::RetryPolicy policy, uint64_t seed) {
-  if (repl_scheduler_ != nullptr) return Status::Ok();
-  repl_scheduler_ = std::make_unique<repl::ReplicationScheduler>(
-      [this](const repl::ConnectionDoc& doc) -> Result<ReplicationReport> {
-        auto it = known_peers_.find(doc.remote);
-        if (it == known_peers_.end()) {
-          return Status::NotFound("unknown peer server: " + doc.remote);
-        }
-        return ReplicateWith(*it->second, doc.file, doc.options);
-      },
-      policy, seed != 0 ? seed : Fnv1a64(name_), stats_);
+  replicator_.SetPolicy(policy, seed != 0 ? seed : Fnv1a64(name_));
   return Status::Ok();
 }
 
 Result<size_t> Server::AddConnection(Server& peer, const std::string& file,
                                      Micros interval,
                                      const ReplicationOptions& options) {
-  DOMINO_RETURN_IF_ERROR(StartReplicator());
   known_peers_[peer.name()] = &peer;
-  repl::ConnectionDoc doc;
-  doc.local = name_;
-  doc.remote = peer.name();
-  doc.file = file;
-  doc.interval = interval;
-  doc.options = options;
-  return repl_scheduler_->AddConnection(std::move(doc));
+  return replicator_.AddConnection(
+      repl::ConnectionDoc{name_, peer.name(), file, interval, options});
 }
 
 Result<repl::SchedulerRunReport> Server::RunReplicatorDue() {
-  if (repl_scheduler_ == nullptr) {
-    return Status::FailedPrecondition("replicator task not started on " +
-                                      name_);
-  }
-  return repl_scheduler_->RunDue(clock_ != nullptr ? clock_->Now() : 0);
+  return replicator_.RunDue(clock_ != nullptr ? clock_->Now() : 0);
 }
 
 Status Server::EnsureMailInfrastructure() {

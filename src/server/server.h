@@ -11,8 +11,8 @@
 #include "indexer/thread_pool.h"
 #include "mail/router.h"
 #include "net/sim_net.h"
-#include "repl/repl_scheduler.h"
 #include "repl/replicator.h"
+#include "repl/replicator_task.h"
 #include "stats/stats.h"
 #include "wal/shared_log.h"
 
@@ -64,18 +64,17 @@ class Server {
   ReplicationHistory* HistoryFor(const std::string& file);
 
   // -- Replicator task (connection documents + resilient scheduling) -------
-  /// Starts this server's scheduled replicator task (next to the indexer
-  /// and router): connection documents registered via AddConnection are
-  /// polled by RunReplicatorDue, with exponential backoff + jitter on
-  /// transient failure, a per-pair circuit breaker, and permanent-failure
-  /// quarantine. Idempotent; `seed` feeds the jitter PRNG.
+  /// Sets the retry policy of this server's replicator task, which runs
+  /// from construction next to the indexer and router: connection documents
+  /// registered via AddConnection are polled by RunReplicatorDue, with
+  /// exponential backoff + jitter on transient failure, a per-pair circuit
+  /// breaker, and permanent-failure quarantine. `seed` feeds the jitter PRNG.
   Status StartReplicator(repl::RetryPolicy policy = repl::RetryPolicy(),
                          uint64_t seed = 0);
 
   /// Registers a connection document replicating `file` with `peer` every
-  /// `interval` microseconds (0 = every poll). Returns the connection
-  /// index for state inspection. `peer` must outlive this server's
-  /// replicator task.
+  /// `interval` microseconds (0 = every poll), or updates the pair's
+  /// document. Returns its index. `peer` must outlive this server.
   Result<size_t> AddConnection(Server& peer, const std::string& file,
                                Micros interval = 0,
                                const ReplicationOptions& options =
@@ -84,7 +83,7 @@ class Server {
   /// One poll of the replicator task at the server clock's current time.
   Result<repl::SchedulerRunReport> RunReplicatorDue();
 
-  repl::ReplicationScheduler* replicator() { return repl_scheduler_.get(); }
+  repl::ReplicatorTask* replicator() { return &replicator_; }
 
   // -- Mail ------------------------------------------------------------------
   /// Creates mail.box and the router task.
@@ -172,7 +171,7 @@ class Server {
   std::unique_ptr<wal::SharedLog> shared_log_;
   std::map<std::string, std::unique_ptr<Database>> databases_;
   std::map<std::string, ReplicationHistory> histories_;  // file → history
-  std::unique_ptr<repl::ReplicationScheduler> repl_scheduler_;
+  repl::ReplicatorTask replicator_;
   std::map<std::string, Server*> known_peers_;  // name → peer (connections)
   std::unique_ptr<Router> router_;
   std::map<std::string, std::string> mail_file_of_user_;  // lower(user) → file

@@ -100,7 +100,7 @@ class DiscussionFixture : public ::testing::Test {
 
 TEST_F(DiscussionFixture, DistributedDiscussionEndToEnd) {
   // Design (view + ACL) reaches the spokes via replication.
-  ASSERT_OK(scheduler_->RunRound().status());
+  ASSERT_OK(scheduler_->RunUntilConverged(1).status());
   ASSERT_NE(DbOn("east")->FindView("Threads"), nullptr);
   EXPECT_EQ(DbOn("east")->acl().LevelFor(Principal::User("Moderator")),
             AccessLevel::kEditor);
@@ -197,7 +197,7 @@ TEST_F(DiscussionFixture, DistributedDiscussionEndToEnd) {
 }
 
 TEST_F(DiscussionFixture, ReplicaRestartPreservesEverything) {
-  ASSERT_OK(scheduler_->RunRound().status());
+  ASSERT_OK(scheduler_->RunUntilConverged(1).status());
   ASSERT_OK(Post("east", "Emma", "Bugs", "persisted?", "yes").status());
   clock_.Advance(1'000'000);
   ASSERT_OK(scheduler_->RunUntilConverged(5).status());
@@ -228,7 +228,7 @@ TEST_F(DiscussionFixture, ServerIndexerDefersMaintenanceAcrossReplication) {
   auto extra = server_ptrs_[0]->OpenDatabase("extra.nsf", options);
   ASSERT_OK(extra);
 
-  ASSERT_OK(scheduler_->RunRound().status());
+  ASSERT_OK(scheduler_->RunUntilConverged(1).status());
   ASSERT_OK(Post("hq", "Hank", "Bugs", "deferred but visible", "body")
                 .status());
   // The traversal catches the queue up before answering, so the write is

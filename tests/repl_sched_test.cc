@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "repl/repl_scheduler.h"
+#include "repl/replicator_task.h"
 #include "server/replication_scheduler.h"
 #include "server/server.h"
 #include "tests/test_util.h"
@@ -16,7 +16,7 @@ using repl::CircuitState;
 using repl::ClassifyFailure;
 using repl::ConnectionDoc;
 using repl::FailureKind;
-using repl::ReplicationScheduler;
+using repl::ReplicatorTask;
 using repl::RetryPolicy;
 using repl::SchedulerRunReport;
 using testing_util::MakeDoc;
@@ -46,7 +46,7 @@ TEST(ReplSchedulerTest, BackoffDoublesFromBaseToCap) {
   policy.max_backoff = 4'000'000;
   policy.jitter_fraction = 0.0;
   policy.circuit_open_after = 100;  // keep the breaker out of this test
-  ReplicationScheduler sched(
+  ReplicatorTask sched(
       [](const ConnectionDoc&) -> Result<ReplicationReport> {
         return Status::Unavailable("injected");
       },
@@ -85,8 +85,8 @@ TEST(ReplSchedulerTest, JitterStretchesDelayWithinBoundDeterministically) {
     return Status::Unavailable("injected");
   };
   stats::StatRegistry reg1, reg2;
-  ReplicationScheduler first(fail, policy, /*seed=*/5, &reg1);
-  ReplicationScheduler twin(fail, policy, /*seed=*/5, &reg2);
+  ReplicatorTask first(fail, policy, /*seed=*/5, &reg1);
+  ReplicatorTask twin(fail, policy, /*seed=*/5, &reg2);
   first.AddConnection(TestDoc());
   twin.AddConnection(TestDoc());
   first.RunDue(0);
@@ -104,7 +104,7 @@ TEST(ReplSchedulerTest, CircuitOpensHalfOpensAndCloses) {
   policy.circuit_open_after = 3;
   policy.circuit_cooloff = 10'000'000;
   bool healthy = false;
-  ReplicationScheduler sched(
+  ReplicatorTask sched(
       [&healthy](const ConnectionDoc&) -> Result<ReplicationReport> {
         if (healthy) return ReplicationReport{};
         return Status::Unavailable("injected");
@@ -148,7 +148,7 @@ TEST(ReplSchedulerTest, RetryBudgetExhaustionDisablesUntilRevived) {
   policy.base_backoff = 1'000;
   policy.circuit_open_after = 100;
   policy.max_retries = 2;
-  ReplicationScheduler sched(
+  ReplicatorTask sched(
       [](const ConnectionDoc&) -> Result<ReplicationReport> {
         return Status::Unavailable("injected");
       },
@@ -175,7 +175,7 @@ TEST(ReplSchedulerTest, RetryBudgetExhaustionDisablesUntilRevived) {
 TEST(ReplSchedulerTest, PermanentFailureDisablesOnlyItsPair) {
   stats::StatRegistry reg;
   size_t good_sessions = 0;
-  ReplicationScheduler sched(
+  ReplicatorTask sched(
       [&good_sessions](const ConnectionDoc& doc) -> Result<ReplicationReport> {
         if (doc.remote == "bad") {
           return Status::InvalidArgument("not a replica");
@@ -284,6 +284,132 @@ TEST(ReplicatorTaskTest, MissingDatabaseOnPeerIsPermanentNotRetried) {
   ASSERT_OK_AND_ASSIGN(SchedulerRunReport second, a.RunReplicatorDue());
   EXPECT_EQ(second.skipped_dead, 1u);
   EXPECT_EQ(second.permanent_failures, 0u);
+}
+
+TEST(ReplicatorTaskTest, ReAddingAPairUpdatesItsDocumentInPlace) {
+  ScratchDir dir;
+  SimClock clock(1'000'000'000);
+  SimNet net(&clock);
+  MailDirectory directory;
+  Server a("A", dir.Sub("a"), &clock, &net, &directory);
+  Server b("B", dir.Sub("b"), &clock, &net, &directory);
+  DatabaseOptions options;
+  Database* da = *a.OpenDatabase("db.nsf", options);
+  ASSERT_OK(b.CreateReplicaOf(*da, "db.nsf").status());
+
+  ASSERT_OK_AND_ASSIGN(size_t first, a.AddConnection(b, "db.nsf"));
+  ASSERT_OK_AND_ASSIGN(size_t again,
+                       a.AddConnection(b, "db.nsf", /*interval=*/1'000'000));
+  EXPECT_EQ(again, first);
+  ASSERT_EQ(a.replicator()->connection_count(), 1u);
+  EXPECT_EQ(a.replicator()->state(0).doc.interval, 1'000'000);
+
+  // One session per poll for the pair, then the 1 s gap holds.
+  Micros start = clock.Now();
+  ASSERT_OK_AND_ASSIGN(SchedulerRunReport poll, a.RunReplicatorDue());
+  EXPECT_EQ(poll.attempted, 1u);
+  EXPECT_EQ(poll.succeeded, 1u);
+  clock.Set(start + 999'999);
+  ASSERT_OK_AND_ASSIGN(SchedulerRunReport early, a.RunReplicatorDue());
+  EXPECT_EQ(early.attempted, 0u);
+  EXPECT_EQ(early.skipped_waiting, 1u);
+  clock.Set(start + 1'000'000);
+  ASSERT_OK_AND_ASSIGN(SchedulerRunReport due, a.RunReplicatorDue());
+  EXPECT_EQ(due.attempted, 1u);
+}
+
+TEST(ReplicatorTaskTest, StartReplicatorAfterAddConnectionAppliesPolicy) {
+  ScratchDir dir;
+  SimClock clock(1'000'000'000);
+  SimNet net(&clock);
+  MailDirectory directory;
+  Server a("A", dir.Sub("a"), &clock, &net, &directory);
+  Server b("B", dir.Sub("b"), &clock, &net, &directory);
+  DatabaseOptions options;
+  Database* da = *a.OpenDatabase("db.nsf", options);
+  ASSERT_OK(b.CreateReplicaOf(*da, "db.nsf").status());
+
+  ASSERT_OK(a.AddConnection(b, "db.nsf").status());
+  RetryPolicy policy;
+  policy.circuit_open_after = 1;
+  ASSERT_OK(a.StartReplicator(policy));
+
+  net.AddFlapWindow("A", "B", clock.Now(), clock.Now() + 60'000'000);
+  ASSERT_OK_AND_ASSIGN(SchedulerRunReport poll, a.RunReplicatorDue());
+  EXPECT_EQ(poll.transient_failures, 1u);
+  EXPECT_EQ(a.replicator()->state(0).circuit, CircuitState::kOpen);
+}
+
+// -- Fleet convergence through the replicator tasks -------------------------
+
+/// Three servers sharing one stat registry, each holding a replica of
+/// db.nsf unless told otherwise, driven by a mesh topology.
+struct MeshFleet {
+  explicit MeshFleet(bool c_has_replica = true)
+      : net(&clock),
+        a("A", dir.Sub("a"), &clock, &net, &directory, &stats),
+        b("B", dir.Sub("b"), &clock, &net, &directory, &stats),
+        c("C", dir.Sub("c"), &clock, &net, &directory, &stats),
+        scheduler({&a, &b, &c}, "db.nsf") {
+    DatabaseOptions options;
+    Database* da = *a.OpenDatabase("db.nsf", options);
+    EXPECT_OK(b.CreateReplicaOf(*da, "db.nsf").status());
+    if (c_has_replica) EXPECT_OK(c.CreateReplicaOf(*da, "db.nsf").status());
+    for (int i = 0; i < 5; ++i) {
+      EXPECT_OK(da->CreateNote(MakeDoc("Memo", "a" + std::to_string(i)))
+                    .status());
+      EXPECT_OK(b.FindDatabase("db.nsf")
+                    ->CreateNote(MakeDoc("Memo", "b" + std::to_string(i)))
+                    .status());
+    }
+    clock.Advance(1000);
+    scheduler.SetTopology(MeshTopology({"A", "B", "C"}));
+  }
+
+  uint64_t Counter(const std::string& name) const {
+    const stats::Counter* counter = stats.FindCounter(name);
+    return counter == nullptr ? 0 : counter->value();
+  }
+
+  ScratchDir dir;
+  SimClock clock{1'000'000'000};
+  stats::StatRegistry stats;
+  SimNet net;
+  MailDirectory directory;
+  Server a, b, c;
+  ReplicationScheduler scheduler;
+};
+
+TEST(RunUntilConvergedTest, ConvergesAroundAFlappingPair) {
+  MeshFleet fleet;
+  // A <-> B is down for the whole call; A and B still meet through C.
+  fleet.net.AddFlapWindow("A", "B", fleet.clock.Now(),
+                          fleet.clock.Now() + 3'600'000'000);
+  ASSERT_OK(fleet.scheduler.RunUntilConverged(10).status());
+  EXPECT_TRUE(fleet.scheduler.Converged());
+  EXPECT_EQ(fleet.c.FindDatabase("db.nsf")->note_count(), 10u);
+  EXPECT_GE(fleet.Counter("Replica.Retry.TransientFailures"), 1u);
+}
+
+TEST(RunUntilConvergedTest, MissingReplicaIsAnErrorNotConvergence) {
+  MeshFleet fleet(/*c_has_replica=*/false);
+  Result<int> rounds = fleet.scheduler.RunUntilConverged(10);
+  ASSERT_FALSE(rounds.ok());
+  EXPECT_EQ(rounds.status().code(), StatusCode::kNotFound);
+}
+
+TEST(RunUntilConvergedTest, EverySessionIsAReplicatorTaskAttempt) {
+  MeshFleet fleet;
+  ASSERT_OK(fleet.scheduler.RunUntilConverged(10).status());
+  fleet.clock.Advance(1'000'000);
+  ASSERT_OK(fleet.a.FindDatabase("db.nsf")
+                ->CreateNote(MakeDoc("Memo", "late"))
+                .status());
+  ASSERT_OK(fleet.scheduler.RunUntilConverged(10).status());
+  uint64_t attempts = fleet.Counter("Replica.Retry.Attempts");
+  EXPECT_GT(attempts, 0u);
+  EXPECT_EQ(attempts, fleet.Counter("Replica.Sessions.Completed") +
+                          fleet.Counter("Replica.Sessions.Failed"));
 }
 
 TEST(ResumableSessionTest, PartitionMidSessionShipsOnlyRemainderOnRetry) {

@@ -482,6 +482,7 @@ TEST_P(TopologySweep, RandomWorkloadConverges) {
       scheduler.SetTopology(MeshTopology(names));
       break;
   }
+  ASSERT_OK(scheduler.InstallConnections());
 
   // Random workload on random replicas, interleaved with replication.
   Rng rng(2026 + topology_kind);
@@ -513,7 +514,8 @@ TEST_P(TopologySweep, RandomWorkloadConverges) {
       }
       clock.Advance(1000);
     }
-    ASSERT_OK(scheduler.RunRound().status());
+    repl::SchedulerRunReport round = scheduler.RunAllDue(clock.Now());
+    ASSERT_EQ(round.succeeded, round.attempted);
     clock.Advance(10'000);
   }
   auto rounds = scheduler.RunUntilConverged(10);
