@@ -1,32 +1,22 @@
 // E15 — concurrent readers on the Database hot path.
 // Claim: MVCC read snapshots mean writers never block readers. Readers
 // pin an epoch and resolve notes through the pre-image overlay, touching
-// no database-wide lock; the earlier designs made readers wait — on one
-// recursive mutex (the seed) or on the writer's exclusive lock hold,
-// WAL fsync included (the reader/writer-lock revision).
+// no database-wide lock, so reader throughput scales with cores and a
+// saturating writer barely moves reader latency.
 //
 // Two phases:
-//   1. Throughput: the mixed read workload under two disciplines —
-//      serialized (every op inside one global mutex, the seed facade)
-//      vs the real MVCC database. Aggregate reader ops/sec per cell.
+//   1. Throughput: aggregate reader ops/sec of the mixed read workload
+//      (view walk, full-text search, note reads) for 1–8 readers, with
+//      and without a writer.
 //   2. Hostile writer latency: per-op view-traversal latency (p50/p99)
 //      for 1–8 readers, with the writer idle vs saturating the write
-//      path with updates. A third discipline emulates the previous
-//      reader/writer-lock revision (readers shared, writer exclusive on
-//      one std::shared_mutex) to show what MVCC removed.
+//      path with updates.
 //
-// NOTE on speedups: this container may expose a single CPU. Reader
-// scaling requires physical cores — on one core everything time-slices
-// and the 2/4/8-reader rows show scheduling overhead, not parallelism.
-// The discipline difference survives one core: a blocked reader waits
-// for the writer's whole commit (fsync included) no matter how many
-// cores exist, while an MVCC reader is merely preempted. EXPERIMENTS.md
-// records the numbers with that caveat.
+// The one-big-lock and reader/writer-lock disciplines this replaced are
+// no longer emulated here; EXPERIMENTS.md (E15) keeps their tables.
 
 #include <algorithm>
 #include <atomic>
-#include <mutex>
-#include <shared_mutex>
 #include <thread>
 #include <vector>
 
@@ -55,11 +45,9 @@ struct CellResult {
 };
 
 /// Runs `readers` reader threads (+ `writers` writer threads) for
-/// `slice_ms`. When `serialize` is set, every operation first takes the
-/// global mutex — the seed's one-big-lock discipline.
+/// `slice_ms`.
 CellResult RunCell(Database* db, const std::vector<NoteId>& ids, int readers,
-                   int writers, double slice_ms, bool serialize,
-                   std::mutex* big_lock, Rng* seed_rng) {
+                   int writers, double slice_ms, Rng* seed_rng) {
   const Principal reader = Principal::User("bench reader");
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> read_ops{0};
@@ -71,10 +59,6 @@ CellResult RunCell(Database* db, const std::vector<NoteId>& ids, int readers,
       Rng rng(1000 + r);
       uint64_t local = 0;
       while (!stop.load(std::memory_order_relaxed)) {
-        std::unique_lock<std::mutex> serial_lock;
-        if (serialize) {
-          serial_lock = std::unique_lock<std::mutex>(*big_lock);
-        }
         switch (local % 3) {
           case 0: {
             size_t rows = 0;
@@ -101,10 +85,6 @@ CellResult RunCell(Database* db, const std::vector<NoteId>& ids, int readers,
       Rng rng(writer_seed);
       uint64_t local = 0;
       while (!stop.load(std::memory_order_relaxed)) {
-        std::unique_lock<std::mutex> serial_lock;
-        if (serialize) {
-          serial_lock = std::unique_lock<std::mutex>(*big_lock);
-        }
         if (local % 2 == 0) {
           db->CreateNote(SyntheticDoc(&rng, 120)).ok();
         } else {
@@ -134,13 +114,6 @@ CellResult RunCell(Database* db, const std::vector<NoteId>& ids, int readers,
   return out;
 }
 
-/// Lock discipline for the latency phase. kMvcc is the real database:
-/// readers pin snapshots, no shared lock exists. kRwLock emulates the
-/// previous revision by wrapping every reader op in a shared_lock and
-/// every writer op in a unique_lock on one std::shared_mutex, so a
-/// reader arriving mid-commit waits out the whole commit.
-enum class Discipline { kMvcc, kRwLock };
-
 struct LatencyResult {
   double p50_us = 0;
   double p99_us = 0;
@@ -157,8 +130,7 @@ double PercentileUs(const std::vector<double>& sorted, double q) {
 /// an optional saturating update writer. Returns merged p50/p99 µs.
 LatencyResult RunLatencyCell(Database* db, const std::vector<NoteId>& ids,
                              int readers, bool hostile_writer,
-                             Discipline discipline, double slice_ms,
-                             std::shared_mutex* rw_lock, Rng* seed_rng) {
+                             double slice_ms, Rng* seed_rng) {
   const Principal reader = Principal::User("bench reader");
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> write_ops{0};
@@ -170,15 +142,9 @@ LatencyResult RunLatencyCell(Database* db, const std::vector<NoteId>& ids,
       auto& mine = samples[r];
       do {
         const auto start = std::chrono::steady_clock::now();
-        {
-          std::shared_lock<std::shared_mutex> shared;
-          if (discipline == Discipline::kRwLock) {
-            shared = std::shared_lock<std::shared_mutex>(*rw_lock);
-          }
-          size_t rows = 0;
-          db->TraverseViewAs(reader, "all", [&](const ViewRow&) { ++rows; })
-              .ok();
-        }
+        size_t rows = 0;
+        db->TraverseViewAs(reader, "all", [&](const ViewRow&) { ++rows; })
+            .ok();
         mine.push_back(
             std::chrono::duration<double, std::micro>(
                 std::chrono::steady_clock::now() - start)
@@ -192,10 +158,6 @@ LatencyResult RunLatencyCell(Database* db, const std::vector<NoteId>& ids,
       Rng rng(writer_seed);
       uint64_t local = 0;
       while (!stop.load(std::memory_order_relaxed)) {
-        std::unique_lock<std::shared_mutex> exclusive;
-        if (discipline == Discipline::kRwLock) {
-          exclusive = std::unique_lock<std::shared_mutex>(*rw_lock);
-        }
         // Update-only so the view row count (and thus traversal cost)
         // stays constant across cells; the writer still exercises the
         // full commit path including overlay recording and WAL append.
@@ -231,10 +193,9 @@ LatencyResult RunLatencyCell(Database* db, const std::vector<NoteId>& ids,
 
 int main() {
   PrintHeader(
-      "E15 — concurrent readers vs the seed's one-big-lock facade",
-      "MVCC snapshot readers never block on writers; a global mutex "
-      "serializes everything and a reader/writer lock stalls readers "
-      "behind each commit");
+      "E15 — concurrent readers on MVCC snapshots",
+      "snapshot readers never block on writers: reader throughput scales "
+      "with cores and a saturating writer barely moves reader latency");
 
   const int kDocs = ScaleN(1500, 80);
   const double kSliceMs = ScaleN(400, 40);
@@ -243,11 +204,9 @@ int main() {
   clock.Set(1'000'000'000);
   DatabaseOptions options;
   options.store.checkpoint_threshold_bytes = 1ull << 30;
-  // Durable commits: each write fsyncs the WAL. That is the realistic
-  // hostile-writer shape — and the window where the disciplines differ
-  // even on one core: during the writer's fsync the CPU is free, so an
-  // MVCC reader keeps traversing while a lock-discipline reader queues
-  // behind the commit.
+  // Durable commits: each write fsyncs the WAL — the realistic
+  // hostile-writer shape, where a reader that waited on the writer would
+  // wait out the fsync too.
   options.store.sync_mode = wal::SyncMode::kEveryCommit;
   auto db = *Database::Open(dir.Sub("db"), options, &clock);
   Rng rng(11);
@@ -262,24 +221,21 @@ int main() {
   printf("loaded %d docs; slice %.0f ms/cell (hw threads: %u)\n\n", kDocs,
          kSliceMs, std::thread::hardware_concurrency());
 
-  std::mutex big_lock;
-  printf("%-9s %-8s %-22s %-22s %-8s\n", "readers", "writers",
-         "serialized (ops/s)", "mvcc (ops/s)", "ratio");
+  printf("%-9s %-8s %-14s %-14s\n", "readers", "writers", "ops/s",
+         "vs 1 reader");
   double mvcc_1r_0w = 0;
   double mvcc_8r_0w = 0;
   for (int writers : {0, 1}) {
+    double one_reader = 0;
     for (int readers : {1, 2, 4, 8}) {
-      CellResult serial = RunCell(db.get(), ids, readers, writers, kSliceMs,
-                                  /*serialize=*/true, &big_lock, &rng);
-      CellResult mvcc = RunCell(db.get(), ids, readers, writers, kSliceMs,
-                                /*serialize=*/false, &big_lock, &rng);
+      CellResult mvcc =
+          RunCell(db.get(), ids, readers, writers, kSliceMs, &rng);
+      if (readers == 1) one_reader = mvcc.reader_ops_per_sec;
       if (writers == 0 && readers == 1) mvcc_1r_0w = mvcc.reader_ops_per_sec;
       if (writers == 0 && readers == 8) mvcc_8r_0w = mvcc.reader_ops_per_sec;
-      printf("%-9d %-8d %-22.0f %-22.0f %.2fx\n", readers, writers,
-             serial.reader_ops_per_sec, mvcc.reader_ops_per_sec,
-             serial.reader_ops_per_sec > 0
-                 ? mvcc.reader_ops_per_sec / serial.reader_ops_per_sec
-                 : 0);
+      printf("%-9d %-8d %-14.0f %.2fx\n", readers, writers,
+             mvcc.reader_ops_per_sec,
+             one_reader > 0 ? mvcc.reader_ops_per_sec / one_reader : 0);
     }
   }
   if (mvcc_1r_0w > 0) {
@@ -288,28 +244,18 @@ int main() {
   }
 
   // Phase 2 — hostile-writer latency. Per-op view-traversal latency for
-  // snapshot readers with the writer idle vs saturating; the rwlock
-  // column is the emulated previous revision under the same hostile
-  // writer (readers queue behind each exclusive commit).
+  // snapshot readers with the writer idle vs saturating.
   printf("\nhostile-writer traversal latency (microseconds)\n");
-  printf("%-9s %-12s %-12s %-14s %-14s %-10s %-14s %-10s\n", "readers",
-         "idle p50", "idle p99", "hostile p50", "hostile p99", "p99 x",
-         "rwlock p99", "vs mvcc");
-  std::shared_mutex rw_lock;
+  printf("%-9s %-12s %-12s %-14s %-14s %-10s\n", "readers", "idle p50",
+         "idle p99", "hostile p50", "hostile p99", "p99 x");
   for (int readers : {1, 2, 4, 8}) {
-    LatencyResult idle =
-        RunLatencyCell(db.get(), ids, readers, /*hostile_writer=*/false,
-                       Discipline::kMvcc, kSliceMs, &rw_lock, &rng);
-    LatencyResult hostile =
-        RunLatencyCell(db.get(), ids, readers, /*hostile_writer=*/true,
-                       Discipline::kMvcc, kSliceMs, &rw_lock, &rng);
-    LatencyResult rwlock =
-        RunLatencyCell(db.get(), ids, readers, /*hostile_writer=*/true,
-                       Discipline::kRwLock, kSliceMs, &rw_lock, &rng);
-    printf("%-9d %-12.0f %-12.0f %-14.0f %-14.0f %-10.2f %-14.0f %.2fx\n",
-           readers, idle.p50_us, idle.p99_us, hostile.p50_us, hostile.p99_us,
-           idle.p99_us > 0 ? hostile.p99_us / idle.p99_us : 0, rwlock.p99_us,
-           hostile.p99_us > 0 ? rwlock.p99_us / hostile.p99_us : 0);
+    LatencyResult idle = RunLatencyCell(
+        db.get(), ids, readers, /*hostile_writer=*/false, kSliceMs, &rng);
+    LatencyResult hostile = RunLatencyCell(
+        db.get(), ids, readers, /*hostile_writer=*/true, kSliceMs, &rng);
+    printf("%-9d %-12.0f %-12.0f %-14.0f %-14.0f %.2fx\n", readers,
+           idle.p50_us, idle.p99_us, hostile.p50_us, hostile.p99_us,
+           idle.p99_us > 0 ? hostile.p99_us / idle.p99_us : 0);
   }
 
   EmitStatsSnapshot("bench_concurrency");

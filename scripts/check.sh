@@ -30,13 +30,15 @@
 # consistency check, not just a crash test.
 #
 # --mvcc-stress loops the MVCC snapshot-semantics suite, the
-# multi-reader/writer stress tests and the secured-view differential
-# (mvcc_test + concurrency_test + view_acl_test)
-# DOMINO_MVCC_STRESS_ITERS times (default 20) inside each sanitizer
-# build — snapshot-isolation races are interleaving-sensitive, so one
-# pass per sanitizer is not enough signal. The looped view_acl_test runs
-# DOMINO_VIEW_ACL_ROUNDS seeded rounds per mode (default 100 here; the
-# plain ctest pass runs its full 1 000).
+# multi-reader/writer stress tests and the secured-view and secured-search
+# differentials (mvcc_test + concurrency_test + view_acl_test +
+# search_acl_test) DOMINO_MVCC_STRESS_ITERS times (default 20) inside each
+# sanitizer build — snapshot-isolation races are interleaving-sensitive,
+# so one pass per sanitizer is not enough signal. The looped
+# view_acl_test runs DOMINO_VIEW_ACL_ROUNDS seeded rounds per mode
+# (default 100 here; the plain ctest pass runs its full 1 000), and
+# search_acl_test DOMINO_SEARCH_ACL_ROUNDS (default 100 here, 300 in
+# ctest).
 #
 # When clang++ is on PATH, a static thread-safety pass also runs first:
 # a Clang build of src/ with -Wthread-safety promoted to an error, which
@@ -111,6 +113,9 @@ for SANITIZER in "${SANITIZERS[@]}"; do
       --gtest_break_on_failure
     DOMINO_VIEW_ACL_ROUNDS="${DOMINO_VIEW_ACL_ROUNDS:-100}" \
       "$BUILD_DIR/tests/view_acl_test" --gtest_repeat="$ITERS" \
+      --gtest_break_on_failure
+    DOMINO_SEARCH_ACL_ROUNDS="${DOMINO_SEARCH_ACL_ROUNDS:-100}" \
+      "$BUILD_DIR/tests/search_acl_test" --gtest_repeat="$ITERS" \
       --gtest_break_on_failure
   fi
   if [ "$WORKLOAD_SMOKE" -eq 1 ]; then

@@ -64,6 +64,10 @@ void MvccSnapshots::Publish(Epoch epoch) {
 }
 
 MvccSnapshots::Resolution MvccSnapshots::Lookup(NoteId id, Epoch at) const {
+  // An empty overlay answers without the mutex. A commit the caller's
+  // store read observed recorded its version (count > 0) before touching
+  // the store, and the caller's pin keeps that version from reclamation.
+  if (version_count_.load(std::memory_order_acquire) == 0) return Resolution{};
   MutexLock lock(&mu_);
   auto it = overlay_.find(id);
   if (it == overlay_.end()) return Resolution{};

@@ -127,7 +127,8 @@ class MvccSnapshots {
   std::unordered_map<NoteId, std::vector<Version>> overlay_ GUARDED_BY(mu_);
   // UNID → id for every recorded pre-image (survives store purges).
   std::unordered_map<Unid, NoteId> unid_overlay_ GUARDED_BY(mu_);
-  uint64_t version_count_ GUARDED_BY(mu_) = 0;
+  /// Written under mu_; Lookup reads it lock-free for its fast path.
+  std::atomic<uint64_t> version_count_{0};
 
   stats::Gauge* gauge_pinned_;
   stats::Gauge* gauge_live_versions_;

@@ -50,8 +50,34 @@ void Note::BumpSequence(Micros now) {
   oid_.sequence_time = now;
 }
 
+const std::vector<Item>& Note::CowItems::get() const {
+  static const std::vector<Item> kNone;
+  return block_ != nullptr ? block_->items : kNone;
+}
+
+std::vector<Item>& Note::CowItems::Mutable() {
+  if (block_ == nullptr) {
+    block_ = new Block;
+  } else if (block_->refs.load(std::memory_order_acquire) != 1) {
+    // Shared: the other owners keep the old block untouched.
+    auto copy = std::make_unique<Block>();
+    copy->items = block_->items;
+    Release();
+    block_ = copy.release();
+  }
+  return block_->items;
+}
+
+void Note::CowItems::Release() noexcept {
+  if (block_ != nullptr &&
+      block_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    delete block_;
+  }
+  block_ = nullptr;
+}
+
 void Note::MakeStub(Micros now) {
-  items_.clear();
+  items_ = CowItems();
   deleted_ = true;
   BumpSequence(now);
 }
@@ -65,14 +91,15 @@ void Note::SetReplicationState(const Oid& oid, std::vector<Micros> revisions,
 }
 
 void Note::SetItem(std::string_view name, Value value, uint8_t flags) {
-  for (Item& item : items_) {
+  std::vector<Item>& items = items_.Mutable();
+  for (Item& item : items) {
     if (EqualsIgnoreCase(item.name, name)) {
       item.value = std::move(value);
       item.flags = flags;
       return;
     }
   }
-  items_.push_back(Item{std::string(name), std::move(value), flags});
+  items.push_back(Item{std::string(name), std::move(value), flags});
 }
 
 void Note::SetText(std::string_view name, std::string text) {
@@ -96,7 +123,7 @@ bool Note::HasItem(std::string_view name) const {
 }
 
 const Item* Note::FindItem(std::string_view name) const {
-  for (const Item& item : items_) {
+  for (const Item& item : items()) {
     if (EqualsIgnoreCase(item.name, name)) return &item;
   }
   return nullptr;
@@ -124,18 +151,17 @@ Micros Note::GetTime(std::string_view name, Micros fallback) const {
 }
 
 bool Note::RemoveItem(std::string_view name) {
-  for (auto it = items_.begin(); it != items_.end(); ++it) {
-    if (EqualsIgnoreCase(it->name, name)) {
-      items_.erase(it);
-      return true;
-    }
-  }
-  return false;
+  const Item* found = FindItem(name);
+  if (found == nullptr) return false;  // no clone for a no-op
+  const size_t index = static_cast<size_t>(found - items().data());
+  std::vector<Item>& items = items_.Mutable();
+  items.erase(items.begin() + static_cast<std::ptrdiff_t>(index));
+  return true;
 }
 
 size_t Note::ByteSize() const {
   size_t n = 64;  // metadata
-  for (const Item& item : items_) {
+  for (const Item& item : items()) {
     n += item.name.size() + 2 + item.value.ByteSize();
   }
   return n;
@@ -143,11 +169,11 @@ size_t Note::ByteSize() const {
 
 bool Note::EqualsContent(const Note& other) const {
   if (deleted_ != other.deleted_ || class_ != other.class_ ||
-      parent_ != other.parent_ || items_.size() != other.items_.size()) {
+      parent_ != other.parent_ || items().size() != other.items().size()) {
     return false;
   }
   // Order-insensitive item comparison (item order is not semantic).
-  for (const Item& item : items_) {
+  for (const Item& item : items()) {
     const Item* o = other.FindItem(item.name);
     if (o == nullptr || !(o->value == item.value) || o->flags != item.flags) {
       return false;
@@ -170,8 +196,8 @@ void Note::EncodeTo(std::string* dst) const {
   PutFixed64(dst, parent_.lo);
   PutVarint64(dst, revisions_.size());
   for (Micros t : revisions_) PutVarSigned64(dst, t);
-  PutVarint64(dst, items_.size());
-  for (const Item& item : items_) {
+  PutVarint64(dst, items().size());
+  for (const Item& item : items()) {
     PutLengthPrefixed(dst, item.name);
     dst->push_back(static_cast<char>(item.flags));
     PutVarSigned64(dst, item.modified);
@@ -225,7 +251,8 @@ Status Note::DecodeFrom(std::string_view* input, Note* out) {
   if (nitems > input->size()) {
     return Status::Corruption("note: item count exceeds input");
   }
-  n.items_.reserve(nitems);
+  std::vector<Item>& items = n.items_.Mutable();
+  items.reserve(nitems);
   for (uint64_t i = 0; i < nitems; ++i) {
     Item item;
     std::string_view name;
@@ -240,7 +267,7 @@ Status Note::DecodeFrom(std::string_view* input, Note* out) {
       return Status::Corruption("note: bad item modified stamp");
     }
     DOMINO_RETURN_IF_ERROR(Value::DecodeFrom(input, &item.value));
-    n.items_.push_back(std::move(item));
+    items.push_back(std::move(item));
   }
   n.id_ = id;
   n.oid_ = Oid{Unid{hi, lo}, seq, seq_time};
@@ -254,7 +281,7 @@ Status Note::DecodeFrom(std::string_view* input, Note* out) {
 }
 
 void Note::StampItemModifications(const Note* previous, Micros t) {
-  for (Item& item : items_) {
+  for (Item& item : items_.Mutable()) {
     const Item* old = previous != nullptr ? previous->FindItem(item.name)
                                           : nullptr;
     if (old == nullptr || !(old->value == item.value) ||

@@ -1,10 +1,12 @@
 #ifndef DOMINODB_MODEL_NOTE_H_
 #define DOMINODB_MODEL_NOTE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "base/clock.h"
@@ -60,6 +62,12 @@ using NoteId = uint32_t;
 constexpr NoteId kInvalidNoteId = 0;
 
 /// The universal storage unit: a bag of items plus replication metadata.
+///
+/// Copying a note is cheap: copies share one immutable item block (a
+/// refcount), and the first item mutation through a shared copy clones
+/// the block. A single Note object is still not safe to mutate while
+/// another thread reads it; sharing across threads goes through
+/// `NoteHandle` (a const note).
 ///
 /// Replication metadata:
 ///  - `oid()`        UNID + sequence number + sequence time
@@ -147,8 +155,10 @@ class Note {
 
   bool RemoveItem(std::string_view name);
 
-  const std::vector<Item>& items() const { return items_; }
-  std::vector<Item>& mutable_items() { return items_; }
+  const std::vector<Item>& items() const { return items_.get(); }
+  /// Clones the item block first when another note shares it. The
+  /// reference is valid until this note is next copied or mutated.
+  std::vector<Item>& mutable_items() { return items_.Mutable(); }
 
   /// Name of the form that created this document (the "Form" item).
   std::string FormName() const { return GetText("Form"); }
@@ -185,7 +195,39 @@ class Note {
   bool deleted_ = false;
   Unid parent_;
   std::vector<Micros> revisions_;
-  std::vector<Item> items_;
+
+  /// Copy-on-write handle to an item vector. Copies bump a refcount;
+  /// Mutable() clones the block unless this handle is its only owner.
+  class CowItems {
+   public:
+    CowItems() = default;
+    CowItems(const CowItems& other) noexcept : block_(other.block_) {
+      if (block_ != nullptr) {
+        block_->refs.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+    CowItems(CowItems&& other) noexcept : block_(other.block_) {
+      other.block_ = nullptr;
+    }
+    CowItems& operator=(CowItems other) noexcept {
+      std::swap(block_, other.block_);
+      return *this;
+    }
+    ~CowItems() { Release(); }
+
+    const std::vector<Item>& get() const;
+    std::vector<Item>& Mutable();
+
+   private:
+    struct Block {
+      std::vector<Item> items;
+      std::atomic<uint32_t> refs{1};
+    };
+    void Release() noexcept;
+
+    Block* block_ = nullptr;  // null == no items
+  };
+  CowItems items_;
 };
 
 /// Owning read handle to a stored note. The paged store decodes notes

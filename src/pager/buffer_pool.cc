@@ -49,16 +49,26 @@ BufferPool::BufferPool(Pager* pager, size_t capacity,
       gauge_pages_(&registry->GetGauge("Store.Cache.Pages")),
       gauge_dirty_(&registry->GetGauge("Store.Cache.DirtyPages")) {}
 
-Result<PageRef> BufferPool::Pin(uint32_t pgno) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = frames_.find(pgno);
-  if (it != frames_.end()) {
-    hits_->Add();
-    lru_.splice(lru_.begin(), lru_, it->second);
-    Frame& frame = *it->second;
-    ++frame.pins;
-    return PageRef(this, &frame);
+PageRef BufferPool::PinResident(Frame* frame) {
+  hits_->Add();
+  frame->pins.fetch_add(1, std::memory_order_relaxed);
+  if (!frame->referenced.load(std::memory_order_relaxed)) {
+    frame->referenced.store(true, std::memory_order_relaxed);
   }
+  return PageRef(this, frame);
+}
+
+Result<PageRef> BufferPool::Pin(uint32_t pgno) {
+  {
+    // A hit only bumps the pin count and sets the frame's second-chance
+    // bit, so concurrent hits share the lock.
+    std::shared_lock<std::shared_mutex> shared(mu_);
+    auto it = frames_.find(pgno);
+    if (it != frames_.end()) return PinResident(&*it->second);
+  }
+  std::lock_guard<std::shared_mutex> lock(mu_);
+  auto it = frames_.find(pgno);  // another miss may have loaded it
+  if (it != frames_.end()) return PinResident(&*it->second);
   misses_->Add();
   lru_.emplace_front();
   Frame& frame = lru_.front();
@@ -69,7 +79,7 @@ Result<PageRef> BufferPool::Pin(uint32_t pgno) {
     lru_.pop_front();
     return s;
   }
-  frame.pins = 1;
+  frame.pins.store(1, std::memory_order_relaxed);
   frames_[pgno] = lru_.begin();
   gauge_pages_->Set(static_cast<int64_t>(lru_.size()));
   EvictLocked();
@@ -77,7 +87,7 @@ Result<PageRef> BufferPool::Pin(uint32_t pgno) {
 }
 
 PageRef BufferPool::PinNew(uint32_t pgno, uint8_t type) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::shared_mutex> lock(mu_);
   assert(frames_.find(pgno) == frames_.end());
   lru_.emplace_front();
   Frame& frame = lru_.front();
@@ -86,7 +96,7 @@ PageRef BufferPool::PinNew(uint32_t pgno, uint8_t type) {
   std::memset(frame.data.get(), 0, pager_->page_size());
   frame.data[kPageTypeOffset] = static_cast<char>(type);
   StoreU32(frame.data.get() + kPageNextOffset, kInvalidPage);
-  frame.pins = 1;
+  frame.pins.store(1, std::memory_order_relaxed);
   frame.dirty = true;
   ++dirty_;
   frames_[pgno] = lru_.begin();
@@ -97,29 +107,33 @@ PageRef BufferPool::PinNew(uint32_t pgno, uint8_t type) {
 }
 
 void BufferPool::Discard(uint32_t pgno) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::shared_mutex> lock(mu_);
   auto it = frames_.find(pgno);
   if (it == frames_.end()) return;
-  assert(it->second->pins == 0);
+  assert(it->second->pins.load(std::memory_order_acquire) == 0);
   if (it->second->dirty) --dirty_;
   lru_.erase(it->second);
   frames_.erase(it);
+  // Compaction discards emptied pages: a pool it brings back under
+  // capacity stops taking mu_ on unpin.
+  over_capacity_.store(lru_.size() > capacity_, std::memory_order_relaxed);
   gauge_pages_->Set(static_cast<int64_t>(lru_.size()));
   gauge_dirty_->Set(static_cast<int64_t>(dirty_));
 }
 
 void BufferPool::DiscardAll() {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::shared_mutex> lock(mu_);
   lru_.clear();
   frames_.clear();
   dirty_ = 0;
+  over_capacity_.store(false, std::memory_order_relaxed);
   gauge_pages_->Set(0);
   gauge_dirty_->Set(0);
 }
 
 Status BufferPool::ForEachDirty(
     const std::function<Status(uint32_t, char*)>& fn) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::shared_mutex> lock(mu_);
   std::vector<Frame*> dirty;
   dirty.reserve(dirty_);
   for (Frame& frame : lru_) {
@@ -134,7 +148,7 @@ Status BufferPool::ForEachDirty(
 }
 
 void BufferPool::MarkAllClean() {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::shared_mutex> lock(mu_);
   for (Frame& frame : lru_) frame.dirty = false;
   dirty_ = 0;
   gauge_dirty_->Set(0);
@@ -142,25 +156,34 @@ void BufferPool::MarkAllClean() {
 }
 
 size_t BufferPool::frame_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::shared_mutex> lock(mu_);
   return lru_.size();
 }
 
 size_t BufferPool::dirty_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::shared_mutex> lock(mu_);
   return dirty_;
 }
 
 void BufferPool::Unpin(void* frame) {
-  std::lock_guard<std::mutex> lock(mu_);
   Frame* f = AsFrame(frame);
-  assert(f->pins > 0);
-  --f->pins;
-  if (f->pins == 0 && !f->dirty && lru_.size() > capacity_) EvictLocked();
+  // No lock while the pool fits: eviction reads the count under mu_ with
+  // acquire, which orders this pin's page reads before any reuse. Only an
+  // over-capacity pool, which wants the frame evicted now, takes mu_.
+  if (!over_capacity_.load(std::memory_order_relaxed)) {
+    [[maybe_unused]] const int before =
+        f->pins.fetch_sub(1, std::memory_order_release);
+    assert(before > 0);
+    return;
+  }
+  std::lock_guard<std::shared_mutex> lock(mu_);
+  const int before = f->pins.fetch_sub(1, std::memory_order_release);
+  assert(before > 0);
+  if (before == 1 && !f->dirty && lru_.size() > capacity_) EvictLocked();
 }
 
 void BufferPool::MarkDirtyFrame(void* frame) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::shared_mutex> lock(mu_);
   Frame* f = AsFrame(frame);
   if (!f->dirty) {
     f->dirty = true;
@@ -170,20 +193,29 @@ void BufferPool::MarkDirtyFrame(void* frame) {
 }
 
 void BufferPool::EvictLocked() {
-  if (lru_.size() <= capacity_) return;
-  for (auto it = std::prev(lru_.end()); lru_.size() > capacity_;) {
-    Frame& frame = *it;
-    bool at_begin = it == lru_.begin();
-    auto prev = at_begin ? lru_.begin() : std::prev(it);
-    if (frame.pins == 0 && !frame.dirty) {
-      frames_.erase(frame.pgno);
+  if (lru_.size() <= capacity_) {
+    over_capacity_.store(false, std::memory_order_relaxed);
+    return;
+  }
+  // Second chance from the tail: a frame hit since it was last passed
+  // moves to the front with its bit cleared (hits cannot set it again
+  // while mu_ is held exclusive, so each frame moves at most once);
+  // otherwise the frame goes if it is clean and unpinned.
+  auto boundary = lru_.end();  // frames from here on were kept
+  while (lru_.size() > capacity_ && boundary != lru_.begin()) {
+    auto it = std::prev(boundary);
+    if (it->referenced.exchange(false, std::memory_order_relaxed)) {
+      lru_.splice(lru_.begin(), lru_, it);
+    } else if (it->pins.load(std::memory_order_acquire) == 0 && !it->dirty) {
+      frames_.erase(it->pgno);
       lru_.erase(it);
       evictions_->Add();
+    } else {
+      boundary = it;
     }
-    if (at_begin) break;
-    it = prev;
   }
   gauge_pages_->Set(static_cast<int64_t>(lru_.size()));
+  over_capacity_.store(lru_.size() > capacity_, std::memory_order_relaxed);
   if (lru_.size() > capacity_) overruns_->Add();
 }
 

@@ -1,11 +1,13 @@
 #ifndef DOMINODB_PAGER_BUFFER_POOL_H_
 #define DOMINODB_PAGER_BUFFER_POOL_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
+#include <shared_mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -51,11 +53,14 @@ class PageRef {
 };
 
 /// Page cache between the store and the pager: bounded set of in-memory
-/// frames with LRU eviction. Only clean, unpinned frames are evictable;
-/// when every frame is dirty or pinned the pool grows past capacity (and
-/// counts the overrun) rather than violating the write-back protocol.
-/// All bookkeeping is guarded by an internal mutex so shared-lock
-/// readers can pin/unpin concurrently.
+/// frames with second-chance (CLOCK) eviction over a recency list. Only
+/// clean, unpinned frames are evictable; when every frame is dirty or
+/// pinned the pool grows past capacity (and counts the overrun) rather
+/// than violating the write-back protocol. Bookkeeping is guarded by an
+/// internal reader/writer lock: hits take it shared (they only bump the
+/// pin count and set the frame's referenced bit), misses and eviction
+/// exclusive, and unpinning takes it only when the pool is over capacity
+/// — so shared-lock readers pin and unpin concurrently.
 class BufferPool {
  public:
   BufferPool(Pager* pager, size_t capacity, stats::StatRegistry* registry);
@@ -90,7 +95,10 @@ class BufferPool {
   struct Frame {
     uint32_t pgno = kInvalidPage;
     std::unique_ptr<char[]> data;
-    int pins = 0;
+    /// Taken under mu_; released without it (see Unpin).
+    std::atomic<int> pins{0};
+    /// Hit since eviction last passed this frame (the second chance).
+    std::atomic<bool> referenced{false};
     bool dirty = false;
   };
 
@@ -99,19 +107,24 @@ class BufferPool {
 
   using FrameList = std::list<Frame>;
 
+  PageRef PinResident(Frame* frame);
   void Unpin(void* frame);
   void MarkDirtyFrame(void* frame);
-  /// Evicts clean unpinned frames from the LRU tail until the pool fits
-  /// its capacity or nothing more is evictable. Caller holds mu_.
+  /// Evicts clean unpinned frames from the list tail, second chance
+  /// first, until the pool fits its capacity or nothing more is
+  /// evictable. Caller holds mu_ exclusive.
   void EvictLocked();
 
   Pager* const pager_;
   const size_t capacity_;
 
-  mutable std::mutex mu_;
-  FrameList lru_;  // front = most recently used
+  mutable std::shared_mutex mu_;
+  FrameList lru_;  // front = newest, or last given a second chance
   std::unordered_map<uint32_t, FrameList::iterator> frames_;
   size_t dirty_ = 0;
+  /// More frames than capacity after the last eviction pass: unpins then
+  /// take mu_ to evict. Written under mu_.
+  std::atomic<bool> over_capacity_{false};
 
   stats::Counter* hits_;
   stats::Counter* misses_;

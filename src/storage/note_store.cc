@@ -166,6 +166,8 @@ Result<std::unique_ptr<NoteStore>> NoteStore::Open(
                           pager::Pager::Open(store->PagesPath(), page_size));
   store->pool_ = std::make_unique<pager::BufferPool>(
       store->pager_.get(), options.cache_pages, store->registry_);
+  store->note_cache_ = std::make_unique<NoteCache>(
+      options.cache_pages * page_size, store->registry_);
 
   {
     // Recovery runs before the store is published, but the helpers it
@@ -371,6 +373,7 @@ Status NoteStore::AdoptPagerSnapshot(std::string_view payload) {
   // Everything buffered so far (including logical ops replayed before
   // this record) is superseded by the images + meta.
   pool_->DiscardAll();
+  note_cache_->Clear();
   std::string scratch;
   for (uint64_t i = 0; i < image_count; ++i) {
     uint32_t pgno = 0;
@@ -479,6 +482,7 @@ Status NoteStore::WriteEntry(NoteId id, const IdEntry& entry) {
   p[23] = 0;
   StoreU64(p + 24, static_cast<uint64_t>(entry.seq_time));
   ref.MarkDirty();
+  note_cache_->Erase(id);
   return Status::Ok();
 }
 
@@ -658,18 +662,33 @@ Result<Note> NoteStore::ReadNoteAt(const IdEntry& entry) const {
 
 // -- Reads -----------------------------------------------------------------
 
+Result<NoteHandle> NoteStore::ResolveEntry(NoteId id,
+                                           const IdEntry& entry) const {
+  if (NoteHandle cached = note_cache_->Lookup(id)) return cached;
+  // A miss decodes and inserts under mu_ shared, so no writer can change
+  // the entry (and erase the id from the cache) in between.
+  DOMINO_ASSIGN_OR_RETURN(Note note, ReadNoteAt(entry));
+  auto handle = std::make_shared<const Note>(std::move(note));
+  note_cache_->Insert(id, handle);
+  return handle;
+}
+
 Result<Note> NoteStore::GetCore(NoteId id) const {
+  // The id table, read through the pool, stays the authority on whether
+  // a note exists; the cache only saves the bucket-page pin and decode.
   DOMINO_ASSIGN_OR_RETURN(IdEntry entry, ReadEntry(id));
   if ((entry.flags & kEntryUsed) == 0) {
     return Status::NotFound("note id " + std::to_string(id));
   }
-  return ReadNoteAt(entry);
+  DOMINO_ASSIGN_OR_RETURN(NoteHandle note, ResolveEntry(id, entry));
+  return *note;
 }
 
 NoteHandle NoteStore::FindCore(NoteId id) const {
-  auto note = GetCore(id);
-  if (!note.ok()) return nullptr;
-  return std::make_shared<const Note>(std::move(*note));
+  auto entry = ReadEntry(id);
+  if (!entry.ok() || (entry->flags & kEntryUsed) == 0) return nullptr;
+  auto note = ResolveEntry(id, *entry);
+  return note.ok() ? *note : nullptr;
 }
 
 Result<Note> NoteStore::Get(NoteId id) const {

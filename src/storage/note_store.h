@@ -19,6 +19,7 @@
 #include "pager/buffer_pool.h"
 #include "pager/pager.h"
 #include "stats/stats.h"
+#include "storage/note_cache.h"
 #include "wal/shared_log.h"
 
 namespace dominodb {
@@ -115,6 +116,12 @@ struct CompactStats {
 /// pages and frees the husks. The owning Database slices it under brief
 /// writer locks so readers interleave (the online Domino COMPACT).
 ///
+/// Reads: every lookup reads the note's id-table entry through the pool
+/// (the id table is the authority on existence), then takes the decoded
+/// note from a NoteCache budgeted like the pool, decoding the bucket
+/// slot only on a miss. WriteEntry — the one place an entry changes —
+/// drops the id from the cache.
+///
 /// Threading: the store carries its own reader/writer lock. Public reads
 /// take it shared; the apply step of every write, Checkpoint and
 /// CompactStep take it exclusive — so MVCC readers can resolve notes
@@ -145,8 +152,9 @@ class NoteStore {
   bool ContainsUnid(const Unid& unid) const;
 
   /// Owning handle to the stored note (stubs included); null when absent
-  /// or unreadable. The handle is a decoded copy, so it stays valid
-  /// across evictions, compaction and later writes.
+  /// or unreadable. The handle is an immutable decoded copy (shared with
+  /// the decoded-note cache), so it stays valid across evictions,
+  /// compaction and later writes.
   NoteHandle Find(NoteId id) const;
   NoteHandle FindByUnid(const Unid& unid) const;
 
@@ -264,6 +272,10 @@ class NoteStore {
   // -- Lock-free read cores (caller holds mu_ at least shared) ----------
   Result<Note> GetCore(NoteId id) const REQUIRES_SHARED(mu_);
   NoteHandle FindCore(NoteId id) const REQUIRES_SHARED(mu_);
+  /// The decoded note behind a used entry: from the note cache, or
+  /// decoded from its bucket page and cached.
+  Result<NoteHandle> ResolveEntry(NoteId id, const IdEntry& entry) const
+      REQUIRES_SHARED(mu_);
 
   // -- Id-table access ---------------------------------------------------
   size_t EntriesPerPage() const;
@@ -274,6 +286,8 @@ class NoteStore {
   Status EnsureIdCapacity(NoteId id) REQUIRES(mu_);
   /// Absent ids decode as an all-zero entry (flags == 0, i.e. unused).
   Result<IdEntry> ReadEntry(NoteId id) const REQUIRES_SHARED(mu_);
+  /// The one place an id's entry changes, so also the one place its
+  /// cached note is dropped.
   Status WriteEntry(NoteId id, const IdEntry& entry) REQUIRES(mu_);
 
   // -- Note placement ----------------------------------------------------
@@ -320,6 +334,10 @@ class NoteStore {
 
   std::unique_ptr<pager::Pager> pager_;
   std::unique_ptr<pager::BufferPool> pool_;
+  /// Decoded notes by id, budgeted like the pool (cache_pages ×
+  /// page_size). Internally locked; inserts happen under mu_ shared and
+  /// erasures under mu_ exclusive (WriteEntry, AdoptPagerSnapshot).
+  std::unique_ptr<NoteCache> note_cache_;
   /// Id-table page numbers, in table order (entry index → page).
   std::vector<uint32_t> id_table_pages_ GUARDED_BY(mu_);
   /// Bucket page currently accepting new slots.

@@ -283,9 +283,13 @@ void ViewIndex::RemoveLocationLocked(NoteId id, Epoch epoch) {
   if (it == row_of_note_.end()) return;
   Location loc = it->second;
   row_of_note_.erase(it);
-  if (epoch == kEpochNone) {
+  ViewEntry* entry = EntryAtLocked(loc);
+  if (epoch == kEpochNone ||
+      (entry != nullptr && entry->added_epoch == epoch)) {
+    // Unversioned, or a row added in this same epoch: no snapshot can see
+    // it, and a zombie would share its key with the row that replaces it.
     ErasePhysicalLocked(loc);
-  } else if (ViewEntry* entry = EntryAtLocked(loc)) {
+  } else if (entry != nullptr) {
     // Versioned removal: the row stays put as a zombie so readers pinned
     // before `epoch` still see it; ReclaimVersions drops it later.
     entry->removed_epoch = epoch;

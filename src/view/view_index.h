@@ -331,7 +331,8 @@ class ViewIndex {
   const std::vector<std::string>* ReaderNamesLocked(ReaderSetId id) const
       REQUIRES_SHARED(mu_);
   /// Versioned (epoch != kEpochNone): stamps the current row's
-  /// removed_epoch and queues it as a zombie. Unversioned: erases it.
+  /// removed_epoch and queues it as a zombie. Unversioned, or a row added
+  /// in `epoch` itself (visible to no snapshot): erases it.
   void RemoveLocationLocked(NoteId id, Epoch epoch) REQUIRES(mu_);
   /// Physically erases the entry at `loc` from rows_/responses_ and
   /// releases its reader set.

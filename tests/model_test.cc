@@ -309,6 +309,50 @@ TEST(NoteTest, EqualsContentIgnoresOrderAndId) {
   EXPECT_FALSE(a.EqualsContent(b));
 }
 
+// Copies share one item block; every mutator clones it first, so the
+// source of a copy never changes underneath its reader.
+TEST(NoteTest, CopyOnWriteLeavesSourceUnchanged) {
+  Note source = testing_util::MakeDoc("Memo", "original", 5);
+  source.StampCreated(Unid{7, 7}, 100);
+  source.StampItemModifications(nullptr, 100);
+  const std::string before = source.EncodeToString();
+  const Item* first_item = &source.items()[0];
+
+  const std::vector<std::pair<const char*, void (*)(Note*)>> mutators = {
+      {"SetItem", [](Note* n) { n->SetText("Subject", "changed"); }},
+      {"SetItem(new)", [](Note* n) { n->SetNumber("Extra", 1); }},
+      {"RemoveItem", [](Note* n) { EXPECT_TRUE(n->RemoveItem("Form")); }},
+      {"MakeStub", [](Note* n) { n->MakeStub(200); }},
+      {"StampItemModifications",
+       [](Note* n) { n->StampItemModifications(nullptr, 300); }},
+      {"mutable_items",
+       [](Note* n) { n->mutable_items()[0].value = Value::Text("raw"); }},
+  };
+  for (const auto& [name, mutate] : mutators) {
+    Note copy = source;
+    EXPECT_EQ(&copy.items()[0], first_item) << name << ": copy shares items";
+    mutate(&copy);
+    EXPECT_EQ(source.EncodeToString(), before) << name;
+    EXPECT_EQ(&source.items()[0], first_item) << name;
+    EXPECT_NE(copy.EncodeToString(), before) << name;
+  }
+
+  // The other direction: mutating the source leaves an earlier copy alone.
+  Note copy = source;
+  const std::string copy_before = copy.EncodeToString();
+  source.SetText("Subject", "source changed");
+  EXPECT_EQ(copy.EncodeToString(), copy_before);
+
+  // An unshared note mutates in place, and a no-op RemoveItem never clones.
+  Note sole = testing_util::MakeDoc("Memo", "sole");
+  const Item* sole_item = &sole.items()[0];
+  sole.SetText("Subject", "still sole");
+  EXPECT_EQ(&sole.items()[0], sole_item);
+  Note shared = sole;
+  EXPECT_FALSE(shared.RemoveItem("Absent"));
+  EXPECT_EQ(&shared.items()[0], sole_item);
+}
+
 // -------------------------------------------------------------- Collation --
 
 TEST(CollationTest, TypeRankOrder) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <map>
@@ -134,6 +135,29 @@ TEST_F(PoolFixture, HitMissAndLruEviction) {
   EXPECT_EQ(pool_->misses(), misses_before + 1);
 }
 
+// Hits share the pool lock and never reorder the list; the referenced
+// bit they set is what keeps a hot frame at the tail from eviction.
+TEST_F(PoolFixture, HitGivesTailFrameASecondChance) {
+  Open(512, 3);
+  std::vector<uint32_t> pages;
+  for (int i = 0; i < 4; ++i) pages.push_back(MakePage('a' + i));
+  FlushAll();  // trims to 3 frames: pages 1..3 resident, 1 at the tail
+  { ASSERT_OK_AND_ASSIGN(pager::PageRef ref, pool_->Pin(pages[1])); }
+  const uint64_t misses = pool_->misses();
+  // Reading page 0 back evicts one frame: not the hit tail frame (page
+  // 1) but the next unreferenced one (page 2).
+  { ASSERT_OK_AND_ASSIGN(pager::PageRef ref, pool_->Pin(pages[0])); }
+  EXPECT_EQ(pool_->misses(), misses + 1);
+  EXPECT_EQ(pool_->frame_count(), 3u);
+  { ASSERT_OK_AND_ASSIGN(pager::PageRef ref, pool_->Pin(pages[1])); }
+  EXPECT_EQ(pool_->misses(), misses + 1);
+  {
+    ASSERT_OK_AND_ASSIGN(pager::PageRef ref, pool_->Pin(pages[2]));
+    EXPECT_EQ(ref.data()[pager::kPageHeaderSize], 'c');
+  }
+  EXPECT_EQ(pool_->misses(), misses + 2);
+}
+
 TEST_F(PoolFixture, PinnedFramesSurviveOverCapacity) {
   Open(512, 2);
   std::vector<uint32_t> pages;
@@ -176,6 +200,39 @@ TEST_F(PoolFixture, DirtyFramesAreNeverEvicted) {
     (void)ref;
   }
   EXPECT_LE(pool_->frame_count(), 3u);  // 2 + possibly one in transit
+}
+
+TEST_F(PoolFixture, UnpinSkipsTheLockOnceDiscardRefitsThePool) {
+  Open(512, 2);
+  // Three dirty frames over a capacity of 2: an overrun, so unpins take
+  // the pool lock to evict.
+  std::vector<uint32_t> pages;
+  for (int i = 0; i < 3; ++i) pages.push_back(MakePage('d' + i));
+  EXPECT_EQ(pool_->frame_count(), 3u);
+  // Compaction frees pages: the pool fits again without an eviction pass.
+  pool_->Discard(pages[2]);
+  pool_->Discard(pages[1]);
+  EXPECT_EQ(pool_->frame_count(), 1u);
+  ASSERT_OK_AND_ASSIGN(pager::PageRef ref, pool_->Pin(pages[0]));
+  // ForEachDirty holds the pool lock across its callback. An unpin from
+  // another thread must finish meanwhile: a fitting pool never locks.
+  std::atomic<bool> done{false};
+  bool unpinned_under_lock = false;
+  std::thread unpin;
+  ASSERT_OK(pool_->ForEachDirty([&](uint32_t, char*) {
+    if (unpin.joinable()) return Status::Ok();
+    unpin = std::thread([&] {
+      ref.Release();
+      done.store(true);
+    });
+    for (int i = 0; i < 500 && !done.load(); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    unpinned_under_lock = done.load();
+    return Status::Ok();
+  }));
+  unpin.join();  // a locking unpin finishes once ForEachDirty returns
+  EXPECT_TRUE(unpinned_under_lock);
 }
 
 TEST_F(PoolFixture, EvictionUnderPinStress) {

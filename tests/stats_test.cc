@@ -190,6 +190,38 @@ TEST(StatRegistryTest, ShowStatFiltersByPrefixPattern) {
   EXPECT_EQ(replica.find("Mail.Delivered"), std::string::npos);
 }
 
+// The store's decoded-note cache reports through `show stat
+// Store.NoteCache`: hit/miss/eviction counters and a byte gauge that a
+// closed database gives back.
+TEST(StatRegistryTest, NoteCacheStatsTrackReads) {
+  testing_util::ScratchDir dir;
+  SimClock clock;
+  StatRegistry reg;
+  {
+    DatabaseOptions options;
+    options.stats = &reg;
+    auto db = Database::Open(dir.Sub("db"), options, &clock);
+    ASSERT_OK(db);
+    auto id = (*db)->CreateNote(testing_util::MakeDoc("Memo", "cached"));
+    ASSERT_OK(id);
+    const uint64_t misses = reg.GetCounter("Store.NoteCache.Misses").value();
+    const uint64_t hits = reg.GetCounter("Store.NoteCache.Hits").value();
+    ASSERT_OK((*db)->ReadNote(*id));
+    ASSERT_OK((*db)->ReadNote(*id));
+    EXPECT_EQ(reg.GetCounter("Store.NoteCache.Misses").value(), misses + 1);
+    EXPECT_EQ(reg.GetCounter("Store.NoteCache.Hits").value(), hits + 1);
+    EXPECT_GT(reg.GetGauge("Store.NoteCache.Bytes").value(), 0);
+    std::string shown = reg.ShowStat("Store.NoteCache");
+    for (const char* name : {"Bytes", "Evictions", "Hits", "Misses"}) {
+      EXPECT_NE(shown.find(std::string("Store.NoteCache.") + name),
+                std::string::npos)
+          << shown;
+    }
+    EXPECT_EQ(shown.find("Store.Cache."), std::string::npos);
+  }
+  EXPECT_EQ(reg.GetGauge("Store.NoteCache.Bytes").value(), 0);
+}
+
 TEST(StatRegistryTest, ShowStatJsonFilters) {
   StatRegistry reg;
   reg.GetCounter("Replica.Docs.Received").Add(7);

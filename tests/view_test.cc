@@ -331,6 +331,33 @@ TEST(ViewIndexTest, RebuildMatchesIncrementalSweep) {
   }
 }
 
+// Two updates of one note in one epoch that leave its sort columns alone
+// land on the same row key. The first update's row must not become a
+// zombie that reclamation later erases together with the live row.
+TEST(ViewIndexTest, SameEpochUpdatesKeepLiveRow) {
+  MapResolver resolver;
+  SimClock clock;
+  ViewIndex view(SimpleView("SELECT @All"), &clock);
+  Note* doc = resolver.Add(Doc(1, "Invoice", "same", 10, 100));
+  ASSERT_OK(view.Update(*doc, &resolver, 1));
+  doc->SetNumber("Amount", 20);
+  doc->BumpSequence(200);
+  ASSERT_OK(view.Update(*doc, &resolver, 2));
+  doc->SetNumber("Amount", 30);
+  doc->BumpSequence(201);
+  ASSERT_OK(view.Update(*doc, &resolver, 2));
+
+  auto pinned = view.EntriesAt(1);  // a reader pinned before epoch 2
+  ASSERT_EQ(pinned.size(), 1u);
+  EXPECT_EQ(pinned[0]->column_values[1].AsNumber(), 10);
+
+  view.ReclaimVersions(2);
+  EXPECT_EQ(view.zombie_count(), 0u);
+  auto entries = view.Entries();
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0]->column_values[1].AsNumber(), 30);
+}
+
 TEST(ViewIndexTest, StatsCountEvals) {
   MapResolver resolver;
   SimClock clock;
