@@ -6,7 +6,6 @@
 
 #include "bench/bench_util.h"
 #include "core/database.h"
-#include "indexer/thread_pool.h"
 
 using namespace dominodb;
 using namespace dominodb::bench;
@@ -64,9 +63,9 @@ int main() {
               "the inverted index answers word queries in sub-linear time; "
               "formula @Contains scans pay O(corpus) every query");
 
-  printf("%-8s | %-11s %-12s %-12s | %-11s %-11s %-11s %-11s | %-12s %-8s | "
+  printf("%-8s | %-11s %-12s | %-11s %-11s %-11s %-11s | %-12s %-8s | "
          "%-7s %-7s %-6s\n",
-         "docs", "build (ms)", "par4 (ms)", "add1 (us)", "term (us)",
+         "docs", "build (ms)", "add1 (us)", "term (us)",
          "AND (us)", "selAND(us)", "phrase(us)", "scan (us)", "speedup",
          "B/doc", "mdl/doc", "ratio");
 
@@ -89,20 +88,6 @@ int main() {
     Stopwatch build;
     db->EnsureFullTextIndex().ok();
     double build_ms = build.ElapsedMillis();
-
-    // Parallel (sharded) rebuild of the same corpus, 4 workers.
-    double par_ms;
-    {
-      std::vector<Note> copies;
-      db->ForEachNote([&](const Note& n) { copies.push_back(n); });
-      std::vector<const Note*> notes;
-      notes.reserve(copies.size());
-      for (const Note& n : copies) notes.push_back(&n);
-      indexer::ThreadPool pool(4);
-      Stopwatch par;
-      const_cast<FullTextIndex*>(db->fulltext())->BuildFrom(notes, &pool);
-      par_ms = par.ElapsedMillis();
-    }
 
     // Incremental add of one document.
     Stopwatch add;
@@ -145,9 +130,9 @@ int main() {
     double model_per_doc =
         docs_n > 0 ? ft->UncompressedModelBytes() / docs_n : 0;
 
-    printf("%-8d | %-11.1f %-12.1f %-12.1f | %-11.1f %-11.1f %-11.1f "
+    printf("%-8d | %-11.1f %-12.1f | %-11.1f %-11.1f %-11.1f "
            "%-11.1f | %-12.1f %-7.0fx | %-7.0f %-7.0f %-5.1fx\n",
-           corpus, build_ms, par_ms, add_us, term_us, and_us, sel_and_us,
+           corpus, build_ms, add_us, term_us, and_us, sel_and_us,
            phrase_us, scan_us, term_us > 0 ? scan_us / term_us : 0,
            bytes_per_doc, model_per_doc,
            bytes_per_doc > 0 ? model_per_doc / bytes_per_doc : 0);

@@ -5,7 +5,6 @@
 
 #include "bench/bench_util.h"
 #include "core/database.h"
-#include "indexer/thread_pool.h"
 #include "view/view_design.h"
 
 using namespace dominodb;
@@ -67,22 +66,8 @@ int main() {
           db.get())
       .ok();
   double rebuild_ms = rebuild_watch.ElapsedMillis();
-  printf("full rebuild of %zu-row view: %.1f ms\n", view->size(),
+  printf("full rebuild of %zu-row view: %.1f ms\n\n", view->size(),
          rebuild_ms);
-
-  // Parallel (UPDALL-sharded) rebuild for comparison; real speedup needs
-  // physical cores, so on a single-CPU host this column shows overhead.
-  {
-    indexer::ThreadPool pool(4);
-    Stopwatch par;
-    view->Rebuild(
-            [&](const std::function<void(const Note&)>& fn) {
-              db->ForEachNote(fn);
-            },
-            db.get(), &pool)
-        .ok();
-    printf("parallel rebuild (4 workers): %.1f ms\n\n", par.ElapsedMillis());
-  }
 
   printf("%-12s %-12s %-14s %-14s %-10s\n", "changed", "frac(%)",
          "incr (ms)", "rebuild (ms)", "winner");

@@ -17,12 +17,27 @@ Pair i uses seed `seed-base + i` on both sides, and the side that runs
 first alternates from pair to pair, so drift of the host (thermal, other
 tenants) falls on both sides alike. Every result line is kept. For every
 metric the output records each side's median and quartiles, and the
-number of pairs the change won (by the metric's direction in
-BENCHMARK.json; ties count as losses).
+number of pairs the change won, lost and tied (by the metric's direction
+in BENCHMARK.json).
+
+Every end-to-end metric with a `bound` in BENCHMARK.json also gets a
+no-regression verdict:
+
+    ok          the change median is worse than the parent median by no
+                more than the bound (a fraction of the parent median)
+    worse       it is worse by more than the bound
+    unresolved  the parent's own spread, (q3 - q1) / median, exceeds the
+                bound, so the runs cannot tell
+
+A metric on which every change run beats every parent run is `ok` even
+when the spread is wide. The output also sums each side's failed
+operations and records whether every run reported itself correct.
+BENCHMARK.json is only read.
 """
 
 import argparse
 import json
+import math
 import os
 import shutil
 import statistics
@@ -66,10 +81,14 @@ def run_side(root, workload, seed, seconds, trace):
     return json.loads(last)
 
 
-def directions():
+def benchmark_spec():
+    """Returns ({metric: "higher"|"lower"}, {end-to-end metric: bound})."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"]
-            for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
+    better = {m["name"]: m["better"]
+              for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
+    bounds = {m["name"]: m["bound"]
+              for m in spec.get("end_to_end", []) if "bound" in m}
+    return better, bounds
 
 
 def spread(values):
@@ -79,8 +98,27 @@ def spread(values):
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def verdict(parent, change, higher, bound):
+    """The no-regression verdict for one end-to-end metric (see above)."""
+    if (min(change) > max(parent)) if higher else (max(change) < min(parent)):
+        return "ok"
+    p = spread(parent)
+    median = p["median"]
+
+    def relative(x):
+        if median != 0:
+            return x / abs(median)
+        return 0.0 if x == 0 else math.copysign(math.inf, x)
+
+    if relative(p["q3"] - p["q1"]) > bound:
+        return "unresolved"
+    c = spread(change)["median"]
+    worse_by = relative(median - c if higher else c - median)
+    return "worse" if worse_by > bound else "ok"
+
+
 def summarize(runs, pairs):
-    better = directions()
+    better, bounds = benchmark_spec()
     by_side = {"parent": {}, "change": {}}
     for run in runs:
         for name, m in run["result"]["metrics"].items():
@@ -95,10 +133,19 @@ def summarize(runs, pairs):
                  "change": spread([change[i] for i in both])}
         if name in better:
             higher = better[name] == "higher"
+
+            def beats(a, b):
+                return a > b if higher else a < b
+
             entry["better"] = better[name]
-            entry["wins"] = sum(
-                (change[i] > parent[i]) if higher else (change[i] < parent[i])
-                for i in both)
+            entry["wins"] = sum(beats(change[i], parent[i]) for i in both)
+            entry["losses"] = sum(beats(parent[i], change[i]) for i in both)
+            entry["ties"] = len(both) - entry["wins"] - entry["losses"]
+        if name in bounds and name in better:
+            entry["bound"] = bounds[name]
+            entry["verdict"] = verdict([parent[i] for i in both],
+                                       [change[i] for i in both],
+                                       better[name] == "higher", bounds[name])
         summary[name] = entry
     return summary
 
@@ -141,17 +188,25 @@ def main():
             "+dirty" if git("status", "--porcelain", "--untracked-files=no")
             else ""),
         "runs": runs,
+        "failed": {side: sum(r["result"].get("failed", 0)
+                             for r in runs if r["side"] == side)
+                   for side in ("parent", "change")},
+        "all_correct": all(r["result"].get("correct", False) for r in runs),
         "summary": summarize(runs, args.pairs),
     }
     Path(args.out).write_text(json.dumps(out, indent=1) + "\n")
-    for name in ("ops_per_s", "rss_mb", "setup_s", "space_amp"):
-        if name in out["summary"]:
-            s = out["summary"][name]
-            print(f"{name}: parent {s['parent']['median']:.4g} "
-                  f"[{s['parent']['q1']:.4g}, {s['parent']['q3']:.4g}]  "
-                  f"change {s['change']['median']:.4g} "
-                  f"[{s['change']['q1']:.4g}, {s['change']['q3']:.4g}]  "
-                  f"wins {s.get('wins')}/{args.pairs}")
+    for name, s in out["summary"].items():
+        if "verdict" not in s:
+            continue
+        print(f"{name}: parent {s['parent']['median']:.4g} "
+              f"[{s['parent']['q1']:.4g}, {s['parent']['q3']:.4g}]  "
+              f"change {s['change']['median']:.4g} "
+              f"[{s['change']['q1']:.4g}, {s['change']['q3']:.4g}]  "
+              f"wins/losses/ties {s['wins']}/{s['losses']}/{s['ties']}  "
+              f"bound {s['bound']:g}  {s['verdict']}")
+    print(f"failed: parent {out['failed']['parent']} "
+          f"change {out['failed']['change']}  "
+          f"all runs correct: {out['all_correct']}")
 
 
 if __name__ == "__main__":

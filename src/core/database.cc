@@ -996,21 +996,9 @@ Status Database::EnsureFullTextIndex() {
     if (fulltext_ != nullptr) return Status::Ok();
   }
   auto ft = std::make_shared<FullTextIndex>(registry_);
-  // The paged store materializes notes per call rather than keeping them
-  // resident, so the build needs its own stable copies for the pointer
-  // spans BuildFrom shards across workers.
-  std::vector<Note> copies;
-  copies.reserve(store_->total_count());
-  store_->ForEach([&](const Note& note) { copies.push_back(note); });
-  std::vector<const Note*> notes;
-  notes.reserve(copies.size());
-  for (const Note& note : copies) notes.push_back(&note);
-  indexer::ThreadPool* pool;
-  {
-    MutexLock cat(&catalog_mu_);
-    pool = indexer_pool_;
-  }
-  ft->BuildFrom(notes, pool);
+  ft->BuildFrom([this](const std::function<void(const Note&)>& fn) {
+    store_->ForEach(fn);
+  });
   MutexLock cat(&catalog_mu_);
   fulltext_ = std::move(ft);
   return Status::Ok();
@@ -1235,15 +1223,6 @@ size_t Database::UnreadCount(const Principal& who) const {
 // Replication support
 // ---------------------------------------------------------------------------
 
-std::vector<Oid> Database::ChangesSince(Micros cutoff) const {
-  ReadTxn txn(this, /*catch_up=*/false);
-  std::vector<Oid> changes;
-  ScanAt(txn.epoch(), [&](const Note& note) {
-    if (note.modified_in_file() > cutoff) changes.push_back(note.oid());
-  });
-  return changes;
-}
-
 std::vector<Database::Change> Database::ChangeSummarySince(
     Micros cutoff) const {
   ReadTxn txn(this, /*catch_up=*/false);
@@ -1455,18 +1434,13 @@ Status Database::ApplyDesignNote(const Note& note) {
   if (note.note_class() == NoteClass::kView) {
     DOMINO_ASSIGN_OR_RETURN(ViewDesign design, ViewDesign::FromNote(note));
     std::string key = ToLower(design.name());
-    indexer::ThreadPool* pool;
-    {
-      MutexLock lock(&catalog_mu_);
-      pool = indexer_pool_;
-    }
     auto index =
         std::make_shared<ViewIndex>(std::move(design), clock_, registry_);
     DOMINO_RETURN_IF_ERROR(index->Rebuild(
         [this](const std::function<void(const Note&)>& fn) {
           store_->ForEach(fn);
         },
-        this, pool));
+        this));
     // Swap in only after the rebuild: readers holding the old index via
     // its shared_ptr keep traversing it; new readers get the new one. A
     // design change is not snapshot-isolated (matching Domino, where a

@@ -209,8 +209,9 @@ class Database : public NoteResolver {
   /// Attaches the server's indexer pool (the UPDATE task). Once attached,
   /// document writes enqueue note-change events and return before view /
   /// full-text maintenance runs; a background drain scheduled on the pool
-  /// applies them. Full view / full-text rebuilds also use the pool for
-  /// data-parallel shard evaluation. Passing nullptr detaches (writes go
+  /// applies them. Full view / full-text builds (CreateView,
+  /// EnsureFullTextIndex) never use the pool: they run on the calling
+  /// thread under the write lock. Passing nullptr detaches (writes go
   /// back to synchronous maintenance). Read paths catch up to their
   /// pinned epoch first, so deferral is semantically invisible: indexes
   /// reflect every commit a reader can observe by the time it looks.
@@ -250,19 +251,18 @@ class Database : public NoteResolver {
   size_t UnreadCount(const Principal& who) const;
 
   // -- Replication support ------------------------------------------------
-  /// OIDs of every note (stubs included) whose sequence time is newer
-  /// than `cutoff` — the change summary exchanged by the replicator.
-  std::vector<Oid> ChangesSince(Micros cutoff) const;
   /// One change-summary entry: the OID plus the modified-in-this-file
   /// stamp that made it part of the summary.
   struct Change {
     Oid oid;
     Micros stamp = 0;
   };
-  /// Like ChangesSince, but ordered by ascending stamp (ties broken by
-  /// UNID) and carrying the stamps. A replication session that processes
-  /// entries in this order can record any prefix boundary as a resumable
-  /// low-water cutoff: everything stamped at or below it has been seen.
+  /// Every note (stubs included) modified in this file after `cutoff` —
+  /// the change summary exchanged by the replicator — ordered by
+  /// ascending stamp (ties broken by UNID). A replication session that
+  /// processes entries in this order can record any prefix boundary as a
+  /// resumable low-water cutoff: everything stamped at or below it has
+  /// been seen.
   std::vector<Change> ChangeSummarySince(Micros cutoff) const;
   /// Includes stubs.
   Result<Note> GetAnyByUnid(const Unid& unid) const;

@@ -65,8 +65,7 @@ struct EvalContext {
 ///
 /// Evaluate/Matches are const and keep all per-run state in a private
 /// Evaluator, so one Formula may be evaluated concurrently from many
-/// threads. Parallel view rebuild workers and shared-lock readers
-/// (Database::FormulaSearch) rely on this.
+/// threads. Shared-lock readers (Database::FormulaSearch) rely on this.
 class Formula {
  public:
   /// Compiles `source`; returns a SyntaxError status on bad input.

@@ -1,12 +1,9 @@
 #include "fulltext/fulltext_index.h"
 
-#include <algorithm>
 #include <cmath>
-#include <functional>
 
 #include "base/string_util.h"
 #include "fulltext/tokenizer.h"
-#include "indexer/thread_pool.h"
 
 namespace dominodb {
 
@@ -36,91 +33,6 @@ FullTextIndex::FullTextIndex(stats::StatRegistry* stats) {
   gauge_bytes_per_doc_ = &reg.GetGauge("Ft.Index.BytesPerDoc");
 }
 
-void FullTextIndex::TokenizeNoteInto(const Note& note, IndexShard* shard) {
-  const NoteId id = note.id();
-  uint32_t position = 0;
-  uint32_t length = 0;
-  std::vector<std::string> doc_keys;
-  for (const Item& item : note.items()) {
-    // Occurrences of a term within one item are appended contiguously to
-    // the term's positions vector, so a [begin, end) slice per term is
-    // enough to recover the field-scoped posting later.
-    std::unordered_map<std::string, FieldSlice> field_ranges;
-    auto index_text = [&](const std::string& text) {
-      for (const std::string& token : TokenizeText(text)) {
-        std::vector<uint32_t>& positions =
-            shard->postings[token][id].positions;
-        auto [rit, fresh] = field_ranges.try_emplace(
-            token, FieldSlice{static_cast<uint32_t>(positions.size()), 0});
-        (void)fresh;
-        positions.push_back(position++);
-        rit->second.end = static_cast<uint32_t>(positions.size());
-        ++length;
-        ++shard->tokens;
-      }
-    };
-    if (item.value.is_text()) {
-      for (const std::string& s : item.value.texts()) index_text(s);
-    } else if (item.value.is_richtext()) {
-      for (const RichTextRun& run : item.value.runs()) {
-        index_text(run.text);
-        if (!run.attachment_name.empty()) index_text(run.attachment_name);
-      }
-    }
-    if (!field_ranges.empty()) {
-      position += kFieldPositionGap;  // phrases never span fields
-      for (auto& [term, slice] : field_ranges) {
-        std::string fkey = FieldTermKey(item.name, term);
-        shard->field_postings[fkey][id].push_back(slice);
-        doc_keys.push_back(std::move(fkey));
-        doc_keys.push_back(term);
-      }
-    }
-  }
-  shard->terms_of_doc[id] = std::move(doc_keys);
-  shard->doc_lengths[id] = length;
-  shard->docs.push_back(id);
-  ++shard->notes;
-}
-
-void FullTextIndex::MergeShard(IndexShard* shard) {
-  // Plain postings always funnel through PostingList::Insert — that is
-  // where the uncompressed per-doc vectors become delta+varint blocks,
-  // and where out-of-id-order arrivals (shards built in physical order
-  // after compaction relocated notes) get spliced back into sorted order.
-  for (auto& [term, pm] : shard->postings) {
-    PostingList& list = postings_[term];
-    posting_bytes_ -= list.byte_size();
-    model_bytes_ -= list.UncompressedModelBytes();
-    for (auto& [doc, posting] : pm) {
-      if (list.Insert(doc, posting.positions)) ctr_ooo_inserts_->Add();
-    }
-    posting_bytes_ += list.byte_size();
-    model_bytes_ += list.UncompressedModelBytes();
-  }
-  // First shard into an empty index: adopt the side maps wholesale
-  // instead of merging key by key (the common case for a fresh
-  // BuildFrom).
-  if (field_postings_.empty() && terms_of_doc_.empty()) {
-    field_postings_ = std::move(shard->field_postings);
-    terms_of_doc_ = std::move(shard->terms_of_doc);
-    for (auto& [id, length] : shard->doc_lengths) doc_lengths_[id] = length;
-    for (NoteId id : shard->docs) docs_.insert(id);
-    return;
-  }
-  // Note ids are disjoint across shards (and RemoveNote precedes any
-  // re-index), so merging splices map nodes without key conflicts.
-  for (auto& [fkey, fpm] : shard->field_postings) {
-    auto [it, inserted] = field_postings_.try_emplace(fkey, std::move(fpm));
-    if (!inserted) it->second.merge(fpm);
-  }
-  for (auto& [id, keys] : shard->terms_of_doc) {
-    terms_of_doc_[id] = std::move(keys);
-  }
-  for (auto& [id, length] : shard->doc_lengths) doc_lengths_[id] = length;
-  for (NoteId id : shard->docs) docs_.insert(id);
-}
-
 void FullTextIndex::RefreshByteStats() {
   gauge_bytes_per_doc_->Set(
       docs_.empty() ? 0
@@ -140,61 +52,77 @@ void FullTextIndex::IndexNoteLocked(const Note& note) {
   if (note.deleted() || note.note_class() != NoteClass::kDocument) return;
   if (merge) ctr_merges_->Add();
 
-  IndexShard shard;
-  TokenizeNoteInto(note, &shard);
-  const uint64_t tokens = shard.tokens;
-  MergeShard(&shard);
-  stats_.tokens_indexed += tokens;
+  const NoteId id = note.id();
+  // The note's positions per term stay uncompressed while tokenization
+  // appends to them; each term's list is compressed once, below.
+  std::unordered_map<std::string, std::vector<uint32_t>> positions_of;
+  uint32_t position = 0;
+  uint32_t length = 0;
+  std::vector<std::string> doc_keys;
+  for (const Item& item : note.items()) {
+    // Occurrences of a term within one item are appended contiguously to
+    // the term's positions vector, so a [begin, end) slice per term is
+    // enough to recover the field-scoped posting later.
+    std::unordered_map<std::string, FieldSlice> field_ranges;
+    auto index_text = [&](const std::string& text) {
+      for (const std::string& token : TokenizeText(text)) {
+        std::vector<uint32_t>& positions = positions_of[token];
+        auto [rit, fresh] = field_ranges.try_emplace(
+            token, FieldSlice{static_cast<uint32_t>(positions.size()), 0});
+        (void)fresh;
+        positions.push_back(position++);
+        rit->second.end = static_cast<uint32_t>(positions.size());
+        ++length;
+      }
+    };
+    if (item.value.is_text()) {
+      for (const std::string& s : item.value.texts()) index_text(s);
+    } else if (item.value.is_richtext()) {
+      for (const RichTextRun& run : item.value.runs()) {
+        index_text(run.text);
+        if (!run.attachment_name.empty()) index_text(run.attachment_name);
+      }
+    }
+    if (!field_ranges.empty()) {
+      position += kFieldPositionGap;  // phrases never span fields
+      for (auto& [term, slice] : field_ranges) {
+        std::string fkey = FieldTermKey(item.name, term);
+        field_postings_[fkey][id].push_back(slice);
+        doc_keys.push_back(std::move(fkey));
+        doc_keys.push_back(term);
+      }
+    }
+  }
+  // PostingList::Insert turns the positions into delta+varint blocks and
+  // splices out-of-id-order arrivals (a rebuild in physical order after
+  // compaction relocated notes) back into sorted order.
+  for (const auto& [term, positions] : positions_of) {
+    PostingList& list = postings_[term];
+    posting_bytes_ -= list.byte_size();
+    model_bytes_ -= list.UncompressedModelBytes();
+    if (list.Insert(id, positions)) ctr_ooo_inserts_->Add();
+    posting_bytes_ += list.byte_size();
+    model_bytes_ += list.UncompressedModelBytes();
+  }
+  terms_of_doc_[id] = std::move(doc_keys);
+  doc_lengths_[id] = length;
+  docs_.insert(id);
+  stats_.tokens_indexed += length;
   ++stats_.notes_indexed;
   ctr_docs_indexed_->Add();
-  ctr_tokens_->Add(tokens);
+  ctr_tokens_->Add(length);
   RefreshByteStats();
 }
 
-void FullTextIndex::BuildFrom(const std::vector<const Note*>& notes,
-                              indexer::ThreadPool* pool) {
-  // Exclusive for the whole rebuild; workers only touch their own shards,
-  // so holding the lock across RunAndWait is safe (they never re-enter
-  // this index).
+void FullTextIndex::BuildFrom(
+    const std::function<void(const std::function<void(const Note&)>&)>&
+        for_each_note) {
   WriterLock lock(&mu_);
   ClearLocked();
-  if (pool == nullptr) {
-    for (const Note* note : notes) {
-      if (note != nullptr) IndexNoteLocked(*note);
-    }
-    return;
-  }
-  std::vector<const Note*> docs;
-  docs.reserve(notes.size());
-  for (const Note* note : notes) {
-    if (note != nullptr && !note->deleted() &&
-        note->note_class() == NoteClass::kDocument) {
-      docs.push_back(note);
-    }
-  }
-  const size_t shard_count =
-      std::max<size_t>(1, std::min(pool->num_threads(), docs.size()));
-  std::vector<IndexShard> shards(shard_count);
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(shard_count);
-  for (size_t s = 0; s < shard_count; ++s) {
-    const size_t begin = docs.size() * s / shard_count;
-    const size_t end = docs.size() * (s + 1) / shard_count;
-    tasks.push_back([&docs, &shards, s, begin, end] {
-      for (size_t i = begin; i < end; ++i) {
-        TokenizeNoteInto(*docs[i], &shards[s]);
-      }
-    });
-  }
-  pool->RunAndWait(std::move(tasks));
-  for (IndexShard& shard : shards) {
-    stats_.notes_indexed += shard.notes;
-    stats_.tokens_indexed += shard.tokens;
-    ctr_docs_indexed_->Add(shard.notes);
-    ctr_tokens_->Add(shard.tokens);
-    MergeShard(&shard);
-  }
-  RefreshByteStats();
+  // The callback runs on this thread, inside the exclusive hold above.
+  for_each_note([this](const Note& note) NO_THREAD_SAFETY_ANALYSIS {
+    IndexNoteLocked(note);
+  });
 }
 
 void FullTextIndex::RemoveNote(NoteId id) {

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -15,10 +16,6 @@
 #include "fulltext/postings.h"
 #include "model/note.h"
 #include "stats/stats.h"
-
-namespace dominodb::indexer {
-class ThreadPool;
-}  // namespace dominodb::indexer
 
 namespace dominodb {
 
@@ -63,14 +60,13 @@ class FullTextIndex {
   void RemoveNote(NoteId id);
   void Clear();
 
-  /// Full rebuild (UPDALL-style). With a pool, notes are partitioned into
-  /// contiguous shards, each worker tokenizes its shard into shard-local
-  /// posting maps, and the coordinator splices the shards together — note
-  /// ids are disjoint across shards so the merge moves nodes instead of
-  /// re-tokenizing. Without a pool this is a plain serial loop and
-  /// produces bit-identical state.
-  void BuildFrom(const std::vector<const Note*>& notes,
-                 indexer::ThreadPool* pool = nullptr);
+  /// Full rebuild (UPDALL-style): drops everything, then indexes every
+  /// note `for_each_note` passes to its callback, as IndexNote would, all
+  /// under one exclusive hold. Notes are consumed as they stream past, so
+  /// the caller can feed them straight from its store.
+  void BuildFrom(
+      const std::function<void(const std::function<void(const Note&)>&)>&
+          for_each_note);
 
   /// Runs a query; results are sorted by descending TF-IDF score.
   Result<std::vector<FtHit>> Search(std::string_view query) const;
@@ -118,26 +114,9 @@ class FullTextIndex {
   double IdfOf(const std::string& term) const;
 
  private:
-  /// Shard-local slice of the index a worker tokenizes into. Also used
-  /// (with a single note) by the incremental IndexNote path so the two
-  /// paths share one tokenizer. Shards stay uncompressed (tokenization
-  /// appends position by position); compression happens once per (term,
-  /// doc) when the shard merges into the index.
-  struct IndexShard {
-    std::unordered_map<std::string, PostingMap> postings;
-    std::unordered_map<std::string, FieldPostingMap> field_postings;
-    std::unordered_map<NoteId, std::vector<std::string>> terms_of_doc;
-    std::unordered_map<NoteId, uint32_t> doc_lengths;
-    std::vector<NoteId> docs;
-    uint64_t tokens = 0;
-    uint64_t notes = 0;
-  };
-
-  static void TokenizeNoteInto(const Note& note, IndexShard* shard);
   void IndexNoteLocked(const Note& note) REQUIRES(mu_);
   void RemoveNoteLocked(NoteId id) REQUIRES(mu_);
   void ClearLocked() REQUIRES(mu_);
-  void MergeShard(IndexShard* shard) REQUIRES(mu_);
   void RefreshByteStats() REQUIRES(mu_);
 
   /// Guards the containers below. The fields themselves stay unannotated

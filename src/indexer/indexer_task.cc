@@ -126,11 +126,6 @@ size_t IndexerTask::pending() const {
   return queue_.size();
 }
 
-void IndexerTask::ClearScheduled() {
-  std::lock_guard<std::mutex> lock(mu_);
-  drain_scheduled_ = false;
-}
-
 void IndexerTask::Close() {
   std::unique_lock<std::mutex> lock(mu_);
   closed_ = true;

@@ -85,12 +85,6 @@ class IndexerTask {
   bool HasPending() const;
   size_t pending() const;
 
-  /// Re-arms drain scheduling after a pool callback bailed out without
-  /// draining (owner lock busy — e.g. a rebuild holds the database while
-  /// waiting on this very pool). The next Enqueue or any explicit
-  /// DrainInline picks the events up; a pool worker is never pinned.
-  void ClearScheduled();
-
   /// Stops scheduling and waits for in-flight pool callbacks. Remaining
   /// events are dropped (the owner's indexes are going away with it).
   void Close();

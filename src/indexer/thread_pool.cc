@@ -44,33 +44,6 @@ void ThreadPool::WaitIdle() {
   idle_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
 }
 
-void ThreadPool::RunAndWait(std::vector<std::function<void()>> tasks) {
-  struct Latch {
-    std::mutex mu;
-    std::condition_variable cv;
-    size_t remaining;
-  };
-  auto latch = std::make_shared<Latch>();
-  latch->remaining = tasks.size();
-  auto mark_done = [latch] {
-    bool done;
-    {
-      std::lock_guard<std::mutex> lock(latch->mu);
-      done = --latch->remaining == 0;
-    }
-    if (done) latch->cv.notify_all();
-  };
-  for (std::function<void()>& task : tasks) {
-    auto wrapped = [body = std::move(task), mark_done] {
-      body();
-      mark_done();
-    };
-    if (!Submit(wrapped)) wrapped();  // pool shutting down: run inline
-  }
-  std::unique_lock<std::mutex> lock(latch->mu);
-  latch->cv.wait(lock, [&latch] { return latch->remaining == 0; });
-}
-
 void ThreadPool::Shutdown() {
   {
     std::lock_guard<std::mutex> lock(mu_);

@@ -14,8 +14,10 @@
 namespace dominodb::indexer {
 
 /// A fixed-size worker pool with a bounded MPMC task queue — the
-/// substrate for the background UPDATE/UPDALL indexer task and for
-/// data-parallel view/full-text rebuilds. Submitting blocks while the
+/// substrate for the background UPDATE indexer task (IndexerTask). Full
+/// view/full-text rebuilds do not use it: they run on the caller's thread
+/// (EXPERIMENTS E12 measured a sharded rebuild slower than serial on
+/// four hardware threads). Submitting blocks while the
 /// queue is at capacity (backpressure instead of unbounded growth, like
 /// the Domino indexer's work-queue depth limit).
 ///
@@ -46,17 +48,10 @@ class ThreadPool {
   /// submitted after WaitIdle returns are not waited for.
   void WaitIdle();
 
-  /// Submits `tasks` and blocks until exactly those tasks finish (a batch
-  /// latch, not WaitIdle — unrelated tasks sharing the pool neither delay
-  /// nor are delayed by the batch). Tasks the pool refuses (shutdown) run
-  /// inline on the calling thread, so the batch always completes.
-  void RunAndWait(std::vector<std::function<void()>> tasks);
-
   /// Stops accepting work, runs every already-queued task, and joins the
   /// workers. Called by the destructor; idempotent.
   void Shutdown();
 
-  size_t num_threads() const { return workers_.size(); }
   size_t queue_capacity() const { return capacity_; }
 
  private:

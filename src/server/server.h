@@ -130,8 +130,7 @@ class Server {
   // -- Background indexer (the UPDATE task) --------------------------------
   /// Starts the server's indexer pool with `threads` workers and attaches
   /// it to every open database (and to databases opened later). Document
-  /// writes then defer view/full-text maintenance to the pool, and full
-  /// rebuilds shard across it. Idempotent.
+  /// writes then defer view/full-text maintenance to the pool. Idempotent.
   Status StartIndexer(size_t threads);
   indexer::ThreadPool* indexer_pool() { return indexer_pool_.get(); }
 

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <utility>
 
 #include "base/string_util.h"
-#include "indexer/thread_pool.h"
 #include "security/acl.h"
 
 namespace dominodb {
@@ -13,37 +13,13 @@ namespace {
 
 constexpr int kMaxResponseDepth = 32;
 
-// Recompiling through Formula::Compile routes the source through the
-// process-wide compile cache, so bundles share one immutable
-// CompiledFormula per distinct source. Falls back to the design's own
-// object when compilation fails (it carries the original error behavior).
-formula::Formula RecompileShared(const formula::Formula& f) {
-  if (!f.valid()) return f;
-  if (auto compiled = formula::Formula::Compile(f.source()); compiled.ok()) {
-    return std::move(*compiled);
-  }
-  return f;
-}
-
 }  // namespace
-
-ViewIndex::EvalBundle::EvalBundle(const ViewDesign& design)
-    : selection(RecompileShared(design.selection())),
-      select_eval(selection) {
-  column_evals.reserve(design.columns().size());
-  for (const ViewColumn& col : design.columns()) {
-    if (col.formula.valid()) {
-      column_evals.emplace_back(
-          formula::BatchEvaluator(RecompileShared(col.formula)));
-    } else {
-      column_evals.emplace_back(std::nullopt);
-    }
-  }
-}
 
 ViewIndex::ViewIndex(ViewDesign design, const Clock* clock,
                      stats::StatRegistry* stats)
-    : design_(std::move(design)), clock_(clock) {
+    : design_(std::move(design)),
+      clock_(clock),
+      select_eval_(design_.selection()) {
   stats::StatRegistry& reg =
       stats != nullptr ? *stats : stats::StatRegistry::Global();
   ctr_selection_evals_ = &reg.GetCounter("Database.View.SelectionEvals");
@@ -63,7 +39,14 @@ ViewIndex::ViewIndex(ViewDesign design, const Clock* clock,
   needs_response_walk_ = design_.show_response_hierarchy() ||
                          design_.selection().selects_all_children() ||
                          design_.selection().selects_all_descendants();
-  bundle_ = std::make_unique<EvalBundle>(design_);
+  column_evals_.reserve(design_.columns().size());
+  for (const ViewColumn& col : design_.columns()) {
+    if (col.formula.valid()) {
+      column_evals_.emplace_back(formula::BatchEvaluator(col.formula));
+    } else {
+      column_evals_.emplace_back(std::nullopt);
+    }
+  }
 }
 
 ViewIndex::~ViewIndex() {
@@ -71,83 +54,78 @@ ViewIndex::~ViewIndex() {
   ClearLocked();  // takes this index's sets off the shared gauge
 }
 
-std::optional<ViewIndex::EvaluatedEntry> ViewIndex::EvalNoteAgainst(
-    const Note& note, const NoteResolver* resolver, EvalBundle* bundle,
-    ViewStats* tally) const {
+bool ViewIndex::Selects(const Note& note, const NoteResolver* resolver,
+                        ViewStats* tally) {
+  formula::EvalContext ctx;
+  ctx.note = &note;
+  ctx.clock = clock_;
+  ++tally->selection_evals;
+  auto matched = select_eval_.Matches(ctx);
+  if (!matched.ok()) {
+    ++tally->formula_errors;
+    return false;
+  }
+  if (*matched) return true;
+  // SELECT ... | @AllChildren / @AllDescendants: responses ride along with
+  // a matching parent (one level) or any matching ancestor.
+  const bool children = design_.selection().selects_all_children();
+  const bool descendants = design_.selection().selects_all_descendants();
+  if (!note.IsResponse() || resolver == nullptr ||
+      !(children || descendants)) {
+    return false;
+  }
+  NoteHandle ancestor = resolver->FindByUnid(note.parent_unid());
+  for (int depth = 0; ancestor != nullptr && depth < kMaxResponseDepth;
+       ++depth) {
+    formula::EvalContext actx;
+    actx.note = ancestor.get();
+    actx.clock = clock_;
+    ++tally->selection_evals;
+    auto m = select_eval_.Matches(actx);
+    if (m.ok() && *m) return true;
+    if (!descendants) break;  // @AllChildren: direct parent only
+    if (!ancestor->IsResponse()) break;
+    ancestor = resolver->FindByUnid(ancestor->parent_unid());
+  }
+  return false;
+}
+
+std::optional<ViewIndex::EvaluatedEntry> ViewIndex::EvaluateNote(
+    const Note& note, const NoteResolver* resolver) {
   if (note.deleted() || note.note_class() != NoteClass::kDocument) {
     return std::nullopt;
   }
-  bool selected = false;
-  {
-    formula::EvalContext ctx;
-    ctx.note = &note;
-    ctx.clock = clock_;
-    ++tally->selection_evals;
-    auto matched = bundle->select_eval.Matches(ctx);
-    if (!matched.ok()) {
-      ++tally->formula_errors;
-      return std::nullopt;
-    }
-    if (*matched) {
-      selected = true;
-    } else if (note.IsResponse() && resolver != nullptr) {
-      // SELECT ... | @AllChildren / @AllDescendants: responses ride along
-      // with a matching parent (one level) or any matching ancestor.
-      bool children = bundle->selection.selects_all_children();
-      bool descendants = bundle->selection.selects_all_descendants();
-      if (children || descendants) {
-        NoteHandle ancestor = resolver->FindByUnid(note.parent_unid());
-        for (int depth = 0;
-             ancestor != nullptr && depth < kMaxResponseDepth; ++depth) {
-          formula::EvalContext actx;
-          actx.note = ancestor.get();
-          actx.clock = clock_;
-          ++tally->selection_evals;
-          auto m = bundle->select_eval.Matches(actx);
-          if (m.ok() && *m) {
-            selected = true;
-            break;
-          }
-          if (!descendants) break;  // @AllChildren: direct parent only
-          if (!ancestor->IsResponse()) break;
-          ancestor = resolver->FindByUnid(ancestor->parent_unid());
-        }
+  // Counts are tallied locally and published once per note.
+  ViewStats tally;
+  std::optional<EvaluatedEntry> eval;
+  if (Selects(note, resolver, &tally)) {
+    eval.emplace();
+    eval->reader_names = ReaderNamesOf(note);
+    ViewEntry& entry = eval->entry;
+    entry.note_id = note.id();
+    entry.unid = note.unid();
+    entry.parent_unid = note.parent_unid();
+    entry.is_response = note.IsResponse();
+    entry.created = note.created();
+    entry.column_values.reserve(column_evals_.size());
+    for (std::optional<formula::BatchEvaluator>& f : column_evals_) {
+      if (!f.has_value()) {
+        entry.column_values.push_back(Value::Text(""));
+        continue;
+      }
+      formula::EvalContext ctx;
+      ctx.note = &note;
+      ctx.clock = clock_;
+      ++tally.column_evals;
+      auto v = f->Evaluate(ctx);
+      if (!v.ok()) {
+        ++tally.formula_errors;
+        entry.column_values.push_back(Value::Text(""));
+      } else {
+        entry.column_values.push_back(std::move(*v));
       }
     }
   }
-  if (!selected) return std::nullopt;
-
-  EvaluatedEntry eval;
-  eval.reader_names = ReaderNamesOf(note);
-  ViewEntry& entry = eval.entry;
-  entry.note_id = note.id();
-  entry.unid = note.unid();
-  entry.parent_unid = note.parent_unid();
-  entry.is_response = note.IsResponse();
-  entry.created = note.created();
-  entry.column_values.reserve(design_.columns().size());
-  for (size_t i = 0; i < design_.columns().size(); ++i) {
-    std::optional<formula::BatchEvaluator>& f = bundle->column_evals[i];
-    if (!f.has_value()) {
-      entry.column_values.push_back(Value::Text(""));
-      continue;
-    }
-    formula::EvalContext ctx;
-    ctx.note = &note;
-    ctx.clock = clock_;
-    ++tally->column_evals;
-    auto v = f->Evaluate(ctx);
-    if (!v.ok()) {
-      ++tally->formula_errors;
-      entry.column_values.push_back(Value::Text(""));
-    } else {
-      entry.column_values.push_back(std::move(*v));
-    }
-  }
-  return eval;
-}
-
-void ViewIndex::MergeTally(const ViewStats& tally) {
   {
     MutexLock lock(&stats_mu_);
     stats_.selection_evals += tally.selection_evals;
@@ -157,15 +135,7 @@ void ViewIndex::MergeTally(const ViewStats& tally) {
   if (tally.selection_evals > 0) ctr_selection_evals_->Add(tally.selection_evals);
   if (tally.column_evals > 0) ctr_column_evals_->Add(tally.column_evals);
   if (tally.formula_errors > 0) ctr_formula_errors_->Add(tally.formula_errors);
-}
-
-Result<std::optional<ViewIndex::EvaluatedEntry>> ViewIndex::EvaluateNote(
-    const Note& note, const NoteResolver* resolver) {
-  ViewStats tally;
-  std::optional<EvaluatedEntry> eval =
-      EvalNoteAgainst(note, resolver, bundle_.get(), &tally);
-  MergeTally(tally);
-  return Result<std::optional<EvaluatedEntry>>(std::move(eval));
+  return eval;
 }
 
 ViewIndex::RowKey ViewIndex::BuildKey(const ViewEntry& entry) const {
@@ -320,7 +290,7 @@ Status ViewIndex::UpdateOne(const Note& note, const NoteResolver* resolver,
   // the removal above and the placement below is invisible to snapshot
   // readers (they see the zombie); only latest-mode reads — which run on
   // the writer's own thread — could observe it.
-  DOMINO_ASSIGN_OR_RETURN(auto eval, EvaluateNote(note, resolver));
+  std::optional<EvaluatedEntry> eval = EvaluateNote(note, resolver);
   if (eval.has_value()) {
     eval->entry.added_epoch = epoch;
     WriterLock lock(&mu_);
@@ -389,7 +359,7 @@ size_t ViewIndex::size() const {
 Status ViewIndex::Rebuild(
     const std::function<void(const std::function<void(const Note&)>&)>&
         for_each_note,
-    const NoteResolver* resolver, indexer::ThreadPool* pool) {
+    const NoteResolver* resolver) {
   auto start = std::chrono::steady_clock::now();
   Clear();
   {
@@ -397,11 +367,10 @@ Status ViewIndex::Rebuild(
     ++stats_.rebuilds;
   }
   ctr_rebuilds_->Add();
-  // Parents must be indexed before their responses so placement works.
-  // Collect and order by response depth.
-  std::vector<Note> notes;
-  for_each_note([&notes](const Note& n) { notes.push_back(n); });
-  auto depth_of = [&](const Note& n) {
+  // Parents must be indexed before their responses so placement works:
+  // resolve each note's response depth once, then order by (depth,
+  // arrival).
+  auto depth_of = [resolver](const Note& n) {
     int depth = 0;
     const Note* cursor = &n;
     NoteHandle holder;  // keeps the current ancestor alive for the walk
@@ -414,131 +383,26 @@ Status ViewIndex::Rebuild(
     }
     return depth;
   };
-  std::stable_sort(notes.begin(), notes.end(),
-                   [&](const Note& a, const Note& b) {
-                     return depth_of(a) < depth_of(b);
-                   });
-  if (pool == nullptr) {
-    for (const Note& note : notes) {
-      // Depth 32 suppresses the response re-walk; ordering already
-      // guarantees parents were indexed first. Rebuilt entries are
-      // unversioned — visible at every epoch (see header).
-      DOMINO_RETURN_IF_ERROR(
-          UpdateOne(note, resolver, kMaxResponseDepth, kEpochNone));
-    }
-  } else {
-    RebuildParallel(notes, resolver, pool);
+  std::vector<Note> notes;
+  for_each_note([&notes](const Note& n) { notes.push_back(n); });
+  std::vector<std::pair<int, size_t>> order;  // (depth, index into notes)
+  order.reserve(notes.size());
+  for (size_t i = 0; i < notes.size(); ++i) {
+    order.emplace_back(depth_of(notes[i]), i);
+  }
+  std::sort(order.begin(), order.end());
+  for (const auto& [depth, i] : order) {
+    // Depth 32 suppresses the response re-walk; ordering already
+    // guarantees parents were indexed first. Rebuilt entries are
+    // unversioned — visible at every epoch (see header).
+    DOMINO_RETURN_IF_ERROR(
+        UpdateOne(notes[i], resolver, kMaxResponseDepth, kEpochNone));
   }
   hist_rebuild_micros_->Record(static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - start)
           .count()));
   return Status::Ok();
-}
-
-void ViewIndex::RebuildParallel(const std::vector<Note>& notes,
-                                const NoteResolver* resolver,
-                                indexer::ThreadPool* pool) {
-  // Flat views can merge pre-sorted shards; response-hierarchy views need
-  // serial placement in depth order so parents exist before children.
-  const bool flat = !design_.show_response_hierarchy();
-  struct ShardRow {
-    RowKey key;  // flat path only
-    EvaluatedEntry eval;
-  };
-  struct Shard {
-    size_t begin = 0;
-    size_t end = 0;
-    std::vector<std::optional<EvaluatedEntry>> entries;  // hierarchy path
-    std::vector<ShardRow> rows;                     // flat path, sorted
-    ViewStats tally;
-  };
-  const size_t shard_count = std::max<size_t>(
-      1, std::min(pool->num_threads(), std::max<size_t>(notes.size(), 1)));
-  std::vector<Shard> shards(shard_count);
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(shard_count);
-  for (size_t s = 0; s < shard_count; ++s) {
-    Shard& shard = shards[s];
-    shard.begin = notes.size() * s / shard_count;
-    shard.end = notes.size() * (s + 1) / shard_count;
-    tasks.push_back([this, &notes, resolver, &shard, flat] {
-      // Per-worker evaluation bundle. Compile goes through the
-      // process-wide compile cache, so workers share the immutable
-      // CompiledFormula while owning their VM register files.
-      EvalBundle bundle(design_);
-      for (size_t i = shard.begin; i < shard.end; ++i) {
-        std::optional<EvaluatedEntry> eval =
-            EvalNoteAgainst(notes[i], resolver, &bundle, &shard.tally);
-        if (flat) {
-          if (eval.has_value()) {
-            RowKey key = BuildKey(eval->entry);
-            shard.rows.push_back(ShardRow{std::move(key), std::move(*eval)});
-          }
-        } else {
-          shard.entries.push_back(std::move(eval));
-        }
-      }
-      if (flat) {
-        std::sort(shard.rows.begin(), shard.rows.end(),
-                  [](const ShardRow& a, const ShardRow& b) {
-                    return a.key < b.key;
-                  });
-      }
-    });
-  }
-  pool->RunAndWait(std::move(tasks));
-  for (const Shard& shard : shards) MergeTally(shard.tally);
-
-  if (!flat) {
-    // Serial placement in global depth order (shards are contiguous
-    // slices of the depth-sorted note list).
-    WriterLock lock(&mu_);
-    for (Shard& shard : shards) {
-      for (std::optional<EvaluatedEntry>& eval : shard.entries) {
-        if (eval.has_value()) PlaceEntryLocked(std::move(*eval), resolver);
-      }
-    }
-    return;
-  }
-  // K-way merge of the pre-sorted shards straight into the ordered map.
-  // Keys are globally unique (note id tiebreak) and appended in ascending
-  // order, so every emplace_hint at end() is O(1).
-  uint64_t inserted = 0;
-  {
-    WriterLock lock(&mu_);
-    std::vector<size_t> heads(shards.size(), 0);
-    for (;;) {
-      size_t best = shards.size();
-      for (size_t s = 0; s < shards.size(); ++s) {
-        if (heads[s] >= shards[s].rows.size()) continue;
-        if (best == shards.size() ||
-            shards[s].rows[heads[s]].key <
-                shards[best].rows[heads[best]].key) {
-          best = s;
-        }
-      }
-      if (best == shards.size()) break;
-      ShardRow& row = shards[best].rows[heads[best]++];
-      const NoteId id = row.eval.entry.note_id;
-      row.eval.entry.reader_set =
-          AcquireReaderSetLocked(std::move(row.eval.reader_names));
-      Location loc;
-      loc.is_response_row = false;
-      loc.main_key = row.key;
-      rows_.emplace_hint(rows_.end(), std::move(row.key),
-                         std::move(row.eval.entry));
-      row_of_note_[id] = std::move(loc);
-      ++inserted;
-    }
-  }
-  if (inserted > 0) {
-    {
-      MutexLock lock(&stats_mu_);
-      stats_.inserts += inserted;
-    }
-    ctr_inserts_->Add(inserted);
-  }
 }
 
 std::vector<const ViewEntry*> ViewIndex::EntriesLocked(Epoch at) const {

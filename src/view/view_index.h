@@ -23,20 +23,16 @@
 #include "stats/stats.h"
 #include "view/view_design.h"
 
-namespace dominodb::indexer {
-class ThreadPool;
-}  // namespace dominodb::indexer
-
 namespace dominodb {
 
 /// Lookup services a view index needs from its database. The Database
 /// facade implements this over the note store plus a response-children
 /// index.
 ///
-/// Implementations must be callable from parallel rebuild workers while
-/// the coordinator blocks inside Rebuild: every caller that mutates notes
-/// must be excluded for the duration of the rebuild (the Database facade
-/// guarantees this by holding its lock across Rebuild).
+/// Rebuild calls it only from the rebuilding thread, once `for_each_note`
+/// has returned; every caller that mutates notes must be excluded for the
+/// duration of the rebuild (the Database facade guarantees this by
+/// holding its write lock across Rebuild).
 class NoteResolver {
  public:
   virtual ~NoteResolver() = default;
@@ -189,19 +185,13 @@ class ViewIndex {
   /// Distinct reader sets currently interned (zombies' sets included).
   size_t reader_set_count() const;
 
-  /// Drops everything and re-indexes the whole database. `for_each_note`
-  /// must invoke its callback once per note. Used on view creation and by
-  /// the E2 rebuild-vs-incremental experiment.
+  /// Drops everything and re-indexes the whole database (the UPDALL
+  /// rebuild). `for_each_note` must invoke its callback once per note.
+  /// Used on view creation and by the E2 rebuild-vs-incremental
+  /// experiment. Notes are evaluated on the calling thread, parents
+  /// before their responses (ordered by response depth, then arrival), so
+  /// the result is the one incremental Update would reach.
   ///
-  /// With a pool (UPDALL-style parallel rebuild) the collected notes are
-  /// partitioned into contiguous shards; each worker compiles its own
-  /// formula clones (sharing immutable programs through the compile
-  /// cache) and evaluates selection + columns into a private shard of
-  /// (RowKey, ViewEntry) pairs. Flat views then k-way merge the
-  /// pre-sorted shards straight into the ordered container (no post-merge
-  /// re-sort); response-hierarchy views place serially in depth order.
-  /// The result — rows, hierarchy, and ViewStats counters — is identical
-  /// to the serial path.
   /// Rebuild resets ALL versions — a rebuild is a design change, and
   /// design changes are not snapshot-isolated (the Database swaps in a
   /// freshly built index instead; pinned readers keep the old one via
@@ -209,7 +199,7 @@ class ViewIndex {
   Status Rebuild(
       const std::function<void(const std::function<void(const Note&)>&)>&
           for_each_note,
-      const NoteResolver* resolver, indexer::ThreadPool* pool = nullptr);
+      const NoteResolver* resolver);
 
   void Clear();
 
@@ -277,19 +267,6 @@ class ViewIndex {
     Location loc;
   };
 
-  /// Per-thread evaluation state: the selection and each column formula
-  /// paired with a formula::BatchEvaluator, so the bytecode VM's register
-  /// file (and the compiled program) is reused across every note a worker
-  /// evaluates instead of being re-set-up per note. One bundle per rebuild
-  /// shard; the serial update path owns one in `bundle_`.
-  struct EvalBundle {
-    explicit EvalBundle(const ViewDesign& design);
-    formula::Formula selection;  // for selects_all_* response flags
-    formula::BatchEvaluator select_eval;
-    // Aligned with design.columns(); nullopt for formula-less columns.
-    std::vector<std::optional<formula::BatchEvaluator>> column_evals;
-  };
-
   /// An evaluated row before placement: placement interns
   /// `reader_names` into entry.reader_set.
   struct EvaluatedEntry {
@@ -304,18 +281,15 @@ class ViewIndex {
     size_t refs = 0;  // physical entries (zombies included) carrying it
   };
 
-  /// nullopt = not selected. Runs with no lock held (see class comment).
-  Result<std::optional<EvaluatedEntry>> EvaluateNote(
-      const Note& note, const NoteResolver* resolver);
-  /// Thread-safe evaluation core shared by the serial path and parallel
-  /// rebuild shards: evaluates against the caller's bundle, tallies into
-  /// `tally`, and never touches the index containers or mirrors.
-  std::optional<EvaluatedEntry> EvalNoteAgainst(const Note& note,
-                                                const NoteResolver* resolver,
-                                                EvalBundle* bundle,
-                                                ViewStats* tally) const;
-  /// Adds an eval tally to the per-index stats and server-wide mirrors.
-  void MergeTally(const ViewStats& tally);
+  /// Evaluates selection and columns; nullopt = not selected. Adds the
+  /// evaluation counts to the per-index stats and server-wide mirrors.
+  /// Runs with no lock held (see class comment).
+  std::optional<EvaluatedEntry> EvaluateNote(const Note& note,
+                                             const NoteResolver* resolver);
+  /// The selection formula, or (SELECT ... | @AllChildren/@AllDescendants)
+  /// a matching ancestor, selects `note`; tallies evaluations into `tally`.
+  bool Selects(const Note& note, const NoteResolver* resolver,
+               ViewStats* tally);
   RowKey BuildKey(const ViewEntry& entry) const;
   /// Inserts an evaluated entry (response placement or main row) and
   /// records its location. Parents must already be placed for response
@@ -346,9 +320,6 @@ class ViewIndex {
       REQUIRES_SHARED(mu_);
   Status UpdateOne(const Note& note, const NoteResolver* resolver,
                    int depth, Epoch epoch);
-  void RebuildParallel(const std::vector<Note>& notes,
-                       const NoteResolver* resolver,
-                       indexer::ThreadPool* pool);
   void EmitEntryAndResponses(const ViewEntry& entry, int indent, Epoch at,
                              const std::function<void(const ViewRow&)>& visit)
       const REQUIRES_SHARED(mu_);
@@ -357,10 +328,14 @@ class ViewIndex {
   const Clock* clock_;
   std::vector<bool> descending_;  // per sorted column, aligned to key build
   bool needs_response_walk_ = false;
-  // Serial-path evaluation bundle. NOT guarded by mu_: evaluation runs
-  // unlocked, relying on the owning Database serializing all mutators
-  // (standalone use is single-threaded).
-  std::unique_ptr<EvalBundle> bundle_;
+  // The selection and each column formula paired with a
+  // formula::BatchEvaluator, so the VM's register file is reused across
+  // every note instead of being set up per note. NOT guarded by mu_:
+  // evaluation runs unlocked, relying on the owning Database serializing
+  // all mutators (standalone use is single-threaded).
+  formula::BatchEvaluator select_eval_;
+  // Aligned with design_.columns(); nullopt for formula-less columns.
+  std::vector<std::optional<formula::BatchEvaluator>> column_evals_;
 
   /// Guards the index containers (see class comment for the discipline).
   mutable SharedMutex mu_;

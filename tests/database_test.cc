@@ -298,8 +298,10 @@ TEST_F(DatabaseFixture, ChangesSinceAndPurge) {
   ASSERT_OK(Create("Memo", "late").status());
   ASSERT_OK(db_->DeleteNote(a));
 
-  auto changes = db_->ChangesSince(cutoff);
-  EXPECT_EQ(changes.size(), 2u);  // the late note and the stub
+  auto changes = db_->ChangeSummarySince(cutoff);
+  ASSERT_EQ(changes.size(), 2u);  // the late note and the stub
+  EXPECT_GT(changes[0].stamp, cutoff);
+  EXPECT_LT(changes[0].stamp, changes[1].stamp);
 
   // Purge: stub removed once past the purge interval.
   clock_.Set(clock_.Now() + db_->info().purge_interval + 10'000'000);

@@ -39,16 +39,6 @@ TEST(ThreadPoolTest, RunsSubmittedTasks) {
   EXPECT_EQ(reg.GetGauge("Indexer.Threads.QueueDepth").value(), 0);
 }
 
-TEST(ThreadPoolTest, RunAndWaitIsABatchBarrier) {
-  indexer::ThreadPool pool(4, nullptr);
-  std::atomic<int> ran{0};
-  std::vector<std::function<void()>> tasks;
-  for (int i = 0; i < 32; ++i) tasks.push_back([&] { ran.fetch_add(1); });
-  pool.RunAndWait(std::move(tasks));
-  // No WaitIdle: RunAndWait itself must not return before the batch ran.
-  EXPECT_EQ(ran.load(), 32);
-}
-
 TEST(ThreadPoolTest, ShutdownRunsQueuedWorkThenRefusesNew) {
   std::atomic<int> ran{0};
   indexer::ThreadPool pool(2, nullptr);
@@ -57,16 +47,6 @@ TEST(ThreadPoolTest, ShutdownRunsQueuedWorkThenRefusesNew) {
   EXPECT_EQ(ran.load(), 50);
   EXPECT_FALSE(pool.Submit([&] { ran.fetch_add(1); }));
   EXPECT_EQ(ran.load(), 50);
-}
-
-TEST(ThreadPoolTest, RunAndWaitAfterShutdownRunsInline) {
-  indexer::ThreadPool pool(2, nullptr);
-  pool.Shutdown();
-  std::atomic<int> ran{0};
-  std::vector<std::function<void()>> tasks;
-  for (int i = 0; i < 8; ++i) tasks.push_back([&] { ran.fetch_add(1); });
-  pool.RunAndWait(std::move(tasks));  // must not deadlock or drop tasks
-  EXPECT_EQ(ran.load(), 8);
 }
 
 TEST(ThreadPoolTest, QueueDepthSaturationFiresWarningEvent) {
@@ -303,11 +283,12 @@ TEST_F(IndexerTwinFixture, BackgroundCountersMatchSyncWithoutDeletes) {
   EXPECT_EQ(a.removes, b.removes);
 }
 
-TEST_F(IndexerTwinFixture, ParallelRebuildMatchesSerial) {
+TEST_F(IndexerTwinFixture, RebuildWithIndexerAttachedMatchesDetached) {
   auto serial_db = OpenDb("serial");
   auto par_db = OpenDb("par");
   // Attach BEFORE the views exist: CreateView's initial Rebuild and
-  // EnsureFullTextIndex's build then take the data-parallel path.
+  // EnsureFullTextIndex's build then run while deferred maintenance is
+  // live, and must build exactly what the detached database builds.
   par_db->AttachIndexer(&pool_);
   for (Database* db : {serial_db.get(), par_db.get()}) {
     RunWorkload(db);
