@@ -1,5 +1,10 @@
 // E3 — Incremental replication cost scales with changed notes, not with
 // database size; the full-replication baseline scales with database size.
+// Time too: the source-side change summary at the incremental cutoff
+// (median of repeated calls) tracks the changed notes, not the database.
+
+#include <algorithm>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "repl/replicator.h"
@@ -8,14 +13,32 @@
 using namespace dominodb;
 using namespace dominodb::bench;
 
+namespace {
+
+// Median wall time of `db.ChangeSummarySince(cutoff)` in microseconds.
+double SummaryMicros(const Database& db, Micros cutoff) {
+  constexpr int kReps = 31;
+  std::vector<double> us;
+  for (int i = 0; i < kReps; ++i) {
+    Stopwatch sw;
+    volatile size_t n = db.ChangeSummarySince(cutoff).size();
+    (void)n;
+    us.push_back(sw.ElapsedMicros());
+  }
+  std::nth_element(us.begin(), us.begin() + kReps / 2, us.end());
+  return us[kReps / 2];
+}
+
+}  // namespace
+
 int main() {
   PrintHeader("E3 — incremental vs full replication",
               "bytes/messages moved track the number of changed notes, not "
               "database size; full replication re-summarizes everything");
 
-  printf("%-8s %-9s | %-12s %-12s | %-12s %-12s | %s\n", "dbsize",
-         "changed", "incr bytes", "incr msgs", "full bytes", "full msgs",
-         "bytes ratio");
+  printf("%-8s %-9s | %-12s %-12s | %-12s %-12s | %-11s | %-12s %s\n",
+         "dbsize", "changed", "incr bytes", "incr msgs", "full bytes",
+         "full msgs", "bytes ratio", "incr sum us", "full sum us");
 
   for (int db_size : {ScaleN(1000, 50), ScaleN(5000, 100), ScaleN(20000, 200)}) {
     for (int changed : {1, 10, 100, 1000}) {
@@ -41,6 +64,8 @@ int main() {
       // Baseline sync so both replicas are identical.
       a.ReplicateWith(b, "bench.nsf").status().ok();
       clock.Advance(1'000'000);
+      // Everything the baseline sync moved is stamped at or below this.
+      const Micros cutoff = da->last_write_stamp();
 
       // Apply `changed` updates on A.
       for (int k = 0; k < changed; ++k) {
@@ -49,6 +74,8 @@ int main() {
         da->UpdateNote(std::move(*note)).ok();
       }
       clock.Advance(1'000'000);
+      const double incr_us = SummaryMicros(*da, cutoff);
+      const double full_us = SummaryMicros(*da, 0);
 
       auto incr = a.ReplicateWith(b, "bench.nsf");
       clock.Advance(1'000'000);
@@ -63,12 +90,14 @@ int main() {
               ? static_cast<double>(full_report->bytes_transferred) /
                     static_cast<double>(incr->bytes_transferred)
               : 0;
-      printf("%-8d %-9d | %-12llu %-12llu | %-12llu %-12llu | %.1fx\n",
+      printf("%-8d %-9d | %-12llu %-12llu | %-12llu %-12llu | %10.1fx | "
+             "%-12.1f %.1f\n",
              db_size, changed,
              static_cast<unsigned long long>(incr->bytes_transferred),
              static_cast<unsigned long long>(incr->messages),
              static_cast<unsigned long long>(full_report->bytes_transferred),
-             static_cast<unsigned long long>(full_report->messages), ratio);
+             static_cast<unsigned long long>(full_report->messages),
+             ratio, incr_us, full_us);
     }
   }
   printf("\n(the 'full' column still moves no note bodies — versions are "

@@ -143,16 +143,22 @@ Result<AgentRunReport> AgentRunner::Execute(AgentState* state) {
   report.agent = state->design.name();
 
   // Snapshot candidate documents first: the action mutates the database.
-  const bool incremental =
-      state->design.trigger() == AgentTrigger::kOnNewAndChanged;
+  // A new-and-changed agent asks the modified-in-file index for what
+  // changed since its last run instead of scanning every note.
   std::vector<Note> candidates;
-  db_->ForEachLiveNote([&](const Note& note) {
-    if (note.note_class() != NoteClass::kDocument) return;
-    if (incremental && note.modified_in_file() <= state->last_seen_stamp) {
-      return;
+  auto collect = [&](const Note& note) {
+    if (!note.deleted() && note.note_class() == NoteClass::kDocument) {
+      candidates.push_back(note);
     }
-    candidates.push_back(note);
-  });
+  };
+  if (state->design.trigger() == AgentTrigger::kOnNewAndChanged) {
+    for (const NoteHandle& note :
+         db_->NotesModifiedSince(state->last_seen_stamp)) {
+      collect(*note);
+    }
+  } else {
+    db_->ForEachLiveNote(collect);
+  }
 
   Micros max_stamp = state->last_seen_stamp;
   for (Note& doc : candidates) {

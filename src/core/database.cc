@@ -444,18 +444,22 @@ Result<std::unique_ptr<Database>> Database::Open(
   if (store_options.stats == nullptr) store_options.stats = registry;
   DOMINO_ASSIGN_OR_RETURN(db->store_,
                           NoteStore::Open(dir, store_options, default_info));
+  // Stamps stay monotonic across a reopen: a note written now must never
+  // sort below a cutoff a peer or agent recorded before the close.
+  db->last_stamp_.store(db->store_->LatestModifiedStamp(),
+                        std::memory_order_release);
   db->LoadDesignState();
   return db;
 }
 
 void Database::LoadDesignState() {
-  // Children index + design notes (ACL, views) from the store.
+  // Children index + design notes (ACL, views) from the store's live
+  // notes; stubs are skipped undecoded.
   store_->ForEach([&](const Note& note) {
-    if (!note.deleted() && !note.parent_unid().IsNull()) {
+    if (!note.parent_unid().IsNull()) {
       MutexLock lock(&catalog_mu_);
       children_[note.parent_unid()].insert(note.id());
     }
-    if (note.deleted()) return;
     if (note.note_class() == NoteClass::kAcl) {
       auto acl = Acl::FromNote(note);
       if (acl.ok()) {
@@ -464,14 +468,12 @@ void Database::LoadDesignState() {
         acl_note_id_ = note.id();
       }
     }
-  });
+  }, NoteStore::Visit::kLiveOnly);
   // Views need a second pass so the children index is complete before
   // the rebuild walks response hierarchies.
   store_->ForEach([&](const Note& note) {
-    if (!note.deleted() && note.note_class() == NoteClass::kView) {
-      ApplyDesignNote(note).ok();
-    }
-  });
+    if (note.note_class() == NoteClass::kView) ApplyDesignNote(note).ok();
+  }, NoteStore::Visit::kLiveOnly);
 }
 
 Unid Database::GenerateUnid() {
@@ -532,17 +534,19 @@ NoteHandle Database::ResolveUnidAt(const Unid& unid, Epoch at) const {
   return ResolveAt(*id, at);
 }
 
-void Database::ScanAt(Epoch at,
-                      const std::function<void(const Note&)>& fn) const {
+void Database::ScanAt(Epoch at, const std::function<void(const Note&)>& fn,
+                      NoteStore::Visit visit) const {
   if (at == kEpochLatest) {  // latest mode: the store is the truth
-    store_->ForEach(fn);
+    store_->ForEach(fn, visit);
     return;
   }
   // Pass 1: every note the store still holds, resolved through the
   // overlay. Pass 2: overlay versions whose note the store purged after
   // the pin. OverlayIds is taken AFTER the scan so a purge that raced
   // pass 1 (pre-image recorded before the erase) is guaranteed visible
-  // to pass 2; `seen` keeps the two passes disjoint.
+  // to pass 2; `seen` keeps the two passes disjoint. A kLiveOnly scan
+  // never sees the stubs it skips, so a note deleted after the pin still
+  // reaches pass 2 and resolves to its live pre-image there.
   std::unordered_set<NoteId> seen;
   store_->ForEach([&](const Note& note) {
     seen.insert(note.id());
@@ -557,7 +561,7 @@ void Database::ScanAt(Epoch at,
       case MvccSnapshots::Verdict::kAbsent:
         break;
     }
-  });
+  }, visit);
   for (NoteId id : mvcc_.OverlayIds()) {
     if (seen.count(id) != 0) continue;
     MvccSnapshots::Resolution r = mvcc_.Lookup(id, at);
@@ -1223,20 +1227,43 @@ size_t Database::UnreadCount(const Principal& who) const {
 // Replication support
 // ---------------------------------------------------------------------------
 
+std::vector<NoteHandle> Database::NotesModifiedSince(Micros cutoff) const {
+  ReadTxn txn(this, /*catch_up=*/false);
+  // Candidates: the store's modified-in-file index, then the overlay ids
+  // (taken AFTER the index read, as in ScanAt). A note rewritten or purged
+  // after the pin recorded its pre-image before touching the store, so it
+  // is in one source or the other whatever its stamps are; resolving each
+  // candidate at the pin and re-checking the stamp gives exactly the notes
+  // a full scan at the pin would keep.
+  std::vector<NoteId> ids = store_->IdsModifiedSince(cutoff);
+  std::vector<NoteId> overlay = mvcc_.OverlayIds();
+  ids.insert(ids.end(), overlay.begin(), overlay.end());
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  std::vector<NoteHandle> notes;
+  notes.reserve(ids.size());
+  for (NoteId id : ids) {
+    NoteHandle note = ResolveAt(id, txn.epoch());
+    if (note != nullptr && note->modified_in_file() > cutoff) {
+      notes.push_back(std::move(note));
+    }
+  }
+  std::sort(notes.begin(), notes.end(),
+            [](const NoteHandle& a, const NoteHandle& b) {
+              if (a->modified_in_file() != b->modified_in_file()) {
+                return a->modified_in_file() < b->modified_in_file();
+              }
+              return a->unid() < b->unid();
+            });
+  return notes;
+}
+
 std::vector<Database::Change> Database::ChangeSummarySince(
     Micros cutoff) const {
-  ReadTxn txn(this, /*catch_up=*/false);
   std::vector<Change> changes;
-  ScanAt(txn.epoch(), [&](const Note& note) {
-    if (note.modified_in_file() > cutoff) {
-      changes.push_back(Change{note.oid(), note.modified_in_file()});
-    }
-  });
-  std::sort(changes.begin(), changes.end(),
-            [](const Change& a, const Change& b) {
-              if (a.stamp != b.stamp) return a.stamp < b.stamp;
-              return a.oid.unid < b.oid.unid;
-            });
+  for (const NoteHandle& note : NotesModifiedSince(cutoff)) {
+    changes.push_back(Change{note->oid(), note->modified_in_file()});
+  }
   return changes;
 }
 
@@ -1356,9 +1383,12 @@ void Database::RemoveObserver(DatabaseObserver* observer) {
 void Database::ForEachLiveNote(
     const std::function<void(const Note&)>& fn) const {
   ReadTxn txn(this, /*catch_up=*/false);
-  ScanAt(txn.epoch(), [&](const Note& note) {
-    if (!note.deleted()) fn(note);
-  });
+  ScanAt(
+      txn.epoch(),
+      [&](const Note& note) {
+        if (!note.deleted()) fn(note);
+      },
+      NoteStore::Visit::kLiveOnly);
 }
 
 void Database::ForEachNote(const std::function<void(const Note&)>& fn) const {

@@ -264,6 +264,10 @@ class Database : public NoteResolver {
   /// resumable low-water cutoff: everything stamped at or below it has
   /// been seen.
   std::vector<Change> ChangeSummarySince(Micros cutoff) const;
+  /// The notes behind ChangeSummarySince, in the same order, resolved at
+  /// one pinned snapshot. Costs O(changes): candidates come from the
+  /// store's modified-in-file index, not from a scan.
+  std::vector<NoteHandle> NotesModifiedSince(Micros cutoff) const;
   /// Includes stubs.
   Result<Note> GetAnyByUnid(const Unid& unid) const;
   /// Stores a note received from a remote replica verbatim (no local
@@ -380,8 +384,11 @@ class Database : public NoteResolver {
   NoteHandle ResolveAt(NoteId id, Epoch at) const;
   NoteHandle ResolveUnidAt(const Unid& unid, Epoch at) const;
   /// Visits every note (stubs included) visible at `at`, including notes
-  /// the store has since purged but the overlay still carries.
-  void ScanAt(Epoch at, const std::function<void(const Note&)>& fn) const;
+  /// the store has since purged but the overlay still carries. kLiveOnly
+  /// skips the store's current stubs undecoded; overlay versions (stubs
+  /// among them) are still visited, so callers filter deleted() anyway.
+  void ScanAt(Epoch at, const std::function<void(const Note&)>& fn,
+              NoteStore::Visit visit = NoteStore::Visit::kAll) const;
 
   /// One queued post-commit notification: a changed note, or (when
   /// erased_id is set) a physical erase.

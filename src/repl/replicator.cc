@@ -337,9 +337,8 @@ Status Replicator::Pull(const ReplicaEndpoint& dst,
   for (const Database::Change& change : summary) {
     const Oid& oid = change.oid;
     bool skipped = false;
-    const bool have_local = dst.db->GetAnyByUnid(oid.unid).ok();
-    if (have_local) {
-      auto mine = dst.db->GetAnyByUnid(oid.unid);
+    auto mine = dst.db->GetAnyByUnid(oid.unid);
+    if (mine.ok()) {
       OidRelation rel = CompareOids(mine->oid(), oid);
       if (rel == OidRelation::kEqual || rel == OidRelation::kLocalNewer) {
         // Cheap dominance check on the summary alone; ancestry-uncertain

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <limits>
 
 #include "base/coding.h"
 #include "base/crc32c.h"
@@ -18,12 +19,13 @@ constexpr uint8_t kOpErase = 2;
 constexpr uint8_t kOpInfo = 3;
 
 constexpr char kMetaMagic[] = "DMET1";
-constexpr uint8_t kMetaVersion = 1;
+// Version 2: 40-byte id-table entries carrying the modified-in-file stamp.
+constexpr uint8_t kMetaVersion = 2;
 constexpr uint8_t kPagerSnapshotVersion = 1;
 
 // Id-table entry: unid(16) + page(4) + slot(2) + flags(1) + pad(1) +
-// sequence time(8).
-constexpr size_t kIdEntrySize = 32;
+// sequence time(8) + modified-in-file time(8).
+constexpr size_t kIdEntrySize = 40;
 constexpr uint8_t kEntryUsed = 1;
 constexpr uint8_t kEntryDeleted = 2;
 constexpr uint8_t kEntryOverflow = 4;
@@ -57,6 +59,15 @@ uint8_t PageTypeOf(const char* page) {
 // Directory word of slot `i` sits at the page tail, growing downward.
 size_t DirOffset(uint32_t page_size, size_t i) {
   return page_size - 2 * (i + 1);
+}
+
+// Stores written with another id-table layout are refused, not converted.
+Status UnsupportedMetaVersion(std::string_view where, uint8_t version) {
+  return Status::NotSupported(
+      std::string(where) + ": store format version " +
+      std::to_string(version) + " is not supported (this build reads only " +
+      "version " + std::to_string(kMetaVersion) +
+      "); re-create the database and replicate it back in");
 }
 
 }  // namespace
@@ -132,7 +143,8 @@ Result<std::unique_ptr<NoteStore>> NoteStore::Open(
       return Status::Corruption("notes.meta: CRC mismatch");
     }
     if (static_cast<uint8_t>(body[0]) != kMetaVersion) {
-      return Status::Corruption("notes.meta: unknown version");
+      return UnsupportedMetaVersion("notes.meta",
+                                    static_cast<uint8_t>(body[0]));
     }
     std::string_view peek = body.substr(1);
     if (!GetFixed32(&peek, &page_size)) {
@@ -281,8 +293,10 @@ std::string NoteStore::EncodeMetaBlob() const {
 }
 
 Status NoteStore::DecodeMetaBlob(std::string_view input) {
-  if (input.empty() || static_cast<uint8_t>(input[0]) != kMetaVersion) {
-    return Status::Corruption("pager meta: unknown version");
+  if (input.empty()) return Status::Corruption("pager meta: empty");
+  if (static_cast<uint8_t>(input[0]) != kMetaVersion) {
+    return UnsupportedMetaVersion("pager meta",
+                                  static_cast<uint8_t>(input[0]));
   }
   input.remove_prefix(1);
   uint32_t page_size = 0;
@@ -392,6 +406,7 @@ Status NoteStore::AdoptPagerSnapshot(std::string_view payload) {
 
 Status NoteStore::RebuildIndexFromIdTable() {
   unid_index_.clear();
+  modified_index_.clear();
   live_count_ = 0;
   stub_count_ = 0;
   const size_t per_page = EntriesPerPage();
@@ -410,6 +425,7 @@ Status NoteStore::RebuildIndexFromIdTable() {
       unid.hi = LoadU64(p);
       unid.lo = LoadU64(p + 8);
       unid_index_[unid] = id;
+      modified_index_.emplace(static_cast<Micros>(LoadU64(p + 32)), id);
       if (flags & kEntryDeleted) {
         ++stub_count_;
       } else {
@@ -458,7 +474,10 @@ Result<NoteStore::IdEntry> NoteStore::ReadEntry(NoteId id) const {
     if (ref_or.status().IsNotFound()) return IdEntry{};
     return ref_or.status();
   }
-  const char* p = ref_or->data() + kPageHeaderSize + slot * kIdEntrySize;
+  return DecodeEntry(ref_or->data() + kPageHeaderSize + slot * kIdEntrySize);
+}
+
+NoteStore::IdEntry NoteStore::DecodeEntry(const char* p) {
   IdEntry entry;
   entry.unid.hi = LoadU64(p);
   entry.unid.lo = LoadU64(p + 8);
@@ -466,6 +485,7 @@ Result<NoteStore::IdEntry> NoteStore::ReadEntry(NoteId id) const {
   entry.slot = LoadU16(p + 20);
   entry.flags = static_cast<uint8_t>(p[22]);
   entry.seq_time = static_cast<Micros>(LoadU64(p + 24));
+  entry.modified = static_cast<Micros>(LoadU64(p + 32));
   return entry;
 }
 
@@ -481,6 +501,7 @@ Status NoteStore::WriteEntry(NoteId id, const IdEntry& entry) {
   p[22] = static_cast<char>(entry.flags);
   p[23] = 0;
   StoreU64(p + 24, static_cast<uint64_t>(entry.seq_time));
+  StoreU64(p + 32, static_cast<uint64_t>(entry.modified));
   ref.MarkDirty();
   note_cache_->Erase(id);
   return Status::Ok();
@@ -705,6 +726,22 @@ Result<Note> NoteStore::GetByUnid(const Unid& unid) const {
   return GetCore(it->second);
 }
 
+std::vector<NoteId> NoteStore::IdsModifiedSince(Micros cutoff) const {
+  ReaderLock lock(&mu_);
+  std::vector<NoteId> ids;
+  for (auto it = modified_index_.upper_bound(
+           {cutoff, std::numeric_limits<NoteId>::max()});
+       it != modified_index_.end(); ++it) {
+    ids.push_back(it->second);
+  }
+  return ids;
+}
+
+Micros NoteStore::LatestModifiedStamp() const {
+  ReaderLock lock(&mu_);
+  return modified_index_.empty() ? 0 : modified_index_.rbegin()->first;
+}
+
 bool NoteStore::Contains(NoteId id) const {
   ReaderLock lock(&mu_);
   auto entry = ReadEntry(id);
@@ -727,7 +764,10 @@ NoteHandle NoteStore::FindByUnid(const Unid& unid) const {
   return it == unid_index_.end() ? nullptr : FindCore(it->second);
 }
 
-void NoteStore::ForEach(const std::function<void(const Note&)>& fn) const {
+void NoteStore::ForEach(const std::function<void(const Note&)>& fn,
+                        Visit visit) const {
+  const uint8_t skip =
+      visit == Visit::kLiveOnly ? kEntryDeleted : uint8_t{0};
   const size_t per_page = EntriesPerPage();
   size_t table_pages = 0;
   {
@@ -749,15 +789,9 @@ void NoteStore::ForEach(const std::function<void(const Note&)>& fn) const {
         if (!ref_or.ok()) continue;
         for (size_t i = 0; i < per_page; ++i) {
           const char* p = ref_or->data() + kPageHeaderSize + i * kIdEntrySize;
-          if ((static_cast<uint8_t>(p[22]) & kEntryUsed) == 0) continue;
-          IdEntry entry;
-          entry.unid.hi = LoadU64(p);
-          entry.unid.lo = LoadU64(p + 8);
-          entry.page = LoadU32(p + 16);
-          entry.slot = LoadU16(p + 20);
-          entry.flags = static_cast<uint8_t>(p[22]);
-          entry.seq_time = static_cast<Micros>(LoadU64(p + 24));
-          used.push_back(entry);
+          const uint8_t flags = static_cast<uint8_t>(p[22]);
+          if ((flags & kEntryUsed) == 0 || (flags & skip) != 0) continue;
+          used.push_back(DecodeEntry(p));
         }
       }
       batch.reserve(used.size());
@@ -782,6 +816,7 @@ Result<std::pair<bool, bool>> NoteStore::ApplyNote(Note&& note) {
     if (!(old_entry.unid == note.unid())) {
       unid_index_.erase(old_entry.unid);
     }
+    modified_index_.erase({old_entry.modified, id});
     if (old_entry.flags & kEntryDeleted) {
       --stub_count_;
     } else {
@@ -794,9 +829,11 @@ Result<std::pair<bool, bool>> NoteStore::ApplyNote(Note&& note) {
   entry.flags = kEntryUsed;
   if (note.deleted()) entry.flags |= kEntryDeleted;
   entry.seq_time = note.sequence_time();
+  entry.modified = note.modified_in_file();
   DOMINO_RETURN_IF_ERROR(PlaceNote(encoded, &entry));
   DOMINO_RETURN_IF_ERROR(WriteEntry(id, entry));
   unid_index_[note.unid()] = id;
+  modified_index_.emplace(entry.modified, id);
   if (note.deleted()) {
     ++stub_count_;
   } else {
@@ -810,6 +847,7 @@ Status NoteStore::ApplyErase(NoteId id, const IdEntry& entry) {
   DOMINO_RETURN_IF_ERROR(KillLocation(entry));
   DOMINO_RETURN_IF_ERROR(WriteEntry(id, IdEntry{}));
   unid_index_.erase(entry.unid);
+  modified_index_.erase({entry.modified, id});
   if (entry.flags & kEntryDeleted) {
     --stub_count_;
   } else {

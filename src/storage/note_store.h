@@ -5,6 +5,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -97,7 +98,8 @@ struct CompactStats {
 /// Layout (PR 6): notes live in fixed-size pages in `notes.pages` —
 /// slotted bucket pages for encoded notes (with overflow chains for
 /// oversized ones) plus a paged note-ID table mapping note id →
-/// {UNID, page, slot, flags, sequence time} — accessed through a
+/// {UNID, page, slot, flags, sequence time, modified-in-file time} —
+/// accessed through a
 /// Pager + BufferPool, so databases larger than RAM serve from a bounded
 /// working set. Durable geometry (page count, free list, id-table pages)
 /// lives in `notes.meta`, written atomically at checkpoint.
@@ -158,11 +160,24 @@ class NoteStore {
   NoteHandle Find(NoteId id) const;
   NoteHandle FindByUnid(const Unid& unid) const;
 
-  /// Visits every note (including deletion stubs) in note-id order.
-  /// The internal lock is held shared per id-table page, NOT across `fn`
-  /// callbacks, so callbacks may freely re-enter store reads; notes
-  /// committed concurrently with the scan may or may not be visited.
-  void ForEach(const std::function<void(const Note&)>& fn) const;
+  /// Which entries a scan visits. kLiveOnly skips deletion stubs at the
+  /// id table, without decoding them.
+  enum class Visit : uint8_t { kAll, kLiveOnly };
+
+  /// Visits every note (including deletion stubs unless kLiveOnly) in
+  /// note-id order. The internal lock is held shared per id-table page,
+  /// NOT across `fn` callbacks, so callbacks may freely re-enter store
+  /// reads; notes committed concurrently with the scan may or may not be
+  /// visited.
+  void ForEach(const std::function<void(const Note&)>& fn,
+               Visit visit = Visit::kAll) const;
+
+  /// Ids of the notes (stubs included) whose modified-in-file stamp is
+  /// greater than `cutoff`, in ascending stamp order. Answered from an
+  /// in-memory index, so the cost tracks the result, not the store.
+  std::vector<NoteId> IdsModifiedSince(Micros cutoff) const;
+  /// The largest modified-in-file stamp in the store (0 when empty).
+  Micros LatestModifiedStamp() const;
 
   size_t note_count() const {
     return live_count_.load(std::memory_order_relaxed);
@@ -246,6 +261,8 @@ class NoteStore {
     uint16_t slot = 0;
     uint8_t flags = 0;
     Micros seq_time = 0;
+    /// The note's modified-in-file stamp (the modified_index_ key).
+    Micros modified = 0;
   };
 
   std::string MetaPath() const { return dir_ + "/notes.meta"; }
@@ -264,9 +281,9 @@ class NoteStore {
   Status DecodeMetaBlob(std::string_view input) REQUIRES(mu_);
   std::string EncodePagerSnapshot() REQUIRES(mu_);
   Status AdoptPagerSnapshot(std::string_view payload) REQUIRES(mu_);
-  /// Rebuilds unid_index_, live/stub counts and next_id_ by scanning the
-  /// id-table pages (never touches bucket pages, so opening a database
-  /// far larger than the buffer pool stays cheap).
+  /// Rebuilds unid_index_, modified_index_, live/stub counts and next_id_
+  /// by scanning the id-table pages (never touches bucket pages, so
+  /// opening a database far larger than the buffer pool stays cheap).
   Status RebuildIndexFromIdTable() REQUIRES(mu_);
 
   // -- Lock-free read cores (caller holds mu_ at least shared) ----------
@@ -286,6 +303,8 @@ class NoteStore {
   Status EnsureIdCapacity(NoteId id) REQUIRES(mu_);
   /// Absent ids decode as an all-zero entry (flags == 0, i.e. unused).
   Result<IdEntry> ReadEntry(NoteId id) const REQUIRES_SHARED(mu_);
+  /// Decodes the serialized entry at `p` (a pinned id-table page).
+  static IdEntry DecodeEntry(const char* p);
   /// The one place an id's entry changes, so also the one place its
   /// cached note is dropped.
   Status WriteEntry(NoteId id, const IdEntry& entry) REQUIRES(mu_);
@@ -348,6 +367,9 @@ class NoteStore {
   uint64_t dead_total_ GUARDED_BY(mu_) = 0;
 
   std::unordered_map<Unid, NoteId> unid_index_ GUARDED_BY(mu_);
+  /// (modified-in-file stamp, id) of every used entry, stubs included:
+  /// the "what changed since t" index. Maintained wherever unid_index_ is.
+  std::set<std::pair<Micros, NoteId>> modified_index_ GUARDED_BY(mu_);
   std::atomic<NoteId> next_id_{1};
   std::atomic<size_t> live_count_{0};
   std::atomic<size_t> stub_count_{0};

@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -148,7 +150,26 @@ TEST_F(ConcurrencyFixture, ReadersProceedWhileWritersMutate) {
         }
         EXPECT_OK(db_->ReadNote(anchor_id_).status());
         (void)db_->UnreadCount(reader);
-        (void)db_->ChangeSummarySince(0);
+        {
+          // The modified-in-file index read races the writers' commits:
+          // within one pin, the summary at a non-zero cutoff must be
+          // exactly the tail of the full summary past that cutoff.
+          Database::ReadTxn txn(db_.get(), /*catch_up=*/false);
+          const Micros cutoff = db_->last_write_stamp() - 20'000;
+          std::vector<Database::Change> all = db_->ChangeSummarySince(0);
+          std::vector<Database::Change> recent =
+              db_->ChangeSummarySince(cutoff);
+          auto tail = std::find_if(
+              all.begin(), all.end(),
+              [&](const Database::Change& c) { return c.stamp > cutoff; });
+          EXPECT_EQ(recent.size(),
+                    static_cast<size_t>(std::distance(tail, all.end())));
+          for (size_t i = 0; i < recent.size() && tail != all.end();
+               ++i, ++tail) {
+            EXPECT_EQ(recent[i].oid, tail->oid);
+            EXPECT_EQ(recent[i].stamp, tail->stamp);
+          }
+        }
         if (r % 2 == 0) (void)db_->note_count();
         read_ops.fetch_add(1, std::memory_order_relaxed);
       } while (!stop.load(std::memory_order_relaxed));

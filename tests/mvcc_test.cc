@@ -8,11 +8,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <map>
+#include <optional>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
+#include "agent/agent.h"
+#include "base/rng.h"
 #include "core/database.h"
 #include "formula/formula.h"
 #include "indexer/thread_pool.h"
@@ -334,6 +340,271 @@ TEST_F(MvccFixture, StressReadersSeeConsistentSnapshots) {
   });
   EXPECT_EQ(CountViewRows(), live_docs);
 }
+
+// -- Differential: the modified-in-file index vs a full scan ------------
+//
+// ChangeSummarySince, ForEachLiveNote and the new-and-changed agent are
+// answered from the store's (modified_in_file, id) index and a live-only
+// scan. The oracle here is the full ScanAt scan (ForEachNote) filtered the
+// way the scan-based implementations filtered it. Seeded random steps mix
+// creates, updates, deletes, remote installs, stub purges, checkpoints,
+// compaction and close/reopen, with a ReadTxn held across some of them so
+// the overlay path (notes rewritten or purged after the pin) is exercised.
+
+using ChangeRow = std::tuple<Micros, Unid, uint32_t, Micros>;
+
+std::vector<ChangeRow> SummaryRows(const Database& db, Micros cutoff) {
+  std::vector<ChangeRow> rows;
+  for (const Database::Change& c : db.ChangeSummarySince(cutoff)) {
+    rows.emplace_back(c.stamp, c.oid.unid, c.oid.sequence,
+                      c.oid.sequence_time);
+  }
+  return rows;
+}
+
+// Every note at the caller's snapshot, in summary order; a summary at
+// cutoff c is the suffix with stamp > c.
+std::vector<ChangeRow> OracleSummaryRows(const Database& db) {
+  std::vector<ChangeRow> rows;
+  db.ForEachNote([&](const Note& note) {
+    rows.emplace_back(note.modified_in_file(), note.unid(), note.sequence(),
+                      note.sequence_time());
+  });
+  std::sort(rows.begin(), rows.end(),
+            [](const ChangeRow& a, const ChangeRow& b) {
+              if (std::get<0>(a) != std::get<0>(b)) {
+                return std::get<0>(a) < std::get<0>(b);
+              }
+              return std::get<1>(a) < std::get<1>(b);
+            });
+  return rows;
+}
+
+using LiveRow = std::tuple<NoteId, uint32_t, Micros>;
+
+std::vector<LiveRow> LiveRows(const Database& db, bool oracle) {
+  std::vector<LiveRow> rows;
+  auto add = [&](const Note& note) {
+    if (!note.deleted()) {
+      rows.emplace_back(note.id(), note.sequence(), note.sequence_time());
+    }
+  };
+  if (oracle) {
+    db.ForEachNote(add);
+  } else {
+    db.ForEachLiveNote(add);
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+class ChangeIndexDifferential : public ::testing::TestWithParam<uint64_t> {
+ protected:
+  void Open() {
+    DatabaseOptions options;
+    options.title = "local";
+    options.purge_interval = 5'000;
+    options.stats = &stats_;
+    // A tiny threshold so the store also checkpoints on its own.
+    options.store.checkpoint_threshold_bytes = 16 << 10;
+    auto db = Database::Open(dir_.Sub("local"), options, &clock_);
+    ASSERT_OK(db);
+    db_ = std::move(*db);
+    runner_ = std::make_unique<AgentRunner>(db_.get());
+    agent_cutoff_ = 0;  // a fresh runner has seen nothing
+  }
+
+  Note NewDoc(const std::string& subject) {
+    Note note = MakeDoc("Memo", subject);
+    note.SetNumber("Touched", 0);
+    return note;
+  }
+
+  // How many times the agent has touched each live document.
+  std::map<Unid, double> TouchedByUnid() {
+    std::map<Unid, double> touched;
+    db_->ForEachNote([&](const Note& note) {
+      if (!note.deleted() && note.note_class() == NoteClass::kDocument) {
+        touched[note.unid()] = note.GetNumber("Touched");
+      }
+    });
+    return touched;
+  }
+
+  // The agent must touch exactly the live documents the oracle scan says
+  // changed since its previous run, each once.
+  void RunAgentAndCheck() {
+    std::vector<Unid> expected;
+    db_->ForEachNote([&](const Note& note) {
+      if (!note.deleted() && note.note_class() == NoteClass::kDocument &&
+          note.modified_in_file() > agent_cutoff_) {
+        expected.push_back(note.unid());
+      }
+    });
+    std::map<Unid, double> before = TouchedByUnid();
+    ASSERT_OK_AND_ASSIGN(AgentRunReport report, runner_->RunAgent("Touch"));
+    EXPECT_EQ(report.docs_scanned, expected.size());
+    EXPECT_EQ(report.docs_modified, expected.size());
+    std::map<Unid, double> after = TouchedByUnid();
+    ASSERT_EQ(before.size(), after.size());
+    for (const Unid& unid : expected) before[unid] += 1;
+    EXPECT_EQ(before, after);
+    agent_cutoff_ = db_->last_write_stamp();
+  }
+
+  void CheckAgainstOracle(const std::vector<Micros>& stamps, Rng* rng) {
+    std::vector<Micros> cutoffs = {0, db_->last_write_stamp()};
+    for (int k = 0; k < 3 && !stamps.empty(); ++k) {
+      const Micros past = stamps[rng->Uniform(stamps.size())];
+      cutoffs.push_back(past);
+      cutoffs.push_back(past - 1);
+    }
+    const std::vector<ChangeRow> oracle = OracleSummaryRows(*db_);
+    // The store's index itself must be exact (no stale or missing keys),
+    // not just filtered into shape by the resolve step above it.
+    std::vector<std::pair<Micros, NoteId>> latest;
+    db_->store()->ForEach([&](const Note& note) {
+      latest.emplace_back(note.modified_in_file(), note.id());
+    });
+    std::sort(latest.begin(), latest.end());
+    for (Micros cutoff : cutoffs) {
+      std::vector<ChangeRow> expected;
+      for (const ChangeRow& row : oracle) {
+        if (std::get<0>(row) > cutoff) expected.push_back(row);
+      }
+      ASSERT_EQ(SummaryRows(*db_, cutoff), expected) << "cutoff " << cutoff;
+      std::vector<NoteId> expected_ids;
+      for (const auto& [stamp, id] : latest) {
+        if (stamp > cutoff) expected_ids.push_back(id);
+      }
+      ASSERT_EQ(db_->store()->IdsModifiedSince(cutoff), expected_ids)
+          << "cutoff " << cutoff;
+    }
+    ASSERT_EQ(LiveRows(*db_, false), LiveRows(*db_, true));
+  }
+
+  testing_util::ScratchDir dir_;
+  SimClock clock_;
+  stats::StatRegistry stats_;
+  std::unique_ptr<Database> db_;
+  std::unique_ptr<AgentRunner> runner_;
+  Micros agent_cutoff_ = 0;
+};
+
+TEST_P(ChangeIndexDifferential, SummaryAndLiveScanMatchFullScanOracle) {
+  constexpr int kSteps = 300;
+  Rng rng(GetParam());
+  clock_.Set(1'000'000'000);
+  Open();
+  ASSERT_NE(db_, nullptr);
+  ASSERT_OK(runner_->AddAgent(*AgentDesign::Create(
+      "Touch", AgentTrigger::kOnNewAndChanged, 0, "SELECT Form = \"Memo\"",
+      "FIELD Touched := Touched + 1")));
+
+  // The remote replica whose notes InstallRemoteNote brings in.
+  DatabaseOptions remote_options;
+  remote_options.title = "remote";
+  remote_options.stats = &stats_;
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<Database> remote,
+                       Database::Open(dir_.Sub("remote"), remote_options,
+                                      &clock_));
+  std::vector<Unid> remote_unids;
+
+  std::optional<Database::ReadTxn> pin;
+  std::vector<Micros> stamps;  // earlier last_write_stamp values
+  // Writers act on the latest state, read from the store directly: under
+  // a held pin every Database read would return the pinned versions.
+  auto live_ids = [&]() {
+    std::vector<NoteId> ids;
+    db_->store()->ForEach(
+        [&](const Note& note) {
+          if (note.note_class() == NoteClass::kDocument) {
+            ids.push_back(note.id());
+          }
+        },
+        NoteStore::Visit::kLiveOnly);
+    return ids;
+  };
+
+  for (int step = 0; step < kSteps; ++step) {
+    SCOPED_TRACE("seed " + std::to_string(GetParam()) + " step " +
+                 std::to_string(step));
+    clock_.Advance(rng.Range(0, 2'000));
+    const uint64_t op = rng.Uniform(100);
+    if (op < 30) {
+      ASSERT_OK(db_->CreateNote(NewDoc("c" + std::to_string(step))).status());
+    } else if (op < 50) {
+      std::vector<NoteId> ids = live_ids();
+      if (!ids.empty()) {
+        ASSERT_OK_AND_ASSIGN(
+            Note note, db_->store()->Get(ids[rng.Uniform(ids.size())]));
+        note.SetText("Subject", "u" + std::to_string(step));
+        ASSERT_OK(db_->UpdateNote(std::move(note)));
+      }
+    } else if (op < 62) {
+      std::vector<NoteId> ids = live_ids();
+      if (!ids.empty()) {
+        ASSERT_OK(db_->DeleteNote(ids[rng.Uniform(ids.size())]));
+      }
+    } else if (op < 77) {
+      // Remote create, update or delete, then install the result here.
+      const uint64_t kind = remote_unids.empty() ? 0 : rng.Uniform(3);
+      Unid unid;
+      if (kind == 0) {
+        ASSERT_OK_AND_ASSIGN(
+            NoteId rid,
+            remote->CreateNote(NewDoc("r" + std::to_string(step))));
+        ASSERT_OK_AND_ASSIGN(Note created, remote->ReadNote(rid));
+        unid = created.unid();
+        remote_unids.push_back(unid);
+      } else {
+        unid = remote_unids[rng.Uniform(remote_unids.size())];
+        ASSERT_OK_AND_ASSIGN(Note current, remote->GetAnyByUnid(unid));
+        if (current.deleted()) {
+          // Re-ship the stub as is.
+        } else if (kind == 1) {
+          current.SetText("Subject", "ru" + std::to_string(step));
+          ASSERT_OK(remote->UpdateNote(std::move(current)));
+        } else {
+          ASSERT_OK(remote->DeleteNote(current.id()));
+        }
+      }
+      ASSERT_OK_AND_ASSIGN(Note incoming, remote->GetAnyByUnid(unid));
+      ASSERT_OK(db_->InstallRemoteNote(std::move(incoming)));
+    } else if (op < 85) {
+      clock_.Advance(rng.Range(0, 10'000));
+      ASSERT_OK(db_->PurgeStubs().status());
+    } else if (op < 88) {
+      ASSERT_OK(db_->Checkpoint());
+    } else if (op < 90) {
+      ASSERT_OK(db_->RunCompact());  // moves notes; stamps must follow
+    } else if (op < 93) {
+      if (!pin.has_value()) {
+        runner_.reset();
+        db_.reset();
+        Open();
+        ASSERT_NE(db_, nullptr);
+      }
+    } else if (op < 97) {
+      if (pin.has_value()) {
+        pin.reset();
+      } else {
+        pin.emplace(db_.get(), /*catch_up=*/false);
+      }
+    } else if (!pin.has_value()) {
+      RunAgentAndCheck();
+    }
+    stamps.push_back(db_->last_write_stamp());
+    CheckAgainstOracle(stamps, &rng);
+    if (HasFatalFailure()) return;
+  }
+  pin.reset();
+  RunAgentAndCheck();
+}
+
+// Four seeds × 300 steps: 1 200 differential steps per run.
+INSTANTIATE_TEST_SUITE_P(Seeds, ChangeIndexDifferential,
+                         ::testing::Values(1u, 2u, 3u, 4u));
 
 }  // namespace
 }  // namespace dominodb

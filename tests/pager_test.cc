@@ -601,6 +601,9 @@ TEST_P(CheckpointFaultMatrix, TornPagesRecoverFromLoggedImages) {
   ScratchDir dir;
   std::string db_dir = dir.Sub("db");
   std::map<NoteId, std::string> model;
+  // Modified-in-file stamps run against note-id order, so the recovered
+  // change index must be rebuilt from the entries, not from the ids.
+  std::map<NoteId, Micros> modified;
 
   StoreOptions options = TinyPagedOptions();
   bool armed = false;
@@ -617,13 +620,16 @@ TEST_P(CheckpointFaultMatrix, TornPagesRecoverFromLoggedImages) {
     for (int i = 0; i < 60; ++i) {
       Note note = SizedDoc(static_cast<uint64_t>(i + 1), t++,
                            i % 7 == 0 ? 800 : 100);
+      note.set_modified_in_file(1000 - i);
       ASSERT_OK(store->Put(&note));
       model[note.id()] = note.GetText("Subject");
+      modified[note.id()] = note.modified_in_file();
     }
     // Erase a few so the state isn't a pure insert log.
     for (NoteId id : {NoteId{3}, NoteId{9}, NoteId{27}}) {
       ASSERT_OK(store->Erase(id));
       model.erase(id);
+      modified.erase(id);
     }
     armed = true;
     Status s = store->Checkpoint();
@@ -653,6 +659,11 @@ TEST_P(CheckpointFaultMatrix, TornPagesRecoverFromLoggedImages) {
   const uint32_t npages =
       static_cast<uint32_t>(crashed_pages.size() / page_size);
   const uint32_t stride = FullCrashMatrix() ? 1 : std::max(1u, npages / 6);
+  const Micros cutoff = 1000 - 30;
+  std::vector<NoteId> changed_since;  // ids past `cutoff`, oldest first
+  for (auto it = modified.rbegin(); it != modified.rend(); ++it) {
+    if (it->second > cutoff) changed_since.push_back(it->first);
+  }
   StoreOptions clean = TinyPagedOptions();
   for (uint32_t pg = 0; pg < npages; pg += stride) {
     restore_file("notes.pages", crashed_pages);
@@ -677,6 +688,9 @@ TEST_P(CheckpointFaultMatrix, TornPagesRecoverFromLoggedImages) {
       ASSERT_EQ(note.GetText("Subject"), subject)
           << "fault " << fault_point << " torn page " << pg;
     }
+    ASSERT_EQ(store->IdsModifiedSince(cutoff), changed_since)
+        << "fault " << fault_point << " torn page " << pg;
+    ASSERT_EQ(store->IdsModifiedSince(0).size(), model.size());
   }
 }
 

@@ -2,6 +2,8 @@
 
 #include <filesystem>
 
+#include "base/coding.h"
+#include "base/crc32c.h"
 #include "base/env.h"
 #include "base/rng.h"
 #include "storage/note_store.h"
@@ -173,6 +175,35 @@ TEST(NoteStoreTest, CheckpointThenReopen) {
   EXPECT_EQ(store->note_count(), 21u);
   EXPECT_EQ(store->stats().recovered_records, 1u);  // only the post-ckpt put
   EXPECT_EQ(store->info().title, "store test");
+}
+
+TEST(NoteStoreTest, RefusesStoreOfAnotherFormatVersion) {
+  // notes.meta = "DMET1" + blob (version byte first) + masked CRC of the
+  // blob. Rewrite the version as 1 (the 32-byte id-table layout) with a
+  // valid CRC: open must refuse it by name, not misread the id table.
+  ScratchDir dir;
+  {
+    ASSERT_OK_AND_ASSIGN(auto store,
+                         NoteStore::Open(dir.Sub("db"), FastOptions(),
+                                         TestInfo()));
+    Note note = StampedDoc("old", 1, 10);
+    ASSERT_OK(store->Put(&note));
+    ASSERT_OK(store->Checkpoint());
+  }
+  const std::string meta_path = dir.Sub("db") + "/notes.meta";
+  ASSERT_OK_AND_ASSIGN(std::string meta, ReadFileToString(meta_path));
+  constexpr size_t kMagicLen = 5;
+  std::string blob = meta.substr(kMagicLen, meta.size() - kMagicLen - 4);
+  blob[0] = 1;
+  std::string old_meta = meta.substr(0, kMagicLen) + blob;
+  PutFixed32(&old_meta, crc32c::Mask(crc32c::Value(blob)));
+  ASSERT_OK(WriteFileAtomic(meta_path, old_meta));
+
+  auto reopened = NoteStore::Open(dir.Sub("db"), FastOptions(), TestInfo());
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_EQ(reopened.status().code(), StatusCode::kNotSupported);
+  EXPECT_NE(reopened.status().message().find("version 1"), std::string::npos)
+      << reopened.status().ToString();
 }
 
 TEST(NoteStoreTest, CrashTruncationRecoversCommittedPrefix) {
