@@ -30,11 +30,13 @@
 # consistency check, not just a crash test.
 #
 # --mvcc-stress loops the MVCC snapshot-semantics suite, the
-# multi-reader/writer stress tests and the secured-view and secured-search
-# differentials (mvcc_test + concurrency_test + view_acl_test +
-# search_acl_test) DOMINO_MVCC_STRESS_ITERS times (default 20) inside each
-# sanitizer build — snapshot-isolation races are interleaving-sensitive,
-# so one pass per sanitizer is not enough signal. The looped
+# multi-reader/writer stress tests, the update-queue scheduling tests
+# (writers drain with no pool; the pool is set and cleared while writers
+# run) and the secured-view and secured-search differentials (mvcc_test +
+# concurrency_test + indexer_test + view_acl_test + search_acl_test)
+# DOMINO_MVCC_STRESS_ITERS times (default 20) inside each sanitizer
+# build — snapshot-isolation races are interleaving-sensitive, so one
+# pass per sanitizer is not enough signal. The looped
 # view_acl_test runs DOMINO_VIEW_ACL_ROUNDS seeded rounds per mode
 # (default 100 here; the plain ctest pass runs its full 1 000), and
 # search_acl_test DOMINO_SEARCH_ACL_ROUNDS (default 100 here, 300 in
@@ -110,6 +112,8 @@ for SANITIZER in "${SANITIZERS[@]}"; do
     "$BUILD_DIR/tests/mvcc_test" --gtest_repeat="$ITERS" \
       --gtest_break_on_failure
     "$BUILD_DIR/tests/concurrency_test" --gtest_repeat="$ITERS" \
+      --gtest_break_on_failure
+    "$BUILD_DIR/tests/indexer_test" --gtest_repeat="$ITERS" \
       --gtest_break_on_failure
     DOMINO_VIEW_ACL_ROUNDS="${DOMINO_VIEW_ACL_ROUNDS:-100}" \
       "$BUILD_DIR/tests/view_acl_test" --gtest_repeat="$ITERS" \

@@ -90,17 +90,6 @@ void Database::AcquireWrite() const {
   t_lock_tokens.push_back({this, 1});
 }
 
-bool Database::TryAcquireWrite() const {
-  LockToken* token = FindToken(this);
-  if (token != nullptr) {
-    ++token->depth;
-    return true;
-  }
-  if (!mu_.TryLock()) return false;
-  t_lock_tokens.push_back({this, 1});
-  return true;
-}
-
 void Database::ReleaseWrite() const {
   LockToken* token = FindToken(this);
   if (--token->depth == 0) {
@@ -124,16 +113,7 @@ Database::ReadTxn::ReadTxn(const Database* db, bool catch_up) : db_(db) {
     // evaluates) runs in latest mode: it must see this thread's own
     // uncommitted writes, not a snapshot that excludes them.
     epoch_ = kEpochLatest;
-    if (catch_up) {
-      Status status = db_->FlushIndexesInternal();
-      if (!status.ok()) {
-        db_->registry_->events().Log(stats::Severity::kWarning, "Indexer",
-                                     "read catch-up: " + status.message());
-      }
-    }
-    return;
-  }
-  if (PinToken* pin = FindPin(db_)) {
+  } else if (PinToken* pin = FindPin(db_)) {
     ++pin->depth;
     epoch_ = pin->epoch;
   } else {
@@ -141,14 +121,14 @@ Database::ReadTxn::ReadTxn(const Database* db, bool catch_up) : db_(db) {
     t_pin_tokens.push_back({db_, epoch_, 1});
     pinned_ = true;
   }
-  if (catch_up) {
-    // Bring views / full-text up to the pin. An outer txn may have pinned
-    // with catch_up=false (store-only read) before this nested view read.
-    Status status = db_->CatchUpIndexes(epoch_);
-    if (!status.ok()) {
-      db_->registry_->events().Log(stats::Severity::kWarning, "Indexer",
-                                   "read catch-up: " + status.message());
-    }
+  if (!catch_up) return;
+  // Bring views / full-text up to the pin (an outer txn may have pinned
+  // with catch_up=false before this nested view read). kEpochLatest is
+  // above every queued epoch, so latest mode catches up on everything.
+  Status status = db_->CatchUpIndexes(epoch_);
+  if (!status.ok()) {
+    db_->registry_->events().Log(stats::Severity::kWarning, "Indexer",
+                                 "read catch-up: " + status.message());
   }
 }
 
@@ -189,7 +169,8 @@ class SCOPED_CAPABILITY Database::WriteGuard {
 /// Scope guard for public mutators: holds the write lock, and the
 /// OUTERMOST guard on this thread brackets the commit — it opens the
 /// commit epoch on entry and publishes it on exit, after every nested
-/// sub-mutation has applied and recorded its pre-images. Observer
+/// sub-mutation has applied and recorded its pre-images, then runs the
+/// store's threshold maintenance before the lock is released. Observer
 /// notifications fire after release, so an observer may lock a peer
 /// database without creating a lock order between the two.
 class SCOPED_CAPABILITY Database::MutationGuard {
@@ -208,6 +189,7 @@ class SCOPED_CAPABILITY Database::MutationGuard {
       // Piggyback view-zombie reclamation on the commit: drops whatever
       // rows the (possibly advanced) reclaim floor no longer protects.
       db_->ReclaimIndexVersions();
+      db_->MaintainStore();
     }
     db_->ReleaseWrite();
     if (outermost) db_->DrainNotifications();
@@ -268,8 +250,20 @@ Database::~Database() {
   // Stop the background drain before any member is torn down: Close waits
   // for in-flight pool callbacks, which may still touch views/full-text
   // until it returns.
-  std::shared_ptr<indexer::IndexerTask> task = SnapshotIndexer();
-  if (task != nullptr) task->Close();
+  indexer_.Close();
+}
+
+void Database::MaintainStore() {
+  Status comp = store_->MaybeCompact();
+  if (!comp.ok()) {
+    registry_->events().Log(stats::Severity::kWarning, "Store",
+                            "compact: " + comp.message());
+  }
+  Status ckpt = store_->MaybeCheckpoint();
+  if (!ckpt.ok()) {
+    registry_->events().Log(stats::Severity::kWarning, "Store",
+                            "checkpoint: " + ckpt.message());
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -296,74 +290,27 @@ std::shared_ptr<FullTextIndex> Database::SnapshotFulltext() const {
   return fulltext_;
 }
 
-std::shared_ptr<indexer::IndexerTask> Database::SnapshotIndexer() const {
-  MutexLock lock(&catalog_mu_);
-  return indexer_;
-}
-
 // ---------------------------------------------------------------------------
 // Background indexer
 // ---------------------------------------------------------------------------
 
 void Database::AttachIndexer(indexer::ThreadPool* pool) {
-  {
-    MutexLock lock(&catalog_mu_);
-    if (indexer_pool_ == pool) return;
-  }
-  // Detach the current task first: exclude writers (they enqueue under
-  // the write lock), flush remaining events, then wait out in-flight
-  // callbacks so a stale drain never races the replacement.
-  std::shared_ptr<indexer::IndexerTask> old;
-  {
-    WriteGuard lock(this);
-    FlushIndexesInternal().ok();
-    MutexLock cat(&catalog_mu_);
-    old = std::move(indexer_);
-    indexer_ = nullptr;
-    indexer_pool_ = nullptr;
-  }
-  if (old != nullptr) old->Close();
-  old.reset();
-  WriteGuard lock(this);
-  MutexLock cat(&catalog_mu_);
-  indexer_pool_ = pool;
-  if (pool != nullptr) {
-    indexer_ = std::make_shared<indexer::IndexerTask>(
-        pool,
-        [this](indexer::IndexerTask* task) { BackgroundIndexDrain(task); },
-        registry_);
-  }
+  indexer_.SetPool(pool);
 }
 
-Status Database::FlushIndexes() { return FlushIndexesInternal(); }
-
-Status Database::FlushIndexesInternal() const {
-  std::shared_ptr<indexer::IndexerTask> task = SnapshotIndexer();
-  if (task == nullptr) return Status::Ok();
-  Status status = Status::Ok();
-  task->DrainInline([this, &status](const indexer::NoteChange& change) {
-    Status s = ApplyIndexEvent(change);
-    if (status.ok() && !s.ok()) status = s;
-  });
-  return status;
-}
+Status Database::FlushIndexes() { return CatchUpIndexes(kEpochLatest); }
 
 Status Database::CatchUpIndexes(Epoch max_epoch) const {
-  std::shared_ptr<indexer::IndexerTask> task = SnapshotIndexer();
-  if (task == nullptr) return Status::Ok();
   Status status = Status::Ok();
-  task->CatchUp(max_epoch,
-                [this, &status](const indexer::NoteChange& change) {
-                  Status s = ApplyIndexEvent(change);
-                  if (status.ok() && !s.ok()) status = s;
-                });
+  indexer_.CatchUp(max_epoch,
+                   [this, &status](const indexer::NoteChange& change) {
+                     Status s = ApplyIndexEvent(change);
+                     if (status.ok() && !s.ok()) status = s;
+                   });
   return status;
 }
 
-bool Database::HasPendingIndexWork() const {
-  std::shared_ptr<indexer::IndexerTask> task = SnapshotIndexer();
-  return task != nullptr && task->HasPending();
-}
+bool Database::HasPendingIndexWork() const { return indexer_.HasPending(); }
 
 Status Database::ApplyIndexEvent(const indexer::NoteChange& change) const {
   std::vector<std::shared_ptr<ViewIndex>> views = SnapshotViews();
@@ -378,40 +325,6 @@ Status Database::ApplyIndexEvent(const indexer::NoteChange& change) const {
   }
   if (ft != nullptr) ft->IndexNote(*change.note);
   return Status::Ok();
-}
-
-void Database::BackgroundIndexDrain(indexer::IndexerTask* task) {
-  {
-    MutexLock lock(&catalog_mu_);
-    if (task != indexer_.get()) return;  // detached while queued
-  }
-  // Draining needs no database lock: appliers serialize on the indexer's
-  // apply mutex, events carry their note state, and the indexes are
-  // internally synchronized.
-  Status status = Status::Ok();
-  task->DrainInline([this, &status](const indexer::NoteChange& change) {
-    Status s = ApplyIndexEvent(change);
-    if (status.ok() && !s.ok()) status = s;
-  });
-  if (!status.ok()) {
-    registry_->events().Log(stats::Severity::kWarning, "Indexer",
-                            "background drain: " + status.message());
-  }
-  // Idle-time threshold maintenance: store writers serialize on the
-  // write lock, so take it — but never block a pool worker on a busy
-  // database; the next drain retries.
-  if (!TryAcquireWrite()) return;
-  Status comp = store_->MaybeCompact();
-  if (!comp.ok()) {
-    registry_->events().Log(stats::Severity::kWarning, "Store",
-                            "background compact: " + comp.message());
-  }
-  Status ckpt = store_->MaybeCheckpoint();
-  if (!ckpt.ok()) {
-    registry_->events().Log(stats::Severity::kWarning, "Store",
-                            "background checkpoint: " + ckpt.message());
-  }
-  ReleaseWrite();
 }
 
 // ---------------------------------------------------------------------------
@@ -536,10 +449,6 @@ NoteHandle Database::ResolveUnidAt(const Unid& unid, Epoch at) const {
 
 void Database::ScanAt(Epoch at, const std::function<void(const Note&)>& fn,
                       NoteStore::Visit visit) const {
-  if (at == kEpochLatest) {  // latest mode: the store is the truth
-    store_->ForEach(fn, visit);
-    return;
-  }
   // Pass 1: every note the store still holds, resolved through the
   // overlay. Pass 2: overlay versions whose note the store purged after
   // the pin. OverlayIds is taken AFTER the scan so a purge that raced
@@ -1027,18 +936,7 @@ Result<std::vector<Note>> Database::SearchAs(const Principal& who,
   const AccessContext access = ResolveAccess(acl(), who);
   const Epoch at = txn.epoch();
   DOMINO_ASSIGN_OR_RETURN(auto hits, ft->Search(query));
-  std::vector<Note> out;
-  if (at == kEpochLatest) {
-    for (const FtHit& hit : hits) {
-      NoteHandle note = store_->Find(hit.note_id);
-      if (note != nullptr && !note->deleted() &&
-          CanReadDocument(access, who, *note)) {
-        out.push_back(*note);
-      }
-    }
-    return out;
-  }
-  // Snapshot mode. The main index tracks the latest state, so its hits
+  // The main index tracks the latest state, so its hits
   // are only authoritative for notes no commit after `at` rewrote
   // (kUseStore). Notes with overlay versions — rewritten, deleted or
   // purged after the pin — are re-searched from their pre-images with a
@@ -1088,6 +986,7 @@ Result<std::vector<Note>> Database::SearchAs(const Principal& who,
     if (a.score != b.score) return a.score > b.score;
     return a.note.id() < b.note.id();
   });
+  std::vector<Note> out;
   out.reserve(scored.size());
   for (Scored& s : scored) out.push_back(std::move(s.note));
   return out;
@@ -1327,7 +1226,6 @@ Result<size_t> Database::PurgeStubs() {
       purged.push_back(note.id());
     }
   });
-  std::shared_ptr<indexer::IndexerTask> task = SnapshotIndexer();
   for (NoteId id : purged) {
     // Pre-image first: readers pinned before this commit keep resolving
     // the stub (and its UNID) through the overlay until they unpin.
@@ -1337,19 +1235,11 @@ Result<size_t> Database::PurgeStubs() {
       MutexLock lock(&catalog_mu_);
       for (auto& [parent, kids] : children_) kids.erase(id);
     }
-    if (task != nullptr) {
-      // Route the erase through the indexer queue so it stays ordered
-      // behind any still-pending kChanged for the same note; removing
-      // from the indexes synchronously would let such a queued update
-      // resurrect the purged note there.
-      task->Enqueue(indexer::NoteChange{id, indexer::ChangeKind::kErased,
-                                        commit_epoch_, nullptr});
-    } else {
-      for (const auto& view : SnapshotViews()) {
-        view->Remove(id, commit_epoch_);
-      }
-      if (auto ft = SnapshotFulltext()) ft->RemoveNote(id);
-    }
+    // The erase queues behind any still-pending kChanged for the same
+    // note; removing from the indexes directly would let such a queued
+    // update resurrect the purged note there.
+    indexer_.Enqueue(indexer::NoteChange{id, indexer::ChangeKind::kErased,
+                                         commit_epoch_, nullptr});
     MutexLock lock(&notify_mu_);
     if (!observers_.empty()) {
       PendingNotify n;
@@ -1513,21 +1403,16 @@ Status Database::AfterChange(const Note& note) {
       DOMINO_RETURN_IF_ERROR(ApplyDesignNote(note));
     }
   }
-  // Document maintenance defers to the background indexer when attached:
-  // the writer returns as soon as the event — carrying the commit epoch
-  // and the note state it produced — is queued; the pool (or a reader
-  // catching up to its pin) applies it. Design notes were handled above.
-  std::shared_ptr<indexer::IndexerTask> task = SnapshotIndexer();
-  if (task != nullptr && note.note_class() == NoteClass::kDocument) {
-    task->Enqueue(indexer::NoteChange{note.id(),
-                                      indexer::ChangeKind::kChanged,
-                                      commit_epoch_,
-                                      std::make_shared<Note>(note)});
-  } else {
-    for (const auto& view : SnapshotViews()) {
-      DOMINO_RETURN_IF_ERROR(view->Update(note, this, commit_epoch_));
-    }
-    if (auto ft = SnapshotFulltext()) ft->IndexNote(note);
+  // Documents go through the update queue as an event carrying the
+  // commit epoch and the note state it produced. With a pool the writer
+  // returns once it is queued and a worker (or a reader catching up to
+  // its pin) applies it; with none, Enqueue applies it here. Design notes
+  // were handled above.
+  if (note.note_class() == NoteClass::kDocument) {
+    indexer_.Enqueue(indexer::NoteChange{note.id(),
+                                         indexer::ChangeKind::kChanged,
+                                         commit_epoch_,
+                                         std::make_shared<Note>(note)});
   }
   // Observers fire after the outermost mutator releases the write lock
   // (see MutationGuard) — a cluster observer locks peer databases, which
@@ -1537,13 +1422,6 @@ Status Database::AfterChange(const Note& note) {
     if (!observers_.empty()) {
       pending_notify_.push_back(PendingNotify{note, kInvalidNoteId});
     }
-  }
-  // Threshold checkpointing runs here — after the commit and the index
-  // maintenance, never inside the store's commit path. With an indexer
-  // attached the background drain is the (idler) checkpoint hook instead.
-  if (task == nullptr) {
-    DOMINO_RETURN_IF_ERROR(store_->MaybeCompact());
-    DOMINO_RETURN_IF_ERROR(store_->MaybeCheckpoint());
   }
   return Status::Ok();
 }

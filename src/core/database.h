@@ -85,15 +85,20 @@ struct DatabaseOptions {
 /// never across WAL fsyncs or formula evaluation — which is what makes
 /// reader latency independent of writer activity.
 ///
-/// Deferred index maintenance (AttachIndexer) stays invisible to readers:
-/// index events carry their commit epoch, and ReadTxn catches up the
+/// Index maintenance has one path: every document change and purge erase
+/// goes through the database's update queue (an IndexerTask) as an event
+/// carrying its commit epoch. AttachIndexer only decides who drains it —
+/// a pool worker, or with no pool the writer itself before its commit
+/// publishes. Deferral stays invisible to readers: ReadTxn catches up the
 /// indexes to its pinned epoch before the first view/full-text read
-/// (appliers serialize on the indexer's apply mutex, not on `mu_`).
+/// (appliers serialize on the indexer's apply mutex, not on `mu_`). Store
+/// threshold maintenance (compaction slice, checkpoint) runs at the end
+/// of every outermost commit, under the write lock, whoever drains.
 ///
 /// Reads on a thread that holds `mu_` (a mutator re-entering a read, or
 /// @DbLookup inside a formula a writer evaluates) run in latest mode: they
-/// see the thread's own uncommitted writes (read-your-writes), with a
-/// pre-read inline index flush.
+/// see the thread's own uncommitted writes (read-your-writes), and catch
+/// up on every queued index event.
 class Database : public NoteResolver {
  public:
   static Result<std::unique_ptr<Database>> Open(const std::string& dir,
@@ -206,19 +211,20 @@ class Database : public NoteResolver {
   std::vector<std::string> FolderNames() const;
 
   // -- Background indexer -----------------------------------------------
-  /// Attaches the server's indexer pool (the UPDATE task). Once attached,
-  /// document writes enqueue note-change events and return before view /
-  /// full-text maintenance runs; a background drain scheduled on the pool
-  /// applies them. Full view / full-text builds (CreateView,
-  /// EnsureFullTextIndex) never use the pool: they run on the calling
-  /// thread under the write lock. Passing nullptr detaches (writes go
-  /// back to synchronous maintenance). Read paths catch up to their
-  /// pinned epoch first, so deferral is semantically invisible: indexes
-  /// reflect every commit a reader can observe by the time it looks.
+  /// Hands the update queue to the server's indexer pool (the UPDATE
+  /// task): document writes then return before view / full-text
+  /// maintenance runs, and a drain scheduled on the pool applies their
+  /// events. Passing nullptr hands it back to the writers, which drain
+  /// their own events before they return. Full view / full-text builds
+  /// (CreateView, EnsureFullTextIndex) never use the pool: they run on
+  /// the calling thread under the write lock. Read paths catch up to
+  /// their pinned epoch first, so deferral is semantically invisible:
+  /// indexes reflect every commit a reader can observe by the time it
+  /// looks.
   void AttachIndexer(indexer::ThreadPool* pool);
   /// Deterministic barrier: applies every pending index event inline.
-  /// Afterwards views and the full-text index are byte-identical to what
-  /// synchronous maintenance would have produced.
+  /// Afterwards views and the full-text index are identical to what a
+  /// pool-less database would hold.
   Status FlushIndexes();
   bool HasPendingIndexWork() const;
 
@@ -326,6 +332,16 @@ class Database : public NoteResolver {
         rng_(unid_seed),
         stamp_salt_(static_cast<Micros>(Mix64(unid_seed) % 1000)),
         mvcc_(registry),
+        indexer_(
+            nullptr,
+            [this](indexer::IndexerTask*) {
+              Status status = FlushIndexes();
+              if (!status.ok()) {
+                registry_->events().Log(stats::Severity::kWarning, "Indexer",
+                                        "drain: " + status.message());
+              }
+            },
+            registry),
         registry_(registry),
         ctr_stubs_purged_(&registry->GetCounter("Database.Stubs.Purged")) {}
 
@@ -336,8 +352,6 @@ class Database : public NoteResolver {
   // states the static analysis cannot follow, so they opt out and carry
   // the net effect in their ACQUIRE/RELEASE annotations.
   void AcquireWrite() const ACQUIRE(mu_) NO_THREAD_SAFETY_ANALYSIS;
-  bool TryAcquireWrite() const TRY_ACQUIRE(true, mu_)
-      NO_THREAD_SAFETY_ANALYSIS;
   void ReleaseWrite() const RELEASE(mu_) NO_THREAD_SAFETY_ANALYSIS;
   /// True when the calling thread holds the write lock.
   bool ThisThreadHoldsWrite() const;
@@ -352,22 +366,21 @@ class Database : public NoteResolver {
   /// the pre-image for the in-flight commit. Must run before the store
   /// mutation it protects.
   void RecordPreImage(NoteId id) REQUIRES(mu_);
-  /// Post-commit bookkeeping: children index, views, full-text, observers.
+  /// Post-commit bookkeeping: children index, design state, the update
+  /// queue, observers.
   Status AfterChange(const Note& note) REQUIRES(mu_);
+  /// Store threshold maintenance (compaction slice, then checkpoint), run
+  /// once per outermost commit. The commit is already durable, so a
+  /// failure is logged as a `Store` warning, never returned to the writer.
+  void MaintainStore() REQUIRES(mu_);
   void LoadDesignState() REQUIRES(mu_);
   Status ApplyDesignNote(const Note& note) REQUIRES(mu_);
   /// Applies one queued note-change event to views and full-text, using
   /// the note state captured at enqueue time. Runs under the indexer's
-  /// apply mutex — never under mu_.
+  /// apply mutex, never needing mu_ (a pool-less writer holds it anyway).
   Status ApplyIndexEvent(const indexer::NoteChange& change) const;
-  /// Pool-side drain entry. Applies events without the database lock;
-  /// store threshold maintenance afterwards only if the write lock is
-  /// free.
-  void BackgroundIndexDrain(indexer::IndexerTask* task);
-  /// Drains every pending index event inline (the FlushIndexes core).
-  Status FlushIndexesInternal() const;
   /// Applies the pending event prefix a reader pinned at `max_epoch`
-  /// needs.
+  /// needs; kEpochLatest is above every queued epoch, so it drains all.
   Status CatchUpIndexes(Epoch max_epoch) const;
 
   // Catalog snapshots (shared_ptr copies under catalog_mu_, so callers
@@ -375,7 +388,6 @@ class Database : public NoteResolver {
   std::shared_ptr<ViewIndex> FindViewShared(std::string_view name) const;
   std::vector<std::shared_ptr<ViewIndex>> SnapshotViews() const;
   std::shared_ptr<FullTextIndex> SnapshotFulltext() const;
-  std::shared_ptr<indexer::IndexerTask> SnapshotIndexer() const;
 
   /// Physically drops view zombie rows no pinned reader can need.
   void ReclaimIndexVersions() const;
@@ -420,6 +432,9 @@ class Database : public NoteResolver {
   std::unique_ptr<NoteStore> store_;
   /// Snapshot epochs + pre-image overlay. Mutable: const read paths pin.
   mutable MvccSnapshots mvcc_;
+  /// The update queue, for the database's lifetime; internally
+  /// synchronized. Mutable: const read paths catch up through it.
+  mutable indexer::IndexerTask indexer_;
 
   /// ACL state (replaced by SetAcl / replicated design notes).
   mutable Mutex acl_mu_;
@@ -437,8 +452,6 @@ class Database : public NoteResolver {
   std::shared_ptr<FullTextIndex> fulltext_ GUARDED_BY(catalog_mu_);
   std::unordered_map<Unid, std::set<NoteId>> children_
       GUARDED_BY(catalog_mu_);
-  indexer::ThreadPool* indexer_pool_ GUARDED_BY(catalog_mu_) = nullptr;
-  std::shared_ptr<indexer::IndexerTask> indexer_ GUARDED_BY(catalog_mu_);
   /// Server-owned purge clamp; null when the database never replicates.
   const ReplicationHistory* repl_history_ GUARDED_BY(catalog_mu_) = nullptr;
 

@@ -7,7 +7,7 @@ namespace dominodb::indexer {
 IndexerTask::IndexerTask(ThreadPool* pool,
                          std::function<void(IndexerTask*)> drain,
                          stats::StatRegistry* stats)
-    : pool_(pool), drain_(std::move(drain)) {
+    : drain_(std::move(drain)), pool_(pool) {
   stats::StatRegistry& reg =
       stats != nullptr ? *stats : stats::StatRegistry::Global();
   ctr_enqueued_ = &reg.GetCounter("Indexer.Queue.Enqueued");
@@ -18,22 +18,33 @@ IndexerTask::IndexerTask(ThreadPool* pool,
 
 IndexerTask::~IndexerTask() { Close(); }
 
+void IndexerTask::SetPool(ThreadPool* pool) {
+  std::lock_guard<std::mutex> lock(mu_);
+  pool_ = pool;
+}
+
 void IndexerTask::Enqueue(NoteChange change) {
+  ThreadPool* pool = nullptr;
   bool schedule = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (closed_) return;
     queue_.push_back(std::move(change));
     gauge_depth_->Set(static_cast<int64_t>(queue_.size()));
-    if (!drain_scheduled_) {
+    pool = pool_;
+    if (pool != nullptr && !drain_scheduled_) {
       drain_scheduled_ = true;
       ++inflight_;
       schedule = true;
     }
   }
   ctr_enqueued_->Add();
+  if (pool == nullptr) {
+    drain_(this);  // no pool: the writer drains its own event
+    return;
+  }
   if (!schedule) return;
-  bool queued = pool_->Submit([this] {
+  bool queued = pool->Submit([this] {
     bool run;
     {
       std::lock_guard<std::mutex> lock(mu_);

@@ -35,30 +35,30 @@ struct NoteChange {
   NoteHandle note;
 };
 
-/// The background UPDATE/UPDALL queue: writers enqueue note-change events
-/// and return immediately; a single drain task (scheduled on the pool, at
-/// most one outstanding) applies them in order. This reproduces Domino's
-/// indexer discipline — one background UPDATE task per server works the
-/// queue, so index maintenance is serialized and writers never pay it
-/// inline.
+/// A database's UPDATE queue: writers enqueue note-change events in
+/// commit order and appliers work them off in that order. Who drains is
+/// a scheduling choice, not a second algorithm. With a pool, a single
+/// drain task (at most one outstanding) runs on a pool worker and the
+/// writer returns before its views are touched, as Domino's background
+/// UPDATE task does. With no pool, the writer runs the drain itself
+/// inside Enqueue.
 ///
 /// Threading contract: appliers serialize on an internal apply mutex held
 /// across pop+apply, so events are applied exactly once and in commit
-/// order without any database-wide lock. DrainInline drains everything
-/// (the background path); CatchUp(P) drains only events at or below a
-/// pinned epoch (a snapshot reader bringing the indexes up to its pin).
-/// Both are reentrancy-safe on the same thread (a formula that re-enters
-/// a read mid-apply finds the drain owned and returns; the outer drain
-/// finishes the queue). `Close()` must be called before the owner is
-/// destroyed — it stops new drain scheduling and waits for any in-flight
-/// pool callback to finish.
+/// order without any database-wide lock. DrainInline drains everything;
+/// CatchUp(P) drains only events at or below a pinned epoch (a snapshot
+/// reader bringing the indexes up to its pin). Both are reentrancy-safe
+/// on the same thread (a formula that re-enters a read mid-apply finds
+/// the drain owned and returns; the outer drain finishes the queue).
+/// `Close()` must be called before the owner is destroyed — it stops new
+/// drain scheduling and waits for any in-flight pool callback to finish.
 class IndexerTask {
  public:
-  /// `drain` is invoked from a pool worker when events are pending, with
-  /// this task as argument (so an owner that detaches tasks can tell a
-  /// stale callback from the current one); it must end up calling
-  /// DrainInline (typically via the owning database's flush entry point).
-  /// `stats` nullable → the global registry.
+  /// `drain` runs whenever events are pending: on a pool worker, or on
+  /// the enqueuing thread when there is no pool. It receives this task
+  /// and must apply every queued event (DrainInline, or CatchUp past the
+  /// newest epoch). `pool` nullable → writers drain. `stats` nullable →
+  /// the global registry.
   IndexerTask(ThreadPool* pool, std::function<void(IndexerTask*)> drain,
               stats::StatRegistry* stats = nullptr);
   ~IndexerTask();
@@ -66,8 +66,13 @@ class IndexerTask {
   IndexerTask(const IndexerTask&) = delete;
   IndexerTask& operator=(const IndexerTask&) = delete;
 
-  /// Records a change event; schedules a drain on the pool if none is
-  /// already outstanding. Cheap: one small-mutex push.
+  /// Changes who drains: later Enqueues schedule on `pool`, or drain on
+  /// the caller when null. A drain already queued on the previous pool
+  /// still runs there and works the whole queue.
+  void SetPool(ThreadPool* pool);
+
+  /// Records a change event, then either schedules a drain on the pool
+  /// (if none is already outstanding) or, with no pool, runs it here.
   void Enqueue(NoteChange change);
 
   /// Applies every pending event in order on the calling thread via
@@ -78,7 +83,7 @@ class IndexerTask {
 
   /// Applies the pending prefix of events with epoch <= max_epoch — what
   /// a reader pinned at `max_epoch` needs before the indexes reflect its
-  /// snapshot. Later events stay queued for the background drain.
+  /// snapshot. Later events stay queued for the next drain.
   void CatchUp(Epoch max_epoch,
                const std::function<void(const NoteChange&)>& apply);
 
@@ -93,7 +98,6 @@ class IndexerTask {
   void DrainUpTo(Epoch max_epoch,
                  const std::function<void(const NoteChange&)>& apply);
 
-  ThreadPool* pool_;
   std::function<void(IndexerTask*)> drain_;
 
   /// Serializes appliers (held across pop+apply). Taken without mu_;
@@ -113,6 +117,7 @@ class IndexerTask {
   /// is mid-application.
   Epoch in_flight_epoch_ = kEpochNone;
   std::deque<NoteChange> queue_;
+  ThreadPool* pool_;  // null: Enqueue drains on the caller
   bool drain_scheduled_ = false;  // a pool callback is queued or running
   bool closed_ = false;
   size_t inflight_ = 0;  // pool callbacks not yet finished

@@ -45,9 +45,10 @@ struct StoreOptions {
   /// process crash but not a power loss; the fsyncing modes survive both.
   wal::SyncMode sync_mode = wal::SyncMode::kNone;
   /// MaybeCheckpoint() snapshots once the WAL obligation exceeds this
-  /// size (0 disables). Checkpointing is never triggered from inside the
-  /// commit path; the owning Database (or an idle hook) calls
-  /// MaybeCheckpoint explicitly.
+  /// size (0 disables). The store never checkpoints inside Put or Erase;
+  /// the owning Database calls MaybeCheckpoint at the end of each commit,
+  /// after the commit has published and while it still holds its write
+  /// lock.
   uint64_t checkpoint_threshold_bytes = 16ull << 20;
   /// When set, this store logs through the server-wide shared transaction
   /// log: commits are tagged with `shared_stream` (obtained from
@@ -224,9 +225,10 @@ class NoteStore {
   Status Checkpoint();
 
   /// Checkpoints iff the WAL obligation exceeds
-  /// `checkpoint_threshold_bytes`. Called by the owner at a convenient
-  /// moment (post-maintenance, indexer idle) — never from inside the
-  /// commit path, so a single Put cannot stall on a full snapshot.
+  /// `checkpoint_threshold_bytes`. Never called from inside Put or Erase:
+  /// the owning Database calls it once per commit, after the commit has
+  /// published, so the commit that crosses the threshold pays for the
+  /// snapshot (its write is already durable if the snapshot fails).
   Status MaybeCheckpoint();
 
   // -- COMPACT ----------------------------------------------------------
@@ -238,7 +240,8 @@ class NoteStore {
   Result<size_t> CompactStep(size_t max_pages);
 
   /// Runs one CompactStep slice when accumulated dead bytes exceed
-  /// `compact_threshold_bytes` (the background COMPACT task hook).
+  /// `compact_threshold_bytes`. The owning Database calls it at the end
+  /// of each commit, just before MaybeCheckpoint.
   Status MaybeCompact();
 
   /// Dead bytes currently reclaimable by COMPACT.

@@ -335,6 +335,39 @@ TEST(DatabaseClockless, PurgeAgesAgainstNewestStampWhenNoClock) {
   EXPECT_EQ(db->stub_count(), 0u);
 }
 
+TEST(DatabaseCommitMaintenance, FailedCheckpointDoesNotFailCommittedWrite) {
+  // Threshold maintenance runs after the write is logged and published.
+  // A checkpoint failing there is the store's problem, not the writer's:
+  // reporting it would make a caller retry an acknowledged CreateNote and
+  // store the document twice.
+  ScratchDir dir;
+  SimClock clock;
+  stats::StatRegistry registry;
+  DatabaseOptions options;
+  options.stats = &registry;
+  options.store.checkpoint_threshold_bytes = 1;
+  options.store.checkpoint_fault = [](std::string_view point) {
+    return point == "pager:after_log" ? Status::IOError("injected fault")
+                                      : Status::Ok();
+  };
+  auto db_or = Database::Open(dir.Sub("db"), options, &clock);
+  ASSERT_OK(db_or);
+  Database* db = db_or->get();
+
+  ASSERT_OK_AND_ASSIGN(NoteId id, db->CreateNote(MakeDoc("Memo", "kept")));
+  ASSERT_OK_AND_ASSIGN(Note note, db->ReadNote(id));
+  EXPECT_EQ(note.GetText("Subject"), "kept");
+  EXPECT_EQ(db->note_count(), 1u);
+  size_t store_warnings = 0;
+  for (const stats::Event& event : registry.events().Events()) {
+    if (event.source == "Store" &&
+        event.severity == stats::Severity::kWarning) {
+      ++store_warnings;
+    }
+  }
+  EXPECT_GT(store_warnings, 0u);
+}
+
 TEST_F(DatabaseFixture, ObserverNotifications) {
   struct Recorder : DatabaseObserver {
     std::vector<std::string> events;

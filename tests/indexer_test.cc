@@ -260,17 +260,21 @@ TEST_F(IndexerTwinFixture, BackgroundCountersMatchSyncWithoutDeletes) {
   bg_db->AttachIndexer(&pool_);
   for (Database* db : {sync_db.get(), bg_db.get()}) {
     ASSERT_OK(db->CreateView(SubjectView("all", "SELECT @All")).status());
+    // With no pool every writer drains its own events before it returns.
+    if (db == sync_db.get()) EXPECT_FALSE(db->HasPendingIndexWork());
     std::vector<NoteId> ids;
     for (int i = 0; i < 30; ++i) {
       auto id = db->CreateNote(MakeDoc("Memo", "n" + std::to_string(i)));
       ASSERT_OK(id);
       ids.push_back(*id);
+      if (db == sync_db.get()) EXPECT_FALSE(db->HasPendingIndexWork());
     }
     for (int i = 0; i < 30; i += 3) {
       auto note = db->ReadNote(ids[i]);
       ASSERT_OK(note);
       note->SetText("Subject", "renamed " + std::to_string(i));
       ASSERT_OK(db->UpdateNote(std::move(*note)));
+      if (db == sync_db.get()) EXPECT_FALSE(db->HasPendingIndexWork());
     }
   }
   ASSERT_OK(bg_db->FlushIndexes());
@@ -350,6 +354,56 @@ TEST_F(IndexerTwinFixture, WritesDeferUntilBarrierWhenWorkerIsBusy) {
   ASSERT_OK(db->FlushIndexes());
   EXPECT_FALSE(db->HasPendingIndexWork());
   EXPECT_EQ(view->size(), 1u);
+
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    parked = false;
+  }
+  cv.notify_all();
+  pool.WaitIdle();
+  db->AttachIndexer(nullptr);  // detach before `pool` goes out of scope
+}
+
+TEST_F(IndexerTwinFixture, StoreMaintenanceRunsAtCommitWhileWorkerIsBusy) {
+  indexer::ThreadPool pool(1);
+  DatabaseOptions options;
+  options.title = "Maintenance";
+  options.store.checkpoint_threshold_bytes = 4096;
+  options.store.compact_threshold_bytes = 1;
+  auto db_or = Database::Open(dir_.Sub("maintenance"), options, &clock_);
+  ASSERT_OK(db_or);
+  Database* db = db_or->get();
+  ASSERT_OK(db->CreateView(SubjectView("all", "SELECT @All")).status());
+  db->AttachIndexer(&pool);
+
+  // Park the only worker: no index event gets drained, yet checkpoints
+  // and compaction slices must still run — they belong to the commit,
+  // not to the drain.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool parked = true;
+  pool.Submit([&] {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return !parked; });
+  });
+
+  // Several bucket pages of documents, then rewrite the first ones so
+  // pages other than the fill page carry dead bytes.
+  std::vector<NoteId> ids;
+  for (int i = 0; i < 40; ++i) {
+    Note note = MakeDoc("Memo", "doc " + std::to_string(i));
+    note.SetText("Body", std::string(400, static_cast<char>('a' + i % 26)));
+    ASSERT_OK_AND_ASSIGN(NoteId id, db->CreateNote(std::move(note)));
+    ids.push_back(id);
+  }
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_OK_AND_ASSIGN(Note note, db->ReadNote(ids[i]));
+    note.SetText("Subject", "rewritten " + std::to_string(i));
+    ASSERT_OK(db->UpdateNote(std::move(note)));
+  }
+  EXPECT_TRUE(db->HasPendingIndexWork());
+  EXPECT_GT(db->store_stats().checkpoints, 0u);
+  EXPECT_GT(db->store()->compact_stats().runs, 0u);
 
   {
     std::lock_guard<std::mutex> lock(mu);
@@ -471,6 +525,51 @@ TEST_F(IndexerTwinFixture, ConcurrentWritersAndReadersStayConsistent) {
   EXPECT_EQ(view->size(), static_cast<size_t>(kWriters * kDocsPerWriter));
   ASSERT_OK_AND_ASSIGN(auto hits,
                        db->SearchAs(Principal::User("reader"), "stress"));
+  EXPECT_EQ(hits.size(), static_cast<size_t>(kWriters * kDocsPerWriter));
+}
+
+TEST_F(IndexerTwinFixture, PoolSwitchesWhileWritersRunLoseNoEvent) {
+  // Who drains may change at any moment; every committed write must
+  // still reach the indexes.
+  auto db = OpenDb("switch");
+  ASSERT_OK(db->CreateView(SubjectView("all", "SELECT @All")).status());
+  ASSERT_OK(db->EnsureFullTextIndex());
+  indexer::ThreadPool other(1);
+
+  constexpr int kWriters = 3;
+  constexpr int kDocsPerWriter = 30;
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      for (int i = 0; i < kDocsPerWriter; ++i) {
+        Note note = MakeDoc("Memo",
+                            "w" + std::to_string(w) + " d" + std::to_string(i));
+        note.SetText("Body", "switch body");
+        ASSERT_OK(db->CreateNote(std::move(note)).status());
+      }
+    });
+  }
+  std::thread switcher([&] {
+    indexer::ThreadPool* pools[] = {&pool_, nullptr, &other, nullptr};
+    for (size_t i = 0; !stop.load(); ++i) {
+      db->AttachIndexer(pools[i % 4]);
+      std::this_thread::yield();
+    }
+  });
+  for (std::thread& t : writers) t.join();
+  stop.store(true);
+  switcher.join();
+  db->AttachIndexer(nullptr);
+  other.WaitIdle();
+
+  ASSERT_OK(db->FlushIndexes());
+  EXPECT_FALSE(db->HasPendingIndexWork());
+  const ViewIndex* view = db->FindView("all");
+  ASSERT_NE(view, nullptr);
+  EXPECT_EQ(view->size(), static_cast<size_t>(kWriters * kDocsPerWriter));
+  ASSERT_OK_AND_ASSIGN(auto hits,
+                       db->SearchAs(Principal::User("reader"), "switch"));
   EXPECT_EQ(hits.size(), static_cast<size_t>(kWriters * kDocsPerWriter));
 }
 
