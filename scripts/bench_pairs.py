@@ -30,8 +30,11 @@ no-regression verdict:
                 bound, so the runs cannot tell
 
 A metric on which every change run beats every parent run is `ok` even
-when the spread is wide. The output also sums each side's failed
-operations and records whether every run reported itself correct.
+when the spread is wide. The output also sums each side's failed and
+attempted operations, gives each side's failed-op share (failed /
+attempted; compare shares, not counts, since the sides attempt different
+numbers of operations), and records whether every run reported itself
+correct.
 BENCHMARK.json is only read.
 """
 
@@ -191,9 +194,16 @@ def main():
         "failed": {side: sum(r["result"].get("failed", 0)
                              for r in runs if r["side"] == side)
                    for side in ("parent", "change")},
+        "attempted": {side: sum(r["result"].get("attempted", 0)
+                                for r in runs if r["side"] == side)
+                      for side in ("parent", "change")},
         "all_correct": all(r["result"].get("correct", False) for r in runs),
         "summary": summarize(runs, args.pairs),
     }
+    out["failed_share"] = {
+        side: out["failed"][side] / out["attempted"][side]
+        if out["attempted"][side] else 0.0
+        for side in ("parent", "change")}
     Path(args.out).write_text(json.dumps(out, indent=1) + "\n")
     for name, s in out["summary"].items():
         if "verdict" not in s:
@@ -205,7 +215,9 @@ def main():
               f"wins/losses/ties {s['wins']}/{s['losses']}/{s['ties']}  "
               f"bound {s['bound']:g}  {s['verdict']}")
     print(f"failed: parent {out['failed']['parent']} "
-          f"change {out['failed']['change']}  "
+          f"(share {out['failed_share']['parent']:.3g}) "
+          f"change {out['failed']['change']} "
+          f"(share {out['failed_share']['change']:.3g})  "
           f"all runs correct: {out['all_correct']}")
 
 

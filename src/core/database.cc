@@ -140,7 +140,7 @@ Database::ReadTxn::~ReadTxn() {
   PopPin(db_);
   db_->mvcc_.Unpin(epoch_);
   if (db_->mvcc_.pinned_count() == 0) {
-    // Last reader out sweeps the view zombies its pin kept alive, so a
+    // Last reader out sweeps the index zombies its pin kept alive, so a
     // quiescent database carries no versioned residue.
     db_->ReclaimIndexVersions();
   }
@@ -186,8 +186,8 @@ class SCOPED_CAPABILITY Database::MutationGuard {
     if (outermost) {
       db_->mvcc_.Publish(db_->commit_epoch_);
       db_->commit_epoch_ = kEpochNone;
-      // Piggyback view-zombie reclamation on the commit: drops whatever
-      // rows the (possibly advanced) reclaim floor no longer protects.
+      // Piggyback index-zombie reclamation on the commit: drops whatever
+      // versions the (possibly advanced) reclaim floor no longer protects.
       db_->ReclaimIndexVersions();
       db_->MaintainStore();
     }
@@ -317,13 +317,13 @@ Status Database::ApplyIndexEvent(const indexer::NoteChange& change) const {
   std::shared_ptr<FullTextIndex> ft = SnapshotFulltext();
   if (change.kind == indexer::ChangeKind::kErased || change.note == nullptr) {
     for (const auto& view : views) view->Remove(change.id, change.epoch);
-    if (ft != nullptr) ft->RemoveNote(change.id);
+    if (ft != nullptr) ft->RemoveNote(change.id, change.epoch);
     return Status::Ok();
   }
   for (const auto& view : views) {
     DOMINO_RETURN_IF_ERROR(view->Update(*change.note, this, change.epoch));
   }
-  if (ft != nullptr) ft->IndexNote(*change.note);
+  if (ft != nullptr) ft->IndexNote(*change.note, change.epoch);
   return Status::Ok();
 }
 
@@ -483,6 +483,7 @@ void Database::ScanAt(Epoch at, const std::function<void(const Note&)>& fn,
 void Database::ReclaimIndexVersions() const {
   const Epoch floor = mvcc_.ReclaimFloor();
   for (const auto& view : SnapshotViews()) view->ReclaimVersions(floor);
+  if (auto ft = SnapshotFulltext()) ft->ReclaimVersions(floor);
 }
 
 // ---------------------------------------------------------------------------
@@ -917,10 +918,6 @@ Status Database::EnsureFullTextIndex() {
   return Status::Ok();
 }
 
-bool Database::HasFullTextIndex() const {
-  return SnapshotFulltext() != nullptr;
-}
-
 const FullTextIndex* Database::fulltext() const {
   return SnapshotFulltext().get();
 }
@@ -934,61 +931,20 @@ Result<std::vector<Note>> Database::SearchAs(const Principal& who,
         "no full-text index; call EnsureFullTextIndex first");
   }
   const AccessContext access = ResolveAccess(acl(), who);
-  const Epoch at = txn.epoch();
-  DOMINO_ASSIGN_OR_RETURN(auto hits, ft->Search(query));
-  // The main index tracks the latest state, so its hits
-  // are only authoritative for notes no commit after `at` rewrote
-  // (kUseStore). Notes with overlay versions — rewritten, deleted or
-  // purged after the pin — are re-searched from their pre-images with a
-  // small side index, so the result SET matches a full search at the pin
-  // (side-index scores use the side corpus statistics; ordering across
-  // the merge is by score then id).
-  struct Scored {
-    double score;
-    Note note;
-  };
-  std::vector<Scored> scored;
-  for (const FtHit& hit : hits) {
-    NoteHandle current = store_->Find(hit.note_id);
-    MvccSnapshots::Resolution r = mvcc_.Lookup(hit.note_id, at);
-    if (r.verdict != MvccSnapshots::Verdict::kUseStore) continue;
-    if (current != nullptr && !current->deleted() &&
-        CanReadDocument(access, who, *current)) {
-      scored.push_back({hit.score, *current});
-    }
-  }
-  stats::StatRegistry side_stats;  // keep per-query noise out of Db.* stats
-  FullTextIndex side(&side_stats);
-  bool any_side = false;
-  for (NoteId id : mvcc_.OverlayIds()) {
-    MvccSnapshots::Resolution r = mvcc_.Lookup(id, at);
-    if (r.verdict != MvccSnapshots::Verdict::kVersion || r.note == nullptr) {
-      continue;
-    }
-    side.IndexNote(*r.note);  // skips stubs / non-documents itself
-    any_side = true;
-  }
-  if (any_side) {
-    DOMINO_ASSIGN_OR_RETURN(auto side_hits, side.Search(query));
-    for (const FtHit& hit : side_hits) {
-      MvccSnapshots::Resolution r = mvcc_.Lookup(hit.note_id, at);
-      if (r.verdict != MvccSnapshots::Verdict::kVersion ||
-          r.note == nullptr) {
-        continue;
-      }
-      if (!r.note->deleted() && CanReadDocument(access, who, *r.note)) {
-        scored.push_back({hit.score, *r.note});
-      }
-    }
-  }
-  std::sort(scored.begin(), scored.end(), [](const Scored& a,
-                                             const Scored& b) {
-    if (a.score != b.score) return a.score > b.score;
-    return a.note.id() < b.note.id();
-  });
+  // The index keeps every version a pinned reader can see, so its hits at
+  // the pin are the answer, and each resolves to the version that was
+  // scored (an index built after the pin is the exception: see
+  // EnsureFullTextIndex).
+  DOMINO_ASSIGN_OR_RETURN(auto hits, ft->Search(query, txn.epoch()));
   std::vector<Note> out;
-  out.reserve(scored.size());
-  for (Scored& s : scored) out.push_back(std::move(s.note));
+  out.reserve(hits.size());
+  for (const FtHit& hit : hits) {
+    NoteHandle note = ResolveAt(hit.note_id, txn.epoch());
+    if (note != nullptr && !note->deleted() &&
+        CanReadDocument(access, who, *note)) {
+      out.push_back(*note);
+    }
+  }
   return out;
 }
 

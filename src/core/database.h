@@ -77,9 +77,9 @@ struct DatabaseOptions {
 /// (core/mvcc.h), so a pinned reader resolves each note to its state at
 /// the pinned epoch — the store's current value when no later commit
 /// touched it, the overlay pre-image otherwise. View and full-text reads
-/// run at the same pinned epoch: view indexes keep superseded rows as
-/// epoch-stamped zombies until no pin needs them, and full-text hits are
-/// filtered/augmented through the overlay. The component locks actually
+/// run at the same pinned epoch: the view and full-text indexes both keep
+/// superseded versions as epoch-stamped zombies until no pin needs them
+/// (one visibility rule, one reclaim floor). The component locks actually
 /// taken by a read (store, view, full-text internal reader/writer locks;
 /// the tiny mvcc mutex) are held only across short structural sections —
 /// never across WAL fsyncs or formula evaluation — which is what makes
@@ -230,13 +230,13 @@ class Database : public NoteResolver {
 
   // -- Full-text ------------------------------------------------------------
   /// Builds the index if needed; it is maintained incrementally afterward.
+  /// The build is visible at every epoch: creation is a design change and,
+  /// as for views, not snapshot-isolated.
   Status EnsureFullTextIndex();
-  bool HasFullTextIndex() const;
   const FullTextIndex* fulltext() const;
   /// Scored search returning readable notes only, evaluated at a pinned
-  /// snapshot (hits from commits after the pin are filtered out; notes
-  /// the pin can still see but later commits re-wrote are re-scored from
-  /// their overlay pre-images).
+  /// snapshot: the index's versions visible at the pin, in its score
+  /// order, each resolved at the pin.
   Result<std::vector<Note>> SearchAs(const Principal& who,
                                      std::string_view query) const;
 
@@ -389,7 +389,8 @@ class Database : public NoteResolver {
   std::vector<std::shared_ptr<ViewIndex>> SnapshotViews() const;
   std::shared_ptr<FullTextIndex> SnapshotFulltext() const;
 
-  /// Physically drops view zombie rows no pinned reader can need.
+  /// Physically drops view and full-text zombie versions no pinned reader
+  /// can need.
   void ReclaimIndexVersions() const;
 
   // Snapshot resolution (see core/mvcc.h for the protocol).

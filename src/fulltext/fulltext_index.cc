@@ -35,30 +35,36 @@ FullTextIndex::FullTextIndex(stats::StatRegistry* stats) {
 
 void FullTextIndex::RefreshByteStats() {
   gauge_bytes_per_doc_->Set(
-      docs_.empty() ? 0
-                    : static_cast<int64_t>(posting_bytes_ / docs_.size()));
+      live_.empty() ? 0
+                    : static_cast<int64_t>(posting_bytes_ / live_.size()));
 }
 
-void FullTextIndex::IndexNote(const Note& note) {
+void FullTextIndex::IndexNote(const Note& note, Epoch epoch) {
   WriterLock lock(&mu_);
-  IndexNoteLocked(note);
+  IndexNoteLocked(note, epoch);
 }
 
-void FullTextIndex::IndexNoteLocked(const Note& note) {
+void FullTextIndex::IndexNoteLocked(const Note& note, Epoch epoch) {
   // Re-indexing a known document is an incremental merge into the
   // postings (the GTR-style "index merge").
-  const bool merge = terms_of_doc_.count(note.id()) != 0;
-  RemoveNoteLocked(note.id());
+  const bool merge = live_.count(note.id()) != 0;
+  RemoveNoteLocked(note.id(), epoch);
   if (note.deleted() || note.note_class() != NoteClass::kDocument) return;
   if (merge) ctr_merges_->Add();
 
-  const NoteId id = note.id();
+  DocKey key = static_cast<DocKey>(docs_.size());
+  if (free_keys_.empty()) {
+    docs_.emplace_back();
+  } else {
+    key = free_keys_.back();
+    free_keys_.pop_back();
+  }
+  Doc& doc = docs_[key] = Doc{note.id(), epoch, kEpochMax, {}};
   // The note's positions per term stay uncompressed while tokenization
   // appends to them; each term's list is compressed once, below.
   std::unordered_map<std::string, std::vector<uint32_t>> positions_of;
   uint32_t position = 0;
   uint32_t length = 0;
-  std::vector<std::string> doc_keys;
   for (const Item& item : note.items()) {
     // Occurrences of a term within one item are appended contiguously to
     // the term's positions vector, so a [begin, end) slice per term is
@@ -87,28 +93,23 @@ void FullTextIndex::IndexNoteLocked(const Note& note) {
       position += kFieldPositionGap;  // phrases never span fields
       for (auto& [term, slice] : field_ranges) {
         std::string fkey = FieldTermKey(item.name, term);
-        field_postings_[fkey][id].push_back(slice);
-        doc_keys.push_back(std::move(fkey));
-        doc_keys.push_back(term);
+        field_postings_[fkey][key].push_back(slice);
+        doc.keys.push_back(std::move(fkey));
+        doc.keys.push_back(term);
       }
     }
   }
   // PostingList::Insert turns the positions into delta+varint blocks and
-  // splices out-of-id-order arrivals (a rebuild in physical order after
-  // compaction relocated notes) back into sorted order.
+  // splices a recycled (below the tail) key back into sorted order.
   for (const auto& [term, positions] : positions_of) {
     PostingList& list = postings_[term];
     posting_bytes_ -= list.byte_size();
     model_bytes_ -= list.UncompressedModelBytes();
-    if (list.Insert(id, positions)) ctr_ooo_inserts_->Add();
+    if (list.Insert(key, positions)) ctr_ooo_inserts_->Add();
     posting_bytes_ += list.byte_size();
     model_bytes_ += list.UncompressedModelBytes();
   }
-  terms_of_doc_[id] = std::move(doc_keys);
-  doc_lengths_[id] = length;
-  docs_.insert(id);
-  stats_.tokens_indexed += length;
-  ++stats_.notes_indexed;
+  live_[note.id()] = key;
   ctr_docs_indexed_->Add();
   ctr_tokens_->Add(length);
   RefreshByteStats();
@@ -120,33 +121,54 @@ void FullTextIndex::BuildFrom(
   WriterLock lock(&mu_);
   ClearLocked();
   // The callback runs on this thread, inside the exclusive hold above.
+  // Keys restart at 0 and ascend, so every posting insert appends.
   for_each_note([this](const Note& note) NO_THREAD_SAFETY_ANALYSIS {
-    IndexNoteLocked(note);
+    IndexNoteLocked(note, kEpochNone);
   });
 }
 
-void FullTextIndex::RemoveNote(NoteId id) {
+void FullTextIndex::RemoveNote(NoteId id, Epoch epoch) {
   WriterLock lock(&mu_);
-  RemoveNoteLocked(id);
+  RemoveNoteLocked(id, epoch);
 }
 
-void FullTextIndex::RemoveNoteLocked(NoteId id) {
-  auto it = terms_of_doc_.find(id);
-  if (it == terms_of_doc_.end()) return;
-  for (const std::string& key : it->second) {
-    if (key.find('\x1f') != std::string::npos) {
-      auto fit = field_postings_.find(key);
+void FullTextIndex::RemoveNoteLocked(NoteId id, Epoch epoch) {
+  auto it = live_.find(id);
+  if (it == live_.end()) return;
+  const DocKey key = it->second;
+  live_.erase(it);
+  Doc& doc = docs_[key];
+  // Counted before the floor is read: a racing ReclaimVersions either
+  // raised the floor first (the version goes now) or sees this zombie.
+  zombie_total_.fetch_add(1);
+  if (epoch == kEpochNone || doc.added == epoch ||
+      epoch <= reclaimed_floor_.load()) {
+    zombie_total_.fetch_sub(1);
+    ErasePhysicalLocked(key);
+  } else {
+    // Kept for readers pinned before `epoch`; ReclaimVersions drops it.
+    doc.removed = epoch;
+    zombies_.push_back(key);
+  }
+  ctr_docs_removed_->Add();
+  RefreshByteStats();
+}
+
+void FullTextIndex::ErasePhysicalLocked(DocKey key) {
+  for (const std::string& term : docs_[key].keys) {
+    if (term.find('\x1f') != std::string::npos) {
+      auto fit = field_postings_.find(term);
       if (fit != field_postings_.end()) {
-        fit->second.erase(id);
+        fit->second.erase(key);
         if (fit->second.empty()) field_postings_.erase(fit);
       }
     } else {
-      auto pit = postings_.find(key);
+      auto pit = postings_.find(term);
       if (pit != postings_.end()) {
         PostingList& list = pit->second;
         posting_bytes_ -= list.byte_size();
         model_bytes_ -= list.UncompressedModelBytes();
-        list.Erase(id);
+        list.Erase(key);
         if (list.empty()) {
           postings_.erase(pit);
         } else {
@@ -156,11 +178,24 @@ void FullTextIndex::RemoveNoteLocked(NoteId id) {
       }
     }
   }
-  terms_of_doc_.erase(it);
-  doc_lengths_.erase(id);
-  docs_.erase(id);
-  ++stats_.notes_removed;
-  ctr_docs_removed_->Add();
+  docs_[key] = Doc{kInvalidNoteId, kEpochNone, kEpochNone, {}};
+  free_keys_.push_back(key);
+}
+
+void FullTextIndex::ReclaimVersions(Epoch floor) {
+  Epoch seen = reclaimed_floor_.load();
+  while (seen < floor &&
+         !reclaimed_floor_.compare_exchange_weak(seen, floor)) {
+  }
+  if (zombie_total_.load() == 0) return;
+  WriterLock lock(&mu_);
+  // Zombies are queued in commit order, so the reclaimable prefix is
+  // contiguous. A zombie removed at epoch R is only needed by pins < R.
+  while (!zombies_.empty() && docs_[zombies_.front()].removed <= floor) {
+    ErasePhysicalLocked(zombies_.front());
+    zombies_.pop_front();
+  }
+  zombie_total_.store(zombies_.size());
   RefreshByteStats();
 }
 
@@ -172,9 +207,11 @@ void FullTextIndex::Clear() {
 void FullTextIndex::ClearLocked() {
   postings_.clear();
   field_postings_.clear();
-  terms_of_doc_.clear();
-  doc_lengths_.clear();
   docs_.clear();
+  live_.clear();
+  free_keys_.clear();
+  zombies_.clear();
+  zombie_total_.store(0);
   posting_bytes_ = 0;
   model_bytes_ = 0;
   RefreshByteStats();
@@ -182,7 +219,7 @@ void FullTextIndex::ClearLocked() {
 
 size_t FullTextIndex::doc_count() const {
   ReaderLock lock(&mu_);
-  return doc_lengths_.size();
+  return live_.size();
 }
 
 size_t FullTextIndex::term_count() const {
@@ -233,7 +270,8 @@ FullTextIndex::PostingMap FullTextIndex::MaterializeFieldTerm(
 double FullTextIndex::IdfOf(const std::string& term) const {
   const PostingList* list = FindTerm(term);
   size_t df = list != nullptr ? list->doc_count() : 0;
-  return std::log(1.0 + static_cast<double>(docs_.size()) /
+  const size_t docs = docs_.size() - free_keys_.size();
+  return std::log(1.0 + static_cast<double>(docs) /
                             static_cast<double>(df + 1));
 }
 

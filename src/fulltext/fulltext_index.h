@@ -3,13 +3,14 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "base/epoch.h"
 #include "base/result.h"
 #include "base/shared_mutex.h"
 #include "base/thread_annotations.h"
@@ -25,20 +26,20 @@ struct FtHit {
   double score = 0;
 };
 
-struct FtStats {
-  /// All fields are relaxed atomics: maintenance mutates them under the
-  /// index's exclusive lock, but stats readers peek without locking, and
-  /// concurrent Search calls bump `queries` under the shared lock.
-  std::atomic<uint64_t> notes_indexed{0};
-  std::atomic<uint64_t> notes_removed{0};
-  std::atomic<uint64_t> tokens_indexed{0};
-  std::atomic<uint64_t> queries{0};
-};
-
 /// Per-database inverted index over text and rich-text items, maintained
 /// incrementally as documents change (the GTR-engine substitute). The
 /// query language supports terms, "phrases", AND/OR/NOT, parentheses and
 /// `FIELD name CONTAINS term`.
+///
+/// MVCC, by the ViewIndex rule: each indexed version of a note is its own
+/// document under its own posting key, visible in [added, removed) (see
+/// EpochVisible). A mutator carrying a commit epoch keeps the version it
+/// replaces as a "zombie" for readers pinned before the commit, until
+/// ReclaimVersions drops it. It goes at once, and its key is reused, when
+/// no reader can see it: under kEpochNone (standalone use), when added in
+/// the same epoch, or when the epoch is at or below the reclaim floor.
+/// Zombies count in idf, so scores may drift while they live; single-term
+/// rankings cannot (every hit shares the idf).
 ///
 /// Threading: an internal reader/writer lock is taken at the public entry
 /// points — maintenance (IndexNote/RemoveNote/Clear/BuildFrom) exclusive,
@@ -51,29 +52,36 @@ struct FtStats {
 class FullTextIndex {
  public:
   /// `stats` (nullable → the global registry) receives the server-wide
-  /// `Database.FullText.*` counters alongside the per-index FtStats.
+  /// `Database.FullText.*` counters.
   explicit FullTextIndex(stats::StatRegistry* stats = nullptr);
 
   /// Adds or re-indexes a note (deletion stubs are removed). Only
-  /// kDocument notes are indexed.
-  void IndexNote(const Note& note);
-  void RemoveNote(NoteId id);
+  /// kDocument notes are indexed. `epoch`: the change's commit epoch.
+  void IndexNote(const Note& note, Epoch epoch = kEpochNone);
+  void RemoveNote(NoteId id, Epoch epoch = kEpochNone);
   void Clear();
+
+  /// Drops every zombie removed at or below `floor` (min pinned epoch,
+  /// else the committed epoch); takes no lock when there is none.
+  void ReclaimVersions(Epoch floor);
+  size_t zombie_count() const { return zombie_total_.load(); }
 
   /// Full rebuild (UPDALL-style): drops everything, then indexes every
   /// note `for_each_note` passes to its callback, as IndexNote would, all
   /// under one exclusive hold. Notes are consumed as they stream past, so
-  /// the caller can feed them straight from its store.
+  /// the caller can feed them straight from its store. The build is
+  /// visible at every epoch.
   void BuildFrom(
       const std::function<void(const std::function<void(const Note&)>&)>&
           for_each_note);
 
-  /// Runs a query; results are sorted by descending TF-IDF score.
-  Result<std::vector<FtHit>> Search(std::string_view query) const;
+  /// Runs a query over the versions visible at `at`; results are sorted
+  /// by descending TF-IDF score, then note id.
+  Result<std::vector<FtHit>> Search(std::string_view query,
+                                    Epoch at = kEpochLatest) const;
 
-  size_t doc_count() const;
+  size_t doc_count() const;  // live notes; zombies excluded
   size_t term_count() const;
-  const FtStats& stats() const { return stats_; }
 
   /// Actual posting storage footprint in bytes (delta+varint blocks plus
   /// skip entries), and what the pre-compression representation (a map
@@ -84,12 +92,24 @@ class FullTextIndex {
   size_t UncompressedModelBytes() const;
 
   // -- Internals shared with the query evaluator ------------------------
+  using DocKey = uint32_t;  // posting key of one indexed version
+  /// One indexed version and the keys it contributed to: plain terms and
+  /// "field\x1fterm" keys (the latter marked by the embedded '\x1f').
+  /// A free slot has no note and is visible at no epoch.
+  struct Doc {
+    NoteId note_id = kInvalidNoteId;
+    Epoch added = kEpochNone;
+    Epoch removed = kEpochMax;
+    std::vector<std::string> keys;
+  };
+  using DocTable = std::vector<Doc>;  // indexed by DocKey
+
   struct Posting {
     // Positions of the term in the document (token offsets; fields are
     // separated by position gaps so phrases never span fields).
     std::vector<uint32_t> positions;
   };
-  using PostingMap = std::map<NoteId, Posting>;
+  using PostingMap = std::map<DocKey, Posting>;
 
   /// Field-scoped occurrences are stored as index ranges into the
   /// unscoped posting's positions vector instead of duplicating the
@@ -101,7 +121,7 @@ class FullTextIndex {
     uint32_t begin = 0;
     uint32_t end = 0;
   };
-  using FieldPostingMap = std::map<NoteId, std::vector<FieldSlice>>;
+  using FieldPostingMap = std::map<DocKey, std::vector<FieldSlice>>;
 
   /// The term's compressed posting list; null when the term is unknown.
   /// Query evaluation iterates it with PostingList::Cursor.
@@ -110,12 +130,14 @@ class FullTextIndex {
   /// slices; empty when the (field, term) pair never occurs.
   PostingMap MaterializeFieldTerm(const std::string& field,
                                   const std::string& term) const;
-  const std::set<NoteId>& all_docs() const { return docs_; }
+  /// Every version, zombies and free slots included.
+  const DocTable& all_docs() const { return docs_; }
   double IdfOf(const std::string& term) const;
 
  private:
-  void IndexNoteLocked(const Note& note) REQUIRES(mu_);
-  void RemoveNoteLocked(NoteId id) REQUIRES(mu_);
+  void IndexNoteLocked(const Note& note, Epoch epoch) REQUIRES(mu_);
+  void RemoveNoteLocked(NoteId id, Epoch epoch) REQUIRES(mu_);
+  void ErasePhysicalLocked(DocKey key) REQUIRES(mu_);
   void ClearLocked() REQUIRES(mu_);
   void RefreshByteStats() REQUIRES(mu_);
 
@@ -129,16 +151,17 @@ class FullTextIndex {
   // here exactly once.
   std::unordered_map<std::string, PostingList> postings_;
   std::unordered_map<std::string, FieldPostingMap> field_postings_;
-  // Keys this doc contributed to: plain terms and "field\x1fterm" keys
-  // (the latter marked by the embedded '\x1f').
-  std::unordered_map<NoteId, std::vector<std::string>> terms_of_doc_;
-  std::unordered_map<NoteId, uint32_t> doc_lengths_;
-  std::set<NoteId> docs_;
-  mutable FtStats stats_;
+  DocTable docs_;
+  std::unordered_map<NoteId, DocKey> live_;  // each note's latest version
+  std::vector<DocKey> free_keys_;
+  std::deque<DocKey> zombies_;  // in commit order of their removal
+  std::atomic<size_t> zombie_total_{0};  // zombies_.size(), read unlocked
+  // Highest floor ReclaimVersions was given: no pin is, or will be, below.
+  std::atomic<Epoch> reclaimed_floor_{kEpochNone};
   size_t posting_bytes_ = 0;  // sum of PostingList::byte_size()
   size_t model_bytes_ = 0;    // sum of UncompressedModelBytes()
 
-  // Server-wide mirrors of FtStats (dotted Domino stat names).
+  // Server-wide counters (dotted Domino stat names).
   stats::Counter* ctr_docs_indexed_;
   stats::Counter* ctr_docs_removed_;
   stats::Counter* ctr_merges_;

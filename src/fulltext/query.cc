@@ -301,10 +301,10 @@ class MapPosSource final : public PosSource {
   void Next() override { ++it_; }
   void SkipTo(uint64_t target) override {
     if (doc() >= target) return;
-    // target can be the kEnd sentinel (one past the NoteId range); the
+    // target can be the kEnd sentinel (one past the key range); the
     // narrowing cast would wrap to 0 and rewind the iterator.
     it_ = target >= kEnd ? map_->end()
-                         : map_->lower_bound(static_cast<NoteId>(target));
+                         : map_->lower_bound(static_cast<uint32_t>(target));
   }
 
  private:
@@ -461,43 +461,41 @@ class OrIter final : public ScoreIter {
   ScoreIterPtr a_, b_;
 };
 
-/// Complement over the corpus: every indexed doc not matched by the child,
-/// with the old evaluator's flat 0.1 score.
+/// Complement over the corpus: every doc key not matched by the child,
+/// with the old evaluator's flat 0.1 score. Zombies and free slots are
+/// included; Search drops whatever is not visible at its epoch.
 class NotIter final : public ScoreIter {
  public:
-  NotIter(ScoreIterPtr child, const std::set<NoteId>& docs)
-      : child_(std::move(child)), docs_(docs), it_(docs.begin()) {
+  NotIter(ScoreIterPtr child, uint64_t end)
+      : child_(std::move(child)), end_(end) {
     Settle();
   }
 
-  uint64_t doc() const override {
-    return it_ == docs_.end() ? kEnd : *it_;
-  }
+  uint64_t doc() const override { return doc_ < end_ ? doc_ : kEnd; }
   double score() const override { return 0.1; }
   void Next() override {
-    if (it_ == docs_.end()) return;
-    ++it_;
+    if (doc_ >= end_) return;
+    ++doc_;
     Settle();
   }
   void SkipTo(uint64_t target) override {
     if (doc() >= target) return;
-    it_ = target >= kEnd ? docs_.end()
-                         : docs_.lower_bound(static_cast<NoteId>(target));
+    doc_ = target;
     Settle();
   }
 
  private:
   void Settle() {
-    while (it_ != docs_.end()) {
-      child_->SkipTo(*it_);
-      if (child_->doc() != *it_) return;
-      ++it_;
+    while (doc_ < end_) {
+      child_->SkipTo(doc_);
+      if (child_->doc() != doc_) return;
+      ++doc_;
     }
   }
 
   ScoreIterPtr child_;
-  const std::set<NoteId>& docs_;
-  std::set<NoteId>::const_iterator it_;
+  uint64_t end_;
+  uint64_t doc_ = 0;
 };
 
 ScoreIterPtr BuildIter(
@@ -550,19 +548,18 @@ ScoreIterPtr BuildIter(
     case QNode::Kind::kNot:
       return std::make_unique<NotIter>(
           BuildIter(index, *node.children[0], field_maps),
-          index.all_docs());
+          index.all_docs().size());
   }
   return std::make_unique<EmptyIter>();
 }
 
 }  // namespace
 
-Result<std::vector<FtHit>> FullTextIndex::Search(
-    std::string_view query) const {
+Result<std::vector<FtHit>> FullTextIndex::Search(std::string_view query,
+                                                 Epoch at) const {
   // Shared for the whole run: BuildIter and the iterator tree borrow
   // posting lists until the hit loop below finishes.
   ReaderLock lock(&mu_);
-  stats_.queries.fetch_add(1, std::memory_order_relaxed);
   ctr_queries_->Add();
   DOMINO_ASSIGN_OR_RETURN(auto tokens, LexQuery(query));
   QParser parser(std::move(tokens));
@@ -573,8 +570,10 @@ Result<std::vector<FtHit>> FullTextIndex::Search(
   ScoreIterPtr root_iter = BuildIter(*this, *root, &field_maps);
   std::vector<FtHit> hits;
   for (; root_iter->doc() < PostingList::kEndDoc; root_iter->Next()) {
-    hits.push_back(
-        FtHit{static_cast<NoteId>(root_iter->doc()), root_iter->score()});
+    const Doc& doc = docs_[root_iter->doc()];
+    if (EpochVisible(doc.added, doc.removed, at)) {
+      hits.push_back(FtHit{doc.note_id, root_iter->score()});
+    }
   }
   std::sort(hits.begin(), hits.end(), [](const FtHit& a, const FtHit& b) {
     if (a.score != b.score) return a.score > b.score;

@@ -61,17 +61,7 @@ void IndexerTask::Enqueue(NoteChange change) {
   }
 }
 
-void IndexerTask::DrainInline(
-    const std::function<void(const NoteChange&)>& apply) {
-  DrainUpTo(kEpochMax, apply);
-}
-
 void IndexerTask::CatchUp(
-    Epoch max_epoch, const std::function<void(const NoteChange&)>& apply) {
-  DrainUpTo(max_epoch, apply);
-}
-
-void IndexerTask::DrainUpTo(
     Epoch max_epoch, const std::function<void(const NoteChange&)>& apply) {
   if (drain_owner_.load(std::memory_order_relaxed) ==
       std::this_thread::get_id()) {
@@ -130,11 +120,6 @@ void IndexerTask::DrainUpTo(
 bool IndexerTask::HasPending() const {
   std::lock_guard<std::mutex> lock(mu_);
   return !queue_.empty();
-}
-
-size_t IndexerTask::pending() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queue_.size();
 }
 
 void IndexerTask::Close() {

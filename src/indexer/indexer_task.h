@@ -45,20 +45,19 @@ struct NoteChange {
 ///
 /// Threading contract: appliers serialize on an internal apply mutex held
 /// across pop+apply, so events are applied exactly once and in commit
-/// order without any database-wide lock. DrainInline drains everything;
-/// CatchUp(P) drains only events at or below a pinned epoch (a snapshot
-/// reader bringing the indexes up to its pin). Both are reentrancy-safe
-/// on the same thread (a formula that re-enters a read mid-apply finds
-/// the drain owned and returns; the outer drain finishes the queue).
+/// order without any database-wide lock. CatchUp(P) drains the events at
+/// or below P: a snapshot reader bringing the indexes up to its pin, or,
+/// with kEpochMax, a full drain. It is reentrancy-safe on the same thread
+/// (a formula that re-enters a read mid-apply finds the drain owned and
+/// returns; the outer drain finishes the queue).
 /// `Close()` must be called before the owner is destroyed — it stops new
 /// drain scheduling and waits for any in-flight pool callback to finish.
 class IndexerTask {
  public:
   /// `drain` runs whenever events are pending: on a pool worker, or on
   /// the enqueuing thread when there is no pool. It receives this task
-  /// and must apply every queued event (DrainInline, or CatchUp past the
-  /// newest epoch). `pool` nullable → writers drain. `stats` nullable →
-  /// the global registry.
+  /// and must apply every queued event (CatchUp with kEpochMax). `pool`
+  /// nullable → writers drain. `stats` nullable → the global registry.
   IndexerTask(ThreadPool* pool, std::function<void(IndexerTask*)> drain,
               stats::StatRegistry* stats = nullptr);
   ~IndexerTask();
@@ -75,35 +74,29 @@ class IndexerTask {
   /// (if none is already outstanding) or, with no pool, runs it here.
   void Enqueue(NoteChange change);
 
-  /// Applies every pending event in order on the calling thread via
-  /// `apply`. Serializes on the internal apply mutex; reentrant calls
-  /// (e.g. @DbLookup during a view update triggering a catch-up) are
-  /// no-ops — the outer drain finishes the queue.
-  void DrainInline(const std::function<void(const NoteChange&)>& apply);
-
-  /// Applies the pending prefix of events with epoch <= max_epoch — what
-  /// a reader pinned at `max_epoch` needs before the indexes reflect its
-  /// snapshot. Later events stay queued for the next drain.
+  /// Applies the pending prefix of events with epoch <= max_epoch, in
+  /// order, on the calling thread via `apply` — what a reader pinned at
+  /// `max_epoch` needs before the indexes reflect its snapshot; kEpochMax
+  /// drains everything. Later events stay queued for the next drain.
+  /// Serializes on the internal apply mutex; reentrant calls (e.g.
+  /// @DbLookup during a view update triggering a catch-up) are no-ops —
+  /// the outer drain finishes the queue.
   void CatchUp(Epoch max_epoch,
                const std::function<void(const NoteChange&)>& apply);
 
   bool HasPending() const;
-  size_t pending() const;
 
   /// Stops scheduling and waits for in-flight pool callbacks. Remaining
   /// events are dropped (the owner's indexes are going away with it).
   void Close();
 
  private:
-  void DrainUpTo(Epoch max_epoch,
-                 const std::function<void(const NoteChange&)>& apply);
-
   std::function<void(IndexerTask*)> drain_;
 
   /// Serializes appliers (held across pop+apply). Taken without mu_;
   /// never take mu_ first.
   std::mutex apply_mu_;
-  /// Thread currently inside DrainUpTo, for same-thread reentrancy.
+  /// Thread currently inside CatchUp, for same-thread reentrancy.
   std::atomic<std::thread::id> drain_owner_{};
 
   mutable std::mutex mu_;

@@ -312,8 +312,10 @@ Status Replicator::Pull(const ReplicaEndpoint& dst,
 
   // 1. Request + receive the change summary (OIDs newer than the cutoff),
   //    ordered by the source's modified-in-file stamps so any processed
-  //    prefix is a valid resumption point.
-  std::vector<Database::Change> summary = src.db->ChangeSummarySince(cutoff);
+  //    prefix is a valid resumption point. The notes behind it are
+  //    resolved once, at one pin, so a body shipped below is the version
+  //    its summary entry named.
+  std::vector<NoteHandle> summary = src.db->NotesModifiedSince(cutoff);
   ReplicationReport local;
   DOMINO_RETURN_IF_ERROR(Charge(dst.name, src.name, 32, &local));
   DOMINO_RETURN_IF_ERROR(Charge(src.name, dst.name,
@@ -334,9 +336,9 @@ Status Replicator::Pull(const ReplicaEndpoint& dst,
       dst.history->Record(src.name, low_water);
     }
   };
-  for (const Database::Change& change : summary) {
-    const Oid& oid = change.oid;
-    bool skipped = false;
+  for (const NoteHandle& remote_note : summary) {
+    const Oid& oid = remote_note->oid();
+    bool ship = true;
     auto mine = dst.db->GetAnyByUnid(oid.unid);
     if (mine.ok()) {
       OidRelation rel = CompareOids(mine->oid(), oid);
@@ -347,45 +349,36 @@ Status Replicator::Pull(const ReplicaEndpoint& dst,
         if (rel == OidRelation::kEqual ||
             mine->HasRevision(oid.sequence_time)) {
           local.skipped_unchanged += 1;
-          skipped = true;
+          ship = false;
         }
       }
     }
-    if (!skipped) {
-      auto remote_note = src.db->GetAnyByUnid(oid.unid);
-      if (!remote_note.ok()) {
-        // Purged mid-session; nothing to move.
-      } else {
-        bool wanted = true;
-        if (selective.valid() && !remote_note->deleted()) {
-          formula::EvalContext ctx;
-          ctx.note = &*remote_note;
-          ctx.clock = dst.db->clock();
-          auto matched = selective.Matches(ctx);
-          if (!matched.ok() || !*matched) {
-            local.skipped_by_formula += 1;
-            wanted = false;
-          }
-        }
-        if (wanted) {
-          std::string encoded = remote_note->EncodeToString();
-          Status charged =
-              Charge(src.name, dst.name, encoded.size() + 8, &local);
-          if (!charged.ok()) {
-            // The link died mid-session: keep the progress made so far.
-            commit_progress();
-            return charged;
-          }
-          auto applied = ApplyRemoteChange(dst.db, *remote_note, &local,
-                                           options.merge_conflicts);
-          if (!applied.ok()) {
-            commit_progress();
-            return applied.status();
-          }
-        }
+    if (ship && selective.valid() && !remote_note->deleted()) {
+      formula::EvalContext ctx;
+      ctx.note = remote_note.get();
+      ctx.clock = dst.db->clock();
+      auto matched = selective.Matches(ctx);
+      if (!matched.ok() || !*matched) {
+        local.skipped_by_formula += 1;
+        ship = false;
       }
     }
-    low_water = change.stamp;
+    if (ship) {
+      std::string encoded = remote_note->EncodeToString();
+      Status charged = Charge(src.name, dst.name, encoded.size() + 8, &local);
+      if (!charged.ok()) {
+        // The link died mid-session: keep the progress made so far.
+        commit_progress();
+        return charged;
+      }
+      auto applied = ApplyRemoteChange(dst.db, *remote_note, &local,
+                                       options.merge_conflicts);
+      if (!applied.ok()) {
+        commit_progress();
+        return applied.status();
+      }
+    }
+    low_water = remote_note->modified_in_file();
     if (++in_batch >= batch_size) {
       commit_progress();
       in_batch = 0;

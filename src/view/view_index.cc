@@ -264,6 +264,7 @@ void ViewIndex::RemoveLocationLocked(NoteId id, Epoch epoch) {
     // before `epoch` still see it; ReclaimVersions drops it later.
     entry->removed_epoch = epoch;
     zombies_.push_back(Zombie{epoch, std::move(loc)});
+    zombie_total_.store(zombies_.size(), std::memory_order_release);
   }
   {
     MutexLock lock(&stats_mu_);
@@ -316,6 +317,7 @@ void ViewIndex::Remove(NoteId id, Epoch epoch) {
 }
 
 void ViewIndex::ReclaimVersions(Epoch floor) {
+  if (zombie_count() == 0) return;  // no exclusive hold for readers to meet
   WriterLock lock(&mu_);
   // Zombies are queued in commit order, so the reclaimable prefix is
   // contiguous. A zombie removed at epoch R is only needed by pins < R.
@@ -323,11 +325,7 @@ void ViewIndex::ReclaimVersions(Epoch floor) {
     ErasePhysicalLocked(zombies_.front().loc);
     zombies_.pop_front();
   }
-}
-
-size_t ViewIndex::zombie_count() const {
-  ReaderLock lock(&mu_);
-  return zombies_.size();
+  zombie_total_.store(zombies_.size(), std::memory_order_release);
 }
 
 size_t ViewIndex::reader_set_count() const {
@@ -340,6 +338,7 @@ void ViewIndex::ClearLocked() {
   responses_.clear();
   row_of_note_.clear();
   zombies_.clear();
+  zombie_total_.store(0, std::memory_order_release);
   gauge_reader_sets_->Add(-static_cast<int64_t>(reader_set_ids_.size()));
   reader_set_ids_.clear();
   reader_sets_.clear();

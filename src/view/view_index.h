@@ -1,6 +1,7 @@
 #ifndef DOMINODB_VIEW_VIEW_INDEX_H_
 #define DOMINODB_VIEW_VIEW_INDEX_H_
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -176,11 +177,14 @@ class ViewIndex {
   void Remove(NoteId id, Epoch epoch = kEpochNone);
 
   /// Physically erases every zombie version with removed_epoch <= floor
-  /// (min over pinned reader epochs, else the committed epoch).
+  /// (min over pinned reader epochs, else the committed epoch); takes no
+  /// lock when there is none.
   void ReclaimVersions(Epoch floor);
 
   /// Zombie versions currently retained for pinned readers.
-  size_t zombie_count() const;
+  size_t zombie_count() const {
+    return zombie_total_.load(std::memory_order_acquire);
+  }
 
   /// Distinct reader sets currently interned (zombies' sets included).
   size_t reader_set_count() const;
@@ -345,6 +349,7 @@ class ViewIndex {
       GUARDED_BY(mu_);
   std::unordered_map<NoteId, Location> row_of_note_ GUARDED_BY(mu_);
   std::deque<Zombie> zombies_ GUARDED_BY(mu_);
+  std::atomic<size_t> zombie_total_{0};  // zombies_.size(), read unlocked
   ReaderSetMap reader_set_ids_ GUARDED_BY(mu_);
   // Slot id - 1 holds set `id`; freed ids are reused so ids stay dense.
   std::vector<ReaderSet> reader_sets_ GUARDED_BY(mu_);

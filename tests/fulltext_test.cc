@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "fulltext/fulltext_index.h"
 #include "fulltext/tokenizer.h"
 #include "tests/test_util.h"
@@ -130,10 +132,11 @@ TEST_F(FullTextFixture, AttachmentNamesSearchable) {
 }
 
 TEST(FullTextIndexTest, StatsAndClear) {
-  FullTextIndex index;
+  stats::StatRegistry reg;
+  FullTextIndex index(&reg);
   index.IndexNote(Doc(1, "alpha beta", "gamma"));
-  EXPECT_EQ(index.stats().notes_indexed, 1u);
-  EXPECT_GT(index.stats().tokens_indexed, 0u);
+  EXPECT_EQ(reg.GetCounter("Database.FullText.Docs.Indexed").value(), 1u);
+  EXPECT_GT(reg.GetCounter("Database.FullText.Tokens").value(), 0u);
   EXPECT_GT(index.term_count(), 0u);
   index.Clear();
   EXPECT_EQ(index.doc_count(), 0u);
@@ -161,6 +164,114 @@ TEST(FullTextIndexTest, PhraseDoesNotSpanFields) {
   auto hits = index.Search("\"hello world\"");
   ASSERT_OK(hits);
   EXPECT_TRUE(hits->empty());
+}
+
+// -- Versioning: the ViewIndex rule ------------------------------------
+
+std::vector<NoteId> IdsAt(const FullTextIndex& index, const std::string& query,
+                          Epoch at) {
+  auto hits = index.Search(query, at);
+  EXPECT_TRUE(hits.ok()) << hits.status().ToString();
+  std::vector<NoteId> ids;
+  if (hits.ok()) {
+    for (const FtHit& h : *hits) ids.push_back(h.note_id);
+  }
+  return ids;
+}
+
+using Ids = std::vector<NoteId>;
+
+/// Posting key → note id of every version the index holds, zombies
+/// included (free slots skipped).
+std::map<FullTextIndex::DocKey, NoteId> Versions(const FullTextIndex& index) {
+  std::map<FullTextIndex::DocKey, NoteId> out;
+  const FullTextIndex::DocTable& docs = index.all_docs();
+  for (FullTextIndex::DocKey key = 0; key < docs.size(); ++key) {
+    if (docs[key].note_id != kInvalidNoteId) out[key] = docs[key].note_id;
+  }
+  return out;
+}
+
+TEST(FullTextVersioningTest, PinnedEpochStillFindsTheReplacedVersion) {
+  FullTextIndex index;
+  index.IndexNote(Doc(1, "alpha", "old text"), 1);
+  index.IndexNote(Doc(2, "gamma", "other"), 1);
+  index.IndexNote(Doc(1, "beta", "new text"), 2);
+  EXPECT_EQ(IdsAt(index, "alpha", 1), Ids{1});
+  EXPECT_EQ(IdsAt(index, "beta", 1), Ids{});
+  EXPECT_EQ(IdsAt(index, "alpha", 2), Ids{});
+  EXPECT_EQ(IdsAt(index, "beta", kEpochLatest), Ids{1});
+  EXPECT_EQ(IdsAt(index, "FIELD Subject CONTAINS alpha", 1), Ids{1});
+  // NOT complements within the versions visible at the epoch.
+  EXPECT_EQ(IdsAt(index, "NOT alpha", 1), Ids{2});
+  EXPECT_EQ(IdsAt(index, "NOT alpha", 2), (Ids{1, 2}));
+  EXPECT_EQ(index.doc_count(), 2u);
+  EXPECT_EQ(index.zombie_count(), 1u);
+  EXPECT_EQ(Versions(index).size(), 3u);
+}
+
+TEST(FullTextVersioningTest, SameEpochAndUnversionedReindexLeaveNoZombie) {
+  FullTextIndex index;
+  index.IndexNote(Doc(1, "alpha", ""), 3);
+  index.IndexNote(Doc(1, "beta", ""), 3);  // same commit: erased, not kept
+  EXPECT_EQ(index.zombie_count(), 0u);
+  EXPECT_EQ(IdsAt(index, "alpha", 3), Ids{});
+  EXPECT_EQ(IdsAt(index, "beta", 3), Ids{1});
+
+  index.IndexNote(Doc(2, "alpha", ""));
+  const FullTextIndex::DocKey key = Versions(index).rbegin()->first;
+  index.IndexNote(Doc(2, "gamma", ""));  // kEpochNone: dropped at once
+  EXPECT_EQ(index.zombie_count(), 0u);
+  EXPECT_EQ(Versions(index).size(), 2u);
+  EXPECT_EQ(Versions(index).at(key), 2u);  // the key was recycled
+  EXPECT_EQ(IdsAt(index, "alpha", kEpochLatest), Ids{});
+  EXPECT_EQ(index.FindTerm("alpha"), nullptr);
+}
+
+TEST(FullTextVersioningTest, RemoveKeepsTheOldVersionForEarlierPins) {
+  FullTextIndex index;
+  index.IndexNote(Doc(1, "alpha", ""), 1);
+  index.RemoveNote(1, 4);
+  EXPECT_EQ(IdsAt(index, "alpha", 3), Ids{1});
+  EXPECT_EQ(IdsAt(index, "alpha", 4), Ids{});
+  EXPECT_EQ(IdsAt(index, "alpha", kEpochLatest), Ids{});
+  EXPECT_EQ(index.doc_count(), 0u);
+  EXPECT_EQ(index.zombie_count(), 1u);
+}
+
+TEST(FullTextVersioningTest, ReclaimDropsExactlyVersionsRemovedAtOrBelowFloor) {
+  FullTextIndex index;
+  for (NoteId id = 1; id <= 3; ++id) index.IndexNote(Doc(id, "alpha", ""), 1);
+  index.RemoveNote(1, 2);
+  index.IndexNote(Doc(2, "beta", ""), 3);
+  index.RemoveNote(3, 5);
+  EXPECT_EQ(index.zombie_count(), 3u);
+
+  index.ReclaimVersions(3);  // drops the versions removed at 2 and 3
+  EXPECT_EQ(index.zombie_count(), 1u);
+  EXPECT_EQ(Versions(index).size(), 2u);
+  EXPECT_EQ(IdsAt(index, "alpha", 4), Ids{3});
+  EXPECT_EQ(IdsAt(index, "beta", 4), Ids{2});
+
+  index.ReclaimVersions(5);
+  EXPECT_EQ(index.zombie_count(), 0u);
+  EXPECT_EQ(Versions(index).size(), 1u);
+  EXPECT_EQ(index.FindTerm("alpha"), nullptr);
+  EXPECT_EQ(IdsAt(index, "beta", kEpochLatest), Ids{2});
+}
+
+TEST(FullTextVersioningTest, ReindexAtOrBelowTheReclaimFloorKeepsItsKey) {
+  FullTextIndex index;
+  index.IndexNote(Doc(1, "alpha", ""), 1);
+  const FullTextIndex::DocKey key = Versions(index).begin()->first;
+  index.ReclaimVersions(2);  // no reader is, or will be, pinned below 2
+  index.IndexNote(Doc(1, "beta", ""), 2);
+  EXPECT_EQ(index.zombie_count(), 0u);
+  ASSERT_EQ(Versions(index).size(), 1u);
+  EXPECT_EQ(Versions(index).begin()->first, key);
+  index.IndexNote(Doc(1, "gamma", ""), 3);  // above the floor: kept
+  EXPECT_EQ(index.zombie_count(), 1u);
+  EXPECT_EQ(IdsAt(index, "beta", 2), Ids{1});
 }
 
 }  // namespace

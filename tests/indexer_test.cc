@@ -101,7 +101,7 @@ TEST(IndexerTaskTest, BackgroundDrainAppliesEvents) {
       &pool,
       [&](indexer::IndexerTask* t) {
         std::lock_guard<std::mutex> lock(mu);
-        t->DrainInline([&](const indexer::NoteChange& change) {
+        t->CatchUp(kEpochMax, [&](const indexer::NoteChange& change) {
           applied.push_back(change.id);
         });
       },
@@ -109,10 +109,10 @@ TEST(IndexerTaskTest, BackgroundDrainAppliesEvents) {
   for (NoteId id = 1; id <= 20; ++id) {
     task.Enqueue(indexer::NoteChange{id, indexer::ChangeKind::kChanged});
   }
-  // DrainInline from this thread acts as the deterministic barrier.
+  // A full CatchUp from this thread acts as the deterministic barrier.
   {
     std::lock_guard<std::mutex> lock(mu);
-    task.DrainInline([&](const indexer::NoteChange& change) {
+    task.CatchUp(kEpochMax, [&](const indexer::NoteChange& change) {
       applied.push_back(change.id);
     });
   }
@@ -126,7 +126,8 @@ TEST(IndexerTaskTest, BackgroundDrainAppliesEvents) {
 TEST(IndexerTaskTest, CloseWithQueuedWorkDoesNotHang) {
   indexer::ThreadPool pool(1, nullptr);
   indexer::IndexerTask task(
-      &pool, [](indexer::IndexerTask* t) { t->DrainInline([](auto&) {}); },
+      &pool,
+      [](indexer::IndexerTask* t) { t->CatchUp(kEpochMax, [](auto&) {}); },
       nullptr);
   for (NoteId id = 1; id <= 100; ++id) {
     task.Enqueue(indexer::NoteChange{id, indexer::ChangeKind::kChanged});
@@ -589,24 +590,29 @@ TEST(FieldSliceTest, FieldPostingsMaterializeFromPlainPositions) {
   // slices, not duplicated postings.
   EXPECT_EQ(index.term_count(), 3u);  // alpha, beta, gamma
 
+  // Postings are keyed by the indexed version, not by the note id.
+  ASSERT_EQ(index.all_docs().size(), 1u);
+  const FullTextIndex::DocKey key = 0;
+  EXPECT_EQ(index.all_docs()[key].note_id, 7u);
+
   const PostingList* plain = index.FindTerm("alpha");
   ASSERT_NE(plain, nullptr);
   ASSERT_EQ(plain->doc_count(), 1u);
   std::vector<uint32_t> plain_positions;
-  ASSERT_TRUE(plain->GetPositions(7, &plain_positions));
+  ASSERT_TRUE(plain->GetPositions(key, &plain_positions));
   EXPECT_EQ(plain_positions.size(), 3u);  // 2 in Subject + 1 in Body
 
   FullTextIndex::PostingMap subject =
       index.MaterializeFieldTerm("Subject", "alpha");
-  ASSERT_EQ(subject.count(7), 1u);
-  EXPECT_EQ(subject.at(7).positions.size(), 2u);
+  ASSERT_EQ(subject.count(key), 1u);
+  EXPECT_EQ(subject.at(key).positions.size(), 2u);
   // The slice references the same stored positions.
-  EXPECT_EQ(subject.at(7).positions[0], plain_positions[0]);
-  EXPECT_EQ(subject.at(7).positions[1], plain_positions[1]);
+  EXPECT_EQ(subject.at(key).positions[0], plain_positions[0]);
+  EXPECT_EQ(subject.at(key).positions[1], plain_positions[1]);
 
   FullTextIndex::PostingMap body = index.MaterializeFieldTerm("Body", "alpha");
-  ASSERT_EQ(body.count(7), 1u);
-  EXPECT_EQ(body.at(7).positions.size(), 1u);
+  ASSERT_EQ(body.count(key), 1u);
+  EXPECT_EQ(body.at(key).positions.size(), 1u);
   EXPECT_TRUE(index.MaterializeFieldTerm("Subject", "gamma").empty());
   EXPECT_TRUE(index.MaterializeFieldTerm("Nope", "alpha").empty());
 

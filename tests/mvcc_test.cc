@@ -10,7 +10,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <map>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -139,11 +141,111 @@ TEST_F(MvccFixture, FullTextSearchRunsAtThePinnedEpoch) {
   ASSERT_OK(db_->CreateNote(std::move(late)).status());
 
   // At the pin, only the original document matched "lotus" — the hit is
-  // served from its overlay pre-image, and the post-pin doc is filtered.
+  // its replaced version, kept in the index for the pin and resolved to
+  // the overlay pre-image, and the post-pin doc is filtered.
   ASSERT_OK_AND_ASSIGN(auto hits, db_->SearchAs(reader_, "lotus"));
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0].id(), old_id);
   EXPECT_EQ(hits[0].GetText("Subject"), "old");
+}
+
+// A reader pinned before a rewrite keeps its single-term ranking after
+// another thread's catch-up applies the rewrite: the replaced version stays
+// in the index as a zombie and is scored in the same corpus as every other
+// hit, so all hits share the term's idf.
+TEST_F(MvccFixture, SearchRankingIsRepeatableAcrossAnotherThreadsCatchUp) {
+  Note target = MakeDoc("Memo", "target");
+  target.SetText("Body", "lotus lotus");  // twice: ranks first at the pin
+  ASSERT_OK_AND_ASSIGN(NoteId target_id, db_->CreateNote(std::move(target)));
+  for (int i = 0; i < 3; ++i) {
+    Note doc = MakeDoc("Memo", "match " + std::to_string(i));
+    doc.SetText("Body", "lotus notes");
+    ASSERT_OK(db_->CreateNote(std::move(doc)).status());
+  }
+  for (int i = 0; i < 16; ++i) {
+    Note doc = MakeDoc("Memo", "other " + std::to_string(i));
+    doc.SetText("Body", "domino server");
+    ASSERT_OK(db_->CreateNote(std::move(doc)).status());
+  }
+  ASSERT_OK(db_->EnsureFullTextIndex());
+
+  // Park the only worker so the rewrite's event waits for a catch-up.
+  indexer::ThreadPool pool(1);
+  db_->AttachIndexer(&pool);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool parked = true;
+  pool.Submit([&] {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return !parked; });
+  });
+  auto ids = [](const std::vector<Note>& notes) {
+    std::vector<NoteId> out;
+    for (const Note& note : notes) out.push_back(note.id());
+    return out;
+  };
+
+  {
+    Database::ReadTxn txn(db_.get());
+    ASSERT_OK_AND_ASSIGN(auto before, db_->SearchAs(reader_, "lotus"));
+    ASSERT_EQ(before.size(), 4u);
+    EXPECT_EQ(before[0].id(), target_id);
+    std::thread([&] {
+      ASSERT_OK_AND_ASSIGN(Note rewrite, db_->ReadNote(target_id));
+      rewrite.SetText("Body", "nothing of note");
+      ASSERT_OK(db_->UpdateNote(std::move(rewrite)));
+      EXPECT_TRUE(db_->HasPendingIndexWork());
+      Database::ReadTxn catch_up(db_.get());  // applies the rewrite
+    }).join();
+    EXPECT_FALSE(db_->HasPendingIndexWork());
+    EXPECT_EQ(db_->fulltext()->zombie_count(), 1u);
+    ASSERT_OK_AND_ASSIGN(auto after, db_->SearchAs(reader_, "lotus"));
+    EXPECT_EQ(ids(after), ids(before));
+  }
+  // Unpinned, the rewrite no longer matches.
+  ASSERT_OK_AND_ASSIGN(auto latest, db_->SearchAs(reader_, "lotus"));
+  EXPECT_EQ(latest.size(), 3u);
+
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    parked = false;
+  }
+  cv.notify_all();
+  pool.WaitIdle();
+  db_->AttachIndexer(nullptr);  // detach before `pool` goes out of scope
+}
+
+// The last unpin on an idle database sweeps both indexes: a quiescent
+// database keeps no zombie version in the view or the full-text index.
+TEST_F(MvccFixture, LastUnpinLeavesNoZombieInEitherIndex) {
+  ASSERT_OK(db_->EnsureFullTextIndex());
+  db_->AttachIndexer(&pool_);
+  std::vector<NoteId> ids;
+  for (int i = 0; i < 8; ++i) {
+    Note doc = MakeDoc("Memo", "doc " + std::to_string(i));
+    doc.SetText("Body", "lotus version one");
+    ASSERT_OK_AND_ASSIGN(NoteId id, db_->CreateNote(std::move(doc)));
+    ids.push_back(id);
+  }
+  ASSERT_OK(db_->FlushIndexes());
+  {
+    Database::ReadTxn txn(db_.get());
+    // Writes from the pinned thread commit after the pin.
+    for (NoteId id : ids) {
+      ASSERT_OK_AND_ASSIGN(Note doc, db_->ReadNote(id));
+      doc.SetText("Subject", "rewritten " + std::to_string(id));
+      doc.SetText("Body", "domino version two");
+      ASSERT_OK(db_->UpdateNote(std::move(doc)));
+    }
+    ASSERT_OK(db_->DeleteNote(ids[0]));
+    ASSERT_OK(db_->FlushIndexes());
+    EXPECT_GT(db_->FindView("all")->zombie_count(), 0u);
+    EXPECT_GT(db_->fulltext()->zombie_count(), 0u);
+  }
+  EXPECT_FALSE(db_->HasPendingIndexWork());
+  EXPECT_EQ(db_->FindView("all")->zombie_count(), 0u);
+  EXPECT_EQ(db_->fulltext()->zombie_count(), 0u);
+  db_->AttachIndexer(nullptr);
 }
 
 TEST_F(MvccFixture, DbLookupJoinsTheEnclosingPin) {

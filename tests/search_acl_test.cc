@@ -1,8 +1,10 @@
 // Differential test of Database::SearchAs, the ACL-checked full-text
-// search. SearchAs resolves every hit through the store's decoded-note
-// cache and copies it into the result; the oracle here rebuilds the
-// answer from public calls only — ReadTxn + FullTextIndex::Search +
-// ReadNote (which joins the pin) + CanReadDocument — and compares the two
+// search. SearchAs searches the versioned index at its pin and resolves
+// every hit through the store's decoded-note cache; the oracles here
+// rebuild the answer from public calls only — ReadTxn + ReadNote (which
+// joins the pin) + CanReadDocument, over a fresh index of the notes
+// visible at the pin (the result set) and over
+// FullTextIndex::Search(word, pin) (the result order) — and compare
 // under seeded churn: updates that change the indexed words, reader and
 // author edits, deletes, PurgeStubs, ACL edits, and pins held across
 // writes. Every returned note must also be the version ReadNote sees at
@@ -141,11 +143,11 @@ class SearchAclFixture : public ::testing::TestWithParam<bool> {
     return "acl";
   }
 
-  /// Compares SearchAs with the oracle for every principal and word at
-  /// the current pin (the caller's, when it holds one). `exact_order`:
-  /// no write committed after the pin, so SearchAs must return the main
-  /// index's hits in the main index's order.
-  void ExpectSearchesAgree(const std::string& where, bool exact_order) {
+  /// Compares SearchAs with the oracles for every principal and word at
+  /// the current pin (the caller's, when it holds one): the same notes as
+  /// a full search of what the pin sees, in the order of the database
+  /// index's hits at the pin.
+  void ExpectSearchesAgree(const std::string& where) {
     Database::ReadTxn txn(db_.get());
     // The documents visible at the pin, indexed afresh: the answer to a
     // full search at the pin, whatever was rewritten after it.
@@ -179,9 +181,8 @@ class SearchAclFixture : public ::testing::TestWithParam<bool> {
                   expected_set)
             << label;
         EXPECT_EQ(got.size(), expected_set.size()) << label << " duplicates";
-        if (!exact_order) continue;
         ASSERT_OK_AND_ASSIGN(std::vector<FtHit> main_hits,
-                             db_->fulltext()->Search(word));
+                             db_->fulltext()->Search(word, txn.epoch()));
         std::vector<std::string> expected;
         for (const FtHit& hit : main_hits) {
           Result<Note> note = db_->ReadNote(hit.note_id);
@@ -213,35 +214,28 @@ TEST_P(SearchAclFixture, SearchAsMatchesReadNoteOracle) {
   for (int i = 0; i < 40; ++i) MutateUnpinned(&rng);
   const size_t rounds = Rounds();
   // A pin held across several rounds: writes made while it is open commit
-  // after it, so SearchAs must answer from pre-images for those notes.
+  // after it, so SearchAs must answer from the versions they replaced.
   std::optional<Database::ReadTxn> held;
-  size_t writes_after_pin = 0;
   for (size_t round = 0; round < rounds; ++round) {
     std::string what = MutateUnpinned(&rng);
-    if (held.has_value()) ++writes_after_pin;
     if (!held.has_value() && rng.Bernoulli(0.3)) {
       held.emplace(db_.get(), /*catch_up=*/rng.Bernoulli(0.5));
-      writes_after_pin = 0;
-      if (rng.Bernoulli(0.5)) {
-        what += ", pin, " + MutateUnpinned(&rng);
-        ++writes_after_pin;
-      }
+      if (rng.Bernoulli(0.5)) what += ", pin, " + MutateUnpinned(&rng);
     }
     const std::string where =
         "round " + std::to_string(round) + " after " + what +
         (held.has_value() ? " (pinned)" : "");
-    ExpectSearchesAgree(where, writes_after_pin == 0);
+    ExpectSearchesAgree(where);
     if (::testing::Test::HasFatalFailure()) return;
     if (held.has_value() && rng.Bernoulli(0.25)) {
       held.reset();
-      writes_after_pin = 0;
-      ExpectSearchesAgree(where + ", unpinned", true);
+      ExpectSearchesAgree(where + ", unpinned");
       if (::testing::Test::HasFatalFailure()) return;
     }
   }
   held.reset();
   ASSERT_OK(db_->FlushIndexes());
-  ExpectSearchesAgree("final", true);
+  ExpectSearchesAgree("final");
 }
 
 INSTANTIATE_TEST_SUITE_P(Indexing, SearchAclFixture, ::testing::Bool(),
