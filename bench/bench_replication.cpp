@@ -80,10 +80,12 @@ int main() {
       auto incr = a.ReplicateWith(b, "bench.nsf");
       clock.Advance(1'000'000);
 
-      // Full replication baseline: ignore histories.
-      ReplicationOptions full;
-      full.use_history = false;
-      auto full_report = a.ReplicateWith(b, "bench.nsf", full);
+      // Full replication baseline: stateless endpoints (no histories).
+      Replicator full(&net, &a.stats());
+      auto full_report =
+          full.Replicate(ReplicaEndpoint{da, "a", nullptr},
+                         ReplicaEndpoint{b.FindDatabase("bench.nsf"), "b",
+                                         nullptr});
 
       double ratio =
           incr->bytes_transferred > 0

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdio>
 #include <limits>
-#include <mutex>
 #include <unordered_set>
 #include <utility>
 
@@ -21,8 +20,8 @@ std::atomic<uint64_t> g_open_counter{1};
 /// Thread-local write-lock ownership token: one entry per database this
 /// thread currently holds exclusively. `depth` counts nested guard
 /// acquisitions (public mutators call each other). The vector is tiny — a
-/// thread rarely holds more than one database (a cluster observer
-/// applying to a peer holds zero: notifications fire outside the lock).
+/// thread rarely holds more than one database (a cluster replicator
+/// pushing to a peer holds zero: OnCommit fires after release).
 struct LockToken {
   const void* db;
   int depth;
@@ -151,8 +150,8 @@ Database::ReadTxn::~ReadTxn() {
 // ---------------------------------------------------------------------------
 
 /// Exclusive hold for internal state changes that advance no commit epoch
-/// and produce no observer notifications (index attach, checkpoints,
-/// compaction slices, ...).
+/// and fire no OnCommit (index attach, checkpoints, compaction slices,
+/// ...).
 class SCOPED_CAPABILITY Database::WriteGuard {
  public:
   explicit WriteGuard(const Database* db) ACQUIRE(db->mu_) : db_(db) {
@@ -170,9 +169,9 @@ class SCOPED_CAPABILITY Database::WriteGuard {
 /// OUTERMOST guard on this thread brackets the commit — it opens the
 /// commit epoch on entry and publishes it on exit, after every nested
 /// sub-mutation has applied and recorded its pre-images, then runs the
-/// store's threshold maintenance before the lock is released. Observer
-/// notifications fire after release, so an observer may lock a peer
-/// database without creating a lock order between the two.
+/// store's threshold maintenance before the lock is released. OnCommit
+/// fires after release, so an observer may lock a peer database without
+/// creating a lock order between the two.
 class SCOPED_CAPABILITY Database::MutationGuard {
  public:
   explicit MutationGuard(Database* db) ACQUIRE(db->mu_) : db_(db) {
@@ -192,7 +191,7 @@ class SCOPED_CAPABILITY Database::MutationGuard {
       db_->MaintainStore();
     }
     db_->ReleaseWrite();
-    if (outermost) db_->DrainNotifications();
+    if (outermost) db_->NotifyCommit();
   }
   MutationGuard(const MutationGuard&) = delete;
   MutationGuard& operator=(const MutationGuard&) = delete;
@@ -201,49 +200,14 @@ class SCOPED_CAPABILITY Database::MutationGuard {
   Database* db_;
 };
 
-void Database::DrainNotifications() {
-  // An observer's own writes re-enter here; the outer drain on this
-  // thread finishes the queue, so just return.
-  if (notify_drainer_.load(std::memory_order_relaxed) ==
-      std::this_thread::get_id()) {
-    return;
+void Database::NotifyCommit() {
+  std::vector<DatabaseObserver*> observers;
+  {
+    MutexLock lock(&observers_mu_);
+    if (observers_.empty()) return;
+    observers = observers_;
   }
-  for (;;) {
-    {
-      MutexLock lock(&notify_mu_);
-      if (pending_notify_.empty()) return;
-    }
-    if (!notify_drain_mu_.try_lock()) {
-      // Another thread is draining; wait for it to flush our events too
-      // (or to exit, in which case we take over).
-      std::this_thread::yield();
-      continue;
-    }
-    std::lock_guard<std::mutex> drain_guard(notify_drain_mu_,
-                                            std::adopt_lock);
-    notify_drainer_.store(std::this_thread::get_id(),
-                          std::memory_order_relaxed);
-    for (;;) {
-      std::vector<PendingNotify> batch;
-      std::vector<DatabaseObserver*> observers;
-      {
-        MutexLock lock(&notify_mu_);
-        if (pending_notify_.empty()) break;
-        batch.swap(pending_notify_);
-        observers = observers_;
-      }
-      for (const PendingNotify& n : batch) {
-        for (DatabaseObserver* obs : observers) {
-          if (n.erased_id != kInvalidNoteId) {
-            obs->OnNoteErased(n.erased_id);
-          } else {
-            obs->OnNoteChanged(n.note);
-          }
-        }
-      }
-    }
-    notify_drainer_.store(std::thread::id(), std::memory_order_relaxed);
-  }
+  for (DatabaseObserver* obs : observers) obs->OnCommit();
 }
 
 Database::~Database() {
@@ -1146,42 +1110,28 @@ void Database::AttachReplicationHistory(const ReplicationHistory* history) {
 
 Result<size_t> Database::PurgeStubs() {
   MutationGuard guard(this);
-  // Logical "now": the clock when present. A clockless database used to
-  // compute a negative cutoff here and silently purge nothing; instead,
-  // age stubs against the newest stamp the store has seen.
-  Micros now = 0;
-  if (clock_ != nullptr) {
-    now = clock_->Now();
-  } else {
-    now = last_stamp_.load(std::memory_order_relaxed);
-    store_->ForEach([&](const Note& note) {
-      now = std::max({now, note.modified_in_file(), note.sequence_time()});
-    });
-  }
-  const Micros age_cutoff = now - store_->info().purge_interval;
-  // Deletion-resurrection guard: a stub some recorded replication peer
-  // has not yet seen must survive the age cutoff — otherwise that peer's
-  // live copy replicates back and the delete silently undoes. A peer has
-  // seen everything stamped at or below its recorded history cutoff.
-  // Databases with no attached history (never replicate) purge by age
-  // alone.
-  Micros seen_by_all_peers = std::numeric_limits<Micros>::max();
+  // Logical "now": the clock when present. A clockless database ages
+  // stubs against the newest stamp it has issued (never a negative
+  // cutoff that silently purges nothing).
+  const Micros now = clock_ != nullptr
+                         ? clock_->Now()
+                         : last_stamp_.load(std::memory_order_relaxed);
+  // Deletion-resurrection guard: a stub some replication peer has not
+  // yet pulled must survive the age cutoff — otherwise that peer's live
+  // copy replicates back and the delete silently undoes. Databases with
+  // no attached history (never replicate) purge by age alone.
   const ReplicationHistory* history;
   {
     MutexLock lock(&catalog_mu_);
     history = repl_history_;
   }
-  if (history != nullptr) {
-    seen_by_all_peers = history->MinCutoff().value_or(seen_by_all_peers);
-  }
-  // Collect ids first: Erase mutates the map under ForEach otherwise.
-  std::vector<NoteId> purged;
-  store_->ForEach([&](const Note& note) {
-    if (note.deleted() && note.sequence_time() < age_cutoff &&
-        note.modified_in_file() <= seen_by_all_peers) {
-      purged.push_back(note.id());
-    }
-  });
+  const Micros seen_by_all_peers = history != nullptr
+                                       ? history->MinSentCutoff()
+                                       : std::numeric_limits<Micros>::max();
+  DOMINO_ASSIGN_OR_RETURN(
+      std::vector<NoteId> purged,
+      store_->PurgeableStubs(now - store_->info().purge_interval,
+                             seen_by_all_peers));
   for (NoteId id : purged) {
     // Pre-image first: readers pinned before this commit keep resolving
     // the stub (and its UNID) through the overlay until they unpin.
@@ -1196,12 +1146,6 @@ Result<size_t> Database::PurgeStubs() {
     // update resurrect the purged note there.
     indexer_.Enqueue(indexer::NoteChange{id, indexer::ChangeKind::kErased,
                                          commit_epoch_, nullptr});
-    MutexLock lock(&notify_mu_);
-    if (!observers_.empty()) {
-      PendingNotify n;
-      n.erased_id = id;
-      pending_notify_.push_back(std::move(n));
-    }
   }
   ctr_stubs_purged_->Add(purged.size());
   return purged.size();
@@ -1212,12 +1156,12 @@ Result<size_t> Database::PurgeStubs() {
 // ---------------------------------------------------------------------------
 
 void Database::AddObserver(DatabaseObserver* observer) {
-  MutexLock lock(&notify_mu_);
+  MutexLock lock(&observers_mu_);
   observers_.push_back(observer);
 }
 
 void Database::RemoveObserver(DatabaseObserver* observer) {
-  MutexLock lock(&notify_mu_);
+  MutexLock lock(&observers_mu_);
   for (auto it = observers_.begin(); it != observers_.end(); ++it) {
     if (*it == observer) {
       observers_.erase(it);
@@ -1369,15 +1313,6 @@ Status Database::AfterChange(const Note& note) {
                                          indexer::ChangeKind::kChanged,
                                          commit_epoch_,
                                          std::make_shared<Note>(note)});
-  }
-  // Observers fire after the outermost mutator releases the write lock
-  // (see MutationGuard) — a cluster observer locks peer databases, which
-  // must never nest inside our own lock.
-  {
-    MutexLock lock(&notify_mu_);
-    if (!observers_.empty()) {
-      pending_notify_.push_back(PendingNotify{note, kInvalidNoteId});
-    }
   }
   return Status::Ok();
 }

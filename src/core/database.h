@@ -4,10 +4,8 @@
 #include <atomic>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -31,15 +29,17 @@ namespace dominodb {
 
 class ReplicationHistory;
 
-/// Receives change events after every committed mutation. Used by the
-/// cluster (event-driven) replicator and by tests.
+/// A payload-free commit signal. What changed is read from the
+/// modified-in-file index (`NotesModifiedSince`) with a stamp cursor, the
+/// one change feed every replication consumer uses. Used by the cluster
+/// (event-driven) replicator and by tests.
 class DatabaseObserver {
  public:
   virtual ~DatabaseObserver() = default;
-  /// Fired for creates, updates and logical deletes (note.deleted()).
-  virtual void OnNoteChanged(const Note& note) = 0;
-  /// Fired when a stub is physically purged.
-  virtual void OnNoteErased(NoteId id) { (void)id; }
+  /// Fired once per outermost mutation, on the committing thread, after
+  /// the write lock is released — so it may write to this or any other
+  /// database. May fire for a commit that changed nothing.
+  virtual void OnCommit() = 0;
 };
 
 struct DatabaseOptions {
@@ -149,8 +149,8 @@ class Database : public NoteResolver {
   const MvccSnapshots& mvcc() const { return mvcc_; }
 
   /// The last modified-in-file stamp issued by this database. Everything
-  /// written so far carries a stamp ≤ this value; the replicator records
-  /// it as the post-session cutoff.
+  /// written so far carries a stamp ≤ this value; a cluster replicator
+  /// starts its cursor here.
   Micros last_write_stamp() const {
     return last_stamp_.load(std::memory_order_acquire);
   }
@@ -289,8 +289,9 @@ class Database : public NoteResolver {
   void AttachReplicationHistory(const ReplicationHistory* history);
 
   /// Purges expired deletion stubs: stubs older than `purge_interval`
-  /// AND (when a replication history is attached) already seen by every
-  /// recorded peer. Returns the number removed. Readers pinned before the
+  /// AND (when a replication history is attached) already pulled by every
+  /// recorded peer. Selected from the store's id table; no note is
+  /// decoded. Returns the number removed. Readers pinned before the
   /// purge keep seeing the stubs through the overlay until they unpin.
   Result<size_t> PurgeStubs();
 
@@ -357,7 +358,7 @@ class Database : public NoteResolver {
   bool ThisThreadHoldsWrite() const;
 
   class WriteGuard;     // exclusive, no commit epoch (admin/maintenance)
-  class MutationGuard;  // exclusive + commit epoch + deferred notifications
+  class MutationGuard;  // exclusive + commit epoch + post-release OnCommit
 
   Unid GenerateUnid() REQUIRES(mu_);
   /// Monotonic, replica-distinct sequence/modified-in-file stamp.
@@ -367,7 +368,7 @@ class Database : public NoteResolver {
   /// mutation it protects.
   void RecordPreImage(NoteId id) REQUIRES(mu_);
   /// Post-commit bookkeeping: children index, design state, the update
-  /// queue, observers.
+  /// queue.
   Status AfterChange(const Note& note) REQUIRES(mu_);
   /// Store threshold maintenance (compaction slice, then checkpoint), run
   /// once per outermost commit. The commit is already durable, so a
@@ -403,17 +404,8 @@ class Database : public NoteResolver {
   void ScanAt(Epoch at, const std::function<void(const Note&)>& fn,
               NoteStore::Visit visit = NoteStore::Visit::kAll) const;
 
-  /// One queued post-commit notification: a changed note, or (when
-  /// erased_id is set) a physical erase.
-  struct PendingNotify {
-    Note note;
-    NoteId erased_id = kInvalidNoteId;
-  };
-  /// Fires queued notifications outside all locks. Reentrant calls from
-  /// an observer's own writes return immediately (the outer drain
-  /// finishes the queue); concurrent callers wait until the queue is
-  /// empty.
-  void DrainNotifications();
+  /// Calls every observer's OnCommit (outside all locks).
+  void NotifyCommit();
 
   /// Writer serialization lock (held exclusively by mutators; readers
   /// never touch it — see the class comment). Mutable so const
@@ -461,12 +453,9 @@ class Database : public NoteResolver {
   std::map<std::string, std::set<Unid>> read_marks_
       GUARDED_BY(marks_mu_);  // user → read unids
 
-  // Observers, the post-commit notification queue and its drain state.
-  mutable Mutex notify_mu_;
-  std::vector<DatabaseObserver*> observers_ GUARDED_BY(notify_mu_);
-  std::vector<PendingNotify> pending_notify_ GUARDED_BY(notify_mu_);
-  std::mutex notify_drain_mu_;  // one active drainer at a time
-  std::atomic<std::thread::id> notify_drainer_{};
+  /// Commit observers. A leaf lock: held only to copy the list.
+  mutable Mutex observers_mu_;
+  std::vector<DatabaseObserver*> observers_ GUARDED_BY(observers_mu_);
 
   int mutation_depth_ GUARDED_BY(mu_) = 0;  // nested MutationGuards
   /// Epoch of the in-flight commit (set by the outermost MutationGuard).

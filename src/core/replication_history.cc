@@ -1,31 +1,32 @@
 #include "core/replication_history.h"
 
 #include <algorithm>
+#include <limits>
 
 namespace dominodb {
 
 Micros ReplicationHistory::CutoffFor(const std::string& peer) const {
   MutexLock lock(&mu_);
-  auto it = cutoffs_.find(peer);
-  return it == cutoffs_.end() ? 0 : it->second;
+  auto it = peers_.find(peer);
+  return it == peers_.end() ? 0 : it->second.received;
 }
 
 void ReplicationHistory::Record(const std::string& peer, Micros cutoff) {
   MutexLock lock(&mu_);
-  Micros& slot = cutoffs_[peer];
+  Micros& slot = peers_[peer].received;
   slot = std::max(slot, cutoff);
 }
 
-void ReplicationHistory::Clear() {
+void ReplicationHistory::RecordSent(const std::string& peer, Micros cutoff) {
   MutexLock lock(&mu_);
-  cutoffs_.clear();
+  Micros& slot = peers_[peer].sent;
+  slot = std::max(slot, cutoff);
 }
 
-std::optional<Micros> ReplicationHistory::MinCutoff() const {
+Micros ReplicationHistory::MinSentCutoff() const {
   MutexLock lock(&mu_);
-  if (cutoffs_.empty()) return std::nullopt;
-  Micros min = cutoffs_.begin()->second;
-  for (const auto& [peer, cutoff] : cutoffs_) min = std::min(min, cutoff);
+  Micros min = std::numeric_limits<Micros>::max();
+  for (const auto& [peer, cutoffs] : peers_) min = std::min(min, cutoffs.sent);
   return min;
 }
 

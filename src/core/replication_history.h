@@ -2,7 +2,6 @@
 #define DOMINODB_CORE_REPLICATION_HISTORY_H_
 
 #include <map>
-#include <optional>
 #include <string>
 
 #include "base/clock.h"
@@ -10,34 +9,39 @@
 
 namespace dominodb {
 
-/// Per-database replication history: for each peer, the cutoff timestamp
-/// of the last successful replication. The incremental-replication claim
-/// of the paper hangs on this: only notes modified after the cutoff are
-/// summarized and shipped.
-///
-/// The history also protects deletions. PurgeStubs consults MinCutoff()
-/// before physically removing a stub: a stub some recorded peer has not
-/// yet seen must survive, or that peer's live copy replicates back and
-/// silently undoes the delete (the classic resurrection anomaly).
+/// Per-database replication history: two cutoffs per peer.
+///  - Received through (`CutoffFor`, in the peer's stamps): this database
+///    has pulled every change of the peer stamped at or below it. The
+///    incremental-replication claim of the paper hangs on this: only
+///    notes modified after the cutoff are summarized and shipped.
+///  - Sent through (in this database's stamps): the peer has pulled every
+///    change of this database stamped at or below it. PurgeStubs keeps
+///    any stub above MinSentCutoff(), or a peer's live copy replicates
+///    back and silently undoes the delete (the resurrection anomaly).
 ///
 /// Thread-safe: the replicator records cutoffs while the purge task (or a
 /// concurrent session with another peer) reads them.
 class ReplicationHistory {
  public:
-  /// 0 when the pair never replicated (full scan).
+  /// Received through; 0 when this database never pulled from `peer`.
   Micros CutoffFor(const std::string& peer) const;
-  /// Keeps the maximum per peer, so a stale report never rewinds progress.
+  /// Each recorder keeps the maximum per peer, so a stale report never
+  /// rewinds progress.
   void Record(const std::string& peer, Micros cutoff);
-  void Clear();
+  void RecordSent(const std::string& peer, Micros cutoff);
 
-  /// The least-caught-up recorded peer's cutoff: every recorded peer has
-  /// seen all changes stamped at or below this value. Empty history (the
-  /// database never replicated) returns nullopt — no clamp applies.
-  std::optional<Micros> MinCutoff() const;
+  /// The least-caught-up peer's sent-through cutoff (0 for a peer this
+  /// database only pulled from). With no peer — the database never
+  /// replicated — nothing needs protecting: the maximum stamp.
+  Micros MinSentCutoff() const;
 
  private:
+  struct Cutoffs {
+    Micros received = 0;
+    Micros sent = 0;
+  };
   mutable Mutex mu_;
-  std::map<std::string, Micros> cutoffs_ GUARDED_BY(mu_);
+  std::map<std::string, Cutoffs> peers_ GUARDED_BY(mu_);
 };
 
 }  // namespace dominodb

@@ -1,5 +1,7 @@
 #include "repl/replicator.h"
 
+#include <unordered_map>
+
 #include "base/hash.h"
 #include "base/string_util.h"
 
@@ -307,8 +309,8 @@ Status Replicator::Pull(const ReplicaEndpoint& dst,
                             formula::Formula::Compile(
                                 options.selective_formula));
   }
-  const bool track_progress = options.use_history && dst.history != nullptr;
-  Micros cutoff = track_progress ? dst.history->CutoffFor(src.name) : 0;
+  Micros cutoff = dst.history != nullptr ? dst.history->CutoffFor(src.name)
+                                         : 0;
 
   // 1. Request + receive the change summary (OIDs newer than the cutoff),
   //    ordered by the source's modified-in-file stamps so any processed
@@ -324,17 +326,17 @@ Status Replicator::Pull(const ReplicaEndpoint& dst,
   local.summarized += summary.size();
 
   // 2. Decide per note; fetch bodies only for versions we may need. After
-  //    every complete batch the low-water cutoff advances into the
-  //    history, so a mid-session link failure keeps the progress made and
-  //    a retry ships only the remainder.
+  //    every complete batch the low-water cutoff advances into both
+  //    histories, so a mid-session link failure keeps the progress made
+  //    and a retry ships only the remainder.
   const size_t batch_size =
       options.batch_size == 0 ? summary.size() + 1 : options.batch_size;
   size_t in_batch = 0;
   Micros low_water = 0;
   auto commit_progress = [&]() {
-    if (track_progress && low_water > 0) {
-      dst.history->Record(src.name, low_water);
-    }
+    if (low_water == 0) return;
+    if (dst.history != nullptr) dst.history->Record(src.name, low_water);
+    if (src.history != nullptr) src.history->RecordSent(dst.name, low_water);
   };
   for (const NoteHandle& remote_note : summary) {
     const Oid& oid = remote_note->oid();
@@ -385,6 +387,29 @@ Status Replicator::Pull(const ReplicaEndpoint& dst,
     }
   }
   commit_progress();
+
+  // 3. The notes just installed carry fresh dst stamps that src would
+  //    summarize back next session. Walk dst's changes past src's cutoff
+  //    for dst while each is a version src summarized here, and advance
+  //    that cutoff over them. The first note src has not seen (a write
+  //    that raced this session, a conflict document) ends the walk.
+  if (src.history != nullptr && !summary.empty()) {
+    std::unordered_map<Unid, Oid> summarized;
+    for (const NoteHandle& note : summary) {
+      summarized.emplace(note->unid(), note->oid());
+    }
+    Micros echo = 0;
+    for (const NoteHandle& note :
+         dst.db->NotesModifiedSince(src.history->CutoffFor(dst.name))) {
+      auto it = summarized.find(note->unid());
+      if (it == summarized.end() || it->second != note->oid()) break;
+      echo = note->modified_in_file();
+    }
+    if (echo > 0) {
+      src.history->Record(dst.name, echo);
+      if (dst.history != nullptr) dst.history->RecordSent(src.name, echo);
+    }
+  }
 
   if (!count_as_pull) {
     local.pushed = local.pulled;
@@ -440,46 +465,60 @@ Result<ReplicationReport> Replicator::RunSession(
     DOMINO_RETURN_IF_ERROR(
         Pull(remote, local, options, /*count_as_pull=*/false, &report));
   }
-  // Record post-session cutoffs: each side has now seen everything the
-  // other wrote up to its final stamp (including notes installed during
-  // this very session, which avoids re-summarizing them next time).
-  if (local.history != nullptr) {
-    local.history->Record(remote.name, remote.db->last_write_stamp());
-  }
-  if (remote.history != nullptr) {
-    remote.history->Record(local.name, local.db->last_write_stamp());
-  }
   return report;
 }
 
-void ClusterReplicator::OnNoteChanged(const Note& note) {
-  if (applying_) return;
-  applying_ = true;
-  for (Database* peer : peers_) {
-    if (peer->replica_id() != source_->replica_id()) {
-      // A misconfigured cluster member (not a replica of the source) must
-      // not be contaminated with foreign notes; degrade loudly instead.
-      report_.apply_failures += 1;
-      ctr_cluster_failures_->Add();
-      RecordClusterFailure(
-          peer, Status::InvalidArgument("peer is not a replica of source"));
-      continue;
+void ClusterReplicator::OnCommit() {
+  {
+    MutexLock lock(&mu_);
+    if (pushing_) {
+      more_ = true;
+      return;
     }
-    auto existing = peer->GetAnyByUnid(note.unid());
-    if (existing.ok() && existing->oid() == note.oid()) continue;
-    auto applied = ApplyRemoteChange(peer, note, &report_);
-    if (!applied.ok()) {
-      // A partitioned or failing peer drops out of the event-driven push;
-      // the scheduled replicator catches it up once it heals. Record the
-      // failure so the degradation is loud, not silent.
-      report_.apply_failures += 1;
-      ctr_cluster_failures_->Add();
-      RecordClusterFailure(peer, applied.status());
-      continue;
-    }
-    if (*applied) ctr_cluster_pushes_->Add();
+    pushing_ = true;
   }
-  applying_ = false;
+  for (;;) {
+    PushPending();
+    // A commit that marked more work before this check is in the index
+    // the next PushPending reads; one after it finds pushing_ cleared and
+    // pushes itself.
+    MutexLock lock(&mu_);
+    if (!more_) {
+      pushing_ = false;
+      return;
+    }
+    more_ = false;
+  }
+}
+
+void ClusterReplicator::PushPending() {
+  for (const NoteHandle& note : source_->NotesModifiedSince(cursor_)) {
+    cursor_ = note->modified_in_file();
+    for (Database* peer : peers_) {
+      if (peer->replica_id() != source_->replica_id()) {
+        // A misconfigured cluster member (not a replica of the source)
+        // must not be contaminated with foreign notes; degrade loudly.
+        report_.apply_failures += 1;
+        ctr_cluster_failures_->Add();
+        RecordClusterFailure(
+            peer, Status::InvalidArgument("peer is not a replica of source"));
+        continue;
+      }
+      auto existing = peer->GetAnyByUnid(note->unid());
+      if (existing.ok() && existing->oid() == note->oid()) continue;
+      auto applied = ApplyRemoteChange(peer, *note, &report_);
+      if (!applied.ok()) {
+        // A partitioned or failing peer drops out of the event-driven
+        // push; the scheduled replicator catches it up once it heals.
+        // Record the failure so the degradation is loud, not silent.
+        report_.apply_failures += 1;
+        ctr_cluster_failures_->Add();
+        RecordClusterFailure(peer, applied.status());
+        continue;
+      }
+      if (*applied) ctr_cluster_pushes_->Add();
+    }
+  }
 }
 
 void ClusterReplicator::RecordClusterFailure(Database* peer,

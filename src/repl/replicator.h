@@ -22,9 +22,6 @@ struct ReplicationOptions {
   /// Selective replication: only notes matching this formula are pulled
   /// (deletion stubs always propagate). Empty string = everything.
   std::string selective_formula;
-  /// When false, the replication history is ignored and every note is
-  /// summarized (the "full replication" baseline of experiment E3).
-  bool use_history = true;
   /// Field-level conflict merging (the Notes "merge replication
   /// conflicts" form option): concurrent edits that touched disjoint
   /// items are merged into one version instead of producing a conflict
@@ -56,8 +53,9 @@ struct ReplicationReport {
 
 /// One side of a replication session: the database, the server name it is
 /// addressed by on the SimNet, and that side's persistent replication
-/// history (nullable — sessions then always run from a zero cutoff and
-/// record no progress, the stateless "replicate everything" mode).
+/// history (nullable — that side then always pulls from a zero cutoff and
+/// records no progress, the stateless "replicate everything" mode that is
+/// the full-replication baseline of experiment E3).
 struct ReplicaEndpoint {
   Database* db = nullptr;
   std::string name;
@@ -98,7 +96,9 @@ class Replicator {
   /// ids differ (not replicas of the same database). Sessions are
   /// resumable: each side's history advances batch-by-batch as notes
   /// install, so a session killed by a link failure preserves its partial
-  /// progress and the retry ships only the remainder.
+  /// progress and the retry ships only the remainder. No cutoff ever
+  /// covers a note written to either side during the session before that
+  /// note has shipped.
   Result<ReplicationReport> Replicate(const ReplicaEndpoint& local,
                                       const ReplicaEndpoint& remote,
                                       const ReplicationOptions& options = {});
@@ -138,14 +138,19 @@ class Replicator {
 
 /// Cluster replication: event-driven push among replicas on the same
 /// cluster, as introduced for Domino clustering. Attach one per source
-/// database; every committed change is immediately applied to the peers.
+/// database; on every source commit it pushes the notes past its stamp
+/// cursor (`NotesModifiedSince`) to the peers. One push runs at a time:
+/// a commit that finds one running (on any thread) marks more work for
+/// it and returns, so no thread waits for another's push and a mutual
+/// pair cannot deadlock.
 class ClusterReplicator : public DatabaseObserver {
  public:
   ClusterReplicator(Database* source, std::vector<Database*> peers,
                     stats::StatRegistry* stats = nullptr)
       : source_(source),
         peers_(std::move(peers)),
-        registry_(stats != nullptr ? stats : &stats::StatRegistry::Global()) {
+        registry_(stats != nullptr ? stats : &stats::StatRegistry::Global()),
+        cursor_(source->last_write_stamp()) {
     ctr_cluster_pushes_ = &registry_->GetCounter("Replica.Cluster.Pushes");
     ctr_cluster_failures_ =
         &registry_->GetCounter("Replica.Cluster.Failures");
@@ -157,20 +162,27 @@ class ClusterReplicator : public DatabaseObserver {
   }
   ~ClusterReplicator() override { source_->RemoveObserver(this); }
 
-  void OnNoteChanged(const Note& note) override;
+  void OnCommit() override;
 
+  /// Written by the pusher; read it once the source's writers returned.
   const ReplicationReport& report() const { return report_; }
 
  private:
+  /// Pushes every note past the cursor to every peer, advancing it.
+  void PushPending();
   void RecordClusterFailure(Database* peer, const Status& status);
 
   Database* source_;
   std::vector<Database*> peers_;
-  ReplicationReport report_;
   stats::StatRegistry* registry_;
   stats::Counter* ctr_cluster_pushes_;
   stats::Counter* ctr_cluster_failures_;
-  bool applying_ = false;  // re-entrancy guard
+  Mutex mu_;  // never held while calling into a database
+  bool pushing_ GUARDED_BY(mu_) = false;
+  bool more_ GUARDED_BY(mu_) = false;
+  // Owned by the running pusher (the pushing_ hand-off orders them).
+  Micros cursor_;
+  ReplicationReport report_;
 };
 
 }  // namespace dominodb

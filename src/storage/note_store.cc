@@ -101,7 +101,6 @@ NoteStore::NoteStore(std::string dir, StoreOptions options)
   ctr_docs_updated_ = &registry_->GetCounter("Database.Docs.Updated");
   ctr_docs_deleted_ = &registry_->GetCounter("Database.Docs.Deleted");
   ctr_docs_erased_ = &registry_->GetCounter("Database.Docs.Erased");
-  ctr_stubs_purged_ = &registry_->GetCounter("Database.Stubs.Purged");
   ctr_checkpoints_ = &registry_->GetCounter("Database.Checkpoints");
   ctr_wal_records_ = &registry_->GetCounter("Database.WAL.Records");
   ctr_wal_bytes_ = &registry_->GetCounter("Database.WAL.Bytes");
@@ -1017,33 +1016,35 @@ Status NoteStore::Erase(NoteId id) {
   return ApplyErase(id, entry);
 }
 
-Result<size_t> NoteStore::PurgeStubs(Micros now) {
-  // Stub eligibility lives entirely in the id table (deleted flag +
-  // sequence time), so the purge scan never faults bucket pages in.
+Result<std::vector<NoteId>> NoteStore::PurgeableStubs(
+    Micros age_cutoff, Micros seen_cutoff) const {
+  ReaderLock lock(&mu_);
   std::vector<NoteId> victims;
-  {
-    ReaderLock lock(&mu_);
-    const Micros cutoff = now - info_.purge_interval;
-    const size_t per_page = EntriesPerPage();
-    for (size_t ti = 0; ti < id_table_pages_.size(); ++ti) {
-      DOMINO_ASSIGN_OR_RETURN(pager::PageRef ref,
-                              pool_->Pin(id_table_pages_[ti]));
-      for (size_t i = 0; i < per_page; ++i) {
-        const char* p = ref.data() + kPageHeaderSize + i * kIdEntrySize;
-        const uint8_t flags = static_cast<uint8_t>(p[22]);
-        if ((flags & kEntryUsed) == 0 || (flags & kEntryDeleted) == 0) {
-          continue;
-        }
-        if (static_cast<Micros>(LoadU64(p + 24)) < cutoff) {
-          victims.push_back(static_cast<NoteId>(ti * per_page + i + 1));
-        }
+  const size_t per_page = EntriesPerPage();
+  for (size_t ti = 0; ti < id_table_pages_.size(); ++ti) {
+    DOMINO_ASSIGN_OR_RETURN(pager::PageRef ref,
+                            pool_->Pin(id_table_pages_[ti]));
+    for (size_t i = 0; i < per_page; ++i) {
+      const IdEntry entry =
+          DecodeEntry(ref.data() + kPageHeaderSize + i * kIdEntrySize);
+      if ((entry.flags & kEntryUsed) != 0 &&
+          (entry.flags & kEntryDeleted) != 0 &&
+          entry.seq_time < age_cutoff && entry.modified <= seen_cutoff) {
+        victims.push_back(static_cast<NoteId>(ti * per_page + i + 1));
       }
     }
   }
+  return victims;
+}
+
+Result<size_t> NoteStore::PurgeStubs(Micros now) {
+  DOMINO_ASSIGN_OR_RETURN(
+      std::vector<NoteId> victims,
+      PurgeableStubs(now - info().purge_interval,
+                     std::numeric_limits<Micros>::max()));
   for (NoteId id : victims) {
     DOMINO_RETURN_IF_ERROR(Erase(id));
   }
-  ctr_stubs_purged_->Add(victims.size());
   return victims.size();
 }
 

@@ -201,7 +201,13 @@ class NoteStore {
   /// logical deletion goes through Note::MakeStub + Put).
   Status Erase(NoteId id);
 
-  /// Removes deletion stubs whose sequence time is older than
+  /// Ids of the deletion stubs whose sequence time is older than
+  /// `age_cutoff` and whose modified-in-file stamp is at or below
+  /// `seen_cutoff`. Selected from the id table alone: no bucket page is
+  /// read and no note decoded.
+  Result<std::vector<NoteId>> PurgeableStubs(Micros age_cutoff,
+                                             Micros seen_cutoff) const;
+  /// Erases the stubs whose sequence time is older than
   /// `now - purge_interval`. Returns the number purged.
   Result<size_t> PurgeStubs(Micros now);
 
@@ -388,7 +394,6 @@ class NoteStore {
   stats::Counter* ctr_docs_updated_;
   stats::Counter* ctr_docs_deleted_;
   stats::Counter* ctr_docs_erased_;
-  stats::Counter* ctr_stubs_purged_;
   stats::Counter* ctr_checkpoints_;
   stats::Counter* ctr_wal_records_;
   stats::Counter* ctr_wal_bytes_;

@@ -368,27 +368,50 @@ TEST(DatabaseCommitMaintenance, FailedCheckpointDoesNotFailCommittedWrite) {
   EXPECT_GT(store_warnings, 0u);
 }
 
-TEST_F(DatabaseFixture, ObserverNotifications) {
+TEST_F(DatabaseFixture, OnCommitFiresOncePerOutermostCommit) {
+  // OnCommit carries no payload: one call per outermost mutation, after
+  // the write lock is released, so the callback may write to the same
+  // database (that write fires its own OnCommit, nested in this one).
   struct Recorder : DatabaseObserver {
-    std::vector<std::string> events;
-    void OnNoteChanged(const Note& note) override {
-      events.push_back((note.deleted() ? "del:" : "put:") +
-                       std::to_string(note.id()));
-    }
-    void OnNoteErased(NoteId id) override {
-      events.push_back("erase:" + std::to_string(id));
+    Database* db = nullptr;
+    int commits = 0;
+    bool write_back = false;
+    void OnCommit() override {
+      ++commits;
+      if (!write_back) return;
+      write_back = false;
+      EXPECT_OK(db->CreateNote(MakeDoc("Memo", "from observer")).status());
     }
   } recorder;
+  recorder.db = db_.get();
   db_->AddObserver(&recorder);
+
   ASSERT_OK_AND_ASSIGN(NoteId id, Create("Memo", "watched"));
+  EXPECT_EQ(recorder.commits, 1);
+  // CreateResponse nests CreateNote inside its own mutation: one commit.
+  ASSERT_OK_AND_ASSIGN(Note parent, db_->ReadNote(id));
+  ASSERT_OK(db_->CreateResponse(parent.unid(), MakeDoc("Reply", "re"))
+                .status());
+  EXPECT_EQ(recorder.commits, 2);
   ASSERT_OK(db_->DeleteNote(id));
+  EXPECT_EQ(recorder.commits, 3);
   clock_.Set(clock_.Now() + db_->info().purge_interval + 10'000'000);
-  ASSERT_OK(db_->PurgeStubs().status());
+  ASSERT_OK_AND_ASSIGN(size_t purged, db_->PurgeStubs());
+  EXPECT_EQ(purged, 1u);
+  EXPECT_EQ(recorder.commits, 4);
+
+  // Writing from the callback does not deadlock.
+  recorder.write_back = true;
+  ASSERT_OK(Create("Memo", "trigger").status());
+  EXPECT_EQ(recorder.commits, 6);
+  EXPECT_EQ(db_->note_count(), 3u);
+
+  // Non-commit maintenance (a checkpoint) fires nothing.
+  ASSERT_OK(db_->Checkpoint());
+  EXPECT_EQ(recorder.commits, 6);
   db_->RemoveObserver(&recorder);
-  ASSERT_EQ(recorder.events.size(), 3u);
-  EXPECT_EQ(recorder.events[0], "put:" + std::to_string(id));
-  EXPECT_EQ(recorder.events[1], "del:" + std::to_string(id));
-  EXPECT_EQ(recorder.events[2], "erase:" + std::to_string(id));
+  ASSERT_OK(Create("Memo", "unwatched").status());
+  EXPECT_EQ(recorder.commits, 6);
 }
 
 TEST_F(DatabaseFixture, ViewDesignChangeViaNoteTakesEffect) {

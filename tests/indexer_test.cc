@@ -107,7 +107,8 @@ TEST(IndexerTaskTest, BackgroundDrainAppliesEvents) {
       },
       &reg);
   for (NoteId id = 1; id <= 20; ++id) {
-    task.Enqueue(indexer::NoteChange{id, indexer::ChangeKind::kChanged});
+    task.Enqueue(indexer::NoteChange{id, indexer::ChangeKind::kChanged,
+                                      kEpochNone, nullptr});
   }
   // A full CatchUp from this thread acts as the deterministic barrier.
   {
@@ -130,7 +131,8 @@ TEST(IndexerTaskTest, CloseWithQueuedWorkDoesNotHang) {
       [](indexer::IndexerTask* t) { t->CatchUp(kEpochMax, [](auto&) {}); },
       nullptr);
   for (NoteId id = 1; id <= 100; ++id) {
-    task.Enqueue(indexer::NoteChange{id, indexer::ChangeKind::kChanged});
+    task.Enqueue(indexer::NoteChange{id, indexer::ChangeKind::kChanged,
+                                      kEpochNone, nullptr});
   }
   task.Close();  // must wait for in-flight callbacks and return
   EXPECT_FALSE(task.HasPending());
@@ -262,20 +264,26 @@ TEST_F(IndexerTwinFixture, BackgroundCountersMatchSyncWithoutDeletes) {
   for (Database* db : {sync_db.get(), bg_db.get()}) {
     ASSERT_OK(db->CreateView(SubjectView("all", "SELECT @All")).status());
     // With no pool every writer drains its own events before it returns.
-    if (db == sync_db.get()) EXPECT_FALSE(db->HasPendingIndexWork());
+    if (db == sync_db.get()) {
+      EXPECT_FALSE(db->HasPendingIndexWork());
+    }
     std::vector<NoteId> ids;
     for (int i = 0; i < 30; ++i) {
       auto id = db->CreateNote(MakeDoc("Memo", "n" + std::to_string(i)));
       ASSERT_OK(id);
       ids.push_back(*id);
-      if (db == sync_db.get()) EXPECT_FALSE(db->HasPendingIndexWork());
+      if (db == sync_db.get()) {
+      EXPECT_FALSE(db->HasPendingIndexWork());
+    }
     }
     for (int i = 0; i < 30; i += 3) {
       auto note = db->ReadNote(ids[i]);
       ASSERT_OK(note);
       note->SetText("Subject", "renamed " + std::to_string(i));
       ASSERT_OK(db->UpdateNote(std::move(*note)));
-      if (db == sync_db.get()) EXPECT_FALSE(db->HasPendingIndexWork());
+      if (db == sync_db.get()) {
+      EXPECT_FALSE(db->HasPendingIndexWork());
+    }
     }
   }
   ASSERT_OK(bg_db->FlushIndexes());

@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
+#include <limits>
+#include <thread>
+
 #include "base/rng.h"
 #include "repl/replicator.h"
 #include "server/replication_scheduler.h"
@@ -305,6 +312,36 @@ TEST_F(ReplicationFixture, PurgeWaitsForPeersSoDeletesCannotResurrect) {
   EXPECT_EQ(a_->stub_count(), 0u);
 }
 
+TEST_F(ReplicationFixture, NoteWrittenDuringSessionReplicatesLater) {
+  // A note written to B while a session runs is stamped above every
+  // cutoff that session records, so a later session ships it. Recording
+  // B's last stamp after both pulls used to cover the mid-session write:
+  // no session ever summarized it again and the pair never converged.
+  ASSERT_OK(b_->CreateNote(MakeDoc("Memo", "before")).status());
+  clock_.Advance(1000);
+  struct WriteIntoPeer : DatabaseObserver {
+    Database* peer = nullptr;
+    bool armed = true;
+    void OnCommit() override {
+      if (!armed) return;
+      armed = false;
+      EXPECT_OK(peer->CreateNote(MakeDoc("Memo", "during")).status());
+    }
+  } observer;
+  observer.peer = b_;
+  a_->AddObserver(&observer);
+  Sync();  // A installs "before"; that commit writes "during" into B
+  a_->RemoveObserver(&observer);
+  EXPECT_FALSE(observer.armed);
+  for (int i = 0; i < 2; ++i) {
+    clock_.Advance(1000);
+    Sync();
+  }
+  EXPECT_EQ(a_->note_count(), 2u);
+  EXPECT_EQ(b_->note_count(), 2u);
+  EXPECT_TRUE(Converged());
+}
+
 TEST_F(ReplicationFixture, PurgeWithoutHistoryIsAgeOnlyAndCanResurrect) {
   // Databases that never replicate through a Server have no replication
   // history attached; purge falls back to the age-only rule and the
@@ -416,6 +453,43 @@ TEST_F(ReplicationFixture, ClusterPairDoesNotEcho) {
   EXPECT_EQ(a_->note_count(), 2u);
   EXPECT_EQ(b_->note_count(), 2u);
   EXPECT_TRUE(Converged());
+}
+
+TEST_F(ReplicationFixture, ClusterMutualPairWithConcurrentWritersConverges) {
+  // Each side is the other's cluster peer and has its own writer thread.
+  // A commit that finds a push running hands it the work instead of
+  // waiting, so the pair cannot deadlock, and every change has reached
+  // the peer by the time both writers return — no scheduled session.
+  constexpr int kPerSide = 2000;
+  ClusterReplicator ab(a_, {b_});
+  ClusterReplicator ba(b_, {a_});
+  auto write = [](Database* db, const std::string& subject) {
+    for (int i = 0; i < kPerSide; ++i) {
+      EXPECT_OK(db->CreateNote(MakeDoc("Memo", subject)).status());
+    }
+  };
+  std::promise<void> done;
+  std::future<void> finished = done.get_future();
+  std::thread run([&] {
+    std::thread on_a(write, a_, "from A");
+    std::thread on_b(write, b_, "from B");
+    on_a.join();
+    on_b.join();
+    done.set_value();
+  });
+  if (finished.wait_for(std::chrono::minutes(5)) !=
+      std::future_status::ready) {
+    // Threads stuck in a deadlock cannot be joined: fail the binary.
+    std::fprintf(stderr, "mutual cluster pair did not finish (deadlock)\n");
+    std::fflush(nullptr);
+    std::_Exit(1);
+  }
+  run.join();
+  EXPECT_EQ(a_->note_count(), 2u * kPerSide);
+  EXPECT_EQ(b_->note_count(), 2u * kPerSide);
+  EXPECT_TRUE(Converged());
+  EXPECT_EQ(ab.report().apply_failures, 0u);
+  EXPECT_EQ(ba.report().apply_failures, 0u);
 }
 
 TEST_F(ReplicationFixture, ClusterPushFailureIsRecordedNotSwallowed) {
@@ -555,6 +629,19 @@ TEST(ReplicationHistoryTest, CutoffBookkeeping) {
   EXPECT_EQ(history.CutoffFor("peer"), 100);
   history.Record("peer", 200);
   EXPECT_EQ(history.CutoffFor("peer"), 200);
+
+  // Sent-through is separate and clamps purge: a peer this database only
+  // pulled from has seen none of its changes.
+  EXPECT_EQ(history.MinSentCutoff(), 0);
+  history.RecordSent("peer", 150);
+  history.RecordSent("peer", 120);  // never regresses
+  EXPECT_EQ(history.MinSentCutoff(), 150);
+  EXPECT_EQ(history.CutoffFor("peer"), 200);
+  history.RecordSent("other", 90);
+  EXPECT_EQ(history.MinSentCutoff(), 90);
+  EXPECT_EQ(history.CutoffFor("other"), 0);
+  EXPECT_EQ(ReplicationHistory().MinSentCutoff(),
+            std::numeric_limits<Micros>::max());
 }
 
 }  // namespace
