@@ -70,6 +70,7 @@ void AgentRunner::Reload() {
     if (it != agents_.end()) {
       state.last_run = it->second.last_run;
       state.last_seen_stamp = it->second.last_seen_stamp;
+      state.own_writes = std::move(it->second.own_writes);
     }
     fresh[key] = std::move(state);
   });
@@ -151,19 +152,25 @@ Result<AgentRunReport> AgentRunner::Execute(AgentState* state) {
       candidates.push_back(note);
     }
   };
+  // The next cursor is the newest stamp in the snapshot read here, never
+  // the database's latest: a write another thread commits during the run
+  // stamps past it and is seen next time.
+  Micros read_stamp = state->last_seen_stamp;
   if (state->design.trigger() == AgentTrigger::kOnNewAndChanged) {
     for (const NoteHandle& note :
          db_->NotesModifiedSince(state->last_seen_stamp)) {
-      collect(*note);
+      read_stamp = std::max(read_stamp, note->modified_in_file());
+      if (state->own_writes.count({note->unid(), note->sequence()}) == 0) {
+        collect(*note);
+      }
     }
   } else {
     db_->ForEachLiveNote(collect);
   }
 
-  Micros max_stamp = state->last_seen_stamp;
+  std::set<std::pair<Unid, uint32_t>> own_writes;
   for (Note& doc : candidates) {
     ++report.docs_scanned;
-    max_stamp = std::max(max_stamp, doc.modified_in_file());
     formula::EvalContext ctx;
     db_->BindFormulaServices(&ctx);
     ctx.note = &doc;
@@ -188,13 +195,15 @@ Result<AgentRunReport> AgentRunner::Execute(AgentState* state) {
       Status st = db_->UpdateNote(std::move(mutated));
       if (st.ok()) {
         ++report.docs_modified;
+        // UpdateNote bumps the sequence by one.
+        own_writes.insert({doc.unid(), doc.sequence() + 1});
       } else {
         ++report.errors;
       }
     }
   }
-  // Documents the agent itself just modified must not re-trigger it.
-  state->last_seen_stamp = std::max(max_stamp, db_->last_write_stamp());
+  state->last_seen_stamp = read_stamp;
+  state->own_writes = std::move(own_writes);
   return report;
 }
 

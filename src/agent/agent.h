@@ -3,7 +3,9 @@
 
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/result.h"
@@ -91,6 +93,10 @@ class AgentRunner {
     AgentDesign design;
     Micros last_run = 0;          // wall/sim time of last run
     Micros last_seen_stamp = 0;   // modified-in-file cutoff for kOnNewAndChanged
+    /// The versions (UNID, sequence) the last run's updates produced. They
+    /// are stamped past the cutoff, so the next run skips them by name; a
+    /// later edit by anyone else bumps the sequence and is processed.
+    std::set<std::pair<Unid, uint32_t>> own_writes;
   };
 
   Result<AgentRunReport> Execute(AgentState* state);

@@ -36,9 +36,8 @@ class SCOPED_CAPABILITY MutexLock {
   Mutex* mu_;
 };
 
-/// std::shared_mutex with thread-safety-analysis annotations. Non-recursive:
-/// callers that may re-enter (the Database) layer their own ownership
-/// tracking on top.
+/// std::shared_mutex with thread-safety-analysis annotations. Non-recursive
+/// (like Mutex): a holder must not take it again.
 class CAPABILITY("shared_mutex") SharedMutex {
  public:
   SharedMutex() = default;

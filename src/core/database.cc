@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdio>
 #include <limits>
+#include <optional>
 #include <unordered_set>
 #include <utility>
 
@@ -16,34 +17,6 @@ namespace dominodb {
 namespace {
 
 std::atomic<uint64_t> g_open_counter{1};
-
-/// Thread-local write-lock ownership token: one entry per database this
-/// thread currently holds exclusively. `depth` counts nested guard
-/// acquisitions (public mutators call each other). The vector is tiny — a
-/// thread rarely holds more than one database (a cluster replicator
-/// pushing to a peer holds zero: OnCommit fires after release).
-struct LockToken {
-  const void* db;
-  int depth;
-};
-
-thread_local std::vector<LockToken> t_lock_tokens;
-
-LockToken* FindToken(const void* db) {
-  for (LockToken& token : t_lock_tokens) {
-    if (token.db == db) return &token;
-  }
-  return nullptr;
-}
-
-void PopToken(const void* db) {
-  for (auto it = t_lock_tokens.begin(); it != t_lock_tokens.end(); ++it) {
-    if (it->db == db) {
-      t_lock_tokens.erase(it);
-      return;
-    }
-  }
-}
 
 /// Thread-local pin token: the snapshot epoch this thread's outermost
 /// ReadTxn pinned on a database. Nested ReadTxns join it, which is what
@@ -76,43 +49,11 @@ void PopPin(const void* db) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Write lock (writer-writer serialization; readers never come here)
-// ---------------------------------------------------------------------------
-
-void Database::AcquireWrite() const {
-  LockToken* token = FindToken(this);
-  if (token != nullptr) {
-    ++token->depth;
-    return;
-  }
-  mu_.Lock();
-  t_lock_tokens.push_back({this, 1});
-}
-
-void Database::ReleaseWrite() const {
-  LockToken* token = FindToken(this);
-  if (--token->depth == 0) {
-    PopToken(this);
-    mu_.Unlock();
-  }
-}
-
-bool Database::ThisThreadHoldsWrite() const {
-  return FindToken(this) != nullptr;
-}
-
-// ---------------------------------------------------------------------------
 // Snapshot pinning (Database::ReadTxn)
 // ---------------------------------------------------------------------------
 
 Database::ReadTxn::ReadTxn(const Database* db, bool catch_up) : db_(db) {
-  if (db_->ThisThreadHoldsWrite()) {
-    // A read on the thread that holds the write lock (a mutator
-    // re-entering a read path, or @DbLookup inside a formula a writer
-    // evaluates) runs in latest mode: it must see this thread's own
-    // uncommitted writes, not a snapshot that excludes them.
-    epoch_ = kEpochLatest;
-  } else if (PinToken* pin = FindPin(db_)) {
+  if (PinToken* pin = FindPin(db_)) {
     ++pin->depth;
     epoch_ = pin->epoch;
   } else {
@@ -122,8 +63,7 @@ Database::ReadTxn::ReadTxn(const Database* db, bool catch_up) : db_(db) {
   }
   if (!catch_up) return;
   // Bring views / full-text up to the pin (an outer txn may have pinned
-  // with catch_up=false before this nested view read). kEpochLatest is
-  // above every queued epoch, so latest mode catches up on everything.
+  // with catch_up=false before this nested view read).
   Status status = db_->CatchUpIndexes(epoch_);
   if (!status.ok()) {
     db_->registry_->events().Log(stats::Severity::kWarning, "Indexer",
@@ -132,7 +72,6 @@ Database::ReadTxn::ReadTxn(const Database* db, bool catch_up) : db_(db) {
 }
 
 Database::ReadTxn::~ReadTxn() {
-  if (epoch_ == kEpochLatest) return;  // latest mode never pinned
   PinToken* pin = FindPin(db_);
   --pin->depth;
   if (!pinned_) return;  // nested: the outer txn owns the pin
@@ -146,52 +85,30 @@ Database::ReadTxn::~ReadTxn() {
 }
 
 // ---------------------------------------------------------------------------
-// Write guards
+// Mutation guard
 // ---------------------------------------------------------------------------
 
-/// Exclusive hold for internal state changes that advance no commit epoch
-/// and fire no OnCommit (index attach, checkpoints, compaction slices,
-/// ...).
-class SCOPED_CAPABILITY Database::WriteGuard {
- public:
-  explicit WriteGuard(const Database* db) ACQUIRE(db->mu_) : db_(db) {
-    db_->AcquireWrite();
-  }
-  ~WriteGuard() RELEASE() { db_->ReleaseWrite(); }
-  WriteGuard(const WriteGuard&) = delete;
-  WriteGuard& operator=(const WriteGuard&) = delete;
-
- private:
-  const Database* db_;
-};
-
-/// Scope guard for public mutators: holds the write lock, and the
-/// OUTERMOST guard on this thread brackets the commit — it opens the
-/// commit epoch on entry and publishes it on exit, after every nested
-/// sub-mutation has applied and recorded its pre-images, then runs the
-/// store's threshold maintenance before the lock is released. OnCommit
-/// fires after release, so an observer may lock a peer database without
-/// creating a lock order between the two.
+/// Scope guard for public mutators: holds the write lock and brackets
+/// the commit — it opens the commit epoch on entry and publishes it on
+/// exit, after the mutation has applied and recorded its pre-images, then
+/// runs the store's threshold maintenance before the lock is released.
+/// OnCommit fires after release, so an observer may lock a peer database
+/// without creating a lock order between the two.
 class SCOPED_CAPABILITY Database::MutationGuard {
  public:
   explicit MutationGuard(Database* db) ACQUIRE(db->mu_) : db_(db) {
-    db_->AcquireWrite();
-    if (++db_->mutation_depth_ == 1) {
-      db_->commit_epoch_ = db_->mvcc_.BeginCommit();
-    }
+    db_->mu_.Lock();
+    db_->commit_epoch_ = db_->mvcc_.BeginCommit();
   }
   ~MutationGuard() RELEASE() {
-    const bool outermost = --db_->mutation_depth_ == 0;
-    if (outermost) {
-      db_->mvcc_.Publish(db_->commit_epoch_);
-      db_->commit_epoch_ = kEpochNone;
-      // Piggyback index-zombie reclamation on the commit: drops whatever
-      // versions the (possibly advanced) reclaim floor no longer protects.
-      db_->ReclaimIndexVersions();
-      db_->MaintainStore();
-    }
-    db_->ReleaseWrite();
-    if (outermost) db_->NotifyCommit();
+    db_->mvcc_.Publish(db_->commit_epoch_);
+    db_->commit_epoch_ = kEpochNone;
+    // Piggyback index-zombie reclamation on the commit: drops whatever
+    // versions the (possibly advanced) reclaim floor no longer protects.
+    db_->ReclaimIndexVersions();
+    db_->MaintainStore();
+    db_->mu_.Unlock();
+    db_->NotifyCommit();
   }
   MutationGuard(const MutationGuard&) = delete;
   MutationGuard& operator=(const MutationGuard&) = delete;
@@ -306,9 +223,9 @@ Result<std::unique_ptr<Database>> Database::Open(
                                       ? options.stats
                                       : &stats::StatRegistry::Global();
   std::unique_ptr<Database> db(new Database(clock, seed, registry));
-  // Still single-threaded; the guard exists for the static analysis and
-  // costs one uncontended lock.
-  WriteGuard setup(db.get());
+  // Still single-threaded; the lock exists for the static analysis and
+  // costs one uncontended acquire.
+  MutexLock setup(&db->mu_);
   DatabaseInfo default_info;
   default_info.title = options.title;
   default_info.purge_interval = options.purge_interval;
@@ -461,31 +378,7 @@ Acl Database::acl() const {
 
 Status Database::SetAcl(const Acl& acl) {
   MutationGuard guard(this);
-  Note note = acl.ToNote();
-  NoteId acl_id;
-  {
-    MutexLock lock(&acl_mu_);
-    acl_id = acl_note_id_;
-  }
-  if (acl_id != kInvalidNoteId) {
-    auto existing = store_->Get(acl_id);
-    if (existing.ok()) {
-      note.set_id(acl_id);
-      note.SetReplicationState(existing->oid(), existing->revisions(),
-                               existing->created(), false);
-      note.BumpSequence(StampTime());
-      note.set_modified_in_file(StampTime());
-      RecordPreImage(acl_id);
-      DOMINO_RETURN_IF_ERROR(store_->Put(&note));
-      return AfterChange(note);
-    }
-  }
-  note.StampCreated(GenerateUnid(), StampTime());
-  note.set_modified_in_file(StampTime());
-  note.set_id(store_->AllocateId());
-  RecordPreImage(note.id());
-  DOMINO_RETURN_IF_ERROR(store_->Put(&note));
-  return AfterChange(note);  // ApplyDesignNote records the new acl note id
+  return SetAclLocked(acl);
 }
 
 Status Database::SetAclAs(const Principal& who, const Acl& acl) {
@@ -493,7 +386,29 @@ Status Database::SetAclAs(const Principal& who, const Acl& acl) {
   if (!CanChangeAcl(this->acl(), who)) {
     return Status::PermissionDenied(who.name + " lacks Manager access");
   }
-  return SetAcl(acl);
+  return SetAclLocked(acl);
+}
+
+Status Database::SetAclLocked(const Acl& acl) {
+  NoteId acl_id;
+  {
+    MutexLock lock(&acl_mu_);
+    acl_id = acl_note_id_;
+  }
+  // ApplyDesignNote records the ACL note id of a newly created note.
+  return SaveDesignNote(acl.ToNote(), acl_id);
+}
+
+Status Database::SaveDesignNote(Note note, NoteId existing) {
+  NoteHandle current =
+      existing != kInvalidNoteId ? store_->Find(existing) : nullptr;
+  if (current == nullptr || current->deleted()) {
+    return CreateLocked(std::move(note)).status();
+  }
+  note.set_id(existing);
+  note.SetReplicationState(current->oid(), current->revisions(),
+                           current->created(), false);
+  return UpdateLocked(std::move(note));
 }
 
 // ---------------------------------------------------------------------------
@@ -502,21 +417,31 @@ Status Database::SetAclAs(const Principal& who, const Acl& acl) {
 
 Result<NoteId> Database::CreateNote(Note note) {
   MutationGuard guard(this);
+  return CreateLocked(std::move(note));
+}
+
+Status Database::UpdateNote(Note note) {
+  MutationGuard guard(this);
+  return UpdateLocked(std::move(note));
+}
+
+Status Database::DeleteNote(NoteId id) {
+  MutationGuard guard(this);
+  return DeleteLocked(id);
+}
+
+Result<NoteId> Database::CreateLocked(Note note) {
   // Pre-assign the id so the absent pre-image is on record before the
   // store sees the note (readers pinned before this commit then resolve
   // the id to "did not exist").
   note.set_id(store_->AllocateId());
   note.StampCreated(GenerateUnid(), StampTime());
   note.StampItemModifications(nullptr, note.sequence_time());
-  note.set_modified_in_file(StampTime());
-  RecordPreImage(note.id());
-  DOMINO_RETURN_IF_ERROR(store_->Put(&note));
-  DOMINO_RETURN_IF_ERROR(AfterChange(note));
+  DOMINO_RETURN_IF_ERROR(CommitNote(&note));
   return note.id();
 }
 
-Status Database::UpdateNote(Note note) {
-  MutationGuard guard(this);
+Status Database::UpdateLocked(Note note) {
   NoteHandle existing = store_->Find(note.id());
   if (existing == nullptr || existing->deleted()) {
     return Status::NotFound(StrPrintf("note %u", note.id()));
@@ -532,24 +457,24 @@ Status Database::UpdateNote(Note note) {
   }
   note.BumpSequence(StampTime());
   note.StampItemModifications(existing.get(), note.sequence_time());
-  note.set_modified_in_file(StampTime());
-  RecordPreImage(note.id());
-  DOMINO_RETURN_IF_ERROR(store_->Put(&note));
-  return AfterChange(note);
+  return CommitNote(&note);
 }
 
-Status Database::DeleteNote(NoteId id) {
-  MutationGuard guard(this);
+Status Database::DeleteLocked(NoteId id) {
   NoteHandle existing = store_->Find(id);
   if (existing == nullptr || existing->deleted()) {
     return Status::NotFound(StrPrintf("note %u", id));
   }
   Note stub = *existing;
   stub.MakeStub(StampTime());
-  stub.set_modified_in_file(StampTime());
-  RecordPreImage(id);
-  DOMINO_RETURN_IF_ERROR(store_->Put(&stub));
-  return AfterChange(stub);
+  return CommitNote(&stub);
+}
+
+Status Database::CommitNote(Note* note) {
+  note->set_modified_in_file(StampTime());
+  RecordPreImage(note->id());
+  DOMINO_RETURN_IF_ERROR(store_->Put(note));
+  return AfterChange(*note);
 }
 
 Result<Note> Database::ReadNote(NoteId id) const {
@@ -581,7 +506,7 @@ Result<NoteId> Database::CreateNoteAs(const Principal& who, Note note) {
     return Status::PermissionDenied(who.name + " may not change design");
   }
   note.SetText("$UpdatedBy", who.name);
-  return CreateNote(std::move(note));
+  return CreateLocked(std::move(note));
 }
 
 Status Database::UpdateNoteAs(const Principal& who, Note note) {
@@ -599,7 +524,7 @@ Status Database::UpdateNoteAs(const Principal& who, Note note) {
     return Status::PermissionDenied(who.name + " may not change design");
   }
   note.SetText("$UpdatedBy", who.name);
-  return UpdateNote(std::move(note));
+  return UpdateLocked(std::move(note));
 }
 
 Status Database::DeleteNoteAs(const Principal& who, NoteId id) {
@@ -616,7 +541,7 @@ Status Database::DeleteNoteAs(const Principal& who, NoteId id) {
   } else if (!CanChangeDesign(acl_snapshot, who)) {
     return Status::PermissionDenied(who.name + " may not change design");
   }
-  return DeleteNote(id);
+  return DeleteLocked(id);
 }
 
 Result<Note> Database::ReadNoteAs(const Principal& who, NoteId id) const {
@@ -635,7 +560,7 @@ Result<NoteId> Database::CreateResponse(const Unid& parent, Note note) {
     return Status::NotFound("parent " + parent.ToString());
   }
   note.set_parent_unid(parent);
-  return CreateNote(std::move(note));
+  return CreateLocked(std::move(note));
 }
 
 // ---------------------------------------------------------------------------
@@ -645,33 +570,13 @@ Result<NoteId> Database::CreateResponse(const Unid& parent, Note note) {
 Result<ViewIndex*> Database::CreateView(ViewDesign design) {
   MutationGuard guard(this);
   std::string key = ToLower(design.name());
-  Note design_note = design.ToNote();
-  NoteId existing_id = kInvalidNoteId;
+  NoteId existing = kInvalidNoteId;
   {
     MutexLock lock(&catalog_mu_);
     auto it = view_note_ids_.find(key);
-    if (it != view_note_ids_.end()) existing_id = it->second;
+    if (it != view_note_ids_.end()) existing = it->second;
   }
-  if (existing_id != kInvalidNoteId) {
-    auto existing = store_->Get(existing_id);
-    if (existing.ok()) {
-      design_note.set_id(existing_id);
-      design_note.SetReplicationState(existing->oid(), existing->revisions(),
-                                      existing->created(), false);
-      design_note.BumpSequence(StampTime());
-      design_note.set_modified_in_file(StampTime());
-      RecordPreImage(existing_id);
-      DOMINO_RETURN_IF_ERROR(store_->Put(&design_note));
-      DOMINO_RETURN_IF_ERROR(AfterChange(design_note));
-      return FindViewShared(key).get();
-    }
-  }
-  design_note.StampCreated(GenerateUnid(), StampTime());
-  design_note.set_modified_in_file(StampTime());
-  design_note.set_id(store_->AllocateId());
-  RecordPreImage(design_note.id());
-  DOMINO_RETURN_IF_ERROR(store_->Put(&design_note));
-  DOMINO_RETURN_IF_ERROR(AfterChange(design_note));
+  DOMINO_RETURN_IF_ERROR(SaveDesignNote(design.ToNote(), existing));
   return FindViewShared(key).get();
 }
 
@@ -761,93 +666,85 @@ namespace {
 
 constexpr char kFolderForm[] = "$Folder";
 
+bool IsFolder(const Note& note) {
+  return note.note_class() == NoteClass::kDesign &&
+         EqualsIgnoreCase(note.GetText("Form"), kFolderForm);
+}
+
+bool IsFolderNamed(const Note& note, const std::string& name) {
+  return IsFolder(note) && EqualsIgnoreCase(note.GetText("$Title"), name);
+}
+
+std::vector<std::string> FolderRefs(const Note& folder) {
+  const Value* refs = folder.FindValue("$FolderRefs");
+  return refs != nullptr ? refs->texts() : std::vector<std::string>();
+}
+
 }  // namespace
+
+Result<Note> Database::FindFolderLocked(const std::string& name) {
+  std::optional<Note> found;
+  store_->ForEach([&](const Note& note) {
+    if (IsFolderNamed(note, name)) found = note;
+  }, NoteStore::Visit::kLiveOnly);
+  if (!found.has_value()) return Status::NotFound("folder " + name);
+  return std::move(*found);
+}
 
 Result<NoteId> Database::CreateFolder(const std::string& name) {
   MutationGuard guard(this);
-  NoteId existing = kInvalidNoteId;
-  ForEachLiveNote([&](const Note& note) {
-    if (note.note_class() == NoteClass::kDesign &&
-        EqualsIgnoreCase(note.GetText("Form"), kFolderForm) &&
-        EqualsIgnoreCase(note.GetText("$Title"), name)) {
-      existing = note.id();
-    }
-  });
-  if (existing != kInvalidNoteId) {
+  if (FindFolderLocked(name).ok()) {
     return Status::AlreadyExists("folder " + name);
   }
   Note folder(NoteClass::kDesign);
   folder.SetText("Form", kFolderForm);
   folder.SetText("$Title", name);
   folder.SetTextList("$FolderRefs", {});
-  return CreateNote(std::move(folder));
+  return CreateLocked(std::move(folder));
 }
-
-namespace {
-
-Result<Note> FindFolderNote(const Database& db, const std::string& name) {
-  Note found;
-  bool ok = false;
-  db.ForEachLiveNote([&](const Note& note) {
-    if (note.note_class() == NoteClass::kDesign &&
-        EqualsIgnoreCase(note.GetText("Form"), kFolderForm) &&
-        EqualsIgnoreCase(note.GetText("$Title"), name)) {
-      found = note;
-      ok = true;
-    }
-  });
-  if (!ok) return Status::NotFound("folder " + name);
-  return found;
-}
-
-}  // namespace
 
 Status Database::AddToFolder(const std::string& name, const Unid& unid) {
   MutationGuard guard(this);
   if (FindByUnid(unid) == nullptr) {
     return Status::NotFound("document " + unid.ToString());
   }
-  DOMINO_ASSIGN_OR_RETURN(Note folder, FindFolderNote(*this, name));
-  const Value* refs = folder.FindValue("$FolderRefs");
-  std::vector<std::string> list =
-      refs != nullptr ? refs->texts() : std::vector<std::string>();
+  DOMINO_ASSIGN_OR_RETURN(Note folder, FindFolderLocked(name));
+  std::vector<std::string> list = FolderRefs(folder);
   std::string key = unid.ToString();
   for (const std::string& ref : list) {
     if (ref == key) return Status::Ok();  // already a member
   }
   list.push_back(key);
   folder.SetTextList("$FolderRefs", std::move(list));
-  return UpdateNote(std::move(folder));
+  return UpdateLocked(std::move(folder));
 }
 
 Status Database::RemoveFromFolder(const std::string& name,
                                   const Unid& unid) {
   MutationGuard guard(this);
-  DOMINO_ASSIGN_OR_RETURN(Note folder, FindFolderNote(*this, name));
-  const Value* refs = folder.FindValue("$FolderRefs");
-  std::vector<std::string> list =
-      refs != nullptr ? refs->texts() : std::vector<std::string>();
-  std::string key = unid.ToString();
-  auto it = std::find(list.begin(), list.end(), key);
+  DOMINO_ASSIGN_OR_RETURN(Note folder, FindFolderLocked(name));
+  std::vector<std::string> list = FolderRefs(folder);
+  auto it = std::find(list.begin(), list.end(), unid.ToString());
   if (it == list.end()) {
     return Status::NotFound("document not in folder " + name);
   }
   list.erase(it);
   folder.SetTextList("$FolderRefs", std::move(list));
-  return UpdateNote(std::move(folder));
+  return UpdateLocked(std::move(folder));
 }
 
 Result<std::vector<Note>> Database::FolderContents(
     const std::string& name) const {
   ReadTxn txn(this, /*catch_up=*/false);
-  DOMINO_ASSIGN_OR_RETURN(Note folder, FindFolderNote(*this, name));
+  std::optional<Note> folder;
+  ForEachLiveNote([&](const Note& note) {
+    if (IsFolderNamed(note, name)) folder = note;
+  });
+  if (!folder.has_value()) return Status::NotFound("folder " + name);
   std::vector<Note> out;
-  const Value* refs = folder.FindValue("$FolderRefs");
-  if (refs != nullptr) {
-    for (const std::string& ref : refs->texts()) {
-      NoteHandle note = ResolveUnidAt(Unid::FromString(ref), txn.epoch());
-      if (note != nullptr && !note->deleted()) out.push_back(*note);
-    }
+  for (const std::string& ref : FolderRefs(*folder)) {
+    NoteHandle note = ResolveUnidAt(Unid::FromString(ref), txn.epoch());
+    if (note != nullptr && !note->deleted()) out.push_back(*note);
   }
   return out;
 }
@@ -855,10 +752,7 @@ Result<std::vector<Note>> Database::FolderContents(
 std::vector<std::string> Database::FolderNames() const {
   std::vector<std::string> names;
   ForEachLiveNote([&](const Note& note) {
-    if (note.note_class() == NoteClass::kDesign &&
-        EqualsIgnoreCase(note.GetText("Form"), kFolderForm)) {
-      names.push_back(note.GetText("$Title"));
-    }
+    if (IsFolder(note)) names.push_back(note.GetText("$Title"));
   });
   return names;
 }
@@ -868,7 +762,7 @@ std::vector<std::string> Database::FolderNames() const {
 // ---------------------------------------------------------------------------
 
 Status Database::EnsureFullTextIndex() {
-  WriteGuard lock(this);  // exclude writers so the build misses nothing
+  MutexLock lock(&mu_);  // exclude writers so the build misses nothing
   {
     MutexLock cat(&catalog_mu_);
     if (fulltext_ != nullptr) return Status::Ok();
@@ -1097,10 +991,7 @@ Status Database::InstallRemoteNote(Note note) {
   MutationGuard guard(this);
   NoteHandle local = store_->FindByUnid(note.unid());
   note.set_id(local != nullptr ? local->id() : store_->AllocateId());
-  note.set_modified_in_file(StampTime());
-  RecordPreImage(note.id());
-  DOMINO_RETURN_IF_ERROR(store_->Put(&note));
-  return AfterChange(note);
+  return CommitNote(&note);
 }
 
 void Database::AttachReplicationHistory(const ReplicationHistory* history) {
@@ -1193,7 +1084,7 @@ size_t Database::stub_count() const { return store_->stub_count(); }
 StoreStats Database::store_stats() const { return store_->stats(); }
 
 Status Database::Checkpoint() {
-  WriteGuard lock(this);
+  MutexLock lock(&mu_);
   return store_->Checkpoint();
 }
 
@@ -1204,11 +1095,11 @@ Status Database::RunCompact() {
   // the overlay). This is the online COMPACT of the paper (§ compaction)
   // rather than the offline copy-style one.
   for (;;) {
-    WriteGuard lock(this);
+    MutexLock lock(&mu_);
     DOMINO_ASSIGN_OR_RETURN(size_t reclaimed, store_->CompactStep(8));
     if (reclaimed == 0) break;
   }
-  WriteGuard lock(this);
+  MutexLock lock(&mu_);
   return store_->Checkpoint();
 }
 

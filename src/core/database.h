@@ -36,7 +36,7 @@ class ReplicationHistory;
 class DatabaseObserver {
  public:
   virtual ~DatabaseObserver() = default;
-  /// Fired once per outermost mutation, on the committing thread, after
+  /// Fired once per mutating call, on the committing thread, after
   /// the write lock is released — so it may write to this or any other
   /// database. May fire for a commit that changed nothing.
   virtual void OnCommit() = 0;
@@ -67,9 +67,10 @@ struct DatabaseOptions {
 /// Threading — MVCC read snapshots; writers never block readers:
 ///
 /// Writers (CRUD, replication apply, purge, compaction slices) serialize
-/// on `mu_`, held exclusively for the duration of the mutation. The lock
-/// is not recursive; re-entrancy (public mutators call each other) is
-/// handled by a thread-local ownership token.
+/// on `mu_`, a plain mutex each public mutator takes exactly once and
+/// holds for the whole mutation. Mutators that build on each other (the
+/// checked variants, responses, folders) call the private `*Locked`
+/// cores, which require the lock instead of taking it.
 ///
 /// Readers do NOT take `mu_` at all. A read pins a snapshot epoch
 /// (Database::ReadTxn): every commit advances the epoch counter and
@@ -93,12 +94,11 @@ struct DatabaseOptions {
 /// indexes to its pinned epoch before the first view/full-text read
 /// (appliers serialize on the indexer's apply mutex, not on `mu_`). Store
 /// threshold maintenance (compaction slice, checkpoint) runs at the end
-/// of every outermost commit, under the write lock, whoever drains.
+/// of every commit, under the write lock, whoever drains.
 ///
-/// Reads on a thread that holds `mu_` (a mutator re-entering a read, or
-/// @DbLookup inside a formula a writer evaluates) run in latest mode: they
-/// see the thread's own uncommitted writes (read-your-writes), and catch
-/// up on every queued index event.
+/// A mutator that must see the latest state (a folder mutator finding
+/// its folder note) reads the store directly under the write lock; every
+/// ReadTxn pins, on any thread.
 class Database : public NoteResolver {
  public:
   static Result<std::unique_ptr<Database>> Open(const std::string& dir,
@@ -116,18 +116,16 @@ class Database : public NoteResolver {
   /// even while writers commit concurrently.
   ///
   /// Nested ReadTxns on the same thread reuse the outer pin (that is what
-  /// makes @DbLookup inside FormulaSearch repeatable). On a thread that
-  /// holds the write lock the txn runs in latest mode instead of pinning
-  /// (read-your-writes; see class comment). `catch_up` brings the view /
-  /// full-text indexes up to the pinned epoch first — pass false for
-  /// store-only reads that should not wait on index appliers.
+  /// makes @DbLookup inside FormulaSearch repeatable). `catch_up` brings
+  /// the view / full-text indexes up to the pinned epoch first — pass
+  /// false for store-only reads that should not wait on index appliers.
   class ReadTxn {
    public:
     explicit ReadTxn(const Database* db, bool catch_up = true);
     ~ReadTxn();
     ReadTxn(const ReadTxn&) = delete;
     ReadTxn& operator=(const ReadTxn&) = delete;
-    /// The pinned epoch (kEpochLatest in latest mode).
+    /// The pinned epoch.
     Epoch epoch() const { return epoch_; }
 
    private:
@@ -346,19 +344,26 @@ class Database : public NoteResolver {
         registry_(registry),
         ctr_stubs_purged_(&registry->GetCounter("Database.Stubs.Purged")) {}
 
-  // -- Locking ----------------------------------------------------------
-  // Raw acquire/release for the writer lock. Each maintains the
-  // thread-local ownership token that makes the non-recursive mutex
-  // safely re-entrant for nested mutators. Their bodies juggle lock
-  // states the static analysis cannot follow, so they opt out and carry
-  // the net effect in their ACQUIRE/RELEASE annotations.
-  void AcquireWrite() const ACQUIRE(mu_) NO_THREAD_SAFETY_ANALYSIS;
-  void ReleaseWrite() const RELEASE(mu_) NO_THREAD_SAFETY_ANALYSIS;
-  /// True when the calling thread holds the write lock.
-  bool ThisThreadHoldsWrite() const;
+  /// Exclusive hold for public mutators: opens the commit epoch, and on
+  /// exit publishes it, runs store maintenance, releases `mu_` and fires
+  /// OnCommit. Non-commit exclusive work takes a plain MutexLock.
+  class MutationGuard;
 
-  class WriteGuard;     // exclusive, no commit epoch (admin/maintenance)
-  class MutationGuard;  // exclusive + commit epoch + post-release OnCommit
+  // Mutation cores: the public mutators' bodies, run under a held lock so
+  // the mutators that build on one another take `mu_` once.
+  Result<NoteId> CreateLocked(Note note) REQUIRES(mu_);
+  Status UpdateLocked(Note note) REQUIRES(mu_);
+  Status DeleteLocked(NoteId id) REQUIRES(mu_);
+  Status SetAclLocked(const Acl& acl) REQUIRES(mu_);
+  /// Saves a design note (ACL, view): updates the live note `existing`
+  /// in place — carrying its OID forward — or creates a new one when
+  /// there is none.
+  Status SaveDesignNote(Note note, NoteId existing) REQUIRES(mu_);
+  /// The commit step every stored note goes through: stamps
+  /// modified-in-file, records the pre-image, stores, runs AfterChange.
+  Status CommitNote(Note* note) REQUIRES(mu_);
+  /// The live design note of folder `name`, read from the store.
+  Result<Note> FindFolderLocked(const std::string& name) REQUIRES(mu_);
 
   Unid GenerateUnid() REQUIRES(mu_);
   /// Monotonic, replica-distinct sequence/modified-in-file stamp.
@@ -371,7 +376,7 @@ class Database : public NoteResolver {
   /// queue.
   Status AfterChange(const Note& note) REQUIRES(mu_);
   /// Store threshold maintenance (compaction slice, then checkpoint), run
-  /// once per outermost commit. The commit is already durable, so a
+  /// once per commit. The commit is already durable, so a
   /// failure is logged as a `Store` warning, never returned to the writer.
   void MaintainStore() REQUIRES(mu_);
   void LoadDesignState() REQUIRES(mu_);
@@ -407,10 +412,9 @@ class Database : public NoteResolver {
   /// Calls every observer's OnCommit (outside all locks).
   void NotifyCommit();
 
-  /// Writer serialization lock (held exclusively by mutators; readers
-  /// never touch it — see the class comment). Mutable so const
-  /// maintenance paths can serialize.
-  mutable SharedMutex mu_;
+  /// Writer serialization lock (taken once per mutator; readers never
+  /// touch it — see the class comment).
+  Mutex mu_;
 
   const Clock* clock_;
   Rng rng_ GUARDED_BY(mu_);
@@ -457,8 +461,7 @@ class Database : public NoteResolver {
   mutable Mutex observers_mu_;
   std::vector<DatabaseObserver*> observers_ GUARDED_BY(observers_mu_);
 
-  int mutation_depth_ GUARDED_BY(mu_) = 0;  // nested MutationGuards
-  /// Epoch of the in-flight commit (set by the outermost MutationGuard).
+  /// Epoch of the in-flight commit (set by its MutationGuard).
   Epoch commit_epoch_ GUARDED_BY(mu_) = kEpochNone;
 
   /// Registry handed down to the store, views and full-text index.

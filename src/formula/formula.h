@@ -49,11 +49,10 @@ struct EvalContext {
   ///
   /// Threading: evaluation may run on many threads at once, so the hook
   /// must tolerate concurrent invocation. It is also re-entered from
-  /// inside database read transactions — the caller of Evaluate may
-  /// already hold the database's reader/writer lock in shared mode, so
-  /// implementations must not take that lock exclusively.
-  /// Database::BindFormulaServices satisfies both by opening a nested
-  /// ReadTxn, which the thread-local lock token makes re-entrant.
+  /// inside database read transactions (a FormulaSearch selection that
+  /// calls @DbLookup). Database::BindFormulaServices satisfies both by
+  /// opening a ReadTxn per call, which joins the thread's enclosing pin
+  /// when there is one; it takes no database lock.
   std::function<Result<Value>(const std::string& view_name,
                               const std::optional<Value>& key,
                               size_t column)>
@@ -65,7 +64,8 @@ struct EvalContext {
 ///
 /// Evaluate/Matches are const and keep all per-run state in a private
 /// Evaluator, so one Formula may be evaluated concurrently from many
-/// threads. Shared-lock readers (Database::FormulaSearch) rely on this.
+/// threads. Concurrent snapshot readers (Database::FormulaSearch) rely on
+/// this.
 class Formula {
  public:
   /// Compiles `source`; returns a SyntaxError status on bad input.

@@ -457,10 +457,8 @@ Result<ReplicationReport> Replicator::RunSession(
   DOMINO_RETURN_IF_ERROR(
       Charge(local.name, remote.name, kHandshakeBytes, &report));
 
-  if (options.pull) {
-    DOMINO_RETURN_IF_ERROR(
-        Pull(local, remote, options, /*count_as_pull=*/true, &report));
-  }
+  DOMINO_RETURN_IF_ERROR(
+      Pull(local, remote, options, /*count_as_pull=*/true, &report));
   if (options.push) {
     DOMINO_RETURN_IF_ERROR(
         Pull(remote, local, options, /*count_as_pull=*/false, &report));

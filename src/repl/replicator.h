@@ -15,9 +15,8 @@
 namespace dominodb {
 
 struct ReplicationOptions {
-  /// Pull remote changes into the local replica.
-  bool pull = true;
-  /// Then let the remote pull local changes (the Notes pull-pull session).
+  /// After pulling remote changes into the local replica, let the remote
+  /// pull local changes (the Notes pull-pull session).
   bool push = true;
   /// Selective replication: only notes matching this formula are pulled
   /// (deletion stubs always propagate). Empty string = everything.

@@ -44,11 +44,11 @@ struct AclEntry {
 /// replicates with the database (replicating ACL changes is how Notes
 /// administers distributed access control — a point the paper makes).
 ///
-/// Not internally synchronized: the owning Database guards its Acl with
-/// the facade's reader/writer lock — shared for the const checks
-/// (LevelFor, RolesFor, CanReadDocument, ...), exclusive for SetEntry /
-/// RemoveEntry / set_default_level. The const surface is safe to call
-/// from any number of reader threads at once.
+/// Not internally synchronized: the owning Database keeps its Acl behind
+/// a mutex of its own and hands out copies (Database::acl()), which
+/// callers check without any lock. The const surface (LevelFor,
+/// RolesFor, CanReadDocument, ...) is safe to call from any number of
+/// threads at once.
 class Acl {
  public:
   Acl() = default;

@@ -666,11 +666,12 @@ Result<Note> NoteStore::ReadNoteAt(const IdEntry& entry) const {
   if (PageTypeOf(data) != pager::kPageBucket || entry.slot >= nslots) {
     return Status::Corruption("bad slot reference in id table");
   }
-  const uint16_t off = LoadU16(data + DirOffset(page_size, entry.slot));
+  // Widened to page_size's type so the bounds sums compare unsigned.
+  const uint32_t off = LoadU16(data + DirOffset(page_size, entry.slot));
   if (off == kDeadSlot || off < kPageHeaderSize || off + 2 > page_size) {
     return Status::Corruption("dead or out-of-bounds slot");
   }
-  const uint16_t len = LoadU16(data + off);
+  const uint32_t len = LoadU16(data + off);
   if (off + 2 + len > page_size) {
     return Status::Corruption("slot overruns page");
   }

@@ -289,8 +289,8 @@ Status ViewIndex::UpdateOne(const Note& note, const NoteResolver* resolver,
   // (@DbLookup), which must not deadlock against our own exclusive hold.
   // Mutators are serialized by the owning Database, so the gap between
   // the removal above and the placement below is invisible to snapshot
-  // readers (they see the zombie); only latest-mode reads — which run on
-  // the writer's own thread — could observe it.
+  // readers (they see the zombie); only a read at kEpochLatest could
+  // observe it.
   std::optional<EvaluatedEntry> eval = EvaluateNote(note, resolver);
   if (eval.has_value()) {
     eval->entry.added_epoch = epoch;

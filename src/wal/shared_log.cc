@@ -11,6 +11,9 @@ namespace dominodb::wal {
 namespace {
 
 constexpr char kManifestMagic[] = "DSLM1";
+/// A group-commit leader flushes as soon as the pending batch reaches
+/// this many bytes, window or no window.
+constexpr size_t kMaxBatchBytes = 1u << 20;
 
 }  // namespace
 
@@ -246,7 +249,7 @@ Status SharedLog::CommitGrouped(RecordType type,
         auto deadline =
             std::chrono::steady_clock::now() +
             std::chrono::microseconds(options_.max_wait_micros);
-        while (pending_.size() < options_.max_batch_bytes &&
+        while (pending_.size() < kMaxBatchBytes &&
                cv_.wait_until(lock, deadline) != std::cv_status::timeout) {
         }
       }

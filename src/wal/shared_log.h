@@ -34,12 +34,10 @@ struct SharedLogOptions {
   /// once every registered stream's checkpoint low-water mark has moved
   /// past it.
   uint64_t segment_bytes = 64ull << 20;
-  /// A group-commit leader flushes as soon as the pending batch reaches
-  /// this many bytes, window or no window.
-  uint64_t max_batch_bytes = 1ull << 20;
   /// How long a group-commit leader lingers for company before flushing
   /// (0 = flush whatever queued behind the previous leader's fsync — the
-  /// classic no-added-latency group commit).
+  /// classic no-added-latency group commit). A leader stops lingering
+  /// early once the pending batch reaches 1 MiB.
   uint64_t max_wait_micros = 0;
   /// Registry receiving the `Server.WAL.*` stats; null → the process-wide
   /// StatRegistry::Global().

@@ -119,6 +119,57 @@ TEST_F(AgentFixture, NewAndChangedProcessesOnlyDeltas) {
   EXPECT_EQ(r3[0].docs_modified, 1u);
 }
 
+TEST_F(AgentFixture, NewAndChangedSeesWritesCommittedDuringItsRun) {
+  // Another writer saves a ticket while the agent's own update commits:
+  // the ticket's stamp lies past everything the run read, so the next run
+  // must scan it — and only it, not the agent's own update.
+  class TicketOnCommit : public DatabaseObserver {
+   public:
+    explicit TicketOnCommit(Database* db) : db_(db) {}
+    void OnCommit() override {
+      if (!armed) return;
+      armed = false;  // the ticket's own commit fires OnCommit again
+      ticket = *db_->CreateNote(Ticket("during run", 1));
+    }
+    bool armed = false;
+    NoteId ticket = kInvalidNoteId;
+
+   private:
+    Database* db_;
+  };
+
+  auto design = *AgentDesign::Create(
+      "Stamp", AgentTrigger::kOnNewAndChanged, 0, "SELECT Form = \"Ticket\"",
+      "FIELD Seen := \"yes\"");
+  ASSERT_OK(runner_->AddAgent(design));
+  ASSERT_OK(db_->CreateNote(Ticket("first", 1)).status());
+
+  TicketOnCommit observer(db_.get());
+  db_->AddObserver(&observer);
+  observer.armed = true;  // the next commit is the agent's update
+  clock_.Advance(1'000'000);
+  ASSERT_OK_AND_ASSIGN(auto r1, runner_->RunDue(clock_.Now()));
+  db_->RemoveObserver(&observer);
+  ASSERT_EQ(r1.size(), 1u);
+  EXPECT_EQ(r1[0].docs_scanned, 1u);
+  EXPECT_EQ(r1[0].docs_modified, 1u);
+  ASSERT_NE(observer.ticket, kInvalidNoteId);
+
+  clock_.Advance(1'000'000);
+  ASSERT_OK_AND_ASSIGN(auto r2, runner_->RunDue(clock_.Now()));
+  ASSERT_EQ(r2.size(), 1u);
+  EXPECT_EQ(r2[0].docs_scanned, 1u);
+  EXPECT_EQ(r2[0].docs_modified, 1u);
+  ASSERT_OK_AND_ASSIGN(Note ticket, db_->ReadNote(observer.ticket));
+  EXPECT_EQ(ticket.GetText("Seen"), "yes");
+
+  // Both writes are now the agent's own: nothing left to scan.
+  clock_.Advance(1'000'000);
+  ASSERT_OK_AND_ASSIGN(auto r3, runner_->RunDue(clock_.Now()));
+  ASSERT_EQ(r3.size(), 1u);
+  EXPECT_EQ(r3[0].docs_scanned, 0u);
+}
+
 TEST_F(AgentFixture, AgentsReplicateAsDesignNotes) {
   ASSERT_OK(runner_->AddAgent(EscalateAgent()));
 

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <atomic>
 #include <iterator>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -194,6 +195,149 @@ TEST_F(ConcurrencyFixture, ReadersProceedWhileWritersMutate) {
   EXPECT_EQ(view->size(), live_docs);
   // Store total = the documents plus the two view design notes.
   EXPECT_EQ(db_->note_count(), live_docs + 2);
+}
+
+TEST_F(ConcurrencyFixture, CheckedAndFolderMutatorsInterleave) {
+  // The checked CRUD variants, SetAclAs and the folder mutators each
+  // take the write lock once and call a locked core; here they race one
+  // another and snapshot readers. Flipping the editor between Editor and
+  // Reader makes PermissionDenied a legal outcome; two writers editing one
+  // note make Conflict one. Any other error is a bug.
+  db_->AttachIndexer(&pool_);
+  const Principal admin = Principal::User("admin");
+  const Principal editor = Principal::User("editor");
+  const Principal reader = Principal::User("reader");
+  auto acl_with = [](AccessLevel editor_level) {
+    Acl acl;
+    acl.SetEntry("admin", AccessLevel::kManager);
+    acl.SetEntry("editor", editor_level);
+    acl.set_default_level(AccessLevel::kReader);
+    return acl;
+  };
+  ASSERT_OK(db_->SetAcl(acl_with(AccessLevel::kEditor)));
+  ASSERT_OK(db_->CreateFolder("Inbox").status());
+  constexpr int kFolderThreads = 2;
+  constexpr int kDocsPerFolderThread = 4;
+  std::vector<Unid> filed;
+  for (int i = 0; i < kFolderThreads * kDocsPerFolderThread; ++i) {
+    ASSERT_OK_AND_ASSIGN(NoteId id, db_->CreateNote(MakeDoc(
+                                        "Memo", "filed " + std::to_string(i))));
+    filed.push_back(db_->ReadNote(id)->unid());
+  }
+
+  auto allowed = [](const Status& s) {
+    return s.ok() || s.IsPermissionDenied() || s.IsConflict();
+  };
+  constexpr int kWriters = 2;
+  constexpr int kOpsPerThread = 40;
+  std::atomic<int> creates{0};
+  std::atomic<int> deletes{0};
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> threads;
+
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      std::vector<NoteId> mine;
+      for (int i = 0; i < kOpsPerThread; ++i) {
+        auto id = db_->CreateNoteAs(
+            editor, MakeDoc("Memo", "w" + std::to_string(w) + " " +
+                                        std::to_string(i)));
+        EXPECT_TRUE(allowed(id.status())) << id.status().message();
+        if (id.ok()) {
+          mine.push_back(*id);
+          creates.fetch_add(1);
+        }
+        if (i % 3 == 0) {
+          // Both writers edit the anchor: a stale read is a Conflict.
+          auto anchor = db_->ReadNote(anchor_id_);
+          ASSERT_OK(anchor);
+          anchor->SetText("Subject", "anchor " + std::to_string(i));
+          Status st = db_->UpdateNoteAs(editor, std::move(*anchor));
+          EXPECT_TRUE(allowed(st)) << st.message();
+        }
+        if (i % 4 == 3 && !mine.empty()) {
+          Status st = db_->DeleteNoteAs(editor, mine.back());
+          EXPECT_TRUE(allowed(st)) << st.message();
+          if (st.ok()) {
+            mine.pop_back();
+            deletes.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    for (int i = 0; i < kOpsPerThread; ++i) {
+      EXPECT_OK(db_->SetAclAs(
+          admin, acl_with(i % 2 == 0 ? AccessLevel::kReader
+                                     : AccessLevel::kEditor)));
+      // The editor is never a Manager.
+      EXPECT_TRUE(db_->SetAclAs(editor, acl_with(AccessLevel::kManager))
+                      .IsPermissionDenied());
+    }
+  });
+  // Each folder thread owns a disjoint slice of `filed`, so it knows each
+  // document's membership and every add or remove it issues takes effect.
+  std::vector<std::vector<int>> net(kFolderThreads,
+                                    std::vector<int>(kDocsPerFolderThread));
+  for (int f = 0; f < kFolderThreads; ++f) {
+    threads.emplace_back([&, f] {
+      for (int i = 0; i < kOpsPerThread; ++i) {
+        const int slot = (i * 3 + f) % kDocsPerFolderThread;
+        const Unid& unid = filed[f * kDocsPerFolderThread + slot];
+        int& member = net[f][slot];
+        Status st = member == 0 ? db_->AddToFolder("Inbox", unid)
+                                : db_->RemoveFromFolder("Inbox", unid);
+        EXPECT_TRUE(allowed(st)) << st.message();
+        if (st.ok()) member = 1 - member;
+      }
+    });
+  }
+  const size_t mutators = threads.size();
+  for (int r = 0; r < 2; ++r) {
+    threads.emplace_back([&] {
+      do {
+        EXPECT_OK(db_->TraverseViewAs(reader, "all", [](const ViewRow&) {}));
+        auto contents = db_->FolderContents("Inbox");
+        ASSERT_OK(contents);
+        std::set<Unid> seen;
+        for (const Note& note : *contents) {
+          EXPECT_TRUE(seen.insert(note.unid()).second);
+          EXPECT_NE(std::find(filed.begin(), filed.end(), note.unid()),
+                    filed.end());
+        }
+      } while (!stop.load(std::memory_order_relaxed));
+    });
+  }
+  for (size_t t = 0; t < mutators; ++t) threads[t].join();
+  stop.store(true);
+  for (size_t t = mutators; t < threads.size(); ++t) threads[t].join();
+
+  std::set<Unid> expected;
+  for (int f = 0; f < kFolderThreads; ++f) {
+    for (int slot = 0; slot < kDocsPerFolderThread; ++slot) {
+      if (net[f][slot] == 1) {
+        expected.insert(filed[f * kDocsPerFolderThread + slot]);
+      }
+    }
+  }
+  ASSERT_OK_AND_ASSIGN(std::vector<Note> contents,
+                       db_->FolderContents("Inbox"));
+  std::set<Unid> members;
+  for (const Note& note : contents) members.insert(note.unid());
+  EXPECT_EQ(members, expected);
+
+  // The last flip left the editor at Editor level.
+  EXPECT_EQ(db_->acl().LevelFor(editor), AccessLevel::kEditor);
+  ASSERT_OK(db_->FlushIndexes());
+  size_t live_docs = 0;
+  db_->ForEachLiveNote([&](const Note& note) {
+    if (note.note_class() == NoteClass::kDocument) ++live_docs;
+  });
+  // Rate + anchor + the filed documents + net checked creates.
+  EXPECT_EQ(live_docs, 2 + filed.size() +
+                           static_cast<size_t>(creates - deletes));
+  EXPECT_EQ(db_->FindView("all")->size(), live_docs);
 }
 
 TEST_F(ConcurrencyFixture, LookupFormulaCatchesUpOnPendingIndexWork) {
