@@ -15,7 +15,10 @@
 # then reruns the log-recovery tests every store now depends on: the
 # store crash/truncation tests in storage_test and the SharedLog torn-tail
 # and store-on-log tests in shared_log_test (every NoteStore, standalone
-# or on a server, recovers through a SharedLog stream).
+# or on a server, recovers through a SharedLog stream), the
+# Append/SyncThrough crash-copy tests, and the tests that copy a fleet at
+# each step of a router pass (mail_test) and between a replication
+# batch's installs and its sync (replication_test).
 #
 # --formula-diff re-runs the tree-walker-vs-bytecode-VM differential
 # harness with a much larger generated corpus (DOMINO_FORMULA_DIFF_N)
@@ -102,7 +105,9 @@ for SANITIZER in "${SANITIZERS[@]}"; do
     DOMINO_CRASH_MATRIX=1 "$BUILD_DIR/tests/storage_test" \
       --gtest_filter='*NoteStoreTest.Crash*:*BatchIsAtomic*'
     DOMINO_CRASH_MATRIX=1 "$BUILD_DIR/tests/shared_log_test" \
-      --gtest_filter='*TornTail*:*NoteStoreSharedLog*'
+      --gtest_filter='*TornTail*:*NoteStoreSharedLog*:*SharedLogAppend*'
+    "$BUILD_DIR/tests/mail_test" --gtest_filter='*RouterCrash*'
+    "$BUILD_DIR/tests/replication_test" --gtest_filter='*BatchedInstall*'
   fi
   if [ "$FORMULA_DIFF" -eq 1 ]; then
     echo "== check.sh: $SANITIZER formula differential harness (10k) =="

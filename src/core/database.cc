@@ -430,12 +430,25 @@ Status Database::DeleteNote(NoteId id) {
   return DeleteLocked(id);
 }
 
+Result<bool> Database::CreateNoteIfAbsent(const Unid& unid, Note note) {
+  if (unid.IsNull()) return Status::InvalidArgument("null UNID");
+  MutationGuard guard(this);
+  if (store_->ContainsUnid(unid)) return false;
+  DOMINO_RETURN_IF_ERROR(
+      CreateWithUnidLocked(std::move(note), unid).status());
+  return true;
+}
+
 Result<NoteId> Database::CreateLocked(Note note) {
+  return CreateWithUnidLocked(std::move(note), GenerateUnid());
+}
+
+Result<NoteId> Database::CreateWithUnidLocked(Note note, const Unid& unid) {
   // Pre-assign the id so the absent pre-image is on record before the
   // store sees the note (readers pinned before this commit then resolve
   // the id to "did not exist").
   note.set_id(store_->AllocateId());
-  note.StampCreated(GenerateUnid(), StampTime());
+  note.StampCreated(unid, StampTime());
   note.StampItemModifications(nullptr, note.sequence_time());
   DOMINO_RETURN_IF_ERROR(CommitNote(&note));
   return note.id();

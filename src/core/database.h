@@ -165,6 +165,12 @@ class Database : public NoteResolver {
   // -- Unchecked CRUD (server-internal) ----------------------------------
   /// Stamps a fresh UNID/OID and stores the note. Returns the note id.
   Result<NoteId> CreateNote(Note note);
+  /// Creates `note` under the caller's `unid`, unless this database
+  /// already knows that UNID — as a live note or as a deletion stub, so a
+  /// repeated hand-off cannot bring back a copy that was deleted. Returns
+  /// whether it created the note. The idempotent hand-off of the mail
+  /// router, whose copies carry UNIDs derived from the memo.
+  Result<bool> CreateNoteIfAbsent(const Unid& unid, Note note);
   /// Bumps the sequence number and stores. The note must carry the OID of
   /// the version being updated (read-modify-write).
   Status UpdateNote(Note note);
@@ -352,6 +358,8 @@ class Database : public NoteResolver {
   // Mutation cores: the public mutators' bodies, run under a held lock so
   // the mutators that build on one another take `mu_` once.
   Result<NoteId> CreateLocked(Note note) REQUIRES(mu_);
+  Result<NoteId> CreateWithUnidLocked(Note note, const Unid& unid)
+      REQUIRES(mu_);
   Status UpdateLocked(Note note) REQUIRES(mu_);
   Status DeleteLocked(NoteId id) REQUIRES(mu_);
   Status SetAclLocked(const Acl& acl) REQUIRES(mu_);
@@ -376,8 +384,9 @@ class Database : public NoteResolver {
   /// queue.
   Status AfterChange(const Note& note) REQUIRES(mu_);
   /// Store threshold maintenance (compaction slice, then checkpoint), run
-  /// once per commit. The commit is already durable, so a
-  /// failure is logged as a `Store` warning, never returned to the writer.
+  /// once per commit. The commit is already logged (and, outside a
+  /// WriteScope, durable), so a failure is logged as a `Store` warning,
+  /// never returned to the writer.
   void MaintainStore() REQUIRES(mu_);
   void LoadDesignState() REQUIRES(mu_);
   Status ApplyDesignNote(const Note& note) REQUIRES(mu_);

@@ -1,8 +1,28 @@
 #include "mail/router.h"
 
+#include "base/hash.h"
 #include "base/string_util.h"
+#include "storage/note_store.h"
 
 namespace dominodb {
+
+namespace {
+
+/// The UNID of the copy of memo `memo` handed to `destination`, the
+/// `occurrence`-th for that destination. Every replay of the same hand-off
+/// (a pass re-run after a crash) derives the same UNID, after the
+/// replicator's ConflictUnidFor.
+Unid CopyUnidFor(const Unid& memo, const std::string& destination,
+                 size_t occurrence) {
+  std::string seed = memo.ToString();
+  seed += ':';
+  seed += destination;
+  seed += ':';
+  seed += std::to_string(occurrence);
+  return Unid{Fnv1a64(seed, 0x3A11), Fnv1a64(seed, 0xB0C5)};
+}
+
+}  // namespace
 
 void MailDirectory::RegisterUser(const std::string& user,
                                  const std::string& home_server) {
@@ -64,6 +84,15 @@ void Router::InjectDeliveryFaultForTesting(const std::string& user,
   delivery_fault_ = std::make_pair(ToLower(user), std::move(status));
 }
 
+void Router::SetFaultHookForTesting(
+    std::function<Status(std::string_view)> hook) {
+  fault_hook_ = std::move(hook);
+}
+
+Status Router::Fault(std::string_view point) {
+  return fault_hook_ ? fault_hook_(point) : Status::Ok();
+}
+
 void Router::AttachMailFile(const std::string& user, Database* mail_file) {
   mail_files_[ToLower(user)] = mail_file;
 }
@@ -89,7 +118,8 @@ Status Router::Submit(Note message) {
   return mailbox_->CreateNote(std::move(message)).status();
 }
 
-Status Router::DeliverLocal(const std::string& user, const Note& message) {
+Status Router::DeliverLocal(const std::string& user, size_t occurrence,
+                            const Note& message) {
   auto it = mail_files_.find(ToLower(user));
   if (it == mail_files_.end()) {
     DeadLetter(user, "no mail file on " + server_name_);
@@ -100,23 +130,106 @@ Status Router::DeliverLocal(const std::string& user, const Note& message) {
                                     ? mailbox_->clock()->Now()
                                     : 0);
   copy.SetText("DeliveredBy", server_name_);
-  Status put;
+  Result<bool> put = false;
   if (delivery_fault_.has_value() && delivery_fault_->first == ToLower(user)) {
     put = delivery_fault_->second;
     delivery_fault_.reset();
   } else {
-    put = it->second->CreateNote(std::move(copy)).status();
+    put = it->second->CreateNoteIfAbsent(
+        CopyUnidFor(message.unid(), "file:" + ToLower(user), occurrence),
+        std::move(copy));
   }
   if (!put.ok()) {
     // The mail file refused the copy; retrying cannot help, so the copy
     // dead-letters with the store's reason and the status propagates.
-    DeadLetter(user, put.message());
-    return put;
+    DeadLetter(user, put.status().message());
+    return put.status();
   }
+  if (!*put) return Status::Ok();  // delivered by an earlier pass
   stats_.delivered += 1;
   stats_.hops_total += static_cast<uint64_t>(message.GetNumber("$Hops"));
   ctr_delivered_->Add();
   ctr_hops_->Add(static_cast<uint64_t>(message.GetNumber("$Hops")));
+  return Status::Ok();
+}
+
+Status Router::RouteMessage(const Note& message,
+                            const std::map<std::string, Router*>& peers,
+                            std::vector<std::string>* retry_users,
+                            Status* first_error) {
+  const Value* send_to = message.FindValue("SendTo");
+  std::vector<std::string> recipients =
+      send_to != nullptr ? send_to->texts() : std::vector<std::string>();
+
+  // Group recipients: local, per-remote-destination, unknown.
+  std::vector<std::string> local_users;
+  std::map<std::string, std::vector<std::string>> remote;  // dest → users
+  for (const std::string& user : recipients) {
+    auto home = directory_->HomeServerOf(user);
+    if (!home.ok()) {
+      DeadLetter(user, home.status().message());
+      continue;
+    }
+    if (EqualsIgnoreCase(*home, server_name_)) {
+      local_users.push_back(user);
+    } else {
+      remote[*home].push_back(user);
+    }
+  }
+
+  // A recipient listed twice gets two copies: the occurrence index keeps
+  // their UNIDs apart.
+  std::map<std::string, size_t> occurrences;  // lower(user) → seen so far
+  for (const std::string& user : local_users) {
+    Status delivered =
+        DeliverLocal(user, occurrences[ToLower(user)]++, message);
+    if (!delivered.ok() && first_error->ok()) *first_error = delivered;
+    DOMINO_RETURN_IF_ERROR(Fault("deliver"));
+  }
+
+  for (const auto& [destination, users] : remote) {
+    std::string hop = NextHopFor(destination);
+    auto peer_it = peers.find(hop);
+    if (peer_it == peers.end()) {
+      DeadLetter("(no route to " + destination + ")",
+                 "next hop " + hop + " is not a known router",
+                 users.size());
+      continue;
+    }
+    Note copy = message;
+    copy.SetTextList("SendTo", users);
+    copy.SetNumber("$Hops", message.GetNumber("$Hops") + 1);
+    std::string encoded = copy.EncodeToString();
+    if (net_ != nullptr) {
+      Status sent = net_->Transfer(server_name_, hop, encoded.size() + 16);
+      if (!sent.ok()) {
+        // The link ate the transfer (partition, flap, injected fault):
+        // transient, so these copies stay queued for the next pass.
+        stats_.transfer_retries += 1;
+        ctr_retries_->Add();
+        retry_users->insert(retry_users->end(), users.begin(), users.end());
+        DOMINO_RETURN_IF_ERROR(Fault("forward"));
+        continue;
+      }
+    }
+    // One copy per destination group: the group's server is the
+    // destination, whichever hop carries it.
+    Result<bool> enqueued = peer_it->second->mailbox()->CreateNoteIfAbsent(
+        CopyUnidFor(message.unid(), "server:" + destination, 0),
+        std::move(copy));
+    if (!enqueued.ok()) {
+      // The peer's mail.box refused the copy: permanent for this pass's
+      // purposes — dead-letter with the real reason and surface it.
+      for (const std::string& user : users) {
+        DeadLetter(user, enqueued.status().message());
+      }
+      if (first_error->ok()) *first_error = enqueued.status();
+    } else if (*enqueued) {
+      stats_.forwarded += 1;
+      ctr_forwarded_->Add();
+    }
+    DOMINO_RETURN_IF_ERROR(Fault("forward"));
+  }
   return Status::Ok();
 }
 
@@ -133,87 +246,45 @@ Result<size_t> Router::RunOnce(const std::map<std::string, Router*>& peers) {
   // message has been given its chance (one sick mail file must not stall
   // the rest of the queue).
   Status first_error;
+  // Per memo: the recipient copies still owed after this pass (transient
+  // transfer failures only — every other outcome is delivery or a dead
+  // letter).
+  std::vector<std::vector<std::string>> retry_users(pending.size());
 
-  for (const Note& message : pending) {
-    const Value* send_to = message.FindValue("SendTo");
-    std::vector<std::string> recipients =
-        send_to != nullptr ? send_to->texts() : std::vector<std::string>();
-
-    // Group recipients: local, per-remote-destination, unknown.
-    std::vector<std::string> local_users;
-    std::map<std::string, std::vector<std::string>> remote;  // dest → users
-    for (const std::string& user : recipients) {
-      auto home = directory_->HomeServerOf(user);
-      if (!home.ok()) {
-        DeadLetter(user, home.status().message());
-        continue;
-      }
-      if (EqualsIgnoreCase(*home, server_name_)) {
-        local_users.push_back(user);
-      } else {
-        remote[*home].push_back(user);
-      }
+  {
+    // Phase 1: every copy of the pass, then one sync per touched log.
+    WriteScope scope;
+    for (size_t i = 0; i < pending.size(); ++i) {
+      DOMINO_RETURN_IF_ERROR(
+          RouteMessage(pending[i], peers, &retry_users[i], &first_error));
     }
-
-    // Recipient copies still owed after this pass (transient transfer
-    // failures only — every other outcome is delivery or a dead letter).
-    std::vector<std::string> retry_users;
-
-    for (const std::string& user : local_users) {
-      Status delivered = DeliverLocal(user, message);
-      if (!delivered.ok() && first_error.ok()) first_error = delivered;
-    }
-
-    for (const auto& [destination, users] : remote) {
-      std::string hop = NextHopFor(destination);
-      auto peer_it = peers.find(hop);
-      if (peer_it == peers.end()) {
-        DeadLetter("(no route to " + destination + ")",
-                   "next hop " + hop + " is not a known router",
-                   users.size());
-        continue;
+    DOMINO_RETURN_IF_ERROR(Fault("phase1:appended"));
+    DOMINO_RETURN_IF_ERROR(scope.Finish());
+    DOMINO_RETURN_IF_ERROR(Fault("phase1:synced"));
+  }
+  {
+    // Phase 2: the copies are durable, so the memos may leave mail.box.
+    WriteScope scope;
+    for (size_t i = 0; i < pending.size(); ++i) {
+      const Note& message = pending[i];
+      const Value* send_to = message.FindValue("SendTo");
+      const size_t recipients =
+          send_to != nullptr ? send_to->texts().size() : 0;
+      if (retry_users[i].empty()) {
+        DOMINO_RETURN_IF_ERROR(mailbox_->DeleteNote(message.id()));
+      } else if (retry_users[i].size() != recipients) {
+        // Partial progress: rewrite the queued memo's recipient list to
+        // the remainder, so the retry pass only routes the copies still
+        // owed.
+        Note requeued = message;
+        requeued.SetTextList("SendTo", retry_users[i]);
+        DOMINO_RETURN_IF_ERROR(mailbox_->UpdateNote(std::move(requeued)));
       }
-      Note copy = message;
-      copy.SetTextList("SendTo", users);
-      copy.SetNumber("$Hops", message.GetNumber("$Hops") + 1);
-      std::string encoded = copy.EncodeToString();
-      if (net_ != nullptr) {
-        Status sent = net_->Transfer(server_name_, hop, encoded.size() + 16);
-        if (!sent.ok()) {
-          // The link ate the transfer (partition, flap, injected fault):
-          // transient, so these copies stay queued for the next pass.
-          stats_.transfer_retries += 1;
-          ctr_retries_->Add();
-          retry_users.insert(retry_users.end(), users.begin(), users.end());
-          continue;
-        }
-      }
-      Status enqueued =
-          peer_it->second->mailbox()->CreateNote(std::move(copy)).status();
-      if (!enqueued.ok()) {
-        // The peer's mail.box refused the copy: permanent for this pass's
-        // purposes — dead-letter with the real reason and surface it.
-        for (const std::string& user : users) {
-          DeadLetter(user, enqueued.message());
-        }
-        if (first_error.ok()) first_error = enqueued;
-        continue;
-      }
-      stats_.forwarded += 1;
-      ctr_forwarded_->Add();
+      // else: no recipient progressed; the memo is left untouched.
     }
-
-    if (retry_users.empty()) {
-      DOMINO_RETURN_IF_ERROR(mailbox_->DeleteNote(message.id()));
-    } else if (retry_users.size() != recipients.size()) {
-      // Partial progress: rewrite the queued memo's recipient list to the
-      // remainder, so the retry pass cannot re-deliver the copies that
-      // already landed (the duplicate-delivery bug this replaces).
-      Note requeued = message;
-      requeued.SetTextList("SendTo", retry_users);
-      DOMINO_RETURN_IF_ERROR(mailbox_->UpdateNote(std::move(requeued)));
-    }
-    // else: no recipient progressed; the memo is left untouched.
+    DOMINO_RETURN_IF_ERROR(Fault("phase2:appended"));
+    DOMINO_RETURN_IF_ERROR(scope.Finish());
+    DOMINO_RETURN_IF_ERROR(Fault("phase2:synced"));
   }
   if (!first_error.ok()) return first_error;
   return pending.size();

@@ -1,9 +1,11 @@
 #ifndef DOMINODB_MAIL_ROUTER_H_
 #define DOMINODB_MAIL_ROUTER_H_
 
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -47,6 +49,16 @@ struct MailStats {
 /// local recipients into their mail files and forwarding remote
 /// recipients toward their home server via the next-hop table (multi-hop
 /// routing, as in Notes named networks).
+///
+/// Exactly-once hand-off. A pass runs in two phases, each one WriteScope:
+/// phase 1 makes every local delivery and every forward of the pass and
+/// syncs the logs it touched (this server's and the peers'); only then
+/// does phase 2 delete (or requeue) the memos in mail.box and sync again.
+/// A memo thus leaves mail.box only after its copies are durable. A crash
+/// before that re-routes the memo after restart, and every copy carries a
+/// UNID derived from (memo UNID, destination, occurrence index), created
+/// with Database::CreateNoteIfAbsent — so a copy that already landed (or
+/// was since deleted by its owner) is skipped, not delivered twice.
 class Router {
  public:
   /// `stats` (nullable → the global registry) receives the server-wide
@@ -67,7 +79,8 @@ class Router {
   /// failure surfaces the store's real status (not a generic error).
   Status Submit(Note message);
 
-  /// Processes every pending message once. `peers` maps server names to
+  /// Processes every pending message once, in the two phases above.
+  /// `peers` maps server names to
   /// their routers (the transport is the shared SimNet). Returns the
   /// number of messages processed (retained-for-retry messages count as
   /// processed, so drain loops keep polling while work remains).
@@ -88,15 +101,33 @@ class Router {
   /// write failure, which the paged store offers no seam to inject.
   void InjectDeliveryFaultForTesting(const std::string& user, Status status);
 
+  /// Test-only crash injection: when set, invoked at named points of
+  /// RunOnce — "deliver" after each local recipient, "forward" after each
+  /// destination group, "phase1:appended", "phase1:synced",
+  /// "phase2:appended" and "phase2:synced" around each phase's
+  /// WriteScope::Finish. A non-OK return aborts the pass there.
+  void SetFaultHookForTesting(std::function<Status(std::string_view)> hook);
+
   const MailStats& stats() const { return stats_; }
   Database* mailbox() { return mailbox_; }
   const std::string& server_name() const { return server_name_; }
 
  private:
-  /// Delivers one copy into the user's local mail file. A missing mail
-  /// file dead-letters and returns Ok (routing continues); a store write
+  /// Routes one memo (phase 1): delivers its local copies and forwards
+  /// its remote ones. Appends the recipients whose transfer failed
+  /// transiently to `retry_users`; records the first mail-file or peer
+  /// write failure in `first_error`. Returns only a fault-hook abort.
+  Status RouteMessage(const Note& message,
+                      const std::map<std::string, Router*>& peers,
+                      std::vector<std::string>* retry_users,
+                      Status* first_error);
+  /// Delivers copy `occurrence` (0 for a recipient's first entry in
+  /// SendTo) into the user's local mail file. A missing mail file
+  /// dead-letters and returns Ok (routing continues); a store write
   /// failure dead-letters with the real reason and returns that status.
-  Status DeliverLocal(const std::string& user, const Note& message);
+  Status DeliverLocal(const std::string& user, size_t occurrence,
+                      const Note& message);
+  Status Fault(std::string_view point);
   std::string NextHopFor(const std::string& destination) const;
   void DeadLetter(const std::string& user, const std::string& reason,
                   size_t copies = 1);
@@ -110,6 +141,7 @@ class Router {
   MailStats stats_;
   /// Armed by InjectDeliveryFaultForTesting: lower(user) → forced status.
   std::optional<std::pair<std::string, Status>> delivery_fault_;
+  std::function<Status(std::string_view)> fault_hook_;
 
   // Server-wide mirrors of MailStats (dotted Domino stat names).
   stats::StatRegistry* registry_;

@@ -4,6 +4,7 @@
 
 #include "base/hash.h"
 #include "base/string_util.h"
+#include "storage/note_store.h"
 
 namespace dominodb {
 
@@ -328,15 +329,23 @@ Status Replicator::Pull(const ReplicaEndpoint& dst,
   // 2. Decide per note; fetch bodies only for versions we may need. After
   //    every complete batch the low-water cutoff advances into both
   //    histories, so a mid-session link failure keeps the progress made
-  //    and a retry ships only the remainder.
+  //    and a retry ships only the remainder. A batch's installs share one
+  //    log sync: the scope defers them, and commit_progress makes them
+  //    durable before any cutoff may cover them (a cutoff ahead of the
+  //    durable installs would let src purge a stub dst then loses in a
+  //    crash). Later lookups of the batch still see its earlier installs,
+  //    which are applied as they append.
   const size_t batch_size =
       options.batch_size == 0 ? summary.size() + 1 : options.batch_size;
   size_t in_batch = 0;
   Micros low_water = 0;
-  auto commit_progress = [&]() {
-    if (low_water == 0) return;
+  WriteScope scope;
+  auto commit_progress = [&]() -> Status {
+    DOMINO_RETURN_IF_ERROR(scope.Finish());
+    if (low_water == 0) return Status::Ok();
     if (dst.history != nullptr) dst.history->Record(src.name, low_water);
     if (src.history != nullptr) src.history->RecordSent(dst.name, low_water);
+    return Status::Ok();
   };
   for (const NoteHandle& remote_note : summary) {
     const Oid& oid = remote_note->oid();
@@ -370,23 +379,23 @@ Status Replicator::Pull(const ReplicaEndpoint& dst,
       Status charged = Charge(src.name, dst.name, encoded.size() + 8, &local);
       if (!charged.ok()) {
         // The link died mid-session: keep the progress made so far.
-        commit_progress();
+        DOMINO_RETURN_IF_ERROR(commit_progress());
         return charged;
       }
       auto applied = ApplyRemoteChange(dst.db, *remote_note, &local,
                                        options.merge_conflicts);
       if (!applied.ok()) {
-        commit_progress();
+        DOMINO_RETURN_IF_ERROR(commit_progress());
         return applied.status();
       }
     }
     low_water = remote_note->modified_in_file();
     if (++in_batch >= batch_size) {
-      commit_progress();
+      DOMINO_RETURN_IF_ERROR(commit_progress());
       in_batch = 0;
     }
   }
-  commit_progress();
+  DOMINO_RETURN_IF_ERROR(commit_progress());
 
   // 3. The notes just installed carry fresh dst stamps that src would
   //    summarize back next session. Walk dst's changes past src's cutoff

@@ -1,6 +1,7 @@
 #include "storage/note_store.h"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
 #include <cstring>
 #include <limits>
@@ -70,7 +71,46 @@ Status UnsupportedMetaVersion(std::string_view where, uint8_t version) {
       "); re-create the database and replicate it back in");
 }
 
+/// The WriteScope open on this thread, if any.
+thread_local WriteScope* t_write_scope = nullptr;
+
 }  // namespace
+
+// -- WriteScope ------------------------------------------------------------
+
+WriteScope::WriteScope() {
+  assert(t_write_scope == nullptr && "WriteScopes do not nest");
+  t_write_scope = this;
+}
+
+WriteScope::~WriteScope() {
+  // An error path that skipped Finish: still sync what was appended (a
+  // failure here leaves the state a crash would).
+  Finish().ok();
+  t_write_scope = nullptr;
+}
+
+WriteScope* WriteScope::Current() { return t_write_scope; }
+
+void WriteScope::Defer(wal::SharedLog* log, uint64_t seq) {
+  for (auto& [known, through] : unsynced_) {
+    if (known == log) {
+      through = std::max(through, seq);
+      return;
+    }
+  }
+  unsynced_.emplace_back(log, seq);
+}
+
+Status WriteScope::Finish() {
+  Status first;
+  for (const auto& [log, through] : unsynced_) {
+    Status status = log->SyncThrough(through);
+    if (first.ok()) first = status;
+  }
+  unsynced_.clear();
+  return first;
+}
 
 void DatabaseInfo::EncodeTo(std::string* dst) const {
   PutFixed64(dst, replica_id.hi);
@@ -911,8 +951,13 @@ Status NoteStore::CommitPayload(const std::string& payload) {
   // sync modes) must not block concurrent shared-lock readers. Writers
   // are serialized by the owning Database, so two commits never race.
   auto start = std::chrono::steady_clock::now();
-  DOMINO_RETURN_IF_ERROR(
-      log_->Commit(stream_, wal::RecordType::kData, payload));
+  DOMINO_ASSIGN_OR_RETURN(
+      uint64_t seq, log_->Append(stream_, wal::RecordType::kData, payload));
+  if (WriteScope* scope = WriteScope::Current(); scope != nullptr) {
+    scope->Defer(log_, seq);
+  } else {
+    DOMINO_RETURN_IF_ERROR(log_->SyncThrough(seq));
+  }
   bytes_since_checkpoint_.fetch_add(payload.size(),
                                     std::memory_order_relaxed);
   hist_commit_micros_->Record(static_cast<uint64_t>(

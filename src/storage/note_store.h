@@ -80,6 +80,47 @@ struct StoreOptions {
   std::function<Status(std::string_view)> checkpoint_fault;
 };
 
+/// Lets the calling thread append many commits and sync once. While a
+/// scope is open on a thread, every store write that thread makes (on any
+/// database, on any log) appends its log record without waiting for it
+/// to become durable, and the scope remembers the highest record per log.
+/// Finish() syncs every log touched since the scope opened (or since the
+/// last Finish) and returns the first error; the scope stays open for
+/// further writes. A scope that ends without a final Finish() (an error
+/// path) still syncs in its destructor.
+///
+/// Durability contract: a write inside a scope is applied and visible to
+/// readers before it is durable. That is safe because every later commit
+/// on the same log is ordered after it, so nothing durable can depend on
+/// it being lost — but the write counts as acknowledged only once a
+/// Finish() covering it returns OK. Checkpoint records are never
+/// deferred: Checkpoint() commits and syncs its own records, which also
+/// makes every earlier scoped record of that log durable.
+///
+/// Scopes do not nest; one lives on the stack of the thread that opened
+/// it and is not shared with other threads.
+class WriteScope {
+ public:
+  WriteScope();
+  ~WriteScope();
+  WriteScope(const WriteScope&) = delete;
+  WriteScope& operator=(const WriteScope&) = delete;
+
+  /// Syncs every log written since the last Finish (or since the scope
+  /// opened); returns the first error.
+  Status Finish();
+
+  /// The scope open on this thread, or null.
+  static WriteScope* Current();
+
+  /// Records that `log` must be synced through `seq` before Finish
+  /// returns.
+  void Defer(wal::SharedLog* log, uint64_t seq);
+
+ private:
+  std::vector<std::pair<wal::SharedLog*, uint64_t>> unsynced_;
+};
+
 struct StoreStats {
   uint64_t checkpoints = 0;
   uint64_t recovered_records = 0;
@@ -124,6 +165,10 @@ struct CompactStats {
 /// note from a NoteCache budgeted like the pool, decoding the bucket
 /// slot only on a miss. WriteEntry — the one place an entry changes —
 /// drops the id from the cache.
+///
+/// Inside a WriteScope a write's log record is appended but not yet
+/// synced when Put returns; the write is applied and visible at once and
+/// acknowledged at the scope's Finish() (see WriteScope).
 ///
 /// Threading: the store carries its own reader/writer lock. Public reads
 /// take it shared; the apply step of every write, Checkpoint and
@@ -283,6 +328,8 @@ class NoteStore {
                  bool have_meta) REQUIRES(mu_);
   Status ApplyBatchPayload(std::string_view payload, bool from_recovery)
       REQUIRES(mu_);
+  /// Appends one kData record; syncs it unless a WriteScope is open on
+  /// this thread, which then owns the sync.
   Status CommitPayload(const std::string& payload);
 
   // -- Meta / snapshot encoding -----------------------------------------

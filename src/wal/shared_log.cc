@@ -60,6 +60,17 @@ Result<std::unique_ptr<SharedLog>> SharedLog::Open(
   return log;
 }
 
+SharedLog::~SharedLog() {
+  uint64_t last = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (file_ == nullptr || durable_seq_ >= next_seq_) return;
+    last = next_seq_;
+  }
+  // Best effort: a failed sync leaves the same state a crash would.
+  SyncThrough(last).ok();
+}
+
 std::string SharedLog::SegmentPath(uint64_t index) const {
   char name[32];
   snprintf(name, sizeof(name), "seg-%08llu.wal",
@@ -140,7 +151,9 @@ Status SharedLog::TrimTornTailLocked() {
 
 Status SharedLog::RollSegmentLocked() {
   // Completed segments are immutable from here on; seal with a sync so
-  // truncation decisions never outrun the device.
+  // truncation decisions never outrun the device. Frames still queued
+  // for a group flush go to the next segment, which every stream's
+  // low-water mark covers.
   DOMINO_RETURN_IF_ERROR(file_->Sync());
   file_.reset();
   ++current_segment_;
@@ -176,8 +189,8 @@ Status SharedLog::TimedSync() {
   return status;
 }
 
-Status SharedLog::Commit(uint32_t stream, RecordType type,
-                         std::string_view payload) {
+Result<uint64_t> SharedLog::Append(uint32_t stream, RecordType type,
+                                   std::string_view payload) {
   if (payload.size() > kMaxRecordPayload - 8) {
     return Status::InvalidArgument("shared log record too large");
   }
@@ -185,59 +198,75 @@ Status SharedLog::Commit(uint32_t stream, RecordType type,
   mux.reserve(payload.size() + 5);
   PutVarint32(&mux, stream);
   mux.append(payload);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = streams_.find(stream);
-    if (it == streams_.end()) {
-      return Status::InvalidArgument("shared log: unregistered stream " +
-                                     std::to_string(stream));
-    }
-    it->second.appended = true;
-  }
-  if (options_.sync_mode == SyncMode::kGroupCommit) {
-    return CommitGrouped(type, mux);
-  }
-  return CommitSerialized(type, mux);
-}
-
-Status SharedLog::CommitSerialized(RecordType type,
-                                   std::string_view mux_payload) {
-  // One record, one append, one (optional) sync — the fsync-per-commit
-  // baseline E14 contrasts group commit against. Serialized under mu_.
   std::lock_guard<std::mutex> lock(mu_);
   if (!io_error_.ok()) return io_error_;
-  std::string frame;
-  AppendFrameTo(&frame, type, mux_payload);
-  ++next_seq_;
+  auto it = streams_.find(stream);
+  if (it == streams_.end()) {
+    return Status::InvalidArgument("shared log: unregistered stream " +
+                                   std::to_string(stream));
+  }
+  it->second.appended = true;
   ctr_commits_->Add();
-  ctr_bytes_->Add(mux_payload.size());
+  ctr_bytes_->Add(mux.size());
+  if (options_.sync_mode == SyncMode::kGroupCommit) {
+    AppendFrameTo(&pending_, type, mux);
+    ++pending_records_;
+    // A leader lingering for company (max_wait_micros) sleeps on cv_; let
+    // it see the new arrival (and flush early once the batch is
+    // byte-full).
+    if (writing_) cv_.notify_all();
+    return ++next_seq_;
+  }
+  // The serialized modes write straight through: kNone also flushes to
+  // the OS, which is all the durability it promises.
+  std::string frame;
+  AppendFrameTo(&frame, type, mux);
   Status status = file_->Append(frame);
-  if (status.ok()) {
-    status = options_.sync_mode == SyncMode::kEveryCommit ? TimedSync()
-                                                          : file_->Flush();
+  if (status.ok() && options_.sync_mode == SyncMode::kNone) {
+    status = file_->Flush();
   }
   if (!status.ok()) {
     io_error_ = status;
     return status;
   }
-  durable_seq_ = next_seq_;
-  return MaybeRollSegmentLocked();
+  const uint64_t seq = ++next_seq_;
+  if (options_.sync_mode == SyncMode::kNone) durable_seq_ = seq;
+  status = MaybeRollSegmentLocked();
+  if (!status.ok()) {
+    io_error_ = status;
+    return status;
+  }
+  return seq;
 }
 
-Status SharedLog::CommitGrouped(RecordType type,
-                                std::string_view mux_payload) {
+Status SharedLog::Commit(uint32_t stream, RecordType type,
+                         std::string_view payload) {
+  DOMINO_ASSIGN_OR_RETURN(uint64_t seq, Append(stream, type, payload));
+  return SyncThrough(seq);
+}
+
+Status SharedLog::SyncThrough(uint64_t seq) {
   std::unique_lock<std::mutex> lock(mu_);
+  if (options_.sync_mode == SyncMode::kGroupCommit) {
+    return SyncGrouped(&lock, seq);
+  }
   if (!io_error_.ok()) return io_error_;
-  AppendFrameTo(&pending_, type, mux_payload);
-  ++pending_records_;
-  const uint64_t my_seq = ++next_seq_;
-  ctr_commits_->Add();
-  ctr_bytes_->Add(mux_payload.size());
-  // A leader lingering for company (max_wait_micros) sleeps on cv_; let it
-  // see the new arrival (and flush early once the batch is byte-full).
-  if (writing_) cv_.notify_all();
+  if (durable_seq_ >= seq) return Status::Ok();
+  // kEveryCommit: one record, one sync — the fsync-per-commit baseline
+  // E14 contrasts group commit against. Serialized under mu_.
+  Status status = TimedSync();
+  if (!status.ok()) {
+    io_error_ = status;
+    return status;
+  }
+  durable_seq_ = next_seq_;
+  return Status::Ok();
+}
+
+Status SharedLog::SyncGrouped(std::unique_lock<std::mutex>* lock,
+                              uint64_t seq) {
   bool led = false;
-  while (durable_seq_ < my_seq) {
+  while (durable_seq_ < seq) {
     if (!io_error_.ok()) return io_error_;
     if (!writing_) {
       // Become the leader: everything pending — our frame plus any
@@ -250,7 +279,7 @@ Status SharedLog::CommitGrouped(RecordType type,
             std::chrono::steady_clock::now() +
             std::chrono::microseconds(options_.max_wait_micros);
         while (pending_.size() < kMaxBatchBytes &&
-               cv_.wait_until(lock, deadline) != std::cv_status::timeout) {
+               cv_.wait_until(*lock, deadline) != std::cv_status::timeout) {
         }
       }
       std::string batch;
@@ -258,10 +287,10 @@ Status SharedLog::CommitGrouped(RecordType type,
       const uint64_t batch_records = pending_records_;
       pending_records_ = 0;
       const uint64_t batch_last = next_seq_;
-      lock.unlock();
+      lock->unlock();
       Status status = file_->Append(batch);
       if (status.ok()) status = TimedSync();
-      lock.lock();
+      lock->lock();
       writing_ = false;
       if (!status.ok()) {
         io_error_ = status;
@@ -280,7 +309,7 @@ Status SharedLog::CommitGrouped(RecordType type,
         return rolled;
       }
     } else {
-      cv_.wait(lock);
+      cv_.wait(*lock);
     }
   }
   if (led) {
@@ -382,11 +411,14 @@ Status SharedLog::AdvanceCheckpoint(uint32_t stream) {
 }
 
 Status SharedLog::SyncAll() {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [&] {
-    return (!writing_ && pending_.empty()) || !io_error_.ok();
-  });
-  if (!io_error_.ok()) return io_error_;
+  uint64_t last = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    last = next_seq_;
+  }
+  DOMINO_RETURN_IF_ERROR(SyncThrough(last));
+  if (options_.sync_mode != SyncMode::kNone) return Status::Ok();
+  std::lock_guard<std::mutex> lock(mu_);
   return file_->Sync();
 }
 

@@ -69,7 +69,9 @@ class SharedLog {
   static Result<std::unique_ptr<SharedLog>> Open(
       const std::string& dir, const SharedLogOptions& options);
 
-  ~SharedLog() = default;  // WritableFile flushes on destruction
+  /// Syncs any record appended but not yet durable: a clean shutdown is
+  /// not a crash.
+  ~SharedLog();
   SharedLog(const SharedLog&) = delete;
   SharedLog& operator=(const SharedLog&) = delete;
 
@@ -79,10 +81,21 @@ class SharedLog {
   /// there to write.
   Result<uint32_t> RegisterStream(const std::string& name);
 
-  /// Appends one record for `stream` and returns once it is durable under
-  /// the configured sync mode (kGroupCommit: after the covering group
-  /// sync; kEveryCommit: after a private sync; kNone: after the buffered
-  /// write). Safe to call from any thread.
+  /// Appends one record for `stream` and returns its sequence number,
+  /// without waiting for durability: kGroupCommit queues the frame for
+  /// the next group flush, kEveryCommit writes it to the file, kNone
+  /// writes and flushes it to the OS. Records of every stream share one
+  /// order, so a record is durable once any later one is.
+  Result<uint64_t> Append(uint32_t stream, RecordType type,
+                          std::string_view payload);
+
+  /// Returns once every record up to `seq` is durable under the sync mode
+  /// (kGroupCommit: the leader/follower group sync; kEveryCommit: one
+  /// sync unless an earlier one already covered `seq`; kNone: at once,
+  /// the write was all it needed). Safe to call from any thread.
+  Status SyncThrough(uint64_t seq);
+
+  /// Append, then SyncThrough the new record.
   Status Commit(uint32_t stream, RecordType type, std::string_view payload);
 
   /// Replays the committed records of `stream`, in commit order, across
@@ -102,7 +115,8 @@ class SharedLog {
   /// the log also seals and rolls past the current segment, dropping it.
   Status AdvanceCheckpoint(uint32_t stream);
 
-  /// Forces any pending group batch to disk (shutdown convenience).
+  /// SyncThrough the last appended record, then (kNone) fsync the file
+  /// as well: checkpoints call it before writing pages in place.
   Status SyncAll();
 
   std::string SegmentPath(uint64_t index) const;
@@ -133,11 +147,10 @@ class SharedLog {
   Status RollSegmentLocked();
   /// RollSegmentLocked once the current segment is over budget.
   Status MaybeRollSegmentLocked();
-  /// Serialized append (+ optional sync) for the non-group modes.
-  Status CommitSerialized(RecordType type, std::string_view mux_payload);
   /// Leader/follower protocol for kGroupCommit.
-  Status CommitGrouped(RecordType type, std::string_view mux_payload);
-  /// fsync with WAL.SyncMicros accounting; mu_ must NOT be held.
+  Status SyncGrouped(std::unique_lock<std::mutex>* lock, uint64_t seq);
+  /// fsync with WAL.SyncMicros accounting (a group-commit leader calls
+  /// it with mu_ released; kEveryCommit holds mu_ across it).
   Status TimedSync();
 
   const std::string dir_;
@@ -168,7 +181,7 @@ class SharedLog {
   uint64_t segment_base_bytes_ = 0;  // size of current segment at open
   bool torn_at_open_ = false;        // Open cut a torn tail off
 
-  uint64_t next_seq_ = 0;     // last assigned commit sequence number
+  uint64_t next_seq_ = 0;     // last assigned record sequence number
   uint64_t durable_seq_ = 0;  // every seq <= this is durable
   bool writing_ = false;      // a leader is appending/syncing
   std::string pending_;       // framed records awaiting the next batch

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <functional>
+
 #include "mail/router.h"
 #include "server/server.h"
 #include "tests/test_util.h"
@@ -7,6 +10,7 @@
 namespace dominodb {
 namespace {
 
+using testing_util::CopyDirTree;
 using testing_util::ScratchDir;
 
 class MailFixture : public ::testing::Test {
@@ -246,6 +250,168 @@ TEST_F(MailFixture, SubmitValidatesForm) {
   Note not_mail(NoteClass::kDocument);
   not_mail.SetText("Form", "Invoice");
   EXPECT_FALSE(servers_["alpha"]->router()->Submit(not_mail).ok());
+}
+
+// ------------------------------------------- crash at each router step --
+
+// Three servers on group-commit shared logs: a router pass's copies sit
+// unsynced in memory until its phase-1 Finish, and its mail.box deletes
+// until its phase-2 Finish, so copying the fleet's directories at a fault
+// hook point captures exactly what a crash there would leave.
+class RouterCrashTest : public ::testing::Test {
+ protected:
+  using Fleet = std::vector<std::unique_ptr<Server>>;
+
+  void SetUp() override {
+    clock_.Set(1'000'000'000);
+    net_ = std::make_unique<SimNet>(&clock_);
+  }
+
+  /// Opens (or reopens) the fleet stored under `base`.
+  Fleet OpenFleet(const std::string& base) {
+    Fleet fleet;
+    for (const char* name : {"alpha", "beta", "gamma"}) {
+      fleet.push_back(std::make_unique<Server>(
+          name, base + "/" + name, &clock_, net_.get(), &directory_));
+      EXPECT_OK(fleet.back()->EnableSharedLog());
+      EXPECT_OK(fleet.back()->EnsureMailInfrastructure());
+    }
+    // alpha reaches gamma only through beta: forwards get forwarded.
+    fleet[0]->router()->SetNextHop("gamma", "beta");
+    for (const auto& [user, home] : kUsers) {
+      EXPECT_OK(fleet[home]->CreateMailFile(user).status());
+    }
+    return fleet;
+  }
+
+  static std::vector<Server*> Raw(const Fleet& fleet) {
+    std::vector<Server*> raw;
+    for (const auto& server : fleet) raw.push_back(server.get());
+    return raw;
+  }
+
+  /// Live copies in each user's mail file.
+  static std::map<std::string, size_t> Inboxes(const Fleet& fleet) {
+    std::map<std::string, size_t> counts;
+    for (const auto& [user, home] : kUsers) {
+      counts[user] = fleet[home]->MailFileOf(user)->note_count();
+    }
+    return counts;
+  }
+
+  /// Installs `hook` on every router of the fleet.
+  static void SetHooks(const Fleet& fleet,
+                       const std::function<Status(std::string_view)>& hook) {
+    for (const auto& server : fleet) {
+      server->router()->SetFaultHookForTesting(hook);
+    }
+  }
+
+  static constexpr std::pair<const char*, int> kUsers[] = {
+      {"Ada", 0}, {"Al", 0}, {"Bea", 1}, {"Gil", 2}};
+
+  ScratchDir dir_;
+  SimClock clock_;
+  std::unique_ptr<SimNet> net_;
+  MailDirectory directory_;
+};
+
+// Runs the same three memos once per hook point, copying the fleet at
+// that point, then restarts the copy and drains it. Every recipient entry
+// must end with exactly one copy — a memo to [Ada, Ada] with two — and
+// delivered + dead must equal the copies submitted.
+TEST_F(RouterCrashTest, EveryRecipientGetsExactlyOneCopyAfterACrashAnywhere) {
+  const std::map<std::string, size_t> expected = {
+      {"Ada", 3}, {"Al", 1}, {"Bea", 2}, {"Gil", 3}};
+  constexpr size_t kSubmitted = 9;
+  auto submit = [](const Fleet& fleet) {
+    EXPECT_OK(fleet[0]->SendMail("Ada", {"Ada", "Ada", "Bea"}, "twice", "b"));
+    EXPECT_OK(fleet[0]->SendMail("Al", {"Gil", "Bea", "Al"}, "hop", "b"));
+    EXPECT_OK(fleet[1]->SendMail("Bea", {"Ada", "Gil", "Gil"}, "back", "b"));
+  };
+
+  // Dry run: count the hook points of a full drain.
+  std::vector<std::string> points;
+  {
+    Fleet fleet = OpenFleet(dir_.Sub("dry"));
+    submit(fleet);
+    SetHooks(fleet, [&](std::string_view point) {
+      points.emplace_back(point);
+      return Status::Ok();
+    });
+    ASSERT_OK(Server::DrainRouters(Raw(fleet)).status());
+    EXPECT_EQ(Inboxes(fleet), expected);
+  }
+  ASSERT_GT(points.size(), 8u);
+
+  for (size_t crash_at = 0; crash_at < points.size(); ++crash_at) {
+    SCOPED_TRACE("crash at hook call " + std::to_string(crash_at) + " (" +
+                 points[crash_at] + ")");
+    const std::string live = dir_.Sub("live");
+    const std::string crashed = dir_.Sub("crashed");
+    {
+      Fleet fleet = OpenFleet(live);
+      submit(fleet);
+      size_t calls = 0;
+      SetHooks(fleet, [&](std::string_view) {
+        if (calls++ == crash_at) CopyDirTree(live, crashed);
+        return Status::Ok();
+      });
+      ASSERT_OK(Server::DrainRouters(Raw(fleet)).status());
+    }
+    Fleet fleet = OpenFleet(crashed);
+    ASSERT_OK(Server::DrainRouters(Raw(fleet)).status());
+    const std::map<std::string, size_t> got = Inboxes(fleet);
+    EXPECT_EQ(got, expected);
+    size_t delivered = 0;
+    for (const auto& [user, copies] : got) delivered += copies;
+    size_t dead = 0;
+    for (const auto& server : fleet) {
+      dead += server->router()->stats().dead_lettered;
+      EXPECT_EQ(server->router()->mailbox()->note_count(), 0u)
+          << server->name();
+    }
+    EXPECT_EQ(delivered + dead, kSubmitted);
+    fleet.clear();
+    std::filesystem::remove_all(live);
+    std::filesystem::remove_all(crashed);
+  }
+}
+
+// A crash after a pass's copies are durable but before its memo left
+// mail.box re-routes the memo on restart. A copy its owner deleted in
+// between stays deleted: the stub still holds the copy's UNID.
+TEST_F(RouterCrashTest, DeletedCopyIsNotRedeliveredAfterRestart) {
+  const std::string live = dir_.Sub("live");
+  const std::string crashed = dir_.Sub("crashed");
+  {
+    Fleet fleet = OpenFleet(live);
+    ASSERT_OK(fleet[0]->SendMail("Al", {"Ada", "Bea"}, "read me", "b"));
+    bool copied = false;
+    fleet[0]->router()->SetFaultHookForTesting([&](std::string_view point) {
+      if (point == "phase1:synced" && !copied) {
+        CopyDirTree(live, crashed);
+        copied = true;
+      }
+      return Status::Ok();
+    });
+    ASSERT_OK(Server::DrainRouters(Raw(fleet)).status());
+    ASSERT_TRUE(copied);
+  }
+  Fleet fleet = OpenFleet(crashed);
+  EXPECT_EQ(fleet[0]->router()->mailbox()->note_count(), 1u);
+  Database* ada = fleet[0]->MailFileOf("Ada");
+  ASSERT_EQ(ada->note_count(), 1u);
+  std::vector<NoteId> ids;
+  ada->ForEachLiveNote([&](const Note& note) { ids.push_back(note.id()); });
+  ASSERT_OK(ada->DeleteNote(ids.at(0)));
+
+  ASSERT_OK(Server::DrainRouters(Raw(fleet)).status());
+  EXPECT_EQ(ada->note_count(), 0u);
+  EXPECT_EQ(ada->stub_count(), 1u);
+  EXPECT_EQ(fleet[1]->MailFileOf("Bea")->note_count(), 1u);
+  EXPECT_EQ(fleet[0]->router()->mailbox()->note_count(), 0u);
+  EXPECT_EQ(fleet[0]->router()->stats().delivered, 0u);
 }
 
 TEST(MailDirectoryTest, Lookup) {

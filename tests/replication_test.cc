@@ -620,6 +620,135 @@ INSTANTIATE_TEST_SUITE_P(Topologies, TopologySweep,
                            }
                          });
 
+// ------------------------------------------ batched install durability --
+
+// Two servers on group-commit shared logs (each with its own stat
+// registry), holding replicas of "shared.nsf" under `base`.
+struct LoggedPair {
+  LoggedPair(const std::string& base, SimClock* clock, SimNet* net,
+             MailDirectory* directory, bool create) {
+    a = std::make_unique<Server>("A", base + "/a", clock, net, directory,
+                                 &stats_a);
+    b = std::make_unique<Server>("B", base + "/b", clock, net, directory,
+                                 &stats_b);
+    EXPECT_OK(a->EnableSharedLog());
+    EXPECT_OK(b->EnableSharedLog());
+    DatabaseOptions options;
+    options.title = "Shared DB";
+    auto opened = a->OpenDatabase("shared.nsf", options);
+    EXPECT_OK(opened);
+    db_a = *opened;
+    auto replica = create ? b->CreateReplicaOf(*db_a, "shared.nsf")
+                          : b->OpenDatabase("shared.nsf", options);
+    EXPECT_OK(replica);
+    db_b = *replica;
+  }
+  uint64_t Syncs() {
+    return stats_a.GetCounter("Server.WAL.Syncs").value() +
+           stats_b.GetCounter("Server.WAL.Syncs").value();
+  }
+
+  stats::StatRegistry stats_a, stats_b;
+  std::unique_ptr<Server> a, b;
+  Database* db_a = nullptr;
+  Database* db_b = nullptr;
+};
+
+class BatchedInstallTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    clock_.Set(1'000'000'000);
+    net_ = std::make_unique<SimNet>(&clock_);
+  }
+
+  ScratchDir dir_;
+  SimClock clock_;
+  MailDirectory directory_;
+  std::unique_ptr<SimNet> net_;
+};
+
+// The installs of one batch (32 notes by default) share one log sync.
+TEST_F(BatchedInstallTest, HundredNotePullSyncsOncePerBatch) {
+  LoggedPair pair(dir_.Sub("pair"), &clock_, net_.get(), &directory_,
+                  /*create=*/true);
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_OK(pair.db_a->CreateNote(MakeDoc("Memo", "n" + std::to_string(i)))
+                  .status());
+  }
+  clock_.Advance(1000);
+  const uint64_t before = pair.Syncs();
+  ASSERT_OK_AND_ASSIGN(ReplicationReport report,
+                       pair.a->ReplicateWith(*pair.b, "shared.nsf"));
+  EXPECT_EQ(report.pushed, 100u);
+  EXPECT_EQ(pair.db_b->note_count(), 100u);
+  EXPECT_LE(pair.Syncs() - before, (100u + 31u) / 32u + 1u);
+}
+
+// A crash between a batch's installs and its sync loses that batch and
+// nothing before it; a new session after restart converges, and the
+// deletions the lost batch carried still win.
+TEST_F(BatchedInstallTest, CrashBeforeBatchSyncRecoversAndConverges) {
+  const std::string live = dir_.Sub("live");
+  const std::string crashed = dir_.Sub("crashed");
+  std::vector<Unid> deleted;
+  {
+    LoggedPair pair(live, &clock_, net_.get(), &directory_, /*create=*/true);
+    std::vector<NoteId> originals;
+    for (int i = 0; i < 100; ++i) {
+      ASSERT_OK_AND_ASSIGN(
+          NoteId id,
+          pair.db_a->CreateNote(MakeDoc("Memo", "old" + std::to_string(i))));
+      originals.push_back(id);
+    }
+    clock_.Advance(1000);
+    ASSERT_OK(pair.a->ReplicateWith(*pair.b, "shared.nsf").status());
+    // Session 2 ships 60 new notes, then 10 deletion stubs (stamp order):
+    // batch 1 = 32 notes, batch 2 = 28 notes + 4 stubs, batch 3 = 6 stubs.
+    for (int i = 0; i < 60; ++i) {
+      ASSERT_OK(
+          pair.db_a->CreateNote(MakeDoc("Memo", "new" + std::to_string(i)))
+              .status());
+    }
+    for (int i = 0; i < 10; ++i) {
+      ASSERT_OK_AND_ASSIGN(Note doomed, pair.db_a->ReadNote(originals[i]));
+      deleted.push_back(doomed.unid());
+      ASSERT_OK(pair.db_a->DeleteNote(originals[i]));
+    }
+    clock_.Advance(1000);
+    // Crash at B's 62nd install: inside batch 2, after two of its stubs.
+    struct CopyAtInstall : DatabaseObserver {
+      int installs = 0;
+      std::string from, to;
+      void OnCommit() override {
+        if (++installs != 62) return;
+        testing_util::CopyDirTree(from, to);
+      }
+    } crash;
+    crash.from = live;
+    crash.to = crashed;
+    pair.db_b->AddObserver(&crash);
+    ASSERT_OK(pair.a->ReplicateWith(*pair.b, "shared.nsf").status());
+    pair.db_b->RemoveObserver(&crash);
+    ASSERT_GE(crash.installs, 62);
+  }
+
+  LoggedPair pair(crashed, &clock_, net_.get(), &directory_,
+                  /*create=*/false);
+  // Batch 1 was synced before the crash; batch 2 was not.
+  EXPECT_EQ(pair.db_b->note_count(), 132u);
+  EXPECT_EQ(pair.db_b->stub_count(), 0u);
+  clock_.Advance(1000);
+  ASSERT_OK(pair.a->ReplicateWith(*pair.b, "shared.nsf").status());
+  EXPECT_TRUE(DatabasesConverged({pair.db_a, pair.db_b}));
+  EXPECT_EQ(pair.db_b->note_count(), 150u);
+  for (const Unid& unid : deleted) {
+    for (Database* db : {pair.db_a, pair.db_b}) {
+      ASSERT_OK_AND_ASSIGN(Note note, db->GetAnyByUnid(unid));
+      EXPECT_TRUE(note.deleted()) << unid.ToString();
+    }
+  }
+}
+
 TEST(ReplicationHistoryTest, CutoffBookkeeping) {
   ReplicationHistory history;
   EXPECT_EQ(history.CutoffFor("peer"), 0);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <filesystem>
@@ -21,6 +22,7 @@
 namespace dominodb {
 namespace {
 
+using testing_util::CopyDirTree;
 using testing_util::MakeDoc;
 using testing_util::ScratchDir;
 
@@ -256,6 +258,170 @@ TEST(SharedLogTest, CorruptSealedSegmentFailsReplay) {
   EXPECT_NE(status.ToString().find(log->SegmentPath(1)), std::string::npos)
       << status.ToString();
 }
+
+// ----------------------------------------------- Append / SyncThrough --
+
+/// The record indices `ReplayStream` recovers from streams `a` and `b` of
+/// the log in `dir` (payloads are "r<index>").
+std::vector<int> RecoveredIndices(const std::string& dir, uint32_t a,
+                                  uint32_t b) {
+  std::vector<int> got;
+  auto log = wal::SharedLog::Open(dir, BufferedLog());
+  EXPECT_OK(log.status());
+  if (!log.ok()) return got;
+  for (uint32_t stream : {a, b}) {
+    EXPECT_OK((*log)->ReplayStream(
+        stream,
+        [&](wal::RecordType, std::string_view payload) {
+          got.push_back(std::stoi(std::string(payload.substr(1))));
+          return Status::Ok();
+        },
+        nullptr));
+  }
+  std::sort(got.begin(), got.end());
+  return got;
+}
+
+class SharedLogAppendTest : public ::testing::TestWithParam<wal::SyncMode> {};
+
+// N appends across two streams, then one SyncThrough. A copy of the
+// directory taken before the sync recovers a prefix of the append order
+// (nothing in kGroupCommit, where unsynced records are still in memory;
+// everything in kNone, which writes through); after the sync every record
+// is there, and the N appends cost exactly one sync.
+TEST_P(SharedLogAppendTest, SyncThroughMakesEveryEarlierAppendDurable) {
+  const wal::SyncMode mode = GetParam();
+  ScratchDir dir;
+  stats::StatRegistry stats;
+  wal::SharedLogOptions options;
+  options.sync_mode = mode;
+  options.stats = &stats;
+  ASSERT_OK_AND_ASSIGN(auto log,
+                       wal::SharedLog::Open(dir.Sub("txnlog"), options));
+  ASSERT_OK_AND_ASSIGN(uint32_t a, log->RegisterStream("a.nsf"));
+  ASSERT_OK_AND_ASSIGN(uint32_t b, log->RegisterStream("b.nsf"));
+  constexpr int kRecords = 10;
+  const uint64_t syncs_before = stats.GetCounter("Server.WAL.Syncs").value();
+  uint64_t last = 0;
+  for (int i = 0; i < kRecords; ++i) {
+    ASSERT_OK_AND_ASSIGN(
+        uint64_t seq, log->Append(i % 2 == 0 ? a : b, wal::RecordType::kData,
+                                  "r" + std::to_string(i)));
+    EXPECT_GT(seq, last);
+    last = seq;
+  }
+  EXPECT_EQ(stats.GetCounter("Server.WAL.Syncs").value(), syncs_before);
+
+  CopyDirTree(dir.Sub("txnlog"), dir.Sub("before_sync"));
+  const std::vector<int> before =
+      RecoveredIndices(dir.Sub("before_sync"), a, b);
+  for (size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(before[i], static_cast<int>(i)) << "not a prefix";
+  }
+  if (mode == wal::SyncMode::kGroupCommit) {
+    EXPECT_TRUE(before.empty());
+  }
+  if (mode == wal::SyncMode::kNone) {
+    EXPECT_EQ(before.size(), size_t{kRecords});
+  }
+
+  ASSERT_OK(log->SyncThrough(last));
+  EXPECT_EQ(stats.GetCounter("Server.WAL.Syncs").value(),
+            syncs_before + (mode == wal::SyncMode::kNone ? 0 : 1));
+  // Already durable: a second SyncThrough costs nothing.
+  ASSERT_OK(log->SyncThrough(last));
+  EXPECT_EQ(stats.GetCounter("Server.WAL.Syncs").value(),
+            syncs_before + (mode == wal::SyncMode::kNone ? 0 : 1));
+
+  CopyDirTree(dir.Sub("txnlog"), dir.Sub("after_sync"));
+  const std::vector<int> after = RecoveredIndices(dir.Sub("after_sync"), a, b);
+  ASSERT_EQ(after.size(), size_t{kRecords});
+  for (int i = 0; i < kRecords; ++i) EXPECT_EQ(after[i], i);
+}
+
+// Destroying the log is a clean shutdown, not a crash: records appended
+// but never synced are flushed and synced, not dropped.
+TEST_P(SharedLogAppendTest, DestructionSyncsAppendedRecords) {
+  ScratchDir dir;
+  wal::SharedLogOptions options;
+  options.sync_mode = GetParam();
+  uint32_t a = 0, b = 0;
+  {
+    ASSERT_OK_AND_ASSIGN(auto log,
+                         wal::SharedLog::Open(dir.Sub("txnlog"), options));
+    ASSERT_OK_AND_ASSIGN(a, log->RegisterStream("a.nsf"));
+    ASSERT_OK_AND_ASSIGN(b, log->RegisterStream("b.nsf"));
+    for (int i = 0; i < 6; ++i) {
+      ASSERT_OK(log->Append(i % 2 == 0 ? a : b, wal::RecordType::kData,
+                            "r" + std::to_string(i))
+                    .status());
+    }
+  }
+  EXPECT_EQ(RecoveredIndices(dir.Sub("txnlog"), a, b),
+            (std::vector<int>{0, 1, 2, 3, 4, 5}));
+}
+
+// Stream A holds appended, unsynced records while stream B checkpoints
+// and the log rolls segments under B's commits: A must replay in full
+// after reopen, its pending records neither stranded nor dropped.
+TEST_P(SharedLogAppendTest, PendingAppendsSurviveOtherStreamsCheckpoint) {
+  ScratchDir dir;
+  wal::SharedLogOptions options;
+  options.sync_mode = GetParam();
+  options.segment_bytes = 256;  // B's commits roll segments
+  uint32_t a = 0, b = 0;
+  std::vector<std::string> expected_a;
+  {
+    ASSERT_OK_AND_ASSIGN(auto log,
+                         wal::SharedLog::Open(dir.Sub("txnlog"), options));
+    ASSERT_OK_AND_ASSIGN(a, log->RegisterStream("a.nsf"));
+    ASSERT_OK_AND_ASSIGN(b, log->RegisterStream("b.nsf"));
+    // A checkpointed once already, so only its appends keep it "needed".
+    ASSERT_OK(log->AdvanceCheckpoint(a));
+    for (int round = 0; round < 4; ++round) {
+      for (int i = 0; i < 3; ++i) {
+        expected_a.push_back("a" + std::to_string(round) + "-" +
+                             std::to_string(i) + std::string(40, 'x'));
+        ASSERT_OK(
+            log->Append(a, wal::RecordType::kData, expected_a.back()).status());
+      }
+      ASSERT_OK(log->Commit(b, wal::RecordType::kData, std::string(200, 'b')));
+      ASSERT_OK(log->Commit(b, wal::RecordType::kCheckpoint, ""));
+      ASSERT_OK(log->AdvanceCheckpoint(b));
+    }
+    expected_a.push_back("a-tail");
+    ASSERT_OK(log->Append(a, wal::RecordType::kData, "a-tail").status());
+    ASSERT_OK(log->AdvanceCheckpoint(b));
+    EXPECT_GT(log->current_segment(), 1u);
+  }
+  ASSERT_OK_AND_ASSIGN(auto log,
+                       wal::SharedLog::Open(dir.Sub("txnlog"), options));
+  std::vector<std::string> got_a;
+  ASSERT_OK(log->ReplayStream(
+      a,
+      [&](wal::RecordType, std::string_view payload) {
+        got_a.emplace_back(payload);
+        return Status::Ok();
+      },
+      nullptr));
+  EXPECT_EQ(got_a, expected_a);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, SharedLogAppendTest,
+    ::testing::Values(wal::SyncMode::kNone, wal::SyncMode::kEveryCommit,
+                      wal::SyncMode::kGroupCommit),
+    [](const ::testing::TestParamInfo<wal::SyncMode>& info) {
+      switch (info.param) {
+        case wal::SyncMode::kNone:
+          return "None";
+        case wal::SyncMode::kEveryCommit:
+          return "EveryCommit";
+        case wal::SyncMode::kGroupCommit:
+          return "GroupCommit";
+      }
+      return "Unknown";
+    });
 
 // ---------------------------------------------- NoteStore on a SharedLog --
 

@@ -1,6 +1,7 @@
 #ifndef DOMINODB_TESTS_TEST_UTIL_H_
 #define DOMINODB_TESTS_TEST_UTIL_H_
 
+#include <filesystem>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -43,6 +44,13 @@ class ScratchDir {
 /// first checkpoint — the file crash tests cut or snapshot.
 inline std::string FirstLogSegment(const std::string& store_dir) {
   return store_dir + "/log/seg-00000001.wal";
+}
+
+/// Replaces `to` with a copy of the directory tree `from` as it stands on
+/// disk: what a crash at this moment would leave behind.
+inline void CopyDirTree(const std::string& from, const std::string& to) {
+  std::filesystem::remove_all(to);
+  std::filesystem::copy(from, to, std::filesystem::copy_options::recursive);
 }
 
 /// Quick document builder.
