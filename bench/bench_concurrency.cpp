@@ -4,19 +4,27 @@
 // no database-wide lock, so reader throughput scales with cores and a
 // saturating writer barely moves reader latency.
 //
-// Two phases:
+// Three phases:
 //   1. Throughput: aggregate reader ops/sec of the mixed read workload
 //      (view walk, full-text search, note reads) for 1–8 readers, with
 //      and without a writer.
 //   2. Hostile writer latency: per-op view-traversal latency (p50/p99)
 //      for 1–8 readers, with the writer idle vs saturating the write
 //      path with updates.
+//   3. Read-call scaling: per-call µs of TraverseViewAs and SearchAs at
+//      1, 2 and 4 threads on readers-shaped data (2 000 docs of ~1 KB, a
+//      categorized view, a quarter of the docs with reader fields). A
+//      call that scales keeps its per-call time flat as threads are
+//      added; the target is 4 threads ≤ 1.3× 1 thread. Run it once more
+//      with MALLOC_ARENA_MAX=1 in the environment to see whether the
+//      calls depend on per-thread malloc arenas.
 //
 // The one-big-lock and reader/writer-lock disciplines this replaced are
 // no longer emulated here; EXPERIMENTS.md (E15) keeps their tables.
 
 #include <algorithm>
 #include <atomic>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -189,6 +197,99 @@ LatencyResult RunLatencyCell(Database* db, const std::vector<NoteId>& ids,
   return out;
 }
 
+// -- Phase 3: read-call scaling on readers-shaped data ----------------------
+
+ViewDesign CategorizedView() {
+  std::vector<ViewColumn> columns(2);
+  columns[0].title = "Category";
+  columns[0].formula_source = "Category";
+  columns[0].sort = ColumnSort::kAscending;
+  columns[0].categorized = true;
+  columns[1].title = "Subject";
+  columns[1].formula_source = "Subject";
+  columns[1].sort = ColumnSort::kAscending;
+  return *ViewDesign::Create("topics", "SELECT @All", std::move(columns));
+}
+
+/// Mean µs per call when `threads` threads each make `calls` calls of
+/// `call(thread, i)` at once.
+template <typename Call>
+double PerCallUs(int threads, int calls, const Call& call) {
+  std::atomic<int> ready{0};
+  std::vector<double> total_us(threads, 0);
+  std::vector<std::thread> pool;
+  for (int t = 0; t < threads; ++t) {
+    pool.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < threads) std::this_thread::yield();
+      Stopwatch watch;
+      for (int i = 0; i < calls; ++i) call(t, i);
+      total_us[t] = watch.ElapsedMicros();
+    });
+  }
+  for (auto& th : pool) th.join();
+  double sum = 0;
+  for (double us : total_us) sum += us;
+  return sum / (static_cast<double>(threads) * calls);
+}
+
+void RunScalingPhase() {
+  const int kDocs = ScaleN(2000, 100);
+  const int kCalls = ScaleN(200, 5);
+  const int kRepeats = ScaleN(5, 1);
+  BenchDir dir("concurrency_scaling");
+  SimClock clock;
+  clock.Set(1'000'000'000);
+  DatabaseOptions options;
+  options.store.checkpoint_threshold_bytes = 1ull << 30;
+  auto db = *Database::Open(dir.Sub("db"), options, &clock);
+  Rng rng(24);
+  for (int d = 0; d < kDocs; ++d) db->CreateNote(ReadersDoc(&rng)).ok();
+  db->CreateView(CategorizedView()).ok();
+  db->EnsureFullTextIndex().ok();
+  std::vector<Principal> users;
+  for (int u = 0; u < kReadersUsers; ++u) {
+    users.push_back(Principal::User("user" + std::to_string(u)));
+  }
+  const char* arenas = std::getenv("MALLOC_ARENA_MAX");
+  printf("\nread-call scaling: %d docs, %d calls per thread, median of %d "
+         "runs, MALLOC_ARENA_MAX=%s (microseconds per call)\n",
+         kDocs, kCalls, kRepeats, arenas != nullptr ? arenas : "unset");
+  printf("%-16s %-10s %-10s %-10s %-10s\n", "call", "1 thread",
+         "2 threads", "4 threads", "4t / 1t");
+  auto traverse = [&](int t, int i) {
+    size_t rows = 0;
+    db->TraverseViewAs(users[(t + i) % kReadersUsers], "topics",
+                       [&](const ViewRow&) { ++rows; })
+        .ok();
+  };
+  auto search = [&](int t, int i) {
+    db->SearchAs(users[(t + i) % kReadersUsers], kReadersWords[i % 8]).ok();
+  };
+  auto row = [&](const char* name, const auto& call) {
+    // Warm the note cache and the pool with every query before timing.
+    for (int i = 0; i < 8; ++i) call(0, i);
+    // The thread counts take turns, so a noisy moment on the host lands
+    // on one run of each, not on every run of one.
+    const int counts[3] = {1, 2, 4};
+    std::vector<double> runs[3];
+    for (int r = 0; r < kRepeats; ++r) {
+      for (int k = 0; k < 3; ++k) {
+        runs[k].push_back(PerCallUs(counts[k], kCalls, call));
+      }
+    }
+    double us[3];
+    for (int k = 0; k < 3; ++k) {
+      std::sort(runs[k].begin(), runs[k].end());
+      us[k] = runs[k][runs[k].size() / 2];
+    }
+    printf("%-16s %-10.0f %-10.0f %-10.0f %.2fx\n", name, us[0], us[1],
+           us[2], us[0] > 0 ? us[2] / us[0] : 0);
+  };
+  row("TraverseViewAs", traverse);
+  row("SearchAs", search);
+}
+
 }  // namespace
 
 int main() {
@@ -257,6 +358,9 @@ int main() {
            idle.p50_us, idle.p99_us, hostile.p50_us, hostile.p99_us,
            idle.p99_us > 0 ? hostile.p99_us / idle.p99_us : 0);
   }
+
+  // Phase 3 — per-call scaling of the two read calls.
+  RunScalingPhase();
 
   EmitStatsSnapshot("bench_concurrency");
   return 0;

@@ -1,8 +1,12 @@
 // E5 — Full-text search: index build/maintenance cost and query latency
 // vs the formula-scan baseline (@Contains over every document).
 
+#include <malloc.h>
+
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "core/database.h"
@@ -56,6 +60,40 @@ static Note ZipfDoc(Rng* rng, const ZipfVocab& vocab, int doc_words) {
   doc.SetItem("Body",
               Value::RichText({RichTextRun{std::move(body), 0, ""}}));
   return doc;
+}
+
+/// Heap bytes in use, all arenas and mmapped chunks included.
+static size_t HeapInUse() {
+  const struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
+}
+
+/// The index's own heap on perfbench `readers`-shaped data (2 000 docs of
+/// ~1 KB of random words, so nearly every term is rare): the heap a
+/// BuildFrom over notes already in memory adds, per distinct term, next
+/// to the postings' ByteUsage().
+static void ReportReadersIndexHeap() {
+  const int docs = ScaleN(2000, 100);
+  Rng rng(1);
+  std::vector<Note> notes;
+  for (int i = 0; i < docs; ++i) {
+    notes.push_back(ReadersDoc(&rng));
+    notes.back().set_id(static_cast<NoteId>(i + 1));
+  }
+  stats::StatRegistry registry;
+  FullTextIndex index(&registry);
+  const size_t before = HeapInUse();
+  index.BuildFrom(
+      [&notes](const std::function<void(const Note&)>& fn) {
+        for (const Note& note : notes) fn(note);
+      });
+  const size_t heap = HeapInUse() - before;
+  const size_t terms = index.term_count();
+  printf("\nreaders-shaped index heap: %d docs, %zu terms, heap %.1f MB "
+         "(%.0f B/term), postings ByteUsage %.1f MB\n",
+         docs, terms, heap / 1e6,
+         terms > 0 ? static_cast<double>(heap) / terms : 0,
+         index.ByteUsage() / 1e6);
 }
 
 int main() {
@@ -137,6 +175,7 @@ int main() {
            bytes_per_doc, model_per_doc,
            bytes_per_doc > 0 ? model_per_doc / bytes_per_doc : 0);
   }
+  ReportReadersIndexHeap();
   dominodb::bench::EmitStatsSnapshot("bench_fulltext");
   return 0;
 }

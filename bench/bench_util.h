@@ -65,6 +65,44 @@ inline Note SyntheticDoc(Rng* rng, size_t body_bytes,
   return doc;
 }
 
+/// Words leading the subjects of ReadersDoc documents: a query for one
+/// hits about an eighth of them.
+inline const char* const kReadersWords[] = {
+    "lotus", "domino", "replica", "router", "formula", "notes", "view",
+    "index"};
+constexpr int kReadersUsers = 8;
+
+/// A document shaped like perfbench's `readers` data: a Subject led by
+/// one of kReadersWords, a one-letter Category, an Amount and a rich-text
+/// body of ~1 KB of random words; one in four carries a DocReaders field
+/// naming two of the users "user0".."user7".
+inline Note ReadersDoc(Rng* rng) {
+  Note doc(NoteClass::kDocument);
+  doc.SetText("Form", "Topic");
+  doc.SetText("Category",
+              std::string(1, static_cast<char>('A' + rng->Uniform(8))));
+  doc.SetNumber("Amount", static_cast<double>(rng->Uniform(10000)));
+  doc.SetText("Subject",
+              std::string(kReadersWords[rng->Uniform(8)]) + " " +
+                  rng->Word(4, 10));
+  std::string body;
+  while (body.size() < 1000) {
+    body += rng->Word(2, 10);
+    body.push_back(' ');
+  }
+  doc.SetItem("Body", Value::RichText({RichTextRun{std::move(body), 0, ""}}));
+  if (rng->Uniform(4) == 0) {
+    const uint64_t a = rng->Uniform(kReadersUsers);
+    const uint64_t b = (a + 1 + rng->Uniform(kReadersUsers - 1)) %
+                       kReadersUsers;
+    doc.SetItem("DocReaders",
+                Value::TextList({"user" + std::to_string(a),
+                                 "user" + std::to_string(b)}),
+                kItemReaders | kItemNames);
+  }
+  return doc;
+}
+
 /// True when the bench runs as a CI smoke test (DOMINO_BENCH_SMOKE=1):
 /// the sanitizer gate executes every bench end-to-end with tiny workloads
 /// to catch races and UB on the bench paths without paying full-run time.

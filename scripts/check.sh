@@ -45,7 +45,10 @@
 # view_acl_test runs DOMINO_VIEW_ACL_ROUNDS seeded rounds per mode
 # (default 100 here; the plain ctest pass runs its full 1 000), and
 # search_acl_test DOMINO_SEARCH_ACL_ROUNDS (default 100 here, 300 in
-# ctest).
+# ctest). concurrency_test's
+# SecuredReadsMatchTheirPinWhileReaderFieldsFlip runs 4 TraverseViewAs +
+# SearchAs readers against a writer that flips reader fields and
+# deletes documents, and checks each result against its pin.
 #
 # When clang++ is on PATH, a static thread-safety pass also runs first:
 # a Clang build of src/ with -Wthread-safety promoted to an error, which

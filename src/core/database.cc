@@ -301,11 +301,15 @@ void Database::RecordPreImage(NoteId id) {
 }
 
 NoteHandle Database::ResolveAt(NoteId id, Epoch at) const {
-  // Fetch the store state BEFORE consulting the overlay: a racing commit
-  // records its pre-image before it touches the store, so whichever
-  // interleaving this read observes, one of the two sources carries the
-  // state at `at` — and Lookup tells us which.
-  NoteHandle current = store_->Find(id);
+  return VersionAt(id, at, store_->Find(id));
+}
+
+NoteHandle Database::VersionAt(NoteId id, Epoch at,
+                               NoteHandle current) const {
+  // The store state is fetched BEFORE consulting the overlay: a racing
+  // commit records its pre-image before it touches the store, so
+  // whichever interleaving the store read observed, one of the two
+  // sources carries the state at `at` — and Lookup tells us which.
   MvccSnapshots::Resolution r = mvcc_.Lookup(id, at);
   switch (r.verdict) {
     case MvccSnapshots::Verdict::kUseStore:
@@ -627,16 +631,30 @@ Status Database::TraverseViewAs(
   if (view == nullptr) {
     return Status::NotFound("view " + std::string(view_name));
   }
-  // Collect rows, drop unreadable documents, then prune category rows
-  // left without any visible descendants. Each entry carries its
-  // document's reader names as of the entry's version, so the check never
-  // opens a note, and an entry visible at the pin is a live note at the
-  // pin. The verdict is memoized per interned reader set: a pass costs one
-  // name match per distinct set, and unrestricted rows cost none.
+  // Collect the rows a reader may see, pruning as they stream past: a
+  // document row is dropped when unreadable, and a category row is held
+  // on a stack of pending headers until a readable document below it
+  // keeps it, or a header at its depth or shallower (or the end of the
+  // walk) discards it. Each entry carries its document's reader names as
+  // of the entry's version, so the check never opens a note, and an entry
+  // visible at the pin is a live note at the pin. The verdict is memoized
+  // per interned reader set: a pass costs one name match per distinct
+  // set, and unrestricted rows cost none.
+  //
+  // `visit` runs only after TraverseAt returns: the walk holds the view's
+  // lock shared, and a visitor may wait on a writer that needs it.
   std::vector<ViewRow> rows;
+  rows.reserve(view->size());  // documents; category rows may grow it once
+  std::vector<ViewRow> pending;
   std::vector<int8_t> verdicts;  // by set id: 0 unknown, 1 read, -1 not
-  bool dropped = false;
   view->TraverseAt(txn.epoch(), [&](const ViewRow& row) {
+    if (row.kind == ViewRow::Kind::kCategory) {
+      while (!pending.empty() && pending.back().indent >= row.indent) {
+        pending.pop_back();
+      }
+      pending.push_back(row);
+      return;
+    }
     if (row.reader_names != nullptr) {
       const ReaderSetId id = row.entry->reader_set;
       if (id >= verdicts.size()) verdicts.resize(id + 1, 0);
@@ -644,30 +662,13 @@ Status Database::TraverseViewAs(
         verdicts[id] = CanReadWithNames(access, who, *row.reader_names) ? 1
                                                                         : -1;
       }
-      if (verdicts[id] < 0) {
-        dropped = true;
-        return;
-      }
+      if (verdicts[id] < 0) return;
     }
+    for (ViewRow& header : pending) rows.push_back(std::move(header));
+    pending.clear();
     rows.push_back(row);
   });
-  for (size_t i = 0; i < rows.size(); ++i) {
-    if (dropped && rows[i].kind == ViewRow::Kind::kCategory) {
-      bool has_docs = false;
-      for (size_t j = i + 1; j < rows.size(); ++j) {
-        if (rows[j].kind == ViewRow::Kind::kCategory &&
-            rows[j].indent <= rows[i].indent) {
-          break;
-        }
-        if (rows[j].kind == ViewRow::Kind::kDocument) {
-          has_docs = true;
-          break;
-        }
-      }
-      if (!has_docs) continue;
-    }
-    visit(rows[i]);
-  }
+  for (const ViewRow& row : rows) visit(row);
   return Status::Ok();
 }
 
@@ -807,10 +808,16 @@ Result<std::vector<Note>> Database::SearchAs(const Principal& who,
   // scored (an index built after the pin is the exception: see
   // EnsureFullTextIndex).
   DOMINO_ASSIGN_OR_RETURN(auto hits, ft->Search(query, txn.epoch()));
+  // Every hit's store state is read in one batch, then resolved through
+  // the overlay: the store-before-overlay order of ResolveAt, per id.
+  std::vector<NoteId> ids;
+  ids.reserve(hits.size());
+  for (const FtHit& hit : hits) ids.push_back(hit.note_id);
+  std::vector<NoteHandle> current = store_->FindMany(ids);
   std::vector<Note> out;
   out.reserve(hits.size());
-  for (const FtHit& hit : hits) {
-    NoteHandle note = ResolveAt(hit.note_id, txn.epoch());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    NoteHandle note = VersionAt(ids[i], txn.epoch(), std::move(current[i]));
     if (note != nullptr && !note->deleted() &&
         CanReadDocument(access, who, *note)) {
       out.push_back(*note);

@@ -410,6 +410,9 @@ class Database : public NoteResolver {
 
   // Snapshot resolution (see core/mvcc.h for the protocol).
   NoteHandle ResolveAt(NoteId id, Epoch at) const;
+  /// The version of note `id` at `at`, given `current`, the store's
+  /// handle for it read BEFORE this call.
+  NoteHandle VersionAt(NoteId id, Epoch at, NoteHandle current) const;
   NoteHandle ResolveUnidAt(const Unid& unid, Epoch at) const;
   /// Visits every note (stubs included) visible at `at`, including notes
   /// the store has since purged but the overlay still carries. kLiveOnly

@@ -1,5 +1,6 @@
 #include "fulltext/fulltext_index.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "base/string_util.h"
@@ -59,7 +60,7 @@ void FullTextIndex::IndexNoteLocked(const Note& note, Epoch epoch) {
     key = free_keys_.back();
     free_keys_.pop_back();
   }
-  Doc& doc = docs_[key] = Doc{note.id(), epoch, kEpochMax, {}};
+  Doc& doc = docs_[key] = Doc{note.id(), epoch, kEpochMax, {}, {}};
   // The note's positions per term stay uncompressed while tokenization
   // appends to them; each term's list is compressed once, below.
   std::unordered_map<std::string, std::vector<uint32_t>> positions_of;
@@ -91,18 +92,33 @@ void FullTextIndex::IndexNoteLocked(const Note& note, Epoch epoch) {
     }
     if (!field_ranges.empty()) {
       position += kFieldPositionGap;  // phrases never span fields
-      for (auto& [term, slice] : field_ranges) {
-        std::string fkey = FieldTermKey(item.name, term);
-        field_postings_[fkey][key].push_back(slice);
-        doc.keys.push_back(std::move(fkey));
-        doc.keys.push_back(term);
+      for (const auto& [term, slice] : field_ranges) {
+        auto fit =
+            field_postings_.try_emplace(FieldTermKey(item.name, term)).first;
+        FieldPostings& list = fit->second;
+        // Keyed by doc; a recycled key lands below the tail. A second
+        // same-named item appends after the first item's pair.
+        auto at = list.end();
+        if (!list.empty() && list.back().first > key) {
+          at = std::upper_bound(
+              list.begin(), list.end(), key,
+              [](DocKey k, const auto& entry) { return k < entry.first; });
+        }
+        if (at == list.begin() || std::prev(at)->first != key) {
+          doc.field_keys.push_back(&fit->first);
+        }
+        list.emplace(at, key, slice);
       }
     }
   }
+  doc.field_keys.shrink_to_fit();
   // PostingList::Insert turns the positions into delta+varint blocks and
   // splices a recycled (below the tail) key back into sorted order.
+  doc.terms.reserve(positions_of.size());
   for (const auto& [term, positions] : positions_of) {
-    PostingList& list = postings_[term];
+    auto pit = postings_.try_emplace(term).first;
+    doc.terms.push_back(&pit->first);
+    PostingList& list = pit->second;
     posting_bytes_ -= list.byte_size();
     model_bytes_ -= list.UncompressedModelBytes();
     if (list.Insert(key, positions)) ctr_ooo_inserts_->Add();
@@ -155,30 +171,34 @@ void FullTextIndex::RemoveNoteLocked(NoteId id, Epoch epoch) {
 }
 
 void FullTextIndex::ErasePhysicalLocked(DocKey key) {
-  for (const std::string& term : docs_[key].keys) {
-    if (term.find('\x1f') != std::string::npos) {
-      auto fit = field_postings_.find(term);
-      if (fit != field_postings_.end()) {
-        fit->second.erase(key);
-        if (fit->second.empty()) field_postings_.erase(fit);
-      }
+  // Each key string is looked up before its entry can go, and a version
+  // lists it once, so no pointer is followed after its entry is erased.
+  const Doc& doc = docs_[key];
+  for (const std::string* field_key : doc.field_keys) {
+    auto fit = field_postings_.find(*field_key);
+    if (fit == field_postings_.end()) continue;
+    FieldPostings& list = fit->second;
+    auto [lo, hi] = std::equal_range(
+        list.begin(), list.end(), std::make_pair(key, FieldSlice{}),
+        [](const auto& a, const auto& b) { return a.first < b.first; });
+    list.erase(lo, hi);
+    if (list.empty()) field_postings_.erase(fit);
+  }
+  for (const std::string* term : doc.terms) {
+    auto pit = postings_.find(*term);
+    if (pit == postings_.end()) continue;
+    PostingList& list = pit->second;
+    posting_bytes_ -= list.byte_size();
+    model_bytes_ -= list.UncompressedModelBytes();
+    list.Erase(key);
+    if (list.empty()) {
+      postings_.erase(pit);
     } else {
-      auto pit = postings_.find(term);
-      if (pit != postings_.end()) {
-        PostingList& list = pit->second;
-        posting_bytes_ -= list.byte_size();
-        model_bytes_ -= list.UncompressedModelBytes();
-        list.Erase(key);
-        if (list.empty()) {
-          postings_.erase(pit);
-        } else {
-          posting_bytes_ += list.byte_size();
-          model_bytes_ += list.UncompressedModelBytes();
-        }
-      }
+      posting_bytes_ += list.byte_size();
+      model_bytes_ += list.UncompressedModelBytes();
     }
   }
-  docs_[key] = Doc{kInvalidNoteId, kEpochNone, kEpochNone, {}};
+  docs_[key] = Doc{kInvalidNoteId, kEpochNone, kEpochNone, {}, {}};
   free_keys_.push_back(key);
 }
 
@@ -250,19 +270,17 @@ FullTextIndex::PostingMap FullTextIndex::MaterializeFieldTerm(
   if (fit == field_postings_.end()) return out;
   auto pit = postings_.find(lowered);
   if (pit == postings_.end()) return out;
-  // The field map is sorted by doc, so one forward cursor pass decodes
-  // each needed posting exactly once.
+  // The field postings are sorted by doc, so one forward cursor pass
+  // decodes each needed posting exactly once.
   PostingList::Cursor cursor = pit->second.NewCursor();
-  for (const auto& [doc, slices] : fit->second) {
+  for (const auto& [doc, slice] : fit->second) {
     cursor.SkipTo(doc);
     if (cursor.doc() != doc) continue;
     const std::vector<uint32_t>& all = cursor.positions();
     std::vector<uint32_t>& positions = out[doc].positions;
-    for (const FieldSlice& slice : slices) {
-      if (slice.end > all.size() || slice.begin > slice.end) continue;
-      positions.insert(positions.end(), all.begin() + slice.begin,
-                       all.begin() + slice.end);
-    }
+    if (slice.end > all.size() || slice.begin > slice.end) continue;
+    positions.insert(positions.end(), all.begin() + slice.begin,
+                     all.begin() + slice.end);
   }
   return out;
 }

@@ -8,6 +8,7 @@
 #include <map>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "base/epoch.h"
@@ -93,14 +94,17 @@ class FullTextIndex {
 
   // -- Internals shared with the query evaluator ------------------------
   using DocKey = uint32_t;  // posting key of one indexed version
-  /// One indexed version and the keys it contributed to: plain terms and
-  /// "field\x1fterm" keys (the latter marked by the embedded '\x1f').
+  /// One indexed version and the keys it contributed to, each once: its
+  /// plain terms (keys of the term postings) and its "field\x1fterm" keys
+  /// (keys of the field postings). Both point at the index's own key
+  /// strings, which stay put while any version refers to them.
   /// A free slot has no note and is visible at no epoch.
   struct Doc {
     NoteId note_id = kInvalidNoteId;
     Epoch added = kEpochNone;
     Epoch removed = kEpochMax;
-    std::vector<std::string> keys;
+    std::vector<const std::string*> terms;
+    std::vector<const std::string*> field_keys;
   };
   using DocTable = std::vector<Doc>;  // indexed by DocKey
 
@@ -115,13 +119,14 @@ class FullTextIndex {
   /// unscoped posting's positions vector instead of duplicating the
   /// positions: a term's occurrences within one field are contiguous in
   /// the (sorted, append-only) positions vector, so [begin, end) slices
-  /// recover them exactly. Multiple same-named items yield multiple
-  /// slices.
+  /// recover them exactly.
   struct FieldSlice {
     uint32_t begin = 0;
     uint32_t end = 0;
   };
-  using FieldPostingMap = std::map<DocKey, std::vector<FieldSlice>>;
+  /// One field key's postings: (doc, slice) pairs sorted by doc. Multiple
+  /// same-named items yield one pair per item, adjacent and in item order.
+  using FieldPostings = std::vector<std::pair<DocKey, FieldSlice>>;
 
   /// The term's compressed posting list; null when the term is unknown.
   /// Query evaluation iterates it with PostingList::Cursor.
@@ -150,7 +155,7 @@ class FullTextIndex {
   // "field\x1f" + term in field_postings_ and reference positions stored
   // here exactly once.
   std::unordered_map<std::string, PostingList> postings_;
-  std::unordered_map<std::string, FieldPostingMap> field_postings_;
+  std::unordered_map<std::string, FieldPostings> field_postings_;
   DocTable docs_;
   std::unordered_map<NoteId, DocKey> live_;  // each note's latest version
   std::vector<DocKey> free_keys_;

@@ -218,16 +218,23 @@ class Note {
     const std::vector<Item>& get() const;
     std::vector<Item>& Mutable();
 
-   private:
+    /// The count sits on a cache line of its own: threads copying a
+    /// shared note would otherwise stall every reader of its items.
     struct Block {
       std::vector<Item> items;
-      std::atomic<uint32_t> refs{1};
+      alignas(64) std::atomic<uint32_t> refs{1};
     };
+
+   private:
     void Release() noexcept;
 
     Block* block_ = nullptr;  // null == no items
   };
   CowItems items_;
+
+ public:
+  /// Heap bytes of the item block a note shares with its copies.
+  static constexpr size_t kItemBlockBytes = sizeof(CowItems::Block);
 };
 
 /// Owning read handle to a stored note. The paged store decodes notes

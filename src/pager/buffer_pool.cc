@@ -49,6 +49,24 @@ BufferPool::BufferPool(Pager* pager, size_t capacity,
       gauge_pages_(&registry->GetGauge("Store.Cache.Pages")),
       gauge_dirty_(&registry->GetGauge("Store.Cache.DirtyPages")) {}
 
+BufferPool::~BufferPool() {
+  gauge_pages_->Add(-published_pages_);
+  gauge_dirty_->Add(-published_dirty_);
+}
+
+void BufferPool::PublishLocked() {
+  const auto pages = static_cast<int64_t>(lru_.size());
+  const auto dirty = static_cast<int64_t>(dirty_);
+  if (pages != published_pages_) {
+    gauge_pages_->Add(pages - published_pages_);
+    published_pages_ = pages;
+  }
+  if (dirty != published_dirty_) {
+    gauge_dirty_->Add(dirty - published_dirty_);
+    published_dirty_ = dirty;
+  }
+}
+
 PageRef BufferPool::PinResident(Frame* frame) {
   hits_->Add();
   frame->pins.fetch_add(1, std::memory_order_relaxed);
@@ -81,7 +99,7 @@ Result<PageRef> BufferPool::Pin(uint32_t pgno) {
   }
   frame.pins.store(1, std::memory_order_relaxed);
   frames_[pgno] = lru_.begin();
-  gauge_pages_->Set(static_cast<int64_t>(lru_.size()));
+  PublishLocked();
   EvictLocked();
   return PageRef(this, &frame);
 }
@@ -100,8 +118,7 @@ PageRef BufferPool::PinNew(uint32_t pgno, uint8_t type) {
   frame.dirty = true;
   ++dirty_;
   frames_[pgno] = lru_.begin();
-  gauge_pages_->Set(static_cast<int64_t>(lru_.size()));
-  gauge_dirty_->Set(static_cast<int64_t>(dirty_));
+  PublishLocked();
   EvictLocked();
   return PageRef(this, &frame);
 }
@@ -117,8 +134,7 @@ void BufferPool::Discard(uint32_t pgno) {
   // Compaction discards emptied pages: a pool it brings back under
   // capacity stops taking mu_ on unpin.
   over_capacity_.store(lru_.size() > capacity_, std::memory_order_relaxed);
-  gauge_pages_->Set(static_cast<int64_t>(lru_.size()));
-  gauge_dirty_->Set(static_cast<int64_t>(dirty_));
+  PublishLocked();
 }
 
 void BufferPool::DiscardAll() {
@@ -127,8 +143,7 @@ void BufferPool::DiscardAll() {
   frames_.clear();
   dirty_ = 0;
   over_capacity_.store(false, std::memory_order_relaxed);
-  gauge_pages_->Set(0);
-  gauge_dirty_->Set(0);
+  PublishLocked();
 }
 
 Status BufferPool::ForEachDirty(
@@ -151,7 +166,7 @@ void BufferPool::MarkAllClean() {
   std::lock_guard<std::shared_mutex> lock(mu_);
   for (Frame& frame : lru_) frame.dirty = false;
   dirty_ = 0;
-  gauge_dirty_->Set(0);
+  PublishLocked();
   EvictLocked();
 }
 
@@ -188,7 +203,7 @@ void BufferPool::MarkDirtyFrame(void* frame) {
   if (!f->dirty) {
     f->dirty = true;
     ++dirty_;
-    gauge_dirty_->Set(static_cast<int64_t>(dirty_));
+    PublishLocked();
   }
 }
 
@@ -214,7 +229,7 @@ void BufferPool::EvictLocked() {
       boundary = it;
     }
   }
-  gauge_pages_->Set(static_cast<int64_t>(lru_.size()));
+  PublishLocked();
   over_capacity_.store(lru_.size() > capacity_, std::memory_order_relaxed);
   if (lru_.size() > capacity_) overruns_->Add();
 }

@@ -64,6 +64,8 @@ class PageRef {
 class BufferPool {
  public:
   BufferPool(Pager* pager, size_t capacity, stats::StatRegistry* registry);
+  /// Takes this pool's pages off the shared gauges.
+  ~BufferPool();
 
   /// Pins page `pgno`, reading (and CRC-checking) it on a miss.
   Result<PageRef> Pin(uint32_t pgno);
@@ -114,6 +116,10 @@ class BufferPool {
   /// first, until the pool fits its capacity or nothing more is
   /// evictable. Caller holds mu_ exclusive.
   void EvictLocked();
+  /// Adds the change in this pool's frame and dirty counts since the last
+  /// call to the `Store.Cache.{Pages,DirtyPages}` gauges, which every
+  /// pool on a registry shares. Caller holds mu_ exclusive.
+  void PublishLocked();
 
   Pager* const pager_;
   const size_t capacity_;
@@ -132,6 +138,8 @@ class BufferPool {
   stats::Counter* overruns_;
   stats::Gauge* gauge_pages_;
   stats::Gauge* gauge_dirty_;
+  int64_t published_pages_ = 0;  // this pool's share of gauge_pages_
+  int64_t published_dirty_ = 0;  // this pool's share of gauge_dirty_
 };
 
 }  // namespace dominodb::pager

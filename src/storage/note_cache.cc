@@ -38,14 +38,15 @@ size_t HeapBytes(const Value& value) {
 }  // namespace
 
 size_t NoteCache::Charge(const Note& note) {
-  // make_shared's control block (two counts and a vtable pointer) holds
-  // the note; the list node holds an Entry behind two links; the index
-  // node holds a link, the key and a list iterator, plus one bucket
-  // pointer; the shared item block holds the item vector and its count.
-  size_t n = Alloc(sizeof(Note) + 16) +
+  // The note, and apart from it the handle's control block (a vtable
+  // pointer, two counts and the note pointer); the list node holds an
+  // Entry behind two links; the index node holds a link, the key and a
+  // list iterator, plus one bucket pointer; the shared item block holds
+  // the item vector and its count.
+  size_t n = Alloc(sizeof(Note)) + Alloc(2 * sizeof(void*) + 8) +
              Alloc(2 * sizeof(void*) + sizeof(Entry)) +
              Alloc(2 * sizeof(void*) + sizeof(NoteId)) + sizeof(void*) +
-             Alloc(sizeof(std::vector<Item>) + sizeof(uint64_t));
+             Alloc(Note::kItemBlockBytes);
   n += HeapBytes(note.revisions()) + HeapBytes(note.items());
   for (const Item& item : note.items()) {
     n += HeapBytes(item.name) + HeapBytes(item.value);
@@ -63,18 +64,37 @@ NoteCache::NoteCache(size_t budget_bytes, stats::StatRegistry* registry)
 NoteCache::~NoteCache() { Clear(); }
 
 NoteHandle NoteCache::Lookup(NoteId id) {
-  Shard& shard = ShardFor(id);
-  {
+  NoteHandle note;
+  LookupMany(&id, 1, &note);
+  CountLookups(note != nullptr ? 1 : 0, note != nullptr ? 0 : 1);
+  return note;
+}
+
+void NoteCache::LookupMany(const NoteId* ids, size_t n, NoteHandle* out) {
+  static_assert(kShards <= 32, "shard set must fit a uint32_t");
+  uint32_t shards_used = 0;
+  for (size_t i = 0; i < n; ++i) shards_used |= 1u << (ids[i] % kShards);
+  for (size_t s = 0; s < kShards; ++s) {
+    if ((shards_used & (1u << s)) == 0) continue;
+    Shard& shard = shards_[s];
     MutexLock lock(&shard.mu);
-    auto it = shard.index.find(id);
-    if (it != shard.index.end()) {
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      hits_->Add();
-      return it->second->note;
+    for (size_t i = 0; i < n; ++i) {
+      if (ids[i] % kShards != s) continue;
+      auto it = shard.index.find(ids[i]);
+      if (it == shard.index.end()) continue;
+      // A hit leaves the list order alone and writes the entry only when
+      // its bit is clear, so threads reading the same notes do not keep
+      // moving each other's list nodes.
+      Entry& entry = *it->second;
+      if (!entry.referenced) entry.referenced = true;
+      out[i] = entry.note;
     }
   }
-  misses_->Add();
-  return nullptr;
+}
+
+void NoteCache::CountLookups(uint64_t hits, uint64_t misses) {
+  if (hits > 0) hits_->Add(hits);
+  if (misses > 0) misses_->Add(misses);
 }
 
 void NoteCache::Insert(NoteId id, NoteHandle note) {
@@ -89,6 +109,11 @@ void NoteCache::Insert(NoteId id, NoteHandle note) {
     if (shard.index.count(id) != 0) return;
     while (shard.bytes + charge > shard_budget_) {
       auto victim = std::prev(shard.lru.end());
+      if (victim->referenced) {  // hit since last passed: a second chance
+        victim->referenced = false;
+        shard.lru.splice(shard.lru.begin(), shard.lru, victim);
+        continue;
+      }
       shard.bytes -= victim->charge;
       shard.index.erase(victim->id);
       evicted.splice(evicted.end(), shard.lru, victim);

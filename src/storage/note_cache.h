@@ -15,10 +15,10 @@ namespace dominodb {
 
 /// Byte-bounded cache of decoded notes, keyed by note id, so resolving a
 /// hot note is a refcount instead of a page pin plus a decode. Split into
-/// shards, each with its own mutex, LRU list and an equal share of the
-/// budget; an entry is charged `Charge(note)`, an estimate of the heap
-/// the cached note holds, so the budget bounds memory rather than the
-/// note's encoded size.
+/// shards, each with its own mutex, second-chance (CLOCK) list and an
+/// equal share of the budget; an entry is charged `Charge(note)`, an
+/// estimate of the heap the cached note holds, so the budget bounds
+/// memory rather than the note's encoded size.
 ///
 /// The cache knows nothing about versions: its owner (NoteStore) erases
 /// an id whenever the id's table entry changes, and inserts only while
@@ -36,8 +36,14 @@ class NoteCache {
 
   /// Null on a miss (counted as one).
   NoteHandle Lookup(NoteId id);
-  /// Caches `note` under `id`, evicting least-recently-used entries of
-  /// the shard until it fits. A note larger than a shard's share is not
+  /// Lookup for `n` ids at once, taking each shard's lock once: sets
+  /// out[i] to the cached note of ids[i] and leaves it alone on a miss.
+  /// Counts nothing; the caller reports the outcome with CountLookups.
+  void LookupMany(const NoteId* ids, size_t n, NoteHandle* out);
+  void CountLookups(uint64_t hits, uint64_t misses);
+  /// Caches `note` under `id`, evicting from the tail of the shard's list
+  /// until it fits; an entry hit since eviction last passed it moves to
+  /// the front instead, once. A note larger than a shard's share is not
   /// cached; an id already present keeps its entry.
   void Insert(NoteId id, NoteHandle note);
   void Erase(NoteId id);
@@ -56,10 +62,11 @@ class NoteCache {
     NoteId id;
     NoteHandle note;
     size_t charge;
+    bool referenced = false;  // hit since eviction last passed it
   };
   struct Shard {
     Mutex mu;
-    /// Front = most recently used.
+    /// Front = most recently inserted or given a second chance.
     std::list<Entry> lru GUARDED_BY(mu);
     std::unordered_map<NoteId, std::list<Entry>::iterator> index
         GUARDED_BY(mu);

@@ -505,15 +505,19 @@ Status NoteStore::EnsureIdCapacity(NoteId id) {
   return Status::Ok();
 }
 
-Result<NoteStore::IdEntry> NoteStore::ReadEntry(NoteId id) const {
+Result<NoteStore::IdEntry> NoteStore::ReadEntry(NoteId id,
+                                                IdPageCursor* cursor) const {
   if (id == kInvalidNoteId) return IdEntry{};
-  size_t slot = 0;
-  auto ref_or = IdTablePageFor(id, &slot);
-  if (!ref_or.ok()) {
-    if (ref_or.status().IsNotFound()) return IdEntry{};
-    return ref_or.status();
+  const size_t per_page = EntriesPerPage();
+  const size_t index = static_cast<size_t>(id - 1);
+  const size_t ti = index / per_page;
+  if (ti >= id_table_pages_.size()) return IdEntry{};
+  if (ti != cursor->table_index || !cursor->page) {
+    DOMINO_ASSIGN_OR_RETURN(cursor->page, pool_->Pin(id_table_pages_[ti]));
+    cursor->table_index = ti;
   }
-  return DecodeEntry(ref_or->data() + kPageHeaderSize + slot * kIdEntrySize);
+  return DecodeEntry(cursor->page.data() + kPageHeaderSize +
+                     (index % per_page) * kIdEntrySize);
 }
 
 NoteStore::IdEntry NoteStore::DecodeEntry(const char* p) {
@@ -726,10 +730,16 @@ Result<Note> NoteStore::ReadNoteAt(const IdEntry& entry) const {
 Result<NoteHandle> NoteStore::ResolveEntry(NoteId id,
                                            const IdEntry& entry) const {
   if (NoteHandle cached = note_cache_->Lookup(id)) return cached;
+  return LoadNote(id, entry);
+}
+
+Result<NoteHandle> NoteStore::LoadNote(NoteId id, const IdEntry& entry) const {
   // A miss decodes and inserts under mu_ shared, so no writer can change
   // the entry (and erase the id from the cache) in between.
   DOMINO_ASSIGN_OR_RETURN(Note note, ReadNoteAt(entry));
-  auto handle = std::make_shared<const Note>(std::move(note));
+  // Not make_shared: the handle's counts, bumped by every reader that
+  // copies the handle, stay off the note's own cache lines.
+  auto handle = NoteHandle(new Note(std::move(note)));
   note_cache_->Insert(id, handle);
   return handle;
 }
@@ -745,11 +755,29 @@ Result<Note> NoteStore::GetCore(NoteId id) const {
   return *note;
 }
 
-NoteHandle NoteStore::FindCore(NoteId id) const {
-  auto entry = ReadEntry(id);
-  if (!entry.ok() || (entry->flags & kEntryUsed) == 0) return nullptr;
-  auto note = ResolveEntry(id, *entry);
-  return note.ok() ? *note : nullptr;
+void NoteStore::FindCore(const NoteId* ids, const uint32_t* order, size_t n,
+                         NoteHandle* out) const {
+  // The cache is searched first: under mu_ shared no writer can change
+  // an entry or drop its cached note, so a cached note is the entry's.
+  // The id table still decides existence.
+  note_cache_->LookupMany(ids, n, out);
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+  IdPageCursor cursor;
+  for (size_t k = 0; k < n; ++k) {
+    const uint32_t i = order[k];
+    auto entry = ReadEntry(ids[i], &cursor);
+    if (!entry.ok() || (entry->flags & kEntryUsed) == 0) {
+      out[i] = nullptr;
+    } else if (out[i] != nullptr) {
+      ++hits;
+    } else {
+      ++misses;
+      auto note = LoadNote(ids[i], *entry);
+      if (note.ok()) out[i] = std::move(*note);
+    }
+  }
+  note_cache_->CountLookups(hits, misses);
 }
 
 Result<Note> NoteStore::Get(NoteId id) const {
@@ -794,14 +822,32 @@ bool NoteStore::ContainsUnid(const Unid& unid) const {
 }
 
 NoteHandle NoteStore::Find(NoteId id) const {
+  const uint32_t order = 0;
+  NoteHandle out;
   ReaderLock lock(&mu_);
-  return FindCore(id);
+  FindCore(&id, &order, 1, &out);
+  return out;
 }
 
 NoteHandle NoteStore::FindByUnid(const Unid& unid) const {
+  const uint32_t order = 0;
+  NoteHandle out;
   ReaderLock lock(&mu_);
   auto it = unid_index_.find(unid);
-  return it == unid_index_.end() ? nullptr : FindCore(it->second);
+  if (it != unid_index_.end()) FindCore(&it->second, &order, 1, &out);
+  return out;
+}
+
+std::vector<NoteHandle> NoteStore::FindMany(
+    const std::vector<NoteId>& ids) const {
+  std::vector<uint32_t> order(ids.size());
+  for (uint32_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(),
+            [&ids](uint32_t a, uint32_t b) { return ids[a] < ids[b]; });
+  std::vector<NoteHandle> out(ids.size());
+  ReaderLock lock(&mu_);
+  FindCore(ids.data(), order.data(), ids.size(), out.data());
+  return out;
 }
 
 void NoteStore::ForEach(const std::function<void(const Note&)>& fn,

@@ -205,6 +205,10 @@ class NoteStore {
   /// compaction and later writes.
   NoteHandle Find(NoteId id) const;
   NoteHandle FindByUnid(const Unid& unid) const;
+  /// Find over many ids under one shared hold: handles come back in the
+  /// order of `ids` (null where Find would return null), but the ids are
+  /// resolved in ascending order, so each id-table page is pinned once.
+  std::vector<NoteHandle> FindMany(const std::vector<NoteId>& ids) const;
 
   /// Which entries a scan visits. kLiveOnly skips deletion stubs at the
   /// id table, without decoding them.
@@ -342,12 +346,28 @@ class NoteStore {
   /// opening a database far larger than the buffer pool stays cheap).
   Status RebuildIndexFromIdTable() REQUIRES(mu_);
 
+  /// The id-table page a run of entry reads last pinned. Reads in id
+  /// order through one cursor pin each page once.
+  struct IdPageCursor {
+    size_t table_index = SIZE_MAX;
+    pager::PageRef page;
+  };
+
   // -- Lock-free read cores (caller holds mu_ at least shared) ----------
   Result<Note> GetCore(NoteId id) const REQUIRES_SHARED(mu_);
-  NoteHandle FindCore(NoteId id) const REQUIRES_SHARED(mu_);
+  /// The read core of Find and FindMany: sets out[i] to the note with id
+  /// ids[i] (null when absent or unreadable) for every i in [0, n).
+  /// `order` lists the positions of `ids` by ascending id; the id table
+  /// is read in that order, so each of its pages is pinned once, and the
+  /// note cache is searched for all ids with one lock per shard.
+  void FindCore(const NoteId* ids, const uint32_t* order, size_t n,
+                NoteHandle* out) const REQUIRES_SHARED(mu_);
   /// The decoded note behind a used entry: from the note cache, or
   /// decoded from its bucket page and cached.
   Result<NoteHandle> ResolveEntry(NoteId id, const IdEntry& entry) const
+      REQUIRES_SHARED(mu_);
+  /// Decodes a used entry's note from its bucket page and caches it.
+  Result<NoteHandle> LoadNote(NoteId id, const IdEntry& entry) const
       REQUIRES_SHARED(mu_);
 
   // -- Id-table access ---------------------------------------------------
@@ -358,7 +378,13 @@ class NoteStore {
   /// Grows the id table until it covers `id`.
   Status EnsureIdCapacity(NoteId id) REQUIRES(mu_);
   /// Absent ids decode as an all-zero entry (flags == 0, i.e. unused).
-  Result<IdEntry> ReadEntry(NoteId id) const REQUIRES_SHARED(mu_);
+  /// Reuses the cursor's page when `id` lies on it.
+  Result<IdEntry> ReadEntry(NoteId id, IdPageCursor* cursor) const
+      REQUIRES_SHARED(mu_);
+  Result<IdEntry> ReadEntry(NoteId id) const REQUIRES_SHARED(mu_) {
+    IdPageCursor cursor;
+    return ReadEntry(id, &cursor);
+  }
   /// Decodes the serialized entry at `p` (a pinned id-table page).
   static IdEntry DecodeEntry(const char* p);
   /// The one place an id's entry changes, so also the one place its

@@ -31,10 +31,12 @@ ViewIndex::ViewIndex(ViewDesign design, const Clock* clock,
   ctr_rebuilds_ = &reg.GetCounter("Database.View.Rebuilds");
   hist_rebuild_micros_ = &reg.GetHistogram("Database.View.RebuildMicros");
   gauge_reader_sets_ = &reg.GetGauge("Database.View.ReaderSets");
-  for (const ViewColumn& col : design_.columns()) {
+  for (size_t i = 0; i < design_.columns().size(); ++i) {
+    const ViewColumn& col = design_.columns()[i];
     if (col.sort != ColumnSort::kNone) {
       descending_.push_back(col.sort == ColumnSort::kDescending);
     }
+    if (col.categorized) category_columns_.push_back(i);
   }
   needs_response_walk_ = design_.show_response_hierarchy() ||
                          design_.selection().selects_all_children() ||
@@ -452,66 +454,60 @@ size_t ViewIndex::CountOfLocked(const ViewEntry& entry, Epoch at) const {
 void ViewIndex::TraverseAt(
     Epoch at, const std::function<void(const ViewRow&)>& visit) const {
   ReaderLock lock(&mu_);
-  // Category columns, in definition order.
-  std::vector<size_t> cat_cols;
-  for (size_t i = 0; i < design_.columns().size(); ++i) {
-    if (design_.columns()[i].categorized) cat_cols.push_back(i);
-  }
   std::vector<const ViewEntry*> list = EntriesLocked(at);
+  const size_t levels = category_columns_.size();
+  if (levels == 0) {
+    for (const ViewEntry* entry : list) {
+      EmitEntryAndResponses(*entry, 0, at, visit);
+    }
+    return;
+  }
+  const size_t n = list.size();
 
-  // Render each entry's category-column text exactly once up front; the
-  // category-break and run-count loops below otherwise re-render the same
-  // values O(levels × run length) times.
-  std::vector<std::vector<std::string>> cat_text(
-      cat_cols.empty() ? 0 : list.size());
-  if (!cat_cols.empty()) {
-    std::string scratch;
-    for (size_t i = 0; i < list.size(); ++i) {
-      cat_text[i].reserve(cat_cols.size());
-      for (size_t l = 0; l < cat_cols.size(); ++l) {
-        cat_text[i].emplace_back(
-            list[i]->ColumnTextView(cat_cols[l], &scratch));
-      }
+  // One flat table of category text, `levels` cells per entry. A
+  // single-text value is viewed in place in the entry; any other value is
+  // rendered once, into `rendered`, which never moves what it holds.
+  std::vector<std::string_view> cat_text(n * levels);
+  std::deque<std::string> rendered;
+  std::string scratch;
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t l = 0; l < levels; ++l) {
+      std::string_view text =
+          list[i]->ColumnTextView(category_columns_[l], &scratch);
+      if (text.data() == scratch.data()) text = rendered.emplace_back(text);
+      cat_text[i * levels + l] = text;
     }
   }
 
-  std::vector<std::string> open_categories(cat_cols.size());
-  bool first = true;
-  for (size_t i = 0; i < list.size(); ++i) {
-    // Determine the outermost category level whose value changed.
-    size_t changed_level = cat_cols.size();
-    for (size_t l = 0; l < cat_cols.size(); ++l) {
-      if (first || cat_text[i][l] != open_categories[l]) {
-        changed_level = l;
-        break;
-      }
+  // docs_before[i]: documents (responses included) under entries [0, i),
+  // so a run's count is one subtraction.
+  std::vector<size_t> docs_before(n + 1, 0);
+  for (size_t i = 0; i < n; ++i) {
+    docs_before[i + 1] = docs_before[i] + (responses_.empty()
+                                               ? 1
+                                               : CountOfLocked(*list[i], at));
+  }
+
+  // run_end[l]: one past the last entry of the open level-l category. A
+  // run is scanned once, when it opens, and only within its parent run.
+  std::vector<size_t> run_end(levels, 0);
+  ViewRow category;
+  category.kind = ViewRow::Kind::kCategory;
+  for (size_t i = 0; i < n; ++i) {
+    const std::string_view* cats = &cat_text[i * levels];
+    size_t changed = 0;  // outermost level whose run ended before entry i
+    while (changed < levels && i < run_end[changed]) ++changed;
+    for (size_t l = changed; l < levels; ++l) {
+      const size_t bound = l == 0 ? n : run_end[l - 1];
+      size_t end = i + 1;
+      while (end < bound && cat_text[end * levels + l] == cats[l]) ++end;
+      run_end[l] = end;
+      category.indent = static_cast<int>(l);
+      category.category.assign(cats[l]);
+      category.descendant_count = docs_before[end] - docs_before[i];
+      visit(category);
     }
-    // Emit category rows from the changed level down.
-    for (size_t l = changed_level; l < cat_cols.size(); ++l) {
-      open_categories[l] = cat_text[i][l];
-      // Count the run of entries sharing categories up to level l.
-      size_t docs = 0;
-      for (size_t j = i; j < list.size(); ++j) {
-        bool same = true;
-        for (size_t k = 0; k <= l; ++k) {
-          if (cat_text[j][k] != open_categories[k]) {
-            same = false;
-            break;
-          }
-        }
-        if (!same) break;
-        docs += CountOfLocked(*list[j], at);
-      }
-      ViewRow row;
-      row.kind = ViewRow::Kind::kCategory;
-      row.indent = static_cast<int>(l);
-      row.category = open_categories[l];
-      row.descendant_count = docs;
-      visit(row);
-    }
-    first = false;
-    EmitEntryAndResponses(*list[i], static_cast<int>(cat_cols.size()), at,
-                          visit);
+    EmitEntryAndResponses(*list[i], static_cast<int>(levels), at, visit);
   }
 }
 

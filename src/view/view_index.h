@@ -331,6 +331,7 @@ class ViewIndex {
   ViewDesign design_;
   const Clock* clock_;
   std::vector<bool> descending_;  // per sorted column, aligned to key build
+  std::vector<size_t> category_columns_;  // categorized columns, in order
   bool needs_response_walk_ = false;
   // The selection and each column formula paired with a
   // formula::BatchEvaluator, so the VM's register file is reused across

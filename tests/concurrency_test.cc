@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <atomic>
 #include <iterator>
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
@@ -338,6 +339,121 @@ TEST_F(ConcurrencyFixture, CheckedAndFolderMutatorsInterleave) {
   EXPECT_EQ(live_docs, 2 + filed.size() +
                            static_cast<size_t>(creates - deletes));
   EXPECT_EQ(db_->FindView("all")->size(), live_docs);
+}
+
+// Four readers run TraverseViewAs (a categorized view) and SearchAs
+// while a writer flips documents' reader fields and deletes and creates
+// documents. Each reader pins a snapshot, computes at that pin which
+// documents it may read (a formula scan plus the document ACL check),
+// and requires both calls, made inside the same pin, to return exactly
+// those documents, at the versions the scan saw, with no category row
+// left empty.
+TEST_F(ConcurrencyFixture, SecuredReadsMatchTheirPinWhileReaderFieldsFlip) {
+  db_->AttachIndexer(&pool_);
+  std::vector<ViewColumn> columns(2);
+  columns[0].title = "Category";
+  columns[0].formula_source = "Category";
+  columns[0].sort = ColumnSort::kAscending;
+  columns[0].categorized = true;
+  columns[1].title = "Subject";
+  columns[1].formula_source = "Subject";
+  columns[1].sort = ColumnSort::kAscending;
+  ASSERT_OK(db_->CreateView(*ViewDesign::Create("Topics",
+                                                "SELECT Form = \"Topic\"",
+                                                std::move(columns)))
+                .status());
+  const Principal reader = Principal::User("Reader0");
+  auto topic = [](int i, bool restricted) {
+    Note doc = MakeDoc("Topic", "t" + std::to_string(i));
+    doc.SetText("Category", std::string(1, static_cast<char>('A' + i % 4)));
+    doc.SetText("Body", "shared word" + std::to_string(i));
+    if (restricted) {
+      doc.SetItem("DocReaders", Value::TextList({"Other"}),
+                  kItemReaders | kItemNames);
+    }
+    return doc;
+  };
+  constexpr int kDocs = 40;
+  std::vector<NoteId> live;
+  for (int i = 0; i < kDocs; ++i) {
+    ASSERT_OK_AND_ASSIGN(NoteId id, db_->CreateNote(topic(i, i % 3 == 0)));
+    live.push_back(id);
+  }
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> checked{0};
+  std::thread writer([&] {
+    Rng rng(24);
+    int next = kDocs;
+    for (int op = 0; op < 200; ++op) {
+      const size_t slot = rng.Uniform(live.size());
+      if (rng.Uniform(5) == 0) {
+        EXPECT_OK(db_->DeleteNote(live[slot]));
+        auto id = db_->CreateNote(topic(next++, rng.Uniform(2) == 0));
+        EXPECT_OK(id);
+        if (id.ok()) live[slot] = *id;
+        continue;
+      }
+      auto note = db_->ReadNote(live[slot]);
+      EXPECT_OK(note);
+      if (!note.ok()) continue;
+      if (!note->RemoveItem("DocReaders")) {
+        note->SetItem("DocReaders",
+                      Value::TextList(rng.Uniform(2) == 0
+                                          ? std::vector<std::string>{"Other"}
+                                          : std::vector<std::string>{
+                                                "Other", "Reader0"}),
+                      kItemReaders | kItemNames);
+      }
+      EXPECT_OK(db_->UpdateNote(std::move(*note)));
+    }
+    stop.store(true);
+  });
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 4; ++r) {
+    readers.emplace_back([&] {
+      do {
+        Database::ReadTxn txn(db_.get());
+        const Acl acl = db_->acl();
+        auto all = db_->FormulaSearch("SELECT Form = \"Topic\"");
+        ASSERT_OK(all);
+        std::map<NoteId, uint32_t> expected;  // id → sequence at the pin
+        for (const Note& note : *all) {
+          if (CanReadDocument(acl, reader, note)) {
+            expected[note.id()] = note.sequence();
+          }
+        }
+        std::set<NoteId> expected_ids;
+        for (const auto& [id, sequence] : expected) expected_ids.insert(id);
+        std::set<NoteId> rows;
+        std::vector<ViewRow> order;
+        ASSERT_OK(
+            db_->TraverseViewAs(reader, "Topics", [&](const ViewRow& row) {
+              order.push_back(row);
+              if (row.kind == ViewRow::Kind::kDocument) {
+                rows.insert(row.entry->note_id);
+              }
+            }));
+        EXPECT_EQ(rows, expected_ids);
+        // One category level: a kept category row heads a document row.
+        for (size_t i = 0; i < order.size(); ++i) {
+          if (order[i].kind != ViewRow::Kind::kCategory) continue;
+          ASSERT_LT(i + 1, order.size());
+          EXPECT_EQ(order[i + 1].kind, ViewRow::Kind::kDocument)
+              << "empty category " << order[i].category;
+        }
+        auto found = db_->SearchAs(reader, "shared");
+        ASSERT_OK(found);
+        std::map<NoteId, uint32_t> hits;
+        for (const Note& note : *found) hits[note.id()] = note.sequence();
+        EXPECT_EQ(hits, expected);
+        checked.fetch_add(1);
+      } while (!stop.load(std::memory_order_relaxed));
+    });
+  }
+  writer.join();
+  for (auto& t : readers) t.join();
+  EXPECT_GE(checked.load(), 4u);
 }
 
 TEST_F(ConcurrencyFixture, LookupFormulaCatchesUpOnPendingIndexWork) {

@@ -124,6 +124,106 @@ TEST_F(DatabaseFixture, ViewsAutoUpdate) {
   EXPECT_EQ(db_->ViewNames(), (std::vector<std::string>{"invoices"}));
 }
 
+// A two-level categorized view over a numeric and a text column, where
+// reader fields hide one sub-category, and one whole top category, from
+// Bob: TraverseViewAs returns what collecting every row at the pin,
+// dropping the unreadable documents and then pruning the categories left
+// empty returns.
+TEST_F(DatabaseFixture, TraverseViewAsPrunesEmptiedCategories) {
+  std::vector<ViewColumn> columns(3);
+  columns[0].title = "Amount";
+  columns[0].formula_source = "Amount";
+  columns[0].sort = ColumnSort::kAscending;
+  columns[0].categorized = true;
+  columns[1].title = "Form";
+  columns[1].formula_source = "Form";
+  columns[1].sort = ColumnSort::kAscending;
+  columns[1].categorized = true;
+  columns[2].title = "Subject";
+  columns[2].formula_source = "Subject";
+  columns[2].sort = ColumnSort::kAscending;
+  ASSERT_OK_AND_ASSIGN(
+      ViewDesign design,
+      ViewDesign::Create("ByAmount", "SELECT @All", std::move(columns)));
+  ASSERT_OK(db_->CreateView(design).status());
+  struct Spec {
+    double amount;
+    const char* form;
+    const char* subject;
+    bool alice_only;
+  };
+  const Spec specs[] = {
+      {1, "Memo", "a", false},     {1, "Memo", "b", true},
+      {1, "Invoice", "c", true},   {1, "Invoice", "d", true},
+      {2.5, "Memo", "e", true},    {2.5, "Invoice", "f", true},
+      {10, "Invoice", "g", false}, {10, "Memo", "h", true},
+      {10, "Task", "i", false}};
+  for (const Spec& spec : specs) {
+    Note doc = MakeDoc(spec.form, spec.subject, spec.amount);
+    if (spec.alice_only) {
+      doc.SetItem("DocReaders", Value::TextList({"Alice"}),
+                  kItemReaders | kItemNames);
+    }
+    ASSERT_OK(db_->CreateNote(std::move(doc)).status());
+  }
+  auto sign = [](const ViewRow& row) {
+    if (row.kind == ViewRow::Kind::kCategory) {
+      return "C" + std::to_string(row.indent) + "|" + row.category + "|" +
+             std::to_string(row.descendant_count);
+    }
+    return "D" + std::to_string(row.indent) + "|" +
+           row.entry->ColumnText(2);
+  };
+  auto reference = [&](const Principal& who) {
+    Database::ReadTxn txn(db_.get());
+    const AccessContext access = ResolveAccess(db_->acl(), who);
+    std::vector<ViewRow> rows;
+    db_->FindView("ByAmount")->TraverseAt(txn.epoch(), [&](const ViewRow& row) {
+      if (row.kind == ViewRow::Kind::kDocument && row.reader_names != nullptr &&
+          !CanReadWithNames(access, who, *row.reader_names)) {
+        return;
+      }
+      rows.push_back(row);
+    });
+    std::vector<std::string> out;
+    for (size_t i = 0; i < rows.size(); ++i) {
+      if (rows[i].kind == ViewRow::Kind::kCategory) {
+        bool has_docs = false;
+        for (size_t j = i + 1; j < rows.size(); ++j) {
+          if (rows[j].kind == ViewRow::Kind::kCategory &&
+              rows[j].indent <= rows[i].indent) {
+            break;
+          }
+          if (rows[j].kind == ViewRow::Kind::kDocument) {
+            has_docs = true;
+            break;
+          }
+        }
+        if (!has_docs) continue;
+      }
+      out.push_back(sign(rows[i]));
+    }
+    return out;
+  };
+  auto traverse = [&](const Principal& who) {
+    std::vector<std::string> out;
+    EXPECT_OK(db_->TraverseViewAs(who, "ByAmount", [&](const ViewRow& row) {
+      out.push_back(sign(row));
+    }));
+    return out;
+  };
+  const Principal bob = Principal::User("Bob");
+  const Principal alice = Principal::User("Alice");
+  EXPECT_EQ(traverse(bob), reference(bob));
+  EXPECT_EQ(traverse(alice), reference(alice));
+  // Counts are of every document under the category, readable or not.
+  EXPECT_EQ(traverse(bob),
+            (std::vector<std::string>{"C0|1|4", "C1|Memo|2", "D2|a",
+                                      "C0|10|3", "C1|Invoice|1", "D2|g",
+                                      "C1|Task|1", "D2|i"}));
+  EXPECT_EQ(traverse(alice).size(), 9u + 3u + 7u);
+}
+
 TEST_F(DatabaseFixture, PersistenceAcrossReopen) {
   // Create content + design, close, reopen, and verify everything is
   // rebuilt from the store (views from their design notes, the ACL from

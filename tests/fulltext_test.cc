@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "fulltext/fulltext_index.h"
@@ -272,6 +273,54 @@ TEST(FullTextVersioningTest, ReindexAtOrBelowTheReclaimFloorKeepsItsKey) {
   index.IndexNote(Doc(1, "gamma", ""), 3);  // above the floor: kept
   EXPECT_EQ(index.zombie_count(), 1u);
   EXPECT_EQ(IdsAt(index, "beta", 2), Ids{1});
+}
+
+// Two same-named items give a document one field posting pair each. When
+// a dropped version's key is reused, the new version's pairs land below
+// the field postings' tail: FIELD ... CONTAINS still finds exactly the
+// notes whose Tags items carry the term, before and after removals.
+TEST(FullTextIndexTest, FieldContainsOverSameNamedItemsAfterKeyRecycling) {
+  auto tagged = [](NoteId id, const std::string& first,
+                   const std::string& second) {
+    Note note(NoteClass::kDocument);
+    note.set_id(id);
+    note.SetText("Subject", "subject " + std::to_string(id));
+    note.mutable_items().push_back(Item{"Tags", Value::Text(first)});
+    note.mutable_items().push_back(Item{"Tags", Value::Text(second)});
+    return note;
+  };
+  auto ids = [](const FullTextIndex& index, const std::string& term) {
+    Ids out = IdsAt(index, "FIELD Tags CONTAINS " + term, kEpochLatest);
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  FullTextIndex index;
+  index.IndexNote(tagged(1, "red", "blue"));
+  index.IndexNote(tagged(2, "green", "red"));
+  index.IndexNote(tagged(3, "blue", "blue"));
+  const FullTextIndex::DocKey recycled = Versions(index).begin()->first;
+  index.RemoveNote(1);
+  index.IndexNote(tagged(4, "blue red", "red"));
+  ASSERT_EQ(Versions(index).at(recycled), 4u);  // below keys of 2 and 3
+
+  EXPECT_EQ(ids(index, "red"), (Ids{2, 4}));
+  EXPECT_EQ(ids(index, "blue"), (Ids{3, 4}));
+  EXPECT_EQ(ids(index, "green"), Ids{2});
+  EXPECT_EQ(IdsAt(index, "FIELD Subject CONTAINS red", kEpochLatest), Ids{});
+  // Both items' occurrences of "red" in note 4, in position order.
+  FullTextIndex::PostingMap red = index.MaterializeFieldTerm("Tags", "red");
+  ASSERT_EQ(red.count(recycled), 1u);
+  ASSERT_EQ(red.at(recycled).positions.size(), 2u);
+  EXPECT_LT(red.at(recycled).positions[0], red.at(recycled).positions[1]);
+
+  index.RemoveNote(4);
+  EXPECT_EQ(ids(index, "red"), Ids{2});
+  EXPECT_EQ(ids(index, "blue"), Ids{3});
+  index.RemoveNote(2);
+  index.RemoveNote(3);
+  EXPECT_TRUE(index.MaterializeFieldTerm("Tags", "red").empty());
+  EXPECT_TRUE(index.MaterializeFieldTerm("Tags", "blue").empty());
+  EXPECT_EQ(index.term_count(), 0u);
 }
 
 }  // namespace

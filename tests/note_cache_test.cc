@@ -282,7 +282,7 @@ TEST(NoteCacheChargeTest, CoversTheHeapOfANoteWithManySmallItems) {
   {
     Note note;
     ASSERT_OK(Note::DecodeFromString(encoded, &note));
-    cached = std::make_shared<const Note>(std::move(note));
+    cached = NoteHandle(new Note(std::move(note)));  // as the store does
   }
   const int64_t held = g_live_heap_bytes.load() - before;
   const auto charge = static_cast<int64_t>(NoteCache::Charge(*cached));

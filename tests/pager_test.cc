@@ -273,6 +273,56 @@ TEST_F(PoolFixture, EvictionUnderPinStress) {
   EXPECT_GT(registry_.GetCounter("Store.Cache.Evictions").value(), 0u);
 }
 
+// Every pool on a registry shares the Store.Cache gauges: each adds its
+// own changes, so the gauges read the sum, and a destroyed pool takes
+// its share back off.
+TEST(PoolGaugeTest, TwoPoolsOnOneRegistrySum) {
+  ScratchDir dir;
+  stats::StatRegistry registry;
+  ASSERT_OK_AND_ASSIGN(auto pager_a,
+                       pager::Pager::Open(dir.Sub("a.pages"), 512));
+  ASSERT_OK_AND_ASSIGN(auto pager_b,
+                       pager::Pager::Open(dir.Sub("b.pages"), 512));
+  auto pool_a =
+      std::make_unique<pager::BufferPool>(pager_a.get(), 16, &registry);
+  auto pool_b =
+      std::make_unique<pager::BufferPool>(pager_b.get(), 16, &registry);
+  auto pages = [&] { return registry.GetGauge("Store.Cache.Pages").value(); };
+  auto dirty = [&] {
+    return registry.GetGauge("Store.Cache.DirtyPages").value();
+  };
+  for (int i = 0; i < 3; ++i) {
+    pool_a->PinNew(pager_a->Allocate(), pager::kPageBucket);
+  }
+  std::vector<uint32_t> b_pages;
+  for (int i = 0; i < 5; ++i) {
+    b_pages.push_back(pager_b->Allocate());
+    pool_b->PinNew(b_pages.back(), pager::kPageBucket);
+  }
+  EXPECT_EQ(pages(), 8);
+  EXPECT_EQ(dirty(), 8);
+
+  ASSERT_OK(pool_a->ForEachDirty([&](uint32_t pgno, char* data) {
+    return pager_a->WritePage(pgno, data);
+  }));
+  pool_a->MarkAllClean();
+  EXPECT_EQ(pages(), 8);
+  EXPECT_EQ(dirty(), 5);
+
+  pool_b->Discard(b_pages[0]);
+  EXPECT_EQ(pages(), 7);
+  EXPECT_EQ(dirty(), 4);
+
+  pool_b.reset();
+  EXPECT_EQ(pages(), 3);
+  EXPECT_EQ(dirty(), 0);
+  pool_a->DiscardAll();
+  EXPECT_EQ(pages(), 0);
+  pool_a.reset();
+  EXPECT_EQ(pages(), 0);
+  EXPECT_EQ(dirty(), 0);
+}
+
 // --------------------------------------------------- Paged store behavior --
 
 StoreOptions TinyPagedOptions() {

@@ -361,6 +361,70 @@ TEST(NoteStoreTest, EraseRemovesPhysically) {
   EXPECT_FALSE(store->Erase(note.id()).ok());
 }
 
+// FindMany is Find over a list: same handles, in input order, whatever
+// the order, duplicates, absent ids, stubs, erased ids and
+// kInvalidNoteId. 512-byte pages hold 12 id-table entries each, so the
+// 60 notes span 5 id-table pages.
+TEST(NoteStoreTest, FindManyEqualsFindPerId) {
+  ScratchDir dir;
+  StoreOptions options = FastOptions();
+  options.page_size = 512;
+  ASSERT_OK_AND_ASSIGN(auto store,
+                       NoteStore::Open(dir.Sub("db"), options, TestInfo()));
+  std::vector<NoteId> ids;
+  for (int i = 0; i < 60; ++i) {
+    Note note = StampedDoc("n" + std::to_string(i), 100 + i, 1000 + i);
+    ASSERT_OK(store->Put(&note));
+    ids.push_back(note.id());
+    if (i % 7 == 3) {  // a deletion stub: Find returns the stub
+      note.MakeStub(5000 + i);
+      ASSERT_OK(store->Put(&note));
+    }
+  }
+  ASSERT_OK(store->Erase(ids[10]));
+  ASSERT_OK(store->Erase(ids[41]));
+  ASSERT_GE(ids.back(), 3 * ((512 - pager::kPageHeaderSize) / 40));
+
+  Rng rng(7);
+  std::vector<NoteId> query;
+  for (int i = 0; i < 200; ++i) {
+    switch (rng.Uniform(5)) {
+      case 0:
+        query.push_back(kInvalidNoteId);
+        break;
+      case 1:
+        query.push_back(ids.back() + 1 + rng.Uniform(100));  // never used
+        break;
+      default:
+        query.push_back(ids[rng.Uniform(ids.size())]);
+        break;
+    }
+  }
+  query.push_back(ids[10]);  // erased
+  query.push_back(ids[3]);   // a stub
+
+  // Twice: the first pass decodes, the second finds the note cache warm.
+  for (int pass = 0; pass < 2; ++pass) {
+    std::vector<NoteHandle> many = store->FindMany(query);
+    ASSERT_EQ(many.size(), query.size());
+    for (size_t i = 0; i < query.size(); ++i) {
+      NoteHandle one = store->Find(query[i]);
+      ASSERT_EQ(many[i] == nullptr, one == nullptr) << "id " << query[i];
+      if (one == nullptr) continue;
+      EXPECT_EQ(many[i]->id(), query[i]);
+      EXPECT_EQ(many[i]->EncodeToString(), one->EncodeToString());
+      // Warm, both hand out the cached note itself.
+      if (pass == 1) {
+        EXPECT_EQ(many[i], one) << "id " << query[i];
+      }
+    }
+  }
+  EXPECT_TRUE(store->FindMany(query).back()->deleted());
+  EXPECT_EQ(store->FindMany({ids[10], kInvalidNoteId, ids[41]}),
+            (std::vector<NoteHandle>{nullptr, nullptr, nullptr}));
+  EXPECT_TRUE(store->FindMany({}).empty());
+}
+
 TEST(NoteStoreTest, UpdateInfoPersists) {
   ScratchDir dir;
   {
