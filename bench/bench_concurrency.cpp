@@ -305,10 +305,10 @@ int main() {
   clock.Set(1'000'000'000);
   DatabaseOptions options;
   options.store.checkpoint_threshold_bytes = 1ull << 30;
-  // Durable commits: each write fsyncs the WAL — the realistic
-  // hostile-writer shape, where a reader that waited on the writer would
-  // wait out the fsync too.
-  options.store.sync_mode = wal::SyncMode::kEveryCommit;
+  // Durable commits: the lone writer's group commit fsyncs the WAL on
+  // every write — the realistic hostile-writer shape, where a reader that
+  // waited on the writer would wait out the fsync too.
+  options.store.sync_mode = wal::SyncMode::kGroupCommit;
   auto db = *Database::Open(dir.Sub("db"), options, &clock);
   Rng rng(11);
 

@@ -80,12 +80,14 @@ int main() {
       auto incr = a.ReplicateWith(b, "bench.nsf");
       clock.Advance(1'000'000);
 
-      // Full replication baseline: stateless endpoints (no histories).
+      // Full replication baseline: fresh histories hold no cutoff, so
+      // each side summarizes every note.
       Replicator full(&net, &a.stats());
+      ReplicationHistory fresh_a, fresh_b;
       auto full_report =
-          full.Replicate(ReplicaEndpoint{da, "a", nullptr},
+          full.Replicate(ReplicaEndpoint{da, "a", fresh_a},
                          ReplicaEndpoint{b.FindDatabase("bench.nsf"), "b",
-                                         nullptr});
+                                         fresh_b});
 
       double ratio =
           incr->bytes_transferred > 0

@@ -106,7 +106,7 @@ for SANITIZER in "${SANITIZERS[@]}"; do
     DOMINO_CRASH_MATRIX=1 "$BUILD_DIR/tests/pager_test" \
       --gtest_filter='*CheckpointFaultMatrix*:*CrashMatrixTest*'
     DOMINO_CRASH_MATRIX=1 "$BUILD_DIR/tests/storage_test" \
-      --gtest_filter='*NoteStoreTest.Crash*:*BatchIsAtomic*'
+      --gtest_filter='*NoteStoreTest.Crash*'
     DOMINO_CRASH_MATRIX=1 "$BUILD_DIR/tests/shared_log_test" \
       --gtest_filter='*TornTail*:*NoteStoreSharedLog*:*SharedLogAppend*'
     "$BUILD_DIR/tests/mail_test" --gtest_filter='*RouterCrash*'

@@ -310,8 +310,7 @@ Status Replicator::Pull(const ReplicaEndpoint& dst,
                             formula::Formula::Compile(
                                 options.selective_formula));
   }
-  Micros cutoff = dst.history != nullptr ? dst.history->CutoffFor(src.name)
-                                         : 0;
+  Micros cutoff = dst.history.CutoffFor(src.name);
 
   // 1. Request + receive the change summary (OIDs newer than the cutoff),
   //    ordered by the source's modified-in-file stamps so any processed
@@ -335,16 +334,14 @@ Status Replicator::Pull(const ReplicaEndpoint& dst,
   //    durable installs would let src purge a stub dst then loses in a
   //    crash). Later lookups of the batch still see its earlier installs,
   //    which are applied as they append.
-  const size_t batch_size =
-      options.batch_size == 0 ? summary.size() + 1 : options.batch_size;
   size_t in_batch = 0;
   Micros low_water = 0;
   WriteScope scope;
   auto commit_progress = [&]() -> Status {
     DOMINO_RETURN_IF_ERROR(scope.Finish());
     if (low_water == 0) return Status::Ok();
-    if (dst.history != nullptr) dst.history->Record(src.name, low_water);
-    if (src.history != nullptr) src.history->RecordSent(dst.name, low_water);
+    dst.history.Record(src.name, low_water);
+    src.history.RecordSent(dst.name, low_water);
     return Status::Ok();
   };
   for (const NoteHandle& remote_note : summary) {
@@ -390,7 +387,7 @@ Status Replicator::Pull(const ReplicaEndpoint& dst,
       }
     }
     low_water = remote_note->modified_in_file();
-    if (++in_batch >= batch_size) {
+    if (++in_batch >= options.batch_size) {
       DOMINO_RETURN_IF_ERROR(commit_progress());
       in_batch = 0;
     }
@@ -402,21 +399,21 @@ Status Replicator::Pull(const ReplicaEndpoint& dst,
   //    for dst while each is a version src summarized here, and advance
   //    that cutoff over them. The first note src has not seen (a write
   //    that raced this session, a conflict document) ends the walk.
-  if (src.history != nullptr && !summary.empty()) {
+  if (!summary.empty()) {
     std::unordered_map<Unid, Oid> summarized;
     for (const NoteHandle& note : summary) {
       summarized.emplace(note->unid(), note->oid());
     }
     Micros echo = 0;
     for (const NoteHandle& note :
-         dst.db->NotesModifiedSince(src.history->CutoffFor(dst.name))) {
+         dst.db->NotesModifiedSince(src.history.CutoffFor(dst.name))) {
       auto it = summarized.find(note->unid());
       if (it == summarized.end() || it->second != note->oid()) break;
       echo = note->modified_in_file();
     }
     if (echo > 0) {
-      src.history->Record(dst.name, echo);
-      if (dst.history != nullptr) dst.history->RecordSent(src.name, echo);
+      src.history.Record(dst.name, echo);
+      dst.history.RecordSent(src.name, echo);
     }
   }
 

@@ -29,8 +29,7 @@ struct ReplicationOptions {
   /// Notes are installed in stamp order in batches of this size; after
   /// each complete batch the receiving side's history cutoff advances to
   /// the batch boundary, so a session that dies on a lossy link resumes
-  /// from the last committed batch instead of from scratch. 0 disables
-  /// intra-session checkpointing (single batch).
+  /// from the last committed batch instead of from scratch.
   size_t batch_size = 32;
 };
 
@@ -51,14 +50,14 @@ struct ReplicationReport {
 };
 
 /// One side of a replication session: the database, the server name it is
-/// addressed by on the SimNet, and that side's persistent replication
-/// history (nullable — that side then always pulls from a zero cutoff and
-/// records no progress, the stateless "replicate everything" mode that is
-/// the full-replication baseline of experiment E3).
+/// addressed by on the SimNet, and that side's replication history
+/// (required). A fresh history has no cutoffs, so a session given fresh
+/// histories summarizes every note: the full-replication baseline of
+/// experiment E3.
 struct ReplicaEndpoint {
   Database* db = nullptr;
   std::string name;
-  ReplicationHistory* history = nullptr;
+  ReplicationHistory& history;
 };
 
 /// Installs `remote_note` (a note image from another replica of the same

@@ -95,8 +95,8 @@ Result<ReplicationReport> Server::ReplicateWith(
   }
   Replicator replicator(net_, stats_);
   return replicator.Replicate(
-      ReplicaEndpoint{local, name_, HistoryFor(file)},
-      ReplicaEndpoint{remote, peer.name(), peer.HistoryFor(file)}, options);
+      ReplicaEndpoint{local, name_, *HistoryFor(file)},
+      ReplicaEndpoint{remote, peer.name(), *peer.HistoryFor(file)}, options);
 }
 
 ReplicationHistory* Server::HistoryFor(const std::string& file) {

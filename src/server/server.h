@@ -53,9 +53,12 @@ class Server {
 
   // -- Replication ----------------------------------------------------------
   /// One replication session of database `file` with the same-named
-  /// database on `peer` (pull-pull). The Server owns and persists the
-  /// per-(file, peer) replication histories on both sides, so callers
-  /// never thread history objects by hand.
+  /// database on `peer` (pull-pull). The Server owns the per-(file, peer)
+  /// replication histories on both sides, so callers never thread history
+  /// objects by hand. The histories live in memory only: a restarted
+  /// Server starts with empty ones, so every peer is summarized in full
+  /// again, and until a peer pulls, PurgeStubs clamps by no peer and can
+  /// drop a stub that peer never saw.
   Result<ReplicationReport> ReplicateWith(Server& peer,
                                           const std::string& file,
                                           const ReplicationOptions& options =

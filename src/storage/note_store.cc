@@ -149,6 +149,7 @@ NoteStore::NoteStore(std::string dir, StoreOptions options)
   ctr_compact_bytes_ = &registry_->GetCounter("Store.Compact.BytesReclaimed");
   ctr_compact_moved_ = &registry_->GetCounter("Store.Compact.NotesMoved");
   ctr_pages_freed_inline_ = &registry_->GetCounter("Store.Pages.FreedInline");
+  ctr_read_errors_ = &registry_->GetCounter("Database.ReadErrors");
   gauge_notes_ = &registry_->GetGauge("Database.Docs.Current");
   gauge_dead_bytes_ = &registry_->GetGauge("Store.DeadBytes");
   hist_commit_micros_ =
@@ -275,7 +276,7 @@ Status NoteStore::Recover(const DatabaseInfo& default_info,
       DOMINO_RETURN_IF_ERROR(AdoptPagerSnapshot(payload));
       continue;
     }
-    DOMINO_RETURN_IF_ERROR(ApplyBatchPayload(payload, true));
+    DOMINO_RETURN_IF_ERROR(ApplyBatchPayload(payload));
     MutexLock stats_lock(&stats_mu_);
     stats_.recovered_records++;
   }
@@ -766,18 +767,34 @@ void NoteStore::FindCore(const NoteId* ids, const uint32_t* order, size_t n,
   IdPageCursor cursor;
   for (size_t k = 0; k < n; ++k) {
     const uint32_t i = order[k];
+    // ReadEntry answers an id beyond the table with an unused entry, so
+    // any error it returns is a real one.
     auto entry = ReadEntry(ids[i], &cursor);
-    if (!entry.ok() || (entry->flags & kEntryUsed) == 0) {
+    if (!entry.ok()) {
+      out[i] = nullptr;
+      ReportReadError(ids[i], entry.status());
+    } else if ((entry->flags & kEntryUsed) == 0) {
       out[i] = nullptr;
     } else if (out[i] != nullptr) {
       ++hits;
     } else {
       ++misses;
       auto note = LoadNote(ids[i], *entry);
-      if (note.ok()) out[i] = std::move(*note);
+      if (note.ok()) {
+        out[i] = std::move(*note);
+      } else {
+        ReportReadError(ids[i], note.status());
+      }
     }
   }
   note_cache_->CountLookups(hits, misses);
+}
+
+void NoteStore::ReportReadError(NoteId id, const Status& status) const {
+  ctr_read_errors_->Add();
+  registry_->events().Log(stats::Severity::kWarning, "Store",
+                          "read of note id " + std::to_string(id) +
+                              " failed: " + status.ToString());
 }
 
 Result<Note> NoteStore::Get(NoteId id) const {
@@ -942,9 +959,7 @@ Status NoteStore::ApplyErase(NoteId id, const IdEntry& entry) {
   return Status::Ok();
 }
 
-Status NoteStore::ApplyBatchPayload(std::string_view payload,
-                                    bool from_recovery) {
-  (void)from_recovery;
+Status NoteStore::ApplyBatchPayload(std::string_view payload) {
   std::string_view input = payload;
   uint64_t count = 0;
   if (!GetVarint64(&input, &count)) {
@@ -1063,28 +1078,6 @@ void NoteStore::CountPut(bool existed, bool was_live, bool now_deleted) {
   }
 }
 
-Status NoteStore::PutBatch(std::vector<Note>* batch) {
-  if (batch->empty()) return Status::Ok();
-  std::string payload;
-  PutVarint64(&payload, batch->size());
-  for (Note& note : *batch) {
-    if (note.id() == kInvalidNoteId) note.set_id(AllocateId());
-    if (note.unid().IsNull()) {
-      return Status::InvalidArgument("note has null UNID; stamp it first");
-    }
-    payload.push_back(static_cast<char>(kOpPut));
-    std::string encoded = note.EncodeToString();
-    PutLengthPrefixed(&payload, encoded);
-  }
-  DOMINO_RETURN_IF_ERROR(CommitPayload(payload));
-  WriterLock lock(&mu_);
-  for (const Note& note : *batch) {
-    DOMINO_ASSIGN_OR_RETURN(auto outcome, ApplyNote(Note(note)));
-    CountPut(outcome.first, outcome.second, note.deleted());
-  }
-  return Status::Ok();
-}
-
 Status NoteStore::Erase(NoteId id) {
   {
     ReaderLock lock(&mu_);
@@ -1127,17 +1120,6 @@ Result<std::vector<NoteId>> NoteStore::PurgeableStubs(
     }
   }
   return victims;
-}
-
-Result<size_t> NoteStore::PurgeStubs(Micros now) {
-  DOMINO_ASSIGN_OR_RETURN(
-      std::vector<NoteId> victims,
-      PurgeableStubs(now - info().purge_interval,
-                     std::numeric_limits<Micros>::max()));
-  for (NoteId id : victims) {
-    DOMINO_RETURN_IF_ERROR(Erase(id));
-  }
-  return victims.size();
 }
 
 Status NoteStore::UpdateInfo(const DatabaseInfo& info) {

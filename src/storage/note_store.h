@@ -42,7 +42,7 @@ struct DatabaseInfo {
 struct StoreOptions {
   /// Durability policy of the store's own log (a `shared_log` has its
   /// own). kNone: an acknowledged Put has reached the OS, so it survives a
-  /// process crash but not a power loss; the fsyncing modes survive both.
+  /// process crash but not a power loss; kGroupCommit survives both.
   wal::SyncMode sync_mode = wal::SyncMode::kNone;
   /// MaybeCheckpoint() snapshots once the WAL obligation exceeds this
   /// size (0 disables). The store never checkpoints inside Put or Erase;
@@ -200,9 +200,10 @@ class NoteStore {
   bool ContainsUnid(const Unid& unid) const;
 
   /// Owning handle to the stored note (stubs included); null when absent
-  /// or unreadable. The handle is an immutable decoded copy (shared with
-  /// the decoded-note cache), so it stays valid across evictions,
-  /// compaction and later writes.
+  /// or unreadable. An unreadable note (a page failing its CRC, say)
+  /// counts in `Database.ReadErrors` and logs a Warning event. The handle
+  /// is an immutable decoded copy (shared with the decoded-note cache), so
+  /// it stays valid across evictions, compaction and later writes.
   NoteHandle Find(NoteId id) const;
   NoteHandle FindByUnid(const Unid& unid) const;
   /// Find over many ids under one shared hold: handles come back in the
@@ -243,9 +244,6 @@ class NoteStore {
   /// Updates the UNID index and stub accounting, and commits to the WAL.
   Status Put(Note* note);
 
-  /// Atomically commits several notes in one WAL record.
-  Status PutBatch(std::vector<Note>* notes);
-
   /// Physically removes a note or stub (used by stub purging only —
   /// logical deletion goes through Note::MakeStub + Put).
   Status Erase(NoteId id);
@@ -256,9 +254,6 @@ class NoteStore {
   /// read and no note decoded.
   Result<std::vector<NoteId>> PurgeableStubs(Micros age_cutoff,
                                              Micros seen_cutoff) const;
-  /// Erases the stubs whose sequence time is older than
-  /// `now - purge_interval`. Returns the number purged.
-  Result<size_t> PurgeStubs(Micros now);
 
   /// Allocates a fresh local note id without writing anything.
   NoteId AllocateId() {
@@ -330,8 +325,7 @@ class NoteStore {
   /// replays the suffix after its last checkpoint marker.
   Status Recover(const DatabaseInfo& default_info, std::string_view meta_blob,
                  bool have_meta) REQUIRES(mu_);
-  Status ApplyBatchPayload(std::string_view payload, bool from_recovery)
-      REQUIRES(mu_);
+  Status ApplyBatchPayload(std::string_view payload) REQUIRES(mu_);
   /// Appends one kData record; syncs it unless a WriteScope is open on
   /// this thread, which then owns the sync.
   Status CommitPayload(const std::string& payload);
@@ -357,6 +351,7 @@ class NoteStore {
   Result<Note> GetCore(NoteId id) const REQUIRES_SHARED(mu_);
   /// The read core of Find and FindMany: sets out[i] to the note with id
   /// ids[i] (null when absent or unreadable) for every i in [0, n).
+  /// Unreadable ids go through ReportReadError.
   /// `order` lists the positions of `ids` by ascending id; the id table
   /// is read in that order, so each of its pages is pinned once, and the
   /// note cache is searched for all ids with one lock per shard.
@@ -369,6 +364,8 @@ class NoteStore {
   /// Decodes a used entry's note from its bucket page and caches it.
   Result<NoteHandle> LoadNote(NoteId id, const IdEntry& entry) const
       REQUIRES_SHARED(mu_);
+  /// Counts and logs a read that failed on a note the store should hold.
+  void ReportReadError(NoteId id, const Status& status) const;
 
   // -- Id-table access ---------------------------------------------------
   size_t EntriesPerPage() const;
@@ -475,6 +472,7 @@ class NoteStore {
   stats::Counter* ctr_compact_bytes_;
   stats::Counter* ctr_compact_moved_;
   stats::Counter* ctr_pages_freed_inline_;
+  stats::Counter* ctr_read_errors_;
   stats::Gauge* gauge_notes_;
   stats::Gauge* gauge_dead_bytes_;
   stats::Histogram* hist_commit_micros_;

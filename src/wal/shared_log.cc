@@ -11,9 +11,6 @@ namespace dominodb::wal {
 namespace {
 
 constexpr char kManifestMagic[] = "DSLM1";
-/// A group-commit leader flushes as soon as the pending batch reaches
-/// this many bytes, window or no window.
-constexpr size_t kMaxBatchBytes = 1u << 20;
 
 }  // namespace
 
@@ -211,26 +208,20 @@ Result<uint64_t> SharedLog::Append(uint32_t stream, RecordType type,
   if (options_.sync_mode == SyncMode::kGroupCommit) {
     AppendFrameTo(&pending_, type, mux);
     ++pending_records_;
-    // A leader lingering for company (max_wait_micros) sleeps on cv_; let
-    // it see the new arrival (and flush early once the batch is
-    // byte-full).
-    if (writing_) cv_.notify_all();
     return ++next_seq_;
   }
-  // The serialized modes write straight through: kNone also flushes to
-  // the OS, which is all the durability it promises.
+  // kNone writes straight through and flushes to the OS, which is all the
+  // durability it promises.
   std::string frame;
   AppendFrameTo(&frame, type, mux);
   Status status = file_->Append(frame);
-  if (status.ok() && options_.sync_mode == SyncMode::kNone) {
-    status = file_->Flush();
-  }
+  if (status.ok()) status = file_->Flush();
   if (!status.ok()) {
     io_error_ = status;
     return status;
   }
   const uint64_t seq = ++next_seq_;
-  if (options_.sync_mode == SyncMode::kNone) durable_seq_ = seq;
+  durable_seq_ = seq;
   status = MaybeRollSegmentLocked();
   if (!status.ok()) {
     io_error_ = status;
@@ -250,17 +241,8 @@ Status SharedLog::SyncThrough(uint64_t seq) {
   if (options_.sync_mode == SyncMode::kGroupCommit) {
     return SyncGrouped(&lock, seq);
   }
-  if (!io_error_.ok()) return io_error_;
-  if (durable_seq_ >= seq) return Status::Ok();
-  // kEveryCommit: one record, one sync — the fsync-per-commit baseline
-  // E14 contrasts group commit against. Serialized under mu_.
-  Status status = TimedSync();
-  if (!status.ok()) {
-    io_error_ = status;
-    return status;
-  }
-  durable_seq_ = next_seq_;
-  return Status::Ok();
+  // kNone: Append already took every record as far as this mode goes.
+  return io_error_;
 }
 
 Status SharedLog::SyncGrouped(std::unique_lock<std::mutex>* lock,
@@ -274,14 +256,6 @@ Status SharedLog::SyncGrouped(std::unique_lock<std::mutex>* lock,
       // append + one sync.
       led = true;
       writing_ = true;
-      if (options_.max_wait_micros > 0) {
-        auto deadline =
-            std::chrono::steady_clock::now() +
-            std::chrono::microseconds(options_.max_wait_micros);
-        while (pending_.size() < kMaxBatchBytes &&
-               cv_.wait_until(*lock, deadline) != std::cv_status::timeout) {
-        }
-      }
       std::string batch;
       batch.swap(pending_);
       const uint64_t batch_records = pending_records_;

@@ -18,13 +18,12 @@
 
 namespace dominodb::wal {
 
-/// Durability policy for commits. Domino R5 offered similar knobs; E7/E14
-/// benchmark the cost of each.
+/// Durability policy for commits. E7 benchmarks the cost of each.
 enum class SyncMode {
-  kNone,         // written to the OS, never fsynced: survives a process
-                 // crash, not a power loss
-  kEveryCommit,  // fsync per commit: durable, one device flush per record
-  kGroupCommit   // leader/follower: concurrent committers share one fsync
+  kNone,        // written to the OS, never fsynced: survives a process
+                // crash, not a power loss
+  kGroupCommit  // leader/follower: concurrent committers share one fsync;
+                // a lone committer pays one fsync per commit
 };
 
 struct SharedLogOptions {
@@ -34,11 +33,6 @@ struct SharedLogOptions {
   /// once every registered stream's checkpoint low-water mark has moved
   /// past it.
   uint64_t segment_bytes = 64ull << 20;
-  /// How long a group-commit leader lingers for company before flushing
-  /// (0 = flush whatever queued behind the previous leader's fsync — the
-  /// classic no-added-latency group commit). A leader stops lingering
-  /// early once the pending batch reaches 1 MiB.
-  uint64_t max_wait_micros = 0;
   /// Registry receiving the `Server.WAL.*` stats; null → the process-wide
   /// StatRegistry::Global().
   stats::StatRegistry* stats = nullptr;
@@ -53,8 +47,10 @@ struct SharedLogOptions {
 /// enqueue their frames under the log mutex; whichever committer finds no
 /// flush in progress becomes the leader, writes the whole pending batch
 /// with one Append and one Sync, then wakes the followers whose sequence
-/// numbers the sync covered. N concurrent commits therefore cost one
-/// device flush, not N (E14 measures the amortization).
+/// numbers the sync covered. A leader never waits for company: it flushes
+/// whatever queued behind the previous leader's fsync. N concurrent
+/// commits therefore cost one device flush, not N (E14 measures the
+/// amortization).
 ///
 /// The log is a sequence of numbered segment files plus a manifest
 /// recording the stream table and per-stream checkpoint low-water marks.
@@ -83,16 +79,15 @@ class SharedLog {
 
   /// Appends one record for `stream` and returns its sequence number,
   /// without waiting for durability: kGroupCommit queues the frame for
-  /// the next group flush, kEveryCommit writes it to the file, kNone
-  /// writes and flushes it to the OS. Records of every stream share one
-  /// order, so a record is durable once any later one is.
+  /// the next group flush, kNone writes and flushes it to the OS. Records
+  /// of every stream share one order, so a record is durable once any
+  /// later one is.
   Result<uint64_t> Append(uint32_t stream, RecordType type,
                           std::string_view payload);
 
   /// Returns once every record up to `seq` is durable under the sync mode
-  /// (kGroupCommit: the leader/follower group sync; kEveryCommit: one
-  /// sync unless an earlier one already covered `seq`; kNone: at once,
-  /// the write was all it needed). Safe to call from any thread.
+  /// (kGroupCommit: the leader/follower group sync; kNone: at once, the
+  /// write was all it needed). Safe to call from any thread.
   Status SyncThrough(uint64_t seq);
 
   /// Append, then SyncThrough the new record.
@@ -149,8 +144,8 @@ class SharedLog {
   Status MaybeRollSegmentLocked();
   /// Leader/follower protocol for kGroupCommit.
   Status SyncGrouped(std::unique_lock<std::mutex>* lock, uint64_t seq);
-  /// fsync with WAL.SyncMicros accounting (a group-commit leader calls
-  /// it with mu_ released; kEveryCommit holds mu_ across it).
+  /// fsync with WAL.SyncMicros accounting; the group-commit leader calls
+  /// it with mu_ released.
   Status TimedSync();
 
   const std::string dir_;

@@ -177,9 +177,10 @@ TEST_F(AgentFixture, AgentsReplicateAsDesignNotes) {
   options.replica_id = db_->replica_id();
   auto replica = *Database::Open(dir_.Sub("replica"), options, &clock_);
   Replicator replicator(nullptr);
+  ReplicationHistory history_a, history_b;
   ASSERT_OK(replicator
-                .Replicate(ReplicaEndpoint{db_.get(), "A", nullptr},
-                           ReplicaEndpoint{replica.get(), "B", nullptr}, {})
+                .Replicate(ReplicaEndpoint{db_.get(), "A", history_a},
+                           ReplicaEndpoint{replica.get(), "B", history_b}, {})
                 .status());
 
   AgentRunner remote_runner(replica.get());

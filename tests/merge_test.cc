@@ -35,9 +35,11 @@ class MergeFixture : public ::testing::Test {
     Replicator replicator(nullptr);
     ReplicationOptions options;
     options.merge_conflicts = merge;
-    auto report = replicator.Replicate(ReplicaEndpoint{a_.get(), "A", nullptr},
-                                       ReplicaEndpoint{b_.get(), "B", nullptr},
-                                       options);
+    // Fresh histories: every session summarizes every note.
+    ReplicationHistory history_a, history_b;
+    auto report = replicator.Replicate(
+        ReplicaEndpoint{a_.get(), "A", history_a},
+        ReplicaEndpoint{b_.get(), "B", history_b}, options);
     EXPECT_OK(report);
     clock_.Advance(1000);
     return report.value_or(ReplicationReport{});

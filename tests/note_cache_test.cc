@@ -1,7 +1,7 @@
 // The store's decoded-note cache: every id-table change drops the cached
-// note (Put, PutBatch, Erase, PurgeStubs, compaction relocation, crash
-// recovery), handles outlive updates, and the cache stays within its
-// budget (cache_pages × page_size) under a working set far larger.
+// note (Put, Erase, stub purge, compaction relocation, crash recovery),
+// handles outlive updates, and the cache stays within its budget
+// (cache_pages × page_size) under a working set far larger.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +9,7 @@
 #include <cstddef>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <new>
 #include <thread>
 #include <vector>
@@ -128,26 +129,22 @@ TEST_F(NoteCacheTest, WritesRefreshTheCachedNote) {
   ASSERT_OK(store_->Put(&a));
   EXPECT_EQ(Subject(a.id()), "a2");
 
-  std::vector<Note> batch = {a, b};
-  batch[0].SetText("Subject", "a3");
-  batch[1].SetText("Subject", "b2");
-  ASSERT_OK(store_->PutBatch(&batch));
-  EXPECT_EQ(Subject(a.id()), "a3");
-  EXPECT_EQ(Subject(b.id()), "b2");
-
   ASSERT_OK(store_->Erase(b.id()));
   EXPECT_EQ(Subject(b.id()), "<absent>");
   EXPECT_FALSE(store_->Get(b.id()).ok());
 
   // A stub keeps its id-table entry; purging it must drop the cached stub.
-  Note stub = batch[0];
+  Note stub = a;
   stub.MakeStub(20);
   ASSERT_OK(store_->Put(&stub));
   ASSERT_NE(store_->Find(a.id()), nullptr);
   EXPECT_TRUE(store_->Find(a.id())->deleted());
-  ASSERT_OK_AND_ASSIGN(size_t purged,
-                       store_->PurgeStubs(100'000'000'000'000));
-  EXPECT_EQ(purged, 1u);
+  ASSERT_OK_AND_ASSIGN(
+      std::vector<NoteId> victims,
+      store_->PurgeableStubs(100'000'000'000'000,
+                             std::numeric_limits<Micros>::max()));
+  ASSERT_EQ(victims, std::vector<NoteId>{a.id()});
+  ASSERT_OK(store_->Erase(a.id()));
   EXPECT_EQ(store_->Find(a.id()), nullptr);
   EXPECT_EQ(Bytes(), 0);
 }

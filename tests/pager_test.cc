@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <string>
 #include <thread>
@@ -494,9 +495,11 @@ TEST(CompactTest, ReclaimsPurgedStubVolume) {
     note.MakeStub(t++);
     ASSERT_OK(store->Put(&note));
   }
-  Micros later = t + store->info().purge_interval + 1'000'000;
-  ASSERT_OK_AND_ASSIGN(size_t purged, store->PurgeStubs(later));
-  EXPECT_EQ(purged, victims.size());
+  ASSERT_OK_AND_ASSIGN(
+      std::vector<NoteId> purgeable,
+      store->PurgeableStubs(t + 1'000'000, std::numeric_limits<Micros>::max()));
+  EXPECT_EQ(purgeable, victims);
+  for (NoteId id : purgeable) ASSERT_OK(store->Erase(id));
   const uint64_t dead = store->dead_bytes();
   EXPECT_GT(dead, 0u);
   // COMPACT in slices until dry.

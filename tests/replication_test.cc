@@ -61,9 +61,10 @@ TEST_F(ReplicationFixture, MismatchedReplicaIdsRejected) {
   auto other = Database::Open(dir_.Sub("other"), options, &clock_);
   ASSERT_OK(other);
   Replicator replicator(nullptr);
+  ReplicationHistory history_a, history_o;
   EXPECT_FALSE(replicator
-                   .Replicate(ReplicaEndpoint{a_, "A", nullptr},
-                              ReplicaEndpoint{other->get(), "O", nullptr}, {})
+                   .Replicate(ReplicaEndpoint{a_, "A", history_a},
+                              ReplicaEndpoint{other->get(), "O", history_o}, {})
                    .ok());
 }
 
@@ -73,8 +74,9 @@ TEST_F(ReplicationFixture, StatCountersMatchReport) {
   clock_.Advance(1000);
   stats::StatRegistry reg;
   Replicator replicator(net_.get(), &reg);
-  auto result = replicator.Replicate(ReplicaEndpoint{a_, "A", nullptr},
-                                     ReplicaEndpoint{b_, "B", nullptr}, {});
+  ReplicationHistory history_a, history_b;
+  auto result = replicator.Replicate(ReplicaEndpoint{a_, "A", history_a},
+                                     ReplicaEndpoint{b_, "B", history_b}, {});
   ASSERT_OK(result);
   const ReplicationReport& report = *result;
   auto counter = [&reg](const std::string& name) {
@@ -103,9 +105,10 @@ TEST_F(ReplicationFixture, FailedSessionCountsAndLogsFailureEvent) {
   ASSERT_OK(other);
   stats::StatRegistry reg;
   Replicator replicator(nullptr, &reg);
+  ReplicationHistory history_a, history_o;
   EXPECT_FALSE(replicator
-                   .Replicate(ReplicaEndpoint{a_, "A", nullptr},
-                              ReplicaEndpoint{other->get(), "O", nullptr}, {})
+                   .Replicate(ReplicaEndpoint{a_, "A", history_a},
+                              ReplicaEndpoint{other->get(), "O", history_o}, {})
                    .ok());
   EXPECT_EQ(reg.FindCounter("Replica.Sessions.Failed")->value(), 1u);
   EXPECT_EQ(reg.events().CountRetained(stats::Severity::kFailure), 1u);
@@ -139,6 +142,40 @@ TEST_F(ReplicationFixture, IncrementalSecondPassMovesNothing) {
   EXPECT_EQ(second.pulled, 0u);
   EXPECT_EQ(second.summarized, 0u);  // replication history prunes summary
   EXPECT_LT(second.bytes_transferred, first.bytes_transferred / 10);
+}
+
+TEST_F(ReplicationFixture, FreshHistoriesSummarizeEveryNote) {
+  // The full-replication baseline (E3): a session whose sides hold no
+  // cutoff summarizes every note, however often the pair has replicated
+  // (with the Servers' histories the second session summarizes none, as
+  // IncrementalSecondPassMovesNothing shows).
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_OK(a_->CreateNote(MakeDoc("Memo", "m" + std::to_string(i)))
+                  .status());
+  }
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_OK(b_->CreateNote(MakeDoc("Memo", "b" + std::to_string(i)))
+                  .status());
+  }
+  clock_.Advance(1000);
+  Replicator replicator(net_.get());
+  for (int session = 0; session < 2; ++session) {
+    ReplicationHistory history_a, history_b;
+    ASSERT_OK_AND_ASSIGN(
+        ReplicationReport report,
+        replicator.Replicate(ReplicaEndpoint{a_, "A", history_a},
+                             ReplicaEndpoint{b_, "B", history_b}, {}));
+    // A pulls from B, then B pulls from A. Session 0: A's own 20 notes
+    // come first in A's stamp order, so the echo walk stops at once and B
+    // is summarized all 25 notes A then holds. Session 1: every note of A
+    // is a version B just summarized, so the walk covers them all and B
+    // is summarized none.
+    EXPECT_EQ(report.summarized, session == 0 ? 5u + 25u : 25u)
+        << "session " << session;
+    EXPECT_EQ(report.pulled + report.pushed, session == 0 ? 25u : 0u);
+    clock_.Advance(1000);
+  }
+  EXPECT_TRUE(Converged());
 }
 
 TEST_F(ReplicationFixture, UpdatePropagatesWithoutConflict) {
@@ -358,13 +395,19 @@ TEST_F(ReplicationFixture, PurgeWithoutHistoryIsAgeOnlyAndCanResurrect) {
   ASSERT_OK(b_or);
   Database* b = b_or->get();
 
+  // No Server and no attached history: each session gets fresh histories
+  // of its own, which the databases' purge never sees.
   Replicator replicator(net_.get());
+  auto replicate = [&] {
+    ReplicationHistory history_a, history_b;
+    return replicator
+        .Replicate(ReplicaEndpoint{a, "A", history_a},
+                   ReplicaEndpoint{b, "B", history_b}, {})
+        .status();
+  };
   ASSERT_OK_AND_ASSIGN(NoteId id, a->CreateNote(MakeDoc("Memo", "zombie")));
   clock_.Advance(1000);
-  ASSERT_OK(replicator
-                .Replicate(ReplicaEndpoint{a, "A", nullptr},
-                           ReplicaEndpoint{b, "B", nullptr}, {})
-                .status());
+  ASSERT_OK(replicate());
   ASSERT_OK(a->DeleteNote(id));
   clock_.Advance(a->info().purge_interval + 1'000'000);
   ASSERT_OK_AND_ASSIGN(size_t purged, a->PurgeStubs());
@@ -379,10 +422,7 @@ TEST_F(ReplicationFixture, PurgeWithoutHistoryIsAgeOnlyAndCanResurrect) {
   edit.SetText("Subject", "zombie");
   ASSERT_OK(b->UpdateNote(edit));
   clock_.Advance(1000);
-  ASSERT_OK(replicator
-                .Replicate(ReplicaEndpoint{a, "A", nullptr},
-                           ReplicaEndpoint{b, "B", nullptr}, {})
-                .status());
+  ASSERT_OK(replicate());
   EXPECT_EQ(a->note_count(), 1u);  // resurrected
 }
 

@@ -103,10 +103,11 @@ TEST(SharedLogTest, ReopenKeepsStreamIdsAndRecords) {
 }
 
 TEST(SharedLogTest, SerializedModeSyncsPerCommit) {
+  // Group commit with one committer: each commit is its own group.
   ScratchDir dir;
   stats::StatRegistry stats;
   wal::SharedLogOptions options;
-  options.sync_mode = wal::SyncMode::kEveryCommit;
+  options.sync_mode = wal::SyncMode::kGroupCommit;
   options.stats = &stats;
   ASSERT_OK_AND_ASSIGN(auto log,
                        wal::SharedLog::Open(dir.Sub("txnlog"), options));
@@ -114,7 +115,7 @@ TEST(SharedLogTest, SerializedModeSyncsPerCommit) {
   for (int i = 0; i < 5; ++i) {
     ASSERT_OK(log->Commit(a, wal::RecordType::kData, "r"));
   }
-  // fsync-per-commit: no amortization at all.
+  // One fsync per commit: nothing to amortize without company.
   EXPECT_EQ(stats.GetCounter("Server.WAL.Syncs").value(), 5u);
   EXPECT_EQ(stats.GetCounter("Server.WAL.SyncsSaved").value(), 0u);
 }
@@ -409,14 +410,11 @@ TEST_P(SharedLogAppendTest, PendingAppendsSurviveOtherStreamsCheckpoint) {
 
 INSTANTIATE_TEST_SUITE_P(
     Modes, SharedLogAppendTest,
-    ::testing::Values(wal::SyncMode::kNone, wal::SyncMode::kEveryCommit,
-                      wal::SyncMode::kGroupCommit),
+    ::testing::Values(wal::SyncMode::kNone, wal::SyncMode::kGroupCommit),
     [](const ::testing::TestParamInfo<wal::SyncMode>& info) {
       switch (info.param) {
         case wal::SyncMode::kNone:
           return "None";
-        case wal::SyncMode::kEveryCommit:
-          return "EveryCommit";
         case wal::SyncMode::kGroupCommit:
           return "GroupCommit";
       }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <limits>
 
 #include "base/coding.h"
 #include "base/crc32c.h"
@@ -304,29 +305,6 @@ TEST(NoteStoreTest, CrashOfProcessKeepsAcknowledgedCommits) {
   }
 }
 
-TEST(NoteStoreTest, BatchIsAtomicUnderTruncation) {
-  ScratchDir dir;
-  std::string db_dir = dir.Sub("db");
-  {
-    ASSERT_OK_AND_ASSIGN(auto store,
-                         NoteStore::Open(db_dir, FastOptions(), TestInfo()));
-    std::vector<Note> batch;
-    for (int i = 0; i < 10; ++i) {
-      batch.push_back(StampedDoc("b" + std::to_string(i),
-                                 static_cast<uint64_t>(i + 1), i));
-    }
-    ASSERT_OK(store->PutBatch(&batch));
-  }
-  std::string wal_path = FirstLogSegment(db_dir);
-  ASSERT_OK_AND_ASSIGN(uint64_t size, FileSize(wal_path));
-  ASSERT_OK(TruncateFile(wal_path, size - 1));
-  ASSERT_OK_AND_ASSIGN(auto store,
-                       NoteStore::Open(db_dir, FastOptions(), TestInfo()));
-  // The single batch record is torn → nothing survives (all-or-nothing).
-  EXPECT_EQ(store->total_count(), 0u);
-  EXPECT_TRUE(store->stats().recovered_torn_tail);
-}
-
 TEST(NoteStoreTest, StubsAndPurge) {
   ScratchDir dir;
   ASSERT_OK_AND_ASSIGN(auto store,
@@ -335,16 +313,26 @@ TEST(NoteStoreTest, StubsAndPurge) {
   Note note = StampedDoc("to delete", 1, 1000);
   ASSERT_OK(store->Put(&note));
   note.MakeStub(2000);
+  note.set_modified_in_file(2000);
   ASSERT_OK(store->Put(&note));
   EXPECT_EQ(store->note_count(), 0u);
   EXPECT_EQ(store->stub_count(), 1u);
-  // Purge with `now` within the purge interval: stub stays.
-  ASSERT_OK_AND_ASSIGN(size_t purged0, store->PurgeStubs(3000));
-  EXPECT_EQ(purged0, 0u);
-  // Far in the future: stub goes.
-  Micros later = 2000 + store->info().purge_interval + 1'000'000;
-  ASSERT_OK_AND_ASSIGN(size_t purged1, store->PurgeStubs(later));
-  EXPECT_EQ(purged1, 1u);
+  const Micros interval = store->info().purge_interval;
+  const Micros seen_by_all = std::numeric_limits<Micros>::max();
+  // An age cutoff within the purge interval: the stub is not eligible.
+  ASSERT_OK_AND_ASSIGN(std::vector<NoteId> young,
+                       store->PurgeableStubs(3000 - interval, seen_by_all));
+  EXPECT_TRUE(young.empty());
+  // Old enough, but a peer has not seen its stamp yet: still kept.
+  Micros later = 2000 + interval + 1'000'000;
+  ASSERT_OK_AND_ASSIGN(std::vector<NoteId> unseen,
+                       store->PurgeableStubs(later - interval, 1999));
+  EXPECT_TRUE(unseen.empty());
+  // Old enough and seen by every peer: the stub goes.
+  ASSERT_OK_AND_ASSIGN(std::vector<NoteId> victims,
+                       store->PurgeableStubs(later - interval, seen_by_all));
+  ASSERT_EQ(victims, std::vector<NoteId>{note.id()});
+  ASSERT_OK(store->Erase(victims[0]));
   EXPECT_EQ(store->stub_count(), 0u);
   EXPECT_FALSE(store->GetByUnid(Unid{0x11, 1}).ok());
 }
@@ -423,6 +411,69 @@ TEST(NoteStoreTest, FindManyEqualsFindPerId) {
   EXPECT_EQ(store->FindMany({ids[10], kInvalidNoteId, ids[41]}),
             (std::vector<NoteHandle>{nullptr, nullptr, nullptr}));
   EXPECT_TRUE(store->FindMany({}).empty());
+}
+
+TEST(NoteStoreTest, CorruptBucketPageIsAReadErrorNotAnAbsentNote) {
+  ScratchDir dir;
+  const std::string db_dir = dir.Sub("db");
+  StoreOptions options = FastOptions();
+  options.page_size = 512;
+  NoteId id = kInvalidNoteId;
+  {
+    ASSERT_OK_AND_ASSIGN(auto store,
+                         NoteStore::Open(db_dir, options, TestInfo()));
+    Note note = StampedDoc("fragile", 1, 100);
+    ASSERT_OK(store->Put(&note));
+    id = note.id();
+    ASSERT_OK(store->Checkpoint());
+  }
+  // Tear the bucket page on disk: its second half reads back as zeros,
+  // so the page fails its CRC when the reopened store first reads it.
+  const std::string pages_path = db_dir + "/notes.pages";
+  ASSERT_OK_AND_ASSIGN(std::string pages, ReadFileToString(pages_path));
+  uint64_t bucket = pages.size();
+  for (uint64_t off = 0; off < pages.size(); off += options.page_size) {
+    if (pages[off + pager::kPageTypeOffset] == pager::kPageBucket) {
+      bucket = off;
+      break;
+    }
+  }
+  ASSERT_LT(bucket, pages.size()) << "no bucket page";
+  {
+    ASSERT_OK_AND_ASSIGN(auto file, RandomAccessFile::Open(pages_path));
+    ASSERT_OK(file->Write(bucket + options.page_size / 2,
+                          std::string(options.page_size / 2, '\0')));
+  }
+
+  stats::StatRegistry stats;
+  options.stats = &stats;
+  ASSERT_OK_AND_ASSIGN(auto store,
+                       NoteStore::Open(db_dir, options, TestInfo()));
+  const stats::Counter& errors = stats.GetCounter("Database.ReadErrors");
+  // An id beyond the table is absent, not an error.
+  EXPECT_EQ(store->Find(id + 1000), nullptr);
+  EXPECT_EQ(errors.value(), 0u);
+
+  EXPECT_EQ(store->Find(id), nullptr);
+  EXPECT_EQ(errors.value(), 1u);
+  EXPECT_EQ(store->FindMany({id}), std::vector<NoteHandle>{nullptr});
+  EXPECT_EQ(errors.value(), 2u);
+  Result<Note> got = store->Get(id);
+  ASSERT_FALSE(got.ok());
+  EXPECT_TRUE(got.status().IsCorruption()) << got.status().ToString();
+
+  size_t warnings = 0;
+  for (const stats::Event& event : stats.events().Events()) {
+    if (event.severity != stats::Severity::kWarning) continue;
+    ++warnings;
+    EXPECT_EQ(event.source, "Store");
+    EXPECT_NE(event.message.find("note id " + std::to_string(id)),
+              std::string::npos)
+        << event.message;
+    EXPECT_NE(event.message.find("CRC mismatch"), std::string::npos)
+        << event.message;
+  }
+  EXPECT_EQ(warnings, 2u);
 }
 
 TEST(NoteStoreTest, UpdateInfoPersists) {
