@@ -2,6 +2,7 @@
 // Claim: concurrent edits never lose updates — they surface as conflict
 // documents — and replicas converge in a bounded number of rounds.
 
+#include "base/string_util.h"
 #include "bench/bench_util.h"
 #include "server/replication_scheduler.h"
 #include "server/server.h"
@@ -30,7 +31,7 @@ int main() {
       std::vector<Server*> ptrs;
       std::vector<std::string> names;
       for (int i = 0; i < replica_count; ++i) {
-        names.push_back("s" + std::to_string(i));
+        names.push_back(StrPrintf("s%d", i));
         servers.push_back(std::make_unique<Server>(
             names.back(), dir.Sub(names.back()), &clock, &net, &directory));
         ptrs.push_back(servers.back().get());

@@ -3,6 +3,7 @@
 // traffic — hubs concentrate load, meshes converge in one round but move
 // quadratically many sessions.
 
+#include "base/string_util.h"
 #include "bench/bench_util.h"
 #include "server/replication_scheduler.h"
 #include "server/server.h"
@@ -34,7 +35,7 @@ int main() {
       std::vector<Server*> ptrs;
       std::vector<std::string> names;
       for (int i = 0; i < n; ++i) {
-        names.push_back("s" + std::to_string(i));
+        names.push_back(StrPrintf("s%d", i));
         servers.push_back(std::make_unique<Server>(
             names.back(), dir.Sub(names.back()), &clock, &net, &directory));
         ptrs.push_back(servers.back().get());

@@ -252,7 +252,8 @@ Result<size_t> Router::RunOnce(const std::map<std::string, Router*>& peers) {
   std::vector<std::vector<std::string>> retry_users(pending.size());
 
   {
-    // Phase 1: every copy of the pass, then one sync per touched log.
+    // Phase 1: every copy of the pass, then one sync per touched log, the
+    // logs flushing at the same time.
     WriteScope scope;
     for (size_t i = 0; i < pending.size(); ++i) {
       DOMINO_RETURN_IF_ERROR(

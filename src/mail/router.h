@@ -52,13 +52,16 @@ struct MailStats {
 ///
 /// Exactly-once hand-off. A pass runs in two phases, each one WriteScope:
 /// phase 1 makes every local delivery and every forward of the pass and
-/// syncs the logs it touched (this server's and the peers'); only then
-/// does phase 2 delete (or requeue) the memos in mail.box and sync again.
-/// A memo thus leaves mail.box only after its copies are durable. A crash
-/// before that re-routes the memo after restart, and every copy carries a
-/// UNID derived from (memo UNID, destination, occurrence index), created
-/// with Database::CreateNoteIfAbsent — so a copy that already landed (or
-/// was since deleted by its owner) is skipped, not delivered twice.
+/// syncs the logs it touched (this server's and the peers'), all at once,
+/// as servers with a disk each would; only once every one of them is
+/// durable does phase 2 delete (or requeue) the memos in mail.box and sync
+/// again. A memo thus leaves mail.box only after its copies are durable,
+/// and a phase-1 flush that fails on any log ends the pass before phase 2.
+/// A crash before that re-routes the memo after restart, and every copy
+/// carries a UNID derived from (memo UNID, destination, occurrence index),
+/// created with Database::CreateNoteIfAbsent — so a copy that already
+/// landed (or was since deleted by its owner) is skipped, not delivered
+/// twice.
 class Router {
  public:
   /// `stats` (nullable → the global registry) receives the server-wide

@@ -5,6 +5,8 @@
 #include <chrono>
 #include <cstring>
 #include <limits>
+#include <system_error>
+#include <thread>
 
 #include "base/coding.h"
 #include "base/crc32c.h"
@@ -103,9 +105,26 @@ void WriteScope::Defer(wal::SharedLog* log, uint64_t seq) {
 }
 
 Status WriteScope::Finish() {
-  Status first;
-  for (const auto& [log, through] : unsynced_) {
-    Status status = log->SyncThrough(through);
+  if (unsynced_.empty()) return Status::Ok();
+  // The flushes overlap, as they would on servers with a disk each: the
+  // calling thread syncs the first log, a short-lived thread each of the
+  // others. SharedLog is thread-safe, and the helpers touch nothing else.
+  std::vector<Status> others(unsynced_.size() - 1);
+  std::vector<std::thread> helpers;
+  helpers.reserve(others.size());  // no reallocation once threads run
+  for (size_t i = 1; i < unsynced_.size(); ++i) {
+    auto sync = [this, &others, i] {
+      others[i - 1] = unsynced_[i].first->SyncThrough(unsynced_[i].second);
+    };
+    try {
+      helpers.emplace_back(sync);
+    } catch (const std::system_error&) {
+      sync();  // no thread to be had: this log waits its turn
+    }
+  }
+  Status first = unsynced_[0].first->SyncThrough(unsynced_[0].second);
+  for (std::thread& helper : helpers) helper.join();
+  for (const Status& status : others) {
     if (first.ok()) first = status;
   }
   unsynced_.clear();

@@ -85,9 +85,14 @@ struct StoreOptions {
 /// database, on any log) appends its log record without waiting for it
 /// to become durable, and the scope remembers the highest record per log.
 /// Finish() syncs every log touched since the scope opened (or since the
-/// last Finish) and returns the first error; the scope stays open for
-/// further writes. A scope that ends without a final Finish() (an error
-/// path) still syncs in its destructor.
+/// last Finish), all at the same time: the calling thread syncs the first
+/// log and a short-lived thread each of the others, as servers with a
+/// disk each would flush in parallel. It returns once every one of them
+/// is durable (or has failed), with the first error in the order the logs
+/// were first touched. The syncs follow no order among the logs, so no
+/// caller may rely on one log becoming durable before another. The scope
+/// stays open for further writes. A scope that ends without a final
+/// Finish() (an error path) still syncs in its destructor.
 ///
 /// Durability contract: a write inside a scope is applied and visible to
 /// readers before it is durable. That is safe because every later commit
@@ -107,7 +112,8 @@ class WriteScope {
   WriteScope& operator=(const WriteScope&) = delete;
 
   /// Syncs every log written since the last Finish (or since the scope
-  /// opened); returns the first error.
+  /// opened), all at once; returns the first error. A log whose helper
+  /// thread cannot start syncs on the calling thread instead.
   Status Finish();
 
   /// The scope open on this thread, or null.

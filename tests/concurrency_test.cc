@@ -103,8 +103,7 @@ TEST_F(ConcurrencyFixture, ReadersProceedWhileWritersMutate) {
     threads.emplace_back([&, w] {
       std::vector<NoteId> mine;
       for (int i = 0; i < kDocsPerWriter; ++i) {
-        Note note = MakeDoc(
-            "Memo", "w" + std::to_string(w) + " doc " + std::to_string(i));
+        Note note = MakeDoc("Memo", StrPrintf("w%d doc %d", w, i));
         note.SetText("Body", "stress body lotus " + std::to_string(i));
         auto id = db_->CreateNote(std::move(note));
         EXPECT_OK(id);
@@ -241,8 +240,7 @@ TEST_F(ConcurrencyFixture, CheckedAndFolderMutatorsInterleave) {
       std::vector<NoteId> mine;
       for (int i = 0; i < kOpsPerThread; ++i) {
         auto id = db_->CreateNoteAs(
-            editor, MakeDoc("Memo", "w" + std::to_string(w) + " " +
-                                        std::to_string(i)));
+            editor, MakeDoc("Memo", StrPrintf("w%d %d", w, i)));
         EXPECT_TRUE(allowed(id.status())) << id.status().message();
         if (id.ok()) {
           mine.push_back(*id);

@@ -19,7 +19,7 @@ class FolderFixture : public ::testing::Test {
     db_ = *Database::Open(dir_.Sub("db"), options, &clock_);
     ASSERT_OK(db_->CreateFolder("Inbox").status());
     for (int i = 0; i < 3; ++i) {
-      NoteId id = *db_->CreateNote(MakeDoc("Memo", "m" + std::to_string(i)));
+      NoteId id = *db_->CreateNote(MakeDoc("Memo", StrPrintf("m%d", i)));
       unids_.push_back(db_->ReadNote(id)->unid());
     }
   }

@@ -269,7 +269,7 @@ TEST_F(IndexerTwinFixture, BackgroundCountersMatchSyncWithoutDeletes) {
     }
     std::vector<NoteId> ids;
     for (int i = 0; i < 30; ++i) {
-      auto id = db->CreateNote(MakeDoc("Memo", "n" + std::to_string(i)));
+      auto id = db->CreateNote(MakeDoc("Memo", StrPrintf("n%d", i)));
       ASSERT_OK(id);
       ids.push_back(*id);
       if (db == sync_db.get()) {
@@ -500,8 +500,7 @@ TEST_F(IndexerTwinFixture, ConcurrentWritersAndReadersStayConsistent) {
   for (int w = 0; w < kWriters; ++w) {
     threads.emplace_back([&, w] {
       for (int i = 0; i < kDocsPerWriter; ++i) {
-        Note note = MakeDoc("Memo",
-                            "w" + std::to_string(w) + " d" + std::to_string(i));
+        Note note = MakeDoc("Memo", StrPrintf("w%d d%d", w, i));
         note.SetText("Body", "stress body " + std::to_string(w));
         auto id = db->CreateNote(std::move(note));
         ASSERT_OK(id);
@@ -552,8 +551,7 @@ TEST_F(IndexerTwinFixture, PoolSwitchesWhileWritersRunLoseNoEvent) {
   for (int w = 0; w < kWriters; ++w) {
     writers.emplace_back([&, w] {
       for (int i = 0; i < kDocsPerWriter; ++i) {
-        Note note = MakeDoc("Memo",
-                            "w" + std::to_string(w) + " d" + std::to_string(i));
+        Note note = MakeDoc("Memo", StrPrintf("w%d d%d", w, i));
         note.SetText("Body", "switch body");
         ASSERT_OK(db->CreateNote(std::move(note)).status());
       }

@@ -385,8 +385,7 @@ TEST_F(MvccFixture, StressReadersSeeConsistentSnapshots) {
       std::vector<NoteId> mine;
       for (int i = 0; i < kDocsPerWriter; ++i) {
         auto id = db_->CreateNote(
-            MakeDoc("Memo", "w" + std::to_string(w) + "." +
-                                std::to_string(i)));
+            MakeDoc("Memo", StrPrintf("w%d.%d", w, i)));
         EXPECT_OK(id);
         if (id.ok()) mine.push_back(*id);
         if (i % 3 == 1) {

@@ -271,8 +271,8 @@ TEST_F(NoteCacheTest, BytesStayWithinTheBudget) {
 // that Note::ByteSize() reports.
 TEST(NoteCacheChargeTest, CoversTheHeapOfANoteWithManySmallItems) {
   Note source = Doc(1, "many items");
-  for (int i = 0; i < 200; ++i) source.SetNumber("n" + std::to_string(i), i);
-  for (int i = 0; i < 100; ++i) source.SetText("t" + std::to_string(i), "x");
+  for (int i = 0; i < 200; ++i) source.SetNumber(StrPrintf("n%d", i), i);
+  for (int i = 0; i < 100; ++i) source.SetText(StrPrintf("t%d", i), "x");
   const std::string encoded = source.EncodeToString();
   const int64_t before = g_live_heap_bytes.load();
   NoteHandle cached;

@@ -215,7 +215,7 @@ TEST(ReplicatorTaskTest, ConvergesUnderInjectedLossAndFlap) {
   Database* da = *a.OpenDatabase("db.nsf", options);
   ASSERT_OK(b.CreateReplicaOf(*da, "db.nsf").status());
   for (int i = 0; i < 30; ++i) {
-    ASSERT_OK(da->CreateNote(MakeDoc("Memo", "m" + std::to_string(i)))
+    ASSERT_OK(da->CreateNote(MakeDoc("Memo", StrPrintf("m%d", i)))
                   .status());
   }
   clock.Advance(1000);

@@ -129,7 +129,7 @@ TEST_F(ReplicationFixture, BidirectionalSync) {
 
 TEST_F(ReplicationFixture, IncrementalSecondPassMovesNothing) {
   for (int i = 0; i < 50; ++i) {
-    ASSERT_OK(a_->CreateNote(MakeDoc("Memo", "m" + std::to_string(i)))
+    ASSERT_OK(a_->CreateNote(MakeDoc("Memo", StrPrintf("m%d", i)))
                   .status());
   }
   clock_.Advance(1000);
@@ -150,7 +150,7 @@ TEST_F(ReplicationFixture, FreshHistoriesSummarizeEveryNote) {
   // (with the Servers' histories the second session summarizes none, as
   // IncrementalSecondPassMovesNothing shows).
   for (int i = 0; i < 20; ++i) {
-    ASSERT_OK(a_->CreateNote(MakeDoc("Memo", "m" + std::to_string(i)))
+    ASSERT_OK(a_->CreateNote(MakeDoc("Memo", StrPrintf("m%d", i)))
                   .status());
   }
   for (int i = 0; i < 5; ++i) {
@@ -712,7 +712,7 @@ TEST_F(BatchedInstallTest, HundredNotePullSyncsOncePerBatch) {
   LoggedPair pair(dir_.Sub("pair"), &clock_, net_.get(), &directory_,
                   /*create=*/true);
   for (int i = 0; i < 100; ++i) {
-    ASSERT_OK(pair.db_a->CreateNote(MakeDoc("Memo", "n" + std::to_string(i)))
+    ASSERT_OK(pair.db_a->CreateNote(MakeDoc("Memo", StrPrintf("n%d", i)))
                   .status());
   }
   clock_.Advance(1000);

@@ -354,7 +354,7 @@ TEST_P(SharedLogAppendTest, DestructionSyncsAppendedRecords) {
     ASSERT_OK_AND_ASSIGN(b, log->RegisterStream("b.nsf"));
     for (int i = 0; i < 6; ++i) {
       ASSERT_OK(log->Append(i % 2 == 0 ? a : b, wal::RecordType::kData,
-                            "r" + std::to_string(i))
+                            StrPrintf("r%d", i))
                     .status());
     }
   }
@@ -606,12 +606,12 @@ TEST_P(NoteStoreSharedLogDamage, SealedCorruptionFailsTornTailRecovers) {
                                          SharedStoreOptions(log.get(), sa),
                                          StoreInfo(1)));
     for (; log->current_segment() < 3; ++written) {
-      Note doc = StampedDoc("d" + std::to_string(written),
+      Note doc = StampedDoc(StrPrintf("d%d", written),
                             static_cast<uint64_t>(written + 1), written + 1);
       ASSERT_OK(store->Put(&doc));
     }
     // Leave the final segment non-empty so there is a tail to tear.
-    Note doc = StampedDoc("d" + std::to_string(written),
+    Note doc = StampedDoc(StrPrintf("d%d", written),
                           static_cast<uint64_t>(written + 1), written + 1);
     ASSERT_OK(store->Put(&doc));
     ++written;
@@ -667,7 +667,7 @@ TEST(NoteStoreSharedLogTest, OneStreamCheckpointDropsWholeLog) {
                          NoteStore::Open(dir.Sub("db"), options,
                                          StoreInfo(1)));
     for (int i = 0; i < 200; ++i) {
-      Note doc = StampedDoc("n" + std::to_string(i),
+      Note doc = StampedDoc(StrPrintf("n%d", i),
                             static_cast<uint64_t>(i + 1), i + 1);
       ASSERT_OK(store->Put(&doc));
     }
@@ -791,8 +791,7 @@ TEST(SharedLogGroupCommitTest, FourWritersTwoDatabasesEquivalence) {
     writers.emplace_back([&, w] {
       Database* db = w % 2 == 0 ? db_a.get() : db_b.get();
       for (int i = 0; i < kDocsPerWriter; ++i) {
-        Note doc = MakeDoc("Memo",
-                           "w" + std::to_string(w) + "-" + std::to_string(i));
+        Note doc = MakeDoc("Memo", StrPrintf("w%d-%d", w, i));
         if (!db->CreateNote(std::move(doc)).ok()) failures.fetch_add(1);
       }
     });

@@ -139,7 +139,7 @@ TEST(NoteStoreTest, RecoveryReplaysWal) {
                          NoteStore::Open(dir.Sub("db"), FastOptions(),
                                          TestInfo()));
     for (int i = 0; i < 50; ++i) {
-      Note note = StampedDoc("n" + std::to_string(i),
+      Note note = StampedDoc(StrPrintf("n%d", i),
                              static_cast<uint64_t>(i + 1), 100 + i);
       ASSERT_OK(store->Put(&note));
     }
@@ -214,7 +214,7 @@ TEST(NoteStoreTest, CrashTruncationRecoversCommittedPrefix) {
     ASSERT_OK_AND_ASSIGN(auto store,
                          NoteStore::Open(db_dir, FastOptions(), TestInfo()));
     for (int i = 0; i < 30; ++i) {
-      Note note = StampedDoc("c" + std::to_string(i),
+      Note note = StampedDoc(StrPrintf("c%d", i),
                              static_cast<uint64_t>(i + 1), i);
       ASSERT_OK(store->Put(&note));
     }
@@ -361,7 +361,7 @@ TEST(NoteStoreTest, FindManyEqualsFindPerId) {
                        NoteStore::Open(dir.Sub("db"), options, TestInfo()));
   std::vector<NoteId> ids;
   for (int i = 0; i < 60; ++i) {
-    Note note = StampedDoc("n" + std::to_string(i), 100 + i, 1000 + i);
+    Note note = StampedDoc(StrPrintf("n%d", i), 100 + i, 1000 + i);
     ASSERT_OK(store->Put(&note));
     ids.push_back(note.id());
     if (i % 7 == 3) {  // a deletion stub: Find returns the stub
