@@ -103,6 +103,27 @@ inline Note ReadersDoc(Rng* rng) {
   return doc;
 }
 
+/// A topic shaped like perfbench's `groupware` discussion data: a Subject
+/// led by one of kReadersWords, a one-letter Category, an Amount and a
+/// rich-text body of ~256 bytes of random words.
+inline Note GroupwareTopic(Rng* rng) {
+  Note doc(NoteClass::kDocument);
+  doc.SetText("Form", "Topic");
+  doc.SetText("Category",
+              std::string(1, static_cast<char>('A' + rng->Uniform(8))));
+  doc.SetNumber("Amount", static_cast<double>(rng->Uniform(10000)));
+  doc.SetText("Subject",
+              std::string(kReadersWords[rng->Uniform(8)]) + " " +
+                  rng->Word(4, 10));
+  std::string body;
+  while (body.size() < 256) {
+    body += rng->Word(2, 10);
+    body.push_back(' ');
+  }
+  doc.SetItem("Body", Value::RichText({RichTextRun{std::move(body), 0, ""}}));
+  return doc;
+}
+
 /// True when the bench runs as a CI smoke test (DOMINO_BENCH_SMOKE=1):
 /// the sanitizer gate executes every bench end-to-end with tiny workloads
 /// to catch races and UB on the bench paths without paying full-run time.

@@ -35,10 +35,12 @@
 # --mvcc-stress loops the MVCC snapshot-semantics suite, the
 # multi-reader/writer stress tests, the update-queue scheduling tests
 # (writers drain with no pool; the pool is set and cleared while writers
-# run), the secured-view and secured-search differentials, and the
+# run), the secured-view and secured-search differentials, the full-text
+# oracle (FullTextIndex against a brute-force model over seeded scripts
+# of edits, pins and reclaims; each repetition runs new seeds), and the
 # replication suite (its mutual cluster pair has a writer thread per
 # side) — mvcc_test + concurrency_test + indexer_test + view_acl_test +
-# search_acl_test + replication_test —
+# search_acl_test + fulltext_oracle_test + replication_test —
 # DOMINO_MVCC_STRESS_ITERS times (default 20) inside each sanitizer
 # build — snapshot-isolation races are interleaving-sensitive, so one
 # pass per sanitizer is not enough signal. The looped
@@ -130,6 +132,8 @@ for SANITIZER in "${SANITIZERS[@]}"; do
       --gtest_break_on_failure
     DOMINO_SEARCH_ACL_ROUNDS="${DOMINO_SEARCH_ACL_ROUNDS:-100}" \
       "$BUILD_DIR/tests/search_acl_test" --gtest_repeat="$ITERS" \
+      --gtest_break_on_failure
+    "$BUILD_DIR/tests/fulltext_oracle_test" --gtest_repeat="$ITERS" \
       --gtest_break_on_failure
     "$BUILD_DIR/tests/replication_test" --gtest_repeat="$ITERS" \
       --gtest_break_on_failure

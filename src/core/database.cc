@@ -437,7 +437,12 @@ Status Database::DeleteNote(NoteId id) {
 Result<bool> Database::CreateNoteIfAbsent(const Unid& unid, Note note) {
   if (unid.IsNull()) return Status::InvalidArgument("null UNID");
   MutationGuard guard(this);
-  if (store_->ContainsUnid(unid)) return false;
+  if (store_->ContainsUnid(unid)) {
+    // On a fail-stopped log the copy may exist only in memory, never to
+    // pass an fsync: report the log's error rather than a delivery.
+    DOMINO_RETURN_IF_ERROR(store_->log_status());
+    return false;
+  }
   DOMINO_RETURN_IF_ERROR(
       CreateWithUnidLocked(std::move(note), unid).status());
   return true;

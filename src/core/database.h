@@ -169,7 +169,9 @@ class Database : public NoteResolver {
   /// already knows that UNID — as a live note or as a deletion stub, so a
   /// repeated hand-off cannot bring back a copy that was deleted. Returns
   /// whether it created the note. The idempotent hand-off of the mail
-  /// router, whose copies carry UNIDs derived from the memo.
+  /// router, whose copies carry UNIDs derived from the memo. A known
+  /// UNID on a store whose log is fail-stop returns the log's error: the
+  /// copy may never become durable, so it is no delivery.
   Result<bool> CreateNoteIfAbsent(const Unid& unid, Note note);
   /// Bumps the sequence number and stores. The note must carry the OID of
   /// the version being updated (read-modify-write).

@@ -7,6 +7,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -93,18 +94,19 @@ class FullTextIndex {
   size_t UncompressedModelBytes() const;
 
   // -- Internals shared with the query evaluator ------------------------
-  using DocKey = uint32_t;  // posting key of one indexed version
-  /// One indexed version and the keys it contributed to, each once: its
-  /// plain terms (keys of the term postings) and its "field\x1fterm" keys
-  /// (keys of the field postings). Both point at the index's own key
-  /// strings, which stay put while any version refers to them.
+  using DocKey = uint32_t;   // posting key of one indexed version
+  static constexpr DocKey kNoKey = UINT32_MAX;
+  using TermId = uint32_t;   // dense id of one distinct term
+  using FieldId = uint32_t;  // dense id of one lower-cased item name
+  /// One indexed version and the ids of the terms it contributed, each
+  /// once, in ascending order of the terms' text. Erasing the version
+  /// visits exactly those terms' entries.
   /// A free slot has no note and is visible at no epoch.
   struct Doc {
     NoteId note_id = kInvalidNoteId;
     Epoch added = kEpochNone;
     Epoch removed = kEpochMax;
-    std::vector<const std::string*> terms;
-    std::vector<const std::string*> field_keys;
+    std::vector<TermId> terms;
   };
   using DocTable = std::vector<Doc>;  // indexed by DocKey
 
@@ -117,16 +119,22 @@ class FullTextIndex {
 
   /// Field-scoped occurrences are stored as index ranges into the
   /// unscoped posting's positions vector instead of duplicating the
-  /// positions: a term's occurrences within one field are contiguous in
-  /// the (sorted, append-only) positions vector, so [begin, end) slices
-  /// recover them exactly.
+  /// positions: a term's occurrences within one item are contiguous in
+  /// the (sorted) positions vector, so [begin, end) slices recover them
+  /// exactly.
   struct FieldSlice {
     uint32_t begin = 0;
     uint32_t end = 0;
   };
-  /// One field key's postings: (doc, slice) pairs sorted by doc. Multiple
-  /// same-named items yield one pair per item, adjacent and in item order.
-  using FieldPostings = std::vector<std::pair<DocKey, FieldSlice>>;
+  /// One item's occurrences of a term in one version.
+  struct FieldPosting {
+    DocKey doc = 0;
+    FieldId field = 0;
+    FieldSlice slice;
+  };
+  /// A term's field postings, sorted by doc. Each version's entries are
+  /// adjacent, in item order: same-named items yield one entry each.
+  using FieldPostings = std::vector<FieldPosting>;
 
   /// The term's compressed posting list; null when the term is unknown.
   /// Query evaluation iterates it with PostingList::Cursor.
@@ -140,22 +148,61 @@ class FullTextIndex {
   double IdfOf(const std::string& term) const;
 
  private:
+  /// One interned term: its postings over every version that holds it.
+  /// `text` is empty while the id is free.
+  struct Term {
+    std::string text;
+    uint32_t hash = 0;  // HashTerm(text): the table never rehashes text
+    PostingList postings;
+    FieldPostings fields;
+  };
+
+  /// A token of the note being indexed: its lower-cased text is
+  /// token_text_[offset, offset + length).
+  struct Token {
+    uint32_t offset = 0;
+    uint32_t length = 0;
+    uint32_t position = 0;
+    uint32_t item = 0;  // ordinal among the note's items with tokens
+  };
+
   void IndexNoteLocked(const Note& note, Epoch epoch) REQUIRES(mu_);
-  void RemoveNoteLocked(NoteId id, Epoch epoch) REQUIRES(mu_);
+  /// Returns the key of the version it keeps as a zombie, or kNoKey when
+  /// the note had none or its version went at once.
+  DocKey RemoveNoteLocked(NoteId id, Epoch epoch) REQUIRES(mu_);
   void ErasePhysicalLocked(DocKey key) REQUIRES(mu_);
   void ClearLocked() REQUIRES(mu_);
   void RefreshByteStats() REQUIRES(mu_);
+  /// Appends the item's tokens to tokens_/token_text_; true if any.
+  bool TokenizeItem(const Item& item, uint32_t ordinal, uint32_t* position)
+      REQUIRES(mu_);
+  /// The slot of term_slots_ holding `text`, else the empty slot where
+  /// it belongs.
+  size_t FindSlot(std::string_view text, uint32_t hash) const;
+  TermId InternTerm(std::string_view text) REQUIRES(mu_);
+  FieldId InternField(std::string_view name) REQUIRES(mu_);
+  /// Unlinks a term whose postings emptied and frees its id.
+  void ReleaseTerm(TermId id) REQUIRES(mu_);
+  void GrowTermSlots() REQUIRES(mu_);
+  const Term* LookupTerm(const std::string& term) const;
 
   /// Guards the containers below. The fields themselves stay unannotated
   /// so the lock-free evaluator internals (see class comment) compile;
   /// the REQUIRES on the Locked helpers still pins the write discipline.
   mutable SharedMutex mu_;
 
-  // term → compressed postings. Field-scoped slices live under
-  // "field\x1f" + term in field_postings_ and reference positions stored
-  // here exactly once.
-  std::unordered_map<std::string, PostingList> postings_;
-  std::unordered_map<std::string, FieldPostings> field_postings_;
+  // The term dictionary: an open-addressing table of TermId + 1 (0 is an
+  // empty slot), linear probing, power-of-two sized and at most half
+  // full, over terms_, which holds each term's text, hash and postings.
+  // Field-scoped slices live in the term's `fields` and reference
+  // positions stored in its postings exactly once.
+  std::vector<TermId> term_slots_;
+  std::vector<Term> terms_;  // indexed by TermId
+  std::vector<TermId> free_terms_;
+  size_t term_total_ = 0;  // live terms
+  // Lower-cased item name → FieldId. Ids are never freed: item names are
+  // design-level and few.
+  std::unordered_map<std::string, FieldId> field_ids_;
   DocTable docs_;
   std::unordered_map<NoteId, DocKey> live_;  // each note's latest version
   std::vector<DocKey> free_keys_;
@@ -165,6 +212,13 @@ class FullTextIndex {
   std::atomic<Epoch> reclaimed_floor_{kEpochNone};
   size_t posting_bytes_ = 0;  // sum of PostingList::byte_size()
   size_t model_bytes_ = 0;    // sum of UncompressedModelBytes()
+
+  // Scratch of IndexNoteLocked, kept to reuse its capacity.
+  std::string token_text_;
+  std::vector<Token> tokens_;
+  std::vector<FieldId> item_fields_;  // by item ordinal
+  std::vector<uint32_t> positions_;
+  std::vector<FieldPosting> slices_;
 
   // Server-wide counters (dotted Domino stat names).
   stats::Counter* ctr_docs_indexed_;

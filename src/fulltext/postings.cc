@@ -7,10 +7,37 @@
 
 namespace dominodb {
 
+namespace {
+
+/// One entry header read in place: the entry spans [start, end) of its
+/// block's bytes, and its delta varint takes `delta_len` bytes.
+struct EntryHeader {
+  size_t start = 0;
+  size_t delta_len = 0;
+  size_t end = 0;
+  uint32_t delta = 0;
+  uint32_t freq = 0;
+};
+
+bool ReadHeader(std::string_view bytes, size_t start, EntryHeader* h) {
+  std::string_view in = bytes.substr(start);
+  h->start = start;
+  if (!GetVarint32(&in, &h->delta)) return false;
+  h->delta_len = bytes.size() - start - in.size();
+  uint32_t pos_len = 0;
+  if (!GetVarint32(&in, &h->freq) || !GetVarint32(&in, &pos_len) ||
+      pos_len > in.size()) {
+    return false;
+  }
+  h->end = bytes.size() - in.size() + pos_len;
+  return true;
+}
+
+}  // namespace
+
 // -- Encoding helpers -----------------------------------------------------
 
-std::string PostingList::EncodePositions(
-    const std::vector<uint32_t>& positions) {
+std::string PostingList::EncodePositions(std::span<const uint32_t> positions) {
   std::string out;
   uint32_t prev = 0;
   for (size_t i = 0; i < positions.size(); ++i) {
@@ -79,7 +106,7 @@ size_t PostingList::FindBlock(NoteId doc) const {
 
 // -- Mutation -------------------------------------------------------------
 
-bool PostingList::Insert(NoteId doc, const std::vector<uint32_t>& positions) {
+bool PostingList::Insert(NoteId doc, std::span<const uint32_t> positions) {
   std::string pos_bytes = EncodePositions(positions);
   const uint32_t freq = static_cast<uint32_t>(positions.size());
 
@@ -100,13 +127,22 @@ bool PostingList::Insert(NoteId doc, const std::vector<uint32_t>& positions) {
     return false;
   }
 
-  // Out-of-order (or replacing) insert: splice into the one block whose
-  // range covers `doc`, decode → insert sorted → re-encode. Compaction
-  // relocating notes makes rebuild order physical rather than id order;
-  // delta coding requires sorted ids, so the sort happens here, at insert.
+  // Out-of-order insert: splice into the one block whose range covers
+  // `doc`. Compaction relocating notes makes rebuild order physical rather
+  // than id order; delta coding requires sorted ids, so the sort happens
+  // here, at insert.
   size_t bi = FindBlock(doc);
   assert(bi < blocks_.size());
   Block& block = blocks_[bi];
+  if (block.count < 2 * kBlockDocs &&
+      SpliceEntry(&block, doc, freq, pos_bytes)) {
+    ++doc_count_;
+    total_positions_ += freq;
+    return true;
+  }
+
+  // A replacing insert, or a block about to outgrow 2x: decode → insert
+  // sorted → re-encode (and split).
   std::vector<DecodedEntry> entries = DecodeBlock(block);
   auto it = std::lower_bound(
       entries.begin(), entries.end(), doc,
@@ -138,26 +174,77 @@ bool PostingList::Insert(NoteId doc, const std::vector<uint32_t>& positions) {
   return true;
 }
 
+bool PostingList::SpliceEntry(Block* block, NoteId doc, uint32_t freq,
+                              std::string_view pos_bytes) {
+  NoteId prev = block->first_doc;
+  EntryHeader h;
+  for (uint32_t i = 0; i < block->count; ++i) {
+    bool ok = ReadHeader(block->bytes, h.end, &h);
+    assert(ok);
+    if (!ok) return false;
+    const NoteId cur = prev + h.delta;
+    if (cur == doc) return false;
+    if (cur > doc) {
+      // The new entry takes entry i's place; entry i keeps its bytes but
+      // for its delta, now counted from `doc`. A new first entry has
+      // delta 0 and becomes the block's first_doc.
+      std::string head;
+      AppendEntry(&head, i == 0 ? 0 : doc - prev, freq, pos_bytes);
+      PutVarint32(&head, cur - doc);
+      encoded_bytes_ -= block->bytes.size();
+      block->bytes.replace(h.start, h.delta_len, head);
+      encoded_bytes_ += block->bytes.size();
+      if (i == 0) block->first_doc = doc;
+      ++block->count;
+      return true;
+    }
+    prev = cur;
+  }
+  assert(false);  // FindBlock picked a block whose last_doc >= doc
+  return false;
+}
+
 bool PostingList::Erase(NoteId doc) {
   size_t bi = FindBlock(doc);
   if (bi >= blocks_.size() || doc < blocks_[bi].first_doc) return false;
   Block& block = blocks_[bi];
-  std::vector<DecodedEntry> entries = DecodeBlock(block);
-  auto it = std::lower_bound(
-      entries.begin(), entries.end(), doc,
-      [](const DecodedEntry& e, NoteId d) { return e.doc < d; });
-  if (it == entries.end() || it->doc != doc) return false;
-  total_positions_ -= it->freq;
-  entries.erase(it);
+  NoteId prev = block.first_doc;
+  EntryHeader h;
+  uint32_t i = 0;
+  for (;; ++i) {
+    if (i == block.count) return false;
+    bool ok = ReadHeader(block.bytes, h.end, &h);
+    assert(ok);
+    if (!ok) return false;
+    const NoteId cur = prev + h.delta;
+    if (cur == doc) break;
+    if (cur > doc) return false;
+    prev = cur;
+  }
+  total_positions_ -= h.freq;
   --doc_count_;
   encoded_bytes_ -= block.bytes.size();
-  if (entries.empty()) {
+  if (block.count == 1) {
     blocks_.erase(blocks_.begin() + bi);
     return true;
   }
-  Block rebuilt = BuildBlock(entries, 0, entries.size());
-  encoded_bytes_ += rebuilt.bytes.size();
-  blocks_[bi] = std::move(rebuilt);
+  if (i + 1 < block.count) {
+    // The next entry absorbs the erased entry's delta; a new first entry
+    // gets delta 0 and becomes the block's first_doc.
+    EntryHeader next;
+    bool ok = ReadHeader(block.bytes, h.end, &next);
+    assert(ok);
+    (void)ok;
+    std::string delta;
+    PutVarint32(&delta, i == 0 ? 0 : h.delta + next.delta);
+    if (i == 0) block.first_doc = doc + next.delta;
+    block.bytes.replace(h.start, h.end + next.delta_len - h.start, delta);
+  } else {
+    block.bytes.erase(h.start);
+    block.last_doc = prev;
+  }
+  --block.count;
+  encoded_bytes_ += block.bytes.size();
   return true;
 }
 

@@ -2,6 +2,7 @@
 #define DOMINODB_FULLTEXT_POSTINGS_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -29,8 +30,11 @@ namespace dominodb {
 ///
 /// Delta encoding requires sorted doc ids. Appends in ascending order hit
 /// the fast path; inserts below the current tail (compaction relocated
-/// notes, so a rebuild sees them in physical — not id — order) decode,
-/// splice and re-encode exactly one block. Callers never need to pre-sort.
+/// notes, so a rebuild sees them in physical — not id — order; the full-
+/// text index reuses the keys of dropped versions) splice the entry into
+/// the one block whose range covers it, re-encoding only the delta of
+/// the entry after it. Erase splices the same way. Callers never need to
+/// pre-sort.
 class PostingList {
  public:
   /// Append-path block capacity. Out-of-order inserts may grow a block to
@@ -44,7 +48,7 @@ class PostingList {
   /// Inserts (or replaces) the posting for `doc`. Returns true when the
   /// insert was out of order (not an append past the current tail) —
   /// callers count these as Ft.Index.OutOfOrderInserts.
-  bool Insert(NoteId doc, const std::vector<uint32_t>& positions);
+  bool Insert(NoteId doc, std::span<const uint32_t> positions);
 
   /// Removes `doc`; returns true if it was present.
   bool Erase(NoteId doc);
@@ -124,7 +128,11 @@ class PostingList {
 
   static void AppendEntry(std::string* dst, uint32_t doc_delta,
                           uint32_t freq, std::string_view pos_bytes);
-  static std::string EncodePositions(const std::vector<uint32_t>& positions);
+  static std::string EncodePositions(std::span<const uint32_t> positions);
+  /// Splices a new entry for `doc` into `block` ahead of its first entry
+  /// with a larger doc; false (block untouched) when `doc` is present.
+  bool SpliceEntry(Block* block, NoteId doc, uint32_t freq,
+                   std::string_view pos_bytes);
   static std::vector<DecodedEntry> DecodeBlock(const Block& block);
   static Block BuildBlock(const std::vector<DecodedEntry>& entries,
                           size_t begin, size_t end);

@@ -1,23 +1,14 @@
 #include "fulltext/tokenizer.h"
 
-#include <cctype>
-
 #include "base/string_util.h"
 
 namespace dominodb {
 
 std::vector<std::string> TokenizeText(std::string_view text) {
   std::vector<std::string> tokens;
-  std::string current;
-  for (char c : text) {
-    if (std::isalnum(static_cast<unsigned char>(c))) {
-      current.push_back(AsciiToLower(c));
-    } else if (!current.empty()) {
-      if (current.size() >= 2) tokens.push_back(current);
-      current.clear();
-    }
-  }
-  if (current.size() >= 2) tokens.push_back(current);
+  ForEachToken(text, [&tokens](std::string_view token) {
+    tokens.push_back(ToLower(token));
+  });
   return tokens;
 }
 

@@ -218,10 +218,17 @@ Status Router::RouteMessage(const Note& message,
         CopyUnidFor(message.unid(), "server:" + destination, 0),
         std::move(copy));
     if (!enqueued.ok()) {
-      // The peer's mail.box refused the copy: permanent for this pass's
-      // purposes — dead-letter with the real reason and surface it.
-      for (const std::string& user : users) {
-        DeadLetter(user, enqueued.status().message());
+      if (!peer_it->second->mailbox()->store()->log_status().ok()) {
+        // The peer's log is fail-stop: its disk failed, not the copy, and
+        // reopening the peer clears it. The copies stay queued, as after
+        // a failed transfer.
+        retry_users->insert(retry_users->end(), users.begin(), users.end());
+      } else {
+        // The peer's mail.box refused the copy: permanent for this pass's
+        // purposes — dead-letter with the real reason.
+        for (const std::string& user : users) {
+          DeadLetter(user, enqueued.status().message());
+        }
       }
       if (first_error->ok()) *first_error = enqueued.status();
     } else if (*enqueued) {

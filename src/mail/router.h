@@ -93,10 +93,16 @@ class Router {
   ///    exactly the undelivered copies queued — the memo's recipient list
   ///    is rewritten to the remainder, so a resumed transfer can never
   ///    duplicate a delivery that already happened;
+  ///  - a forward refused by a peer whose log is fail-stop (a flush of it
+  ///    failed; see SharedLog::io_error) also keeps its copies queued:
+  ///    the peer's disk is at fault, not the copy, and reopening the peer
+  ///    clears it. Such a peer also never counts a copy that is only in
+  ///    its memory as landed (Database::CreateNoteIfAbsent);
   ///  - permanent failures (unknown recipient, no route, a mail-file
-  ///    write error) dead-letter the copy with the failing user and the
-  ///    real reason. The first store failure's status is surfaced as the
-  ///    call's error after the pass completes.
+  ///    write error, any other refusal by a peer's mail.box) dead-letter
+  ///    the copy with the failing user and the real reason. The first
+  ///    store failure's status, a fail-stopped peer's included, is
+  ///    surfaced as the call's error after the pass completes.
   Result<size_t> RunOnce(const std::map<std::string, Router*>& peers);
 
   /// Test-only: forces the next local delivery for `user` to fail with

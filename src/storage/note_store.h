@@ -307,6 +307,9 @@ class NoteStore {
   CompactStats compact_stats() const;
   /// Payload bytes committed since the last checkpoint.
   uint64_t wal_size_bytes() const;
+  /// The sticky error of the log this store commits to (Ok while it
+  /// works): once set, changes applied in memory may never be durable.
+  Status log_status() const { return log_->io_error(); }
   /// Size of the page file in bytes.
   uint64_t pages_size_bytes() const;
   uint32_t page_size() const { return pager_->page_size(); }

@@ -401,6 +401,11 @@ uint64_t SharedLog::first_segment() const {
   return first_segment_;
 }
 
+Status SharedLog::io_error() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return io_error_;
+}
+
 uint64_t SharedLog::current_segment() const {
   std::lock_guard<std::mutex> lock(mu_);
   return current_segment_;

@@ -116,6 +116,11 @@ class SharedLog {
 
   std::string SegmentPath(uint64_t index) const;
 
+  /// Ok, or the sticky error of a failed flush: the log is then
+  /// fail-stop, and no record appended since that flush's batch began
+  /// will ever be durable.
+  Status io_error() const;
+
   // Introspection (tests, `show stat`).
   uint64_t first_segment() const;
   uint64_t current_segment() const;

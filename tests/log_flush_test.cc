@@ -219,44 +219,123 @@ TEST_F(LogFlushTest, FirstErrorFollowsTouchOrder) {
       << finished.ToString();
 }
 
-// A router pass whose peer log fails its phase-1 flush stops before phase
-// 2, so the memo stays queued; once the peer is reopened, the next passes
-// deliver each copy exactly once.
-TEST(RouterFlushFailureTest, MemoStaysQueuedUntilThePeerLogIsDurable) {
+/// Two mail servers, alpha (user Ada) and beta (user Bea), each on its
+/// own shared log under one scratch directory.
+struct MailPair {
   ScratchDir dir;
   SimClock clock;
-  clock.Set(1'000'000'000);
-  SimNet net(&clock);
+  SimNet net{&clock};
   MailDirectory directory;
-  auto open_server = [&](const std::string& name, const std::string& user) {
+  std::unique_ptr<Server> alpha;
+  std::unique_ptr<Server> beta;
+
+  MailPair() {
+    clock.Set(1'000'000'000);
+    alpha = Open("alpha", "Ada");
+    beta = Open("beta", "Bea");
+  }
+
+  std::unique_ptr<Server> Open(const std::string& name,
+                               const std::string& user) {
     auto server = std::make_unique<Server>(name, dir.Sub(name), &clock, &net,
                                            &directory);
     EXPECT_OK(server->EnableSharedLog());
     EXPECT_OK(server->EnsureMailInfrastructure());
     EXPECT_OK(server->CreateMailFile(user).status());
     return server;
-  };
-  auto alpha = open_server("alpha", "Ada");
-  auto beta = open_server("beta", "Bea");
+  }
+  void ReopenBeta() {
+    beta.reset();
+    beta = Open("beta", "Bea");
+  }
+  std::vector<Server*> fleet() { return {alpha.get(), beta.get()}; }
+  std::string beta_log() { return dir.Sub("beta") + "/txnlog"; }
+};
+
+// A router pass whose peer log fails its phase-1 flush stops before phase
+// 2, so the memo stays queued; once the peer is reopened, the next passes
+// deliver each copy exactly once.
+TEST(RouterFlushFailureTest, MemoStaysQueuedUntilThePeerLogIsDurable) {
+  MailPair mail;
+  Server* alpha = mail.alpha.get();
   ASSERT_OK(alpha->SendMail("Ada", {"Ada", "Bea"}, "hello", "body"));
-  std::vector<Server*> fleet = {alpha.get(), beta.get()};
   {
-    FailFlushes fail_beta(dir.Sub("beta") + "/txnlog", EIO);
-    ASSERT_OK_AND_ASSIGN(auto peers, Server::RouterPeers(fleet));
+    FailFlushes fail_beta(mail.beta_log(), EIO);
+    ASSERT_OK_AND_ASSIGN(auto peers, Server::RouterPeers(mail.fleet()));
     auto pass = alpha->RunRouterOnce(peers);
     ASSERT_FALSE(pass.ok());
     EXPECT_EQ(pass.status().code(), StatusCode::kIOError);
     EXPECT_EQ(alpha->router()->mailbox()->note_count(), 1u);
     EXPECT_EQ(alpha->MailFileOf("Ada")->note_count(), 1u);
-    beta.reset();
   }
-  beta = open_server("beta", "Bea");
-  fleet = {alpha.get(), beta.get()};
-  ASSERT_OK(Server::DrainRouters(fleet).status());
+  mail.ReopenBeta();
+  ASSERT_OK(Server::DrainRouters(mail.fleet()).status());
   EXPECT_EQ(alpha->MailFileOf("Ada")->note_count(), 1u);
-  EXPECT_EQ(beta->MailFileOf("Bea")->note_count(), 1u);
+  EXPECT_EQ(mail.beta->MailFileOf("Bea")->note_count(), 1u);
   EXPECT_EQ(alpha->router()->mailbox()->note_count(), 0u);
-  EXPECT_EQ(beta->router()->mailbox()->note_count(), 0u);
+  EXPECT_EQ(mail.beta->router()->mailbox()->note_count(), 0u);
+}
+
+// The forwarded copy a failed flush left in beta's memory is no delivery:
+// a second pass, beta not reopened, keeps the memo in alpha's mail.box
+// (owing Bea only) instead of deleting it.
+TEST(RouterFlushFailureTest, ACopyOnlyInAFailStoppedPeerIsNoDelivery) {
+  MailPair mail;
+  Server* alpha = mail.alpha.get();
+  ASSERT_OK(alpha->SendMail("Ada", {"Ada", "Bea"}, "hello", "body"));
+  ASSERT_OK_AND_ASSIGN(auto peers, Server::RouterPeers(mail.fleet()));
+  {
+    FailFlushes fail_beta(mail.beta_log(), EIO);
+    EXPECT_FALSE(alpha->RunRouterOnce(peers).ok());
+    auto second = alpha->RunRouterOnce(peers);
+    ASSERT_FALSE(second.ok());
+    EXPECT_EQ(second.status().code(), StatusCode::kIOError);
+  }
+  Database* mailbox = alpha->router()->mailbox();
+  ASSERT_EQ(mailbox->note_count(), 1u);
+  std::vector<std::string> owed;
+  mailbox->ForEachLiveNote(
+      [&owed](const Note& memo) { owed = memo.FindValue("SendTo")->texts(); });
+  EXPECT_EQ(owed, std::vector<std::string>{"Bea"});
+  EXPECT_EQ(alpha->router()->stats().dead_lettered, 0u);
+
+  mail.ReopenBeta();
+  ASSERT_OK(Server::DrainRouters(mail.fleet()).status());
+  EXPECT_EQ(alpha->MailFileOf("Ada")->note_count(), 1u);
+  EXPECT_EQ(mail.beta->MailFileOf("Bea")->note_count(), 1u);
+  EXPECT_EQ(mailbox->note_count(), 0u);
+}
+
+// A memo sent after beta's log went fail-stop is deferred, not
+// dead-lettered: it waits in alpha's mail.box until beta reopens, then
+// lands exactly once.
+TEST(RouterFlushFailureTest, AFailStoppedPeerDefersForwards) {
+  MailPair mail;
+  Server* alpha = mail.alpha.get();
+  ASSERT_OK_AND_ASSIGN(Database * scratch,
+                       mail.beta->OpenDatabase("scratch.nsf", {}));
+  {
+    FailFlushes fail_beta(mail.beta_log(), EIO);
+    Note note(NoteClass::kDocument);
+    note.SetText("Form", "Scratch");
+    EXPECT_FALSE(scratch->CreateNote(std::move(note)).ok());
+  }
+  ASSERT_FALSE(mail.beta->router()->mailbox()->store()->log_status().ok());
+  ASSERT_OK(alpha->SendMail("Ada", {"Bea"}, "later", "body"));
+  ASSERT_OK_AND_ASSIGN(auto peers, Server::RouterPeers(mail.fleet()));
+  auto pass = alpha->RunRouterOnce(peers);
+  ASSERT_FALSE(pass.ok());
+  EXPECT_EQ(pass.status().code(), StatusCode::kIOError);
+  EXPECT_EQ(alpha->router()->mailbox()->note_count(), 1u);
+  EXPECT_EQ(alpha->router()->stats().dead_lettered, 0u);
+
+  mail.ReopenBeta();
+  ASSERT_OK(Server::DrainRouters(mail.fleet()).status());
+  EXPECT_EQ(alpha->router()->stats().dead_lettered, 0u);
+  EXPECT_EQ(alpha->router()->stats().forwarded, 1u);
+  EXPECT_EQ(mail.beta->MailFileOf("Bea")->note_count(), 1u);
+  EXPECT_EQ(alpha->router()->mailbox()->note_count(), 0u);
+  EXPECT_EQ(mail.beta->router()->mailbox()->note_count(), 0u);
 }
 
 }  // namespace
