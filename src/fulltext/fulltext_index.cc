@@ -108,15 +108,15 @@ void FullTextIndex::IndexNoteLocked(const Note& note, Epoch epoch) {
       }
       slices_.back().slice.end = at + 1;
     }
-    while (next_kept < kept.size() && terms_[kept[next_kept]].text < text) {
+    while (next_kept < kept.size() && TermAt(kept[next_kept]).text < text) {
       ++next_kept;
     }
     const TermId id =
-        next_kept < kept.size() && terms_[kept[next_kept]].text == text
+        next_kept < kept.size() && TermAt(kept[next_kept]).text == text
             ? kept[next_kept]
             : InternTerm(text);
     doc.terms.push_back(id);
-    Term& term = terms_[id];
+    Term& term = TermAt(id);
     // PostingList::Insert turns the positions into delta+varint entries
     // and splices a recycled (below the tail) key into sorted order.
     posting_bytes_ -= term.postings.byte_size();
@@ -167,7 +167,7 @@ size_t FullTextIndex::FindSlot(std::string_view text, uint32_t hash) const {
   for (size_t i = hash & mask;; i = (i + 1) & mask) {
     const TermId slot = term_slots_[i];
     if (slot == 0) return i;
-    const Term& term = terms_[slot - 1];
+    const Term& term = TermAt(slot - 1);
     if (term.hash == hash && term.text == text) return i;
   }
 }
@@ -176,15 +176,19 @@ FullTextIndex::TermId FullTextIndex::InternTerm(std::string_view text) {
   const uint32_t hash = HashTerm(text);
   const size_t slot = FindSlot(text, hash);
   if (term_slots_[slot] != 0) return term_slots_[slot] - 1;
-  TermId id = static_cast<TermId>(terms_.size());
+  TermId id;
   if (free_terms_.empty()) {
-    terms_.emplace_back();
+    id = term_end_++;
+    if (id % kTermsPerChunk == 0) {
+      term_chunks_.push_back(std::make_unique<Term[]>(kTermsPerChunk));
+    }
   } else {
     id = free_terms_.back();
     free_terms_.pop_back();
   }
-  terms_[id].text = text;
-  terms_[id].hash = hash;
+  Term& term = TermAt(id);
+  term.text = text;
+  term.hash = hash;
   term_slots_[slot] = id + 1;
   if (++term_total_ * 2 > term_slots_.size()) GrowTermSlots();
   return id;
@@ -196,7 +200,7 @@ void FullTextIndex::GrowTermSlots() {
   const size_t mask = term_slots_.size() - 1;
   for (TermId slot : old) {
     if (slot == 0) continue;
-    size_t i = terms_[slot - 1].hash & mask;
+    size_t i = TermAt(slot - 1).hash & mask;
     while (term_slots_[i] != 0) i = (i + 1) & mask;
     term_slots_[i] = slot;
   }
@@ -216,17 +220,17 @@ void FullTextIndex::ReleaseTerm(TermId id) {
   // later entry of the probe run moves back into the hole unless its
   // home slot lies after the hole.
   const size_t mask = term_slots_.size() - 1;
-  size_t hole = terms_[id].hash & mask;
+  size_t hole = TermAt(id).hash & mask;
   while (term_slots_[hole] != id + 1) hole = (hole + 1) & mask;
   for (size_t i = (hole + 1) & mask; term_slots_[i] != 0; i = (i + 1) & mask) {
-    const size_t home = terms_[term_slots_[i] - 1].hash & mask;
+    const size_t home = TermAt(term_slots_[i] - 1).hash & mask;
     if (((i - home) & mask) >= ((i - hole) & mask)) {
       term_slots_[hole] = term_slots_[i];
       hole = i;
     }
   }
   term_slots_[hole] = 0;
-  terms_[id] = Term{};
+  TermAt(id) = Term{};
   free_terms_.push_back(id);
   --term_total_;
 }
@@ -277,7 +281,7 @@ void FullTextIndex::ErasePhysicalLocked(DocKey key) {
   // Only the version's own terms are visited, by id.
   Doc& doc = docs_[key];
   for (TermId id : doc.terms) {
-    Term& term = terms_[id];
+    Term& term = TermAt(id);
     posting_bytes_ -= term.postings.byte_size();
     model_bytes_ -= term.postings.UncompressedModelBytes();
     term.postings.Erase(key);
@@ -321,8 +325,9 @@ void FullTextIndex::Clear() {
 }
 
 void FullTextIndex::ClearLocked() {
-  term_slots_.assign(kMinTermSlots, 0);
-  terms_.clear();
+  term_slots_ = std::vector<TermId>(kMinTermSlots, 0);
+  term_chunks_.clear();
+  term_end_ = 0;
   free_terms_.clear();
   term_total_ = 0;
   field_ids_.clear();
@@ -360,7 +365,7 @@ const FullTextIndex::Term* FullTextIndex::LookupTerm(
     const std::string& term) const {
   const std::string lowered = ToLower(term);
   const TermId slot = term_slots_[FindSlot(lowered, HashTerm(lowered))];
-  return slot == 0 ? nullptr : &terms_[slot - 1];
+  return slot == 0 ? nullptr : &TermAt(slot - 1);
 }
 
 const PostingList* FullTextIndex::FindTerm(const std::string& term) const {

@@ -6,6 +6,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -95,7 +96,6 @@ class FullTextIndex {
 
   // -- Internals shared with the query evaluator ------------------------
   using DocKey = uint32_t;   // posting key of one indexed version
-  static constexpr DocKey kNoKey = UINT32_MAX;
   using TermId = uint32_t;   // dense id of one distinct term
   using FieldId = uint32_t;  // dense id of one lower-cased item name
   /// One indexed version and the ids of the terms it contributed, each
@@ -148,6 +148,8 @@ class FullTextIndex {
   double IdfOf(const std::string& term) const;
 
  private:
+  static constexpr DocKey kNoKey = UINT32_MAX;
+
   /// One interned term: its postings over every version that holds it.
   /// `text` is empty while the id is free.
   struct Term {
@@ -185,6 +187,12 @@ class FullTextIndex {
   void ReleaseTerm(TermId id) REQUIRES(mu_);
   void GrowTermSlots() REQUIRES(mu_);
   const Term* LookupTerm(const std::string& term) const;
+  Term& TermAt(TermId id) {
+    return term_chunks_[id / kTermsPerChunk][id % kTermsPerChunk];
+  }
+  const Term& TermAt(TermId id) const {
+    return term_chunks_[id / kTermsPerChunk][id % kTermsPerChunk];
+  }
 
   /// Guards the containers below. The fields themselves stay unannotated
   /// so the lock-free evaluator internals (see class comment) compile;
@@ -193,11 +201,17 @@ class FullTextIndex {
 
   // The term dictionary: an open-addressing table of TermId + 1 (0 is an
   // empty slot), linear probing, power-of-two sized and at most half
-  // full, over terms_, which holds each term's text, hash and postings.
+  // full, over the Terms, which hold each term's text, hash and postings.
   // Field-scoped slices live in the term's `fields` and reference
   // positions stored in its postings exactly once.
   std::vector<TermId> term_slots_;
-  std::vector<Term> terms_;  // indexed by TermId
+  // Terms in fixed-size chunks, indexed by TermId: no buffer grows with
+  // the vocabulary. Freeing such a buffer would raise glibc's dynamic
+  // mmap threshold past it, and the process would then keep the heap
+  // space of every large buffer it frees below that size.
+  static constexpr size_t kTermsPerChunk = 1024;
+  std::vector<std::unique_ptr<Term[]>> term_chunks_;
+  TermId term_end_ = 0;  // ids handed out so far, freed ones included
   std::vector<TermId> free_terms_;
   size_t term_total_ = 0;  // live terms
   // Lower-cased item name → FieldId. Ids are never freed: item names are
