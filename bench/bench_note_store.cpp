@@ -134,8 +134,8 @@ void BM_WorkingSetSweep(benchmark::State& state) {
   const uint64_t note_hits0 =
       registry.GetCounter("Store.NoteCache.Hits").value();
   for (auto _ : state) {
-    auto note = (*store)->Get(ids[rng.Uniform(ids.size())]);
-    if (!note.ok()) state.SkipWithError("read failed");
+    auto note = (*store)->Find(ids[rng.Uniform(ids.size())]);
+    if (!note.ok() || *note == nullptr) state.SkipWithError("read failed");
     benchmark::DoNotOptimize(note);
   }
   const uint64_t hits = registry.GetCounter("Store.Cache.Hits").value() - hits0;

@@ -21,7 +21,7 @@ double SummaryMicros(const Database& db, Micros cutoff) {
   std::vector<double> us;
   for (int i = 0; i < kReps; ++i) {
     Stopwatch sw;
-    volatile size_t n = db.ChangeSummarySince(cutoff).size();
+    volatile size_t n = db.ChangeSummarySince(cutoff)->size();
     (void)n;
     us.push_back(sw.ElapsedMicros());
   }

@@ -1,6 +1,8 @@
 #ifndef DOMINODB_BENCH_BENCH_UTIL_H_
 #define DOMINODB_BENCH_BENCH_UTIL_H_
 
+#include <unistd.h>
+
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -29,11 +31,13 @@ class Stopwatch {
   std::chrono::steady_clock::time_point start_;
 };
 
-/// Scratch directory removed on destruction.
+/// Scratch directory removed on destruction; the process id in its path
+/// keeps concurrent bench runs apart.
 class BenchDir {
  public:
   explicit BenchDir(const std::string& name)
-      : path_("/tmp/dominodb_bench_" + name) {
+      : path_("/tmp/dominodb_bench_" + std::to_string(getpid()) + "_" +
+              name) {
     RemoveDirRecursively(path_).ok();
     CreateDirIfMissing(path_).ok();
   }

@@ -135,8 +135,8 @@ int main(int argc, char** argv) {
   ShowViewFor(db.get(), lena);    // sees everything incl. leads-only
   ShowViewFor(db.get(), intern);  // same as Ada, all unread
 
-  printf("\nUnread for Ada: %zu, for Ivy: %zu\n", db->UnreadCount(ada),
-         db->UnreadCount(intern));
+  printf("\nUnread for Ada: %zu, for Ivy: %zu\n", *db->UnreadCount(ada),
+         *db->UnreadCount(intern));
 
   // Full-text search respects reader fields too.
   db->EnsureFullTextIndex().ok();

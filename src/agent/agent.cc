@@ -54,11 +54,14 @@ Result<AgentDesign> AgentDesign::FromNote(const Note& note) {
                 note.GetText("$Selection"), note.GetText("$Action"));
 }
 
-AgentRunner::AgentRunner(Database* db) : db_(db) { Reload(); }
+AgentRunner::AgentRunner(Database* db) : db_(db) {
+  // A failed scan leaves no agents; a later Reload or AddAgent reports it.
+  Reload().ok();
+}
 
-void AgentRunner::Reload() {
+Status AgentRunner::Reload() {
   std::map<std::string, AgentState> fresh;
-  db_->ForEachLiveNote([&](const Note& note) {
+  DOMINO_RETURN_IF_ERROR(db_->ForEachLiveNote([&](const Note& note) {
     if (note.note_class() != NoteClass::kAgent) return;
     auto design = AgentDesign::FromNote(note);
     if (!design.ok()) return;
@@ -73,34 +76,36 @@ void AgentRunner::Reload() {
       state.own_writes = std::move(it->second.own_writes);
     }
     fresh[key] = std::move(state);
-  });
+  }));
   agents_ = std::move(fresh);
+  return Status::Ok();
 }
 
 Status AgentRunner::AddAgent(const AgentDesign& design) {
   // Replace an existing same-named agent note, otherwise create.
   NoteId existing_id = kInvalidNoteId;
-  db_->ForEachLiveNote([&](const Note& note) {
+  DOMINO_RETURN_IF_ERROR(db_->ForEachLiveNote([&](const Note& note) {
     if (note.note_class() == NoteClass::kAgent &&
         EqualsIgnoreCase(note.GetText("$Title"), design.name())) {
       existing_id = note.id();
     }
-  });
+  }));
   Note note = design.ToNote();
   if (existing_id != kInvalidNoteId) {
     auto current = db_->ReadNote(existing_id);
+    if (!current.ok() && !current.status().IsNotFound()) {
+      return current.status();  // unreadable, not gone: no second note
+    }
     if (current.ok()) {
       note.set_id(existing_id);
       note.SetReplicationState(current->oid(), current->revisions(),
                                current->created(), false);
       DOMINO_RETURN_IF_ERROR(db_->UpdateNote(std::move(note)));
-      Reload();
-      return Status::Ok();
+      return Reload();
     }
   }
   DOMINO_RETURN_IF_ERROR(db_->CreateNote(std::move(note)).status());
-  Reload();
-  return Status::Ok();
+  return Reload();
 }
 
 std::vector<std::string> AgentRunner::AgentNames() const {
@@ -157,15 +162,16 @@ Result<AgentRunReport> AgentRunner::Execute(AgentState* state) {
   // stamps past it and is seen next time.
   Micros read_stamp = state->last_seen_stamp;
   if (state->design.trigger() == AgentTrigger::kOnNewAndChanged) {
-    for (const NoteHandle& note :
-         db_->NotesModifiedSince(state->last_seen_stamp)) {
+    DOMINO_ASSIGN_OR_RETURN(std::vector<NoteHandle> changed,
+                            db_->NotesModifiedSince(state->last_seen_stamp));
+    for (const NoteHandle& note : changed) {
       read_stamp = std::max(read_stamp, note->modified_in_file());
       if (state->own_writes.count({note->unid(), note->sequence()}) == 0) {
         collect(*note);
       }
     }
   } else {
-    db_->ForEachLiveNote(collect);
+    DOMINO_RETURN_IF_ERROR(db_->ForEachLiveNote(collect));
   }
 
   std::set<std::pair<Unid, uint32_t>> own_writes;

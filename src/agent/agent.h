@@ -76,8 +76,9 @@ class AgentRunner {
   Status AddAgent(const AgentDesign& design);
 
   /// Reloads agent designs from the database (picks up agents that
-  /// arrived via replication).
-  void Reload();
+  /// arrived via replication). On a failed scan the agents stay as they
+  /// were.
+  Status Reload();
 
   std::vector<std::string> AgentNames() const;
 

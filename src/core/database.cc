@@ -242,14 +242,16 @@ Result<std::unique_ptr<Database>> Database::Open(
   // sort below a cutoff a peer or agent recorded before the close.
   db->last_stamp_.store(db->store_->LatestModifiedStamp(),
                         std::memory_order_release);
-  db->LoadDesignState();
+  DOMINO_RETURN_IF_ERROR(db->LoadDesignState());
   return db;
 }
 
-void Database::LoadDesignState() {
+Status Database::LoadDesignState() {
   // Children index + design notes (ACL, views) from the store's live
-  // notes; stubs are skipped undecoded.
-  store_->ForEach([&](const Note& note) {
+  // notes; stubs are skipped undecoded. A note the scan cannot read fails
+  // the open: it may be the ACL, and opening without it would fall back
+  // to the default access.
+  DOMINO_RETURN_IF_ERROR(store_->ForEach([&](const Note& note) {
     if (!note.parent_unid().IsNull()) {
       MutexLock lock(&catalog_mu_);
       children_[note.parent_unid()].insert(note.id());
@@ -262,10 +264,10 @@ void Database::LoadDesignState() {
         acl_note_id_ = note.id();
       }
     }
-  }, NoteStore::Visit::kLiveOnly);
+  }, NoteStore::Visit::kLiveOnly));
   // Views need a second pass so the children index is complete before
   // the rebuild walks response hierarchies.
-  store_->ForEach([&](const Note& note) {
+  return store_->ForEach([&](const Note& note) {
     if (note.note_class() == NoteClass::kView) ApplyDesignNote(note).ok();
   }, NoteStore::Visit::kLiveOnly);
 }
@@ -296,16 +298,18 @@ Micros Database::StampTime() {
 // Snapshot resolution
 // ---------------------------------------------------------------------------
 
-void Database::RecordPreImage(NoteId id) {
-  mvcc_.Record(id, commit_epoch_, store_->Find(id));
+Status Database::RecordPreImage(NoteId id) {
+  DOMINO_ASSIGN_OR_RETURN(NoteHandle pre, store_->Find(id));
+  mvcc_.Record(id, commit_epoch_, std::move(pre));
+  return Status::Ok();
 }
 
-NoteHandle Database::ResolveAt(NoteId id, Epoch at) const {
+Result<NoteHandle> Database::ResolveAt(NoteId id, Epoch at) const {
   return VersionAt(id, at, store_->Find(id));
 }
 
-NoteHandle Database::VersionAt(NoteId id, Epoch at,
-                               NoteHandle current) const {
+Result<NoteHandle> Database::VersionAt(NoteId id, Epoch at,
+                                       Result<NoteHandle> current) const {
   // The store state is fetched BEFORE consulting the overlay: a racing
   // commit records its pre-image before it touches the store, so
   // whichever interleaving the store read observed, one of the two
@@ -317,23 +321,29 @@ NoteHandle Database::VersionAt(NoteId id, Epoch at,
     case MvccSnapshots::Verdict::kVersion:
       return r.note;
     case MvccSnapshots::Verdict::kAbsent:
-      return nullptr;
+      return NoteHandle();
   }
-  return nullptr;
+  return NoteHandle();
 }
 
-NoteHandle Database::ResolveUnidAt(const Unid& unid, Epoch at) const {
-  NoteHandle current = store_->FindByUnid(unid);
-  if (current != nullptr) return ResolveAt(current->id(), at);
-  // Not in the store — never existed, or purged after the pin; the
-  // overlay remembers the UNID binding of every recorded pre-image.
-  std::optional<NoteId> id = mvcc_.LookupUnid(unid);
-  if (!id.has_value()) return nullptr;
-  return ResolveAt(*id, at);
+Result<NoteHandle> Database::ResolveUnidAt(const Unid& unid, Epoch at) const {
+  Result<NoteHandle> current = store_->FindByUnid(unid);
+  NoteId id = kInvalidNoteId;
+  if (current.ok() && *current != nullptr) {
+    id = (*current)->id();
+  } else {
+    // Not in the store — never existed, or purged after the pin — or
+    // unreadable there; the overlay remembers the UNID binding of every
+    // recorded pre-image.
+    std::optional<NoteId> bound = mvcc_.LookupUnid(unid);
+    if (!bound.has_value()) return current;
+    id = *bound;
+  }
+  return VersionAt(id, at, std::move(current));
 }
 
-void Database::ScanAt(Epoch at, const std::function<void(const Note&)>& fn,
-                      NoteStore::Visit visit) const {
+Status Database::ScanAt(Epoch at, const std::function<void(const Note&)>& fn,
+                        NoteStore::Visit visit) const {
   // Pass 1: every note the store still holds, resolved through the
   // overlay. Pass 2: overlay versions whose note the store purged after
   // the pin. OverlayIds is taken AFTER the scan so a purge that raced
@@ -342,7 +352,7 @@ void Database::ScanAt(Epoch at, const std::function<void(const Note&)>& fn,
   // never sees the stubs it skips, so a note deleted after the pin still
   // reaches pass 2 and resolves to its live pre-image there.
   std::unordered_set<NoteId> seen;
-  store_->ForEach([&](const Note& note) {
+  DOMINO_RETURN_IF_ERROR(store_->ForEach([&](const Note& note) {
     seen.insert(note.id());
     MvccSnapshots::Resolution r = mvcc_.Lookup(note.id(), at);
     switch (r.verdict) {
@@ -355,7 +365,7 @@ void Database::ScanAt(Epoch at, const std::function<void(const Note&)>& fn,
       case MvccSnapshots::Verdict::kAbsent:
         break;
     }
-  }, visit);
+  }, visit));
   for (NoteId id : mvcc_.OverlayIds()) {
     if (seen.count(id) != 0) continue;
     MvccSnapshots::Resolution r = mvcc_.Lookup(id, at);
@@ -363,6 +373,7 @@ void Database::ScanAt(Epoch at, const std::function<void(const Note&)>& fn,
       fn(*r.note);
     }
   }
+  return Status::Ok();
 }
 
 void Database::ReclaimIndexVersions() const {
@@ -404,8 +415,10 @@ Status Database::SetAclLocked(const Acl& acl) {
 }
 
 Status Database::SaveDesignNote(Note note, NoteId existing) {
-  NoteHandle current =
-      existing != kInvalidNoteId ? store_->Find(existing) : nullptr;
+  NoteHandle current;
+  if (existing != kInvalidNoteId) {
+    DOMINO_ASSIGN_OR_RETURN(current, store_->Find(existing));
+  }
   if (current == nullptr || current->deleted()) {
     return CreateLocked(std::move(note)).status();
   }
@@ -464,7 +477,7 @@ Result<NoteId> Database::CreateWithUnidLocked(Note note, const Unid& unid) {
 }
 
 Status Database::UpdateLocked(Note note) {
-  NoteHandle existing = store_->Find(note.id());
+  DOMINO_ASSIGN_OR_RETURN(NoteHandle existing, store_->Find(note.id()));
   if (existing == nullptr || existing->deleted()) {
     return Status::NotFound(StrPrintf("note %u", note.id()));
   }
@@ -483,7 +496,7 @@ Status Database::UpdateLocked(Note note) {
 }
 
 Status Database::DeleteLocked(NoteId id) {
-  NoteHandle existing = store_->Find(id);
+  DOMINO_ASSIGN_OR_RETURN(NoteHandle existing, store_->Find(id));
   if (existing == nullptr || existing->deleted()) {
     return Status::NotFound(StrPrintf("note %u", id));
   }
@@ -494,14 +507,14 @@ Status Database::DeleteLocked(NoteId id) {
 
 Status Database::CommitNote(Note* note) {
   note->set_modified_in_file(StampTime());
-  RecordPreImage(note->id());
+  DOMINO_RETURN_IF_ERROR(RecordPreImage(note->id()));
   DOMINO_RETURN_IF_ERROR(store_->Put(note));
   return AfterChange(*note);
 }
 
 Result<Note> Database::ReadNote(NoteId id) const {
   ReadTxn txn(this, /*catch_up=*/false);
-  NoteHandle note = ResolveAt(id, txn.epoch());
+  DOMINO_ASSIGN_OR_RETURN(NoteHandle note, ResolveAt(id, txn.epoch()));
   if (note == nullptr || note->deleted()) {
     return Status::NotFound(StrPrintf("note %u", id));
   }
@@ -510,7 +523,7 @@ Result<Note> Database::ReadNote(NoteId id) const {
 
 Result<Note> Database::ReadNoteByUnid(const Unid& unid) const {
   ReadTxn txn(this, /*catch_up=*/false);
-  NoteHandle note = ResolveUnidAt(unid, txn.epoch());
+  DOMINO_ASSIGN_OR_RETURN(NoteHandle note, ResolveUnidAt(unid, txn.epoch()));
   if (note == nullptr || note->deleted()) {
     return Status::NotFound("unid " + unid.ToString());
   }
@@ -533,7 +546,7 @@ Result<NoteId> Database::CreateNoteAs(const Principal& who, Note note) {
 
 Status Database::UpdateNoteAs(const Principal& who, Note note) {
   MutationGuard guard(this);
-  NoteHandle existing = store_->Find(note.id());
+  DOMINO_ASSIGN_OR_RETURN(NoteHandle existing, store_->Find(note.id()));
   if (existing == nullptr || existing->deleted()) {
     return Status::NotFound(StrPrintf("note %u", note.id()));
   }
@@ -551,7 +564,7 @@ Status Database::UpdateNoteAs(const Principal& who, Note note) {
 
 Status Database::DeleteNoteAs(const Principal& who, NoteId id) {
   MutationGuard guard(this);
-  NoteHandle existing = store_->Find(id);
+  DOMINO_ASSIGN_OR_RETURN(NoteHandle existing, store_->Find(id));
   if (existing == nullptr || existing->deleted()) {
     return Status::NotFound(StrPrintf("note %u", id));
   }
@@ -577,7 +590,7 @@ Result<Note> Database::ReadNoteAs(const Principal& who, NoteId id) const {
 
 Result<NoteId> Database::CreateResponse(const Unid& parent, Note note) {
   MutationGuard guard(this);
-  NoteHandle parent_note = store_->FindByUnid(parent);
+  DOMINO_ASSIGN_OR_RETURN(NoteHandle parent_note, store_->FindByUnid(parent));
   if (parent_note == nullptr || parent_note->deleted()) {
     return Status::NotFound("parent " + parent.ToString());
   }
@@ -703,18 +716,18 @@ std::vector<std::string> FolderRefs(const Note& folder) {
 
 Result<Note> Database::FindFolderLocked(const std::string& name) {
   std::optional<Note> found;
-  store_->ForEach([&](const Note& note) {
+  DOMINO_RETURN_IF_ERROR(store_->ForEach([&](const Note& note) {
     if (IsFolderNamed(note, name)) found = note;
-  }, NoteStore::Visit::kLiveOnly);
+  }, NoteStore::Visit::kLiveOnly));
   if (!found.has_value()) return Status::NotFound("folder " + name);
   return std::move(*found);
 }
 
 Result<NoteId> Database::CreateFolder(const std::string& name) {
   MutationGuard guard(this);
-  if (FindFolderLocked(name).ok()) {
-    return Status::AlreadyExists("folder " + name);
-  }
+  Result<Note> taken = FindFolderLocked(name);
+  if (taken.ok()) return Status::AlreadyExists("folder " + name);
+  if (!taken.status().IsNotFound()) return taken.status();
   Note folder(NoteClass::kDesign);
   folder.SetText("Form", kFolderForm);
   folder.SetText("$Title", name);
@@ -724,7 +737,8 @@ Result<NoteId> Database::CreateFolder(const std::string& name) {
 
 Status Database::AddToFolder(const std::string& name, const Unid& unid) {
   MutationGuard guard(this);
-  if (FindByUnid(unid) == nullptr) {
+  DOMINO_ASSIGN_OR_RETURN(NoteHandle doc, store_->FindByUnid(unid));
+  if (doc == nullptr || doc->deleted()) {
     return Status::NotFound("document " + unid.ToString());
   }
   DOMINO_ASSIGN_OR_RETURN(Note folder, FindFolderLocked(name));
@@ -756,23 +770,24 @@ Result<std::vector<Note>> Database::FolderContents(
     const std::string& name) const {
   ReadTxn txn(this, /*catch_up=*/false);
   std::optional<Note> folder;
-  ForEachLiveNote([&](const Note& note) {
+  DOMINO_RETURN_IF_ERROR(ForEachLiveNote([&](const Note& note) {
     if (IsFolderNamed(note, name)) folder = note;
-  });
+  }));
   if (!folder.has_value()) return Status::NotFound("folder " + name);
   std::vector<Note> out;
   for (const std::string& ref : FolderRefs(*folder)) {
-    NoteHandle note = ResolveUnidAt(Unid::FromString(ref), txn.epoch());
+    DOMINO_ASSIGN_OR_RETURN(
+        NoteHandle note, ResolveUnidAt(Unid::FromString(ref), txn.epoch()));
     if (note != nullptr && !note->deleted()) out.push_back(*note);
   }
   return out;
 }
 
-std::vector<std::string> Database::FolderNames() const {
+Result<std::vector<std::string>> Database::FolderNames() const {
   std::vector<std::string> names;
-  ForEachLiveNote([&](const Note& note) {
+  DOMINO_RETURN_IF_ERROR(ForEachLiveNote([&](const Note& note) {
     if (IsFolder(note)) names.push_back(note.GetText("$Title"));
-  });
+  }));
   return names;
 }
 
@@ -787,9 +802,13 @@ Status Database::EnsureFullTextIndex() {
     if (fulltext_ != nullptr) return Status::Ok();
   }
   auto ft = std::make_shared<FullTextIndex>(registry_);
-  ft->BuildFrom([this](const std::function<void(const Note&)>& fn) {
-    store_->ForEach(fn);
+  // A build over a scan that failed part-way would miss notes: install
+  // nothing then.
+  Status scan;
+  ft->BuildFrom([this, &scan](const std::function<void(const Note&)>& fn) {
+    scan = store_->ForEach(fn);
   });
+  DOMINO_RETURN_IF_ERROR(scan);
   MutexLock cat(&catalog_mu_);
   fulltext_ = std::move(ft);
   return Status::Ok();
@@ -818,11 +837,13 @@ Result<std::vector<Note>> Database::SearchAs(const Principal& who,
   std::vector<NoteId> ids;
   ids.reserve(hits.size());
   for (const FtHit& hit : hits) ids.push_back(hit.note_id);
-  std::vector<NoteHandle> current = store_->FindMany(ids);
+  DOMINO_ASSIGN_OR_RETURN(std::vector<NoteHandle> current,
+                          store_->FindMany(ids));
   std::vector<Note> out;
   out.reserve(hits.size());
   for (size_t i = 0; i < ids.size(); ++i) {
-    NoteHandle note = VersionAt(ids[i], txn.epoch(), std::move(current[i]));
+    DOMINO_ASSIGN_OR_RETURN(
+        NoteHandle note, VersionAt(ids[i], txn.epoch(), std::move(current[i])));
     if (note != nullptr && !note->deleted() &&
         CanReadDocument(access, who, *note)) {
       out.push_back(*note);
@@ -845,12 +866,12 @@ Result<std::vector<Note>> Database::FormulaSearch(
   // One compiled program, one VM register file, every note visible at
   // the pinned snapshot.
   formula::BatchEvaluator eval(f);
-  ScanAt(txn.epoch(), [&](const Note& note) {
+  DOMINO_RETURN_IF_ERROR(ScanAt(txn.epoch(), [&](const Note& note) {
     if (note.deleted() || note.note_class() != NoteClass::kDocument) return;
     ctx.note = &note;
     auto matched = eval.Matches(ctx);
     if (matched.ok() && *matched) out.push_back(note);
-  });
+  }));
   return out;
 }
 
@@ -943,7 +964,7 @@ bool Database::IsUnread(const Principal& who, const Unid& unid) const {
   return it->second.count(unid) == 0;
 }
 
-size_t Database::UnreadCount(const Principal& who) const {
+Result<size_t> Database::UnreadCount(const Principal& who) const {
   ReadTxn txn(this, /*catch_up=*/false);
   std::set<Unid> read;
   {
@@ -952,12 +973,12 @@ size_t Database::UnreadCount(const Principal& who) const {
     if (it != read_marks_.end()) read = it->second;
   }
   size_t unread = 0;
-  ScanAt(txn.epoch(), [&](const Note& note) {
+  DOMINO_RETURN_IF_ERROR(ScanAt(txn.epoch(), [&](const Note& note) {
     if (!note.deleted() && note.note_class() == NoteClass::kDocument &&
         read.count(note.unid()) == 0) {
       ++unread;
     }
-  });
+  }));
   return unread;
 }
 
@@ -965,7 +986,8 @@ size_t Database::UnreadCount(const Principal& who) const {
 // Replication support
 // ---------------------------------------------------------------------------
 
-std::vector<NoteHandle> Database::NotesModifiedSince(Micros cutoff) const {
+Result<std::vector<NoteHandle>> Database::NotesModifiedSince(
+    Micros cutoff) const {
   ReadTxn txn(this, /*catch_up=*/false);
   // Candidates: the store's modified-in-file index, then the overlay ids
   // (taken AFTER the index read, as in ScanAt). A note rewritten or purged
@@ -978,10 +1000,15 @@ std::vector<NoteHandle> Database::NotesModifiedSince(Micros cutoff) const {
   ids.insert(ids.end(), overlay.begin(), overlay.end());
   std::sort(ids.begin(), ids.end());
   ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  // One batch read of the store, then the overlay per id: the
+  // store-before-overlay order of ResolveAt.
+  DOMINO_ASSIGN_OR_RETURN(std::vector<NoteHandle> current,
+                          store_->FindMany(ids));
   std::vector<NoteHandle> notes;
   notes.reserve(ids.size());
-  for (NoteId id : ids) {
-    NoteHandle note = ResolveAt(id, txn.epoch());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    DOMINO_ASSIGN_OR_RETURN(
+        NoteHandle note, VersionAt(ids[i], txn.epoch(), std::move(current[i])));
     if (note != nullptr && note->modified_in_file() > cutoff) {
       notes.push_back(std::move(note));
     }
@@ -996,10 +1023,12 @@ std::vector<NoteHandle> Database::NotesModifiedSince(Micros cutoff) const {
   return notes;
 }
 
-std::vector<Database::Change> Database::ChangeSummarySince(
+Result<std::vector<Database::Change>> Database::ChangeSummarySince(
     Micros cutoff) const {
+  DOMINO_ASSIGN_OR_RETURN(std::vector<NoteHandle> notes,
+                          NotesModifiedSince(cutoff));
   std::vector<Change> changes;
-  for (const NoteHandle& note : NotesModifiedSince(cutoff)) {
+  for (const NoteHandle& note : notes) {
     changes.push_back(Change{note->oid(), note->modified_in_file()});
   }
   return changes;
@@ -1007,14 +1036,14 @@ std::vector<Database::Change> Database::ChangeSummarySince(
 
 Result<Note> Database::GetAnyByUnid(const Unid& unid) const {
   ReadTxn txn(this, /*catch_up=*/false);
-  NoteHandle note = ResolveUnidAt(unid, txn.epoch());
+  DOMINO_ASSIGN_OR_RETURN(NoteHandle note, ResolveUnidAt(unid, txn.epoch()));
   if (note == nullptr) return Status::NotFound("unid " + unid.ToString());
   return *note;
 }
 
 Status Database::InstallRemoteNote(Note note) {
   MutationGuard guard(this);
-  NoteHandle local = store_->FindByUnid(note.unid());
+  DOMINO_ASSIGN_OR_RETURN(NoteHandle local, store_->FindByUnid(note.unid()));
   note.set_id(local != nullptr ? local->id() : store_->AllocateId());
   return CommitNote(&note);
 }
@@ -1051,7 +1080,7 @@ Result<size_t> Database::PurgeStubs() {
   for (NoteId id : purged) {
     // Pre-image first: readers pinned before this commit keep resolving
     // the stub (and its UNID) through the overlay until they unpin.
-    RecordPreImage(id);
+    DOMINO_RETURN_IF_ERROR(RecordPreImage(id));
     DOMINO_RETURN_IF_ERROR(store_->Erase(id));
     {
       MutexLock lock(&catalog_mu_);
@@ -1086,10 +1115,10 @@ void Database::RemoveObserver(DatabaseObserver* observer) {
   }
 }
 
-void Database::ForEachLiveNote(
+Status Database::ForEachLiveNote(
     const std::function<void(const Note&)>& fn) const {
   ReadTxn txn(this, /*catch_up=*/false);
-  ScanAt(
+  return ScanAt(
       txn.epoch(),
       [&](const Note& note) {
         if (!note.deleted()) fn(note);
@@ -1097,9 +1126,10 @@ void Database::ForEachLiveNote(
       NoteStore::Visit::kLiveOnly);
 }
 
-void Database::ForEachNote(const std::function<void(const Note&)>& fn) const {
+Status Database::ForEachNote(
+    const std::function<void(const Note&)>& fn) const {
   ReadTxn txn(this, /*catch_up=*/false);
-  ScanAt(txn.epoch(), fn);
+  return ScanAt(txn.epoch(), fn);
 }
 
 size_t Database::note_count() const { return store_->note_count(); }
@@ -1133,18 +1163,18 @@ Status Database::RunCompact() {
 // ---------------------------------------------------------------------------
 
 NoteHandle Database::FindByUnid(const Unid& unid) const {
-  NoteHandle note = store_->FindByUnid(unid);
+  NoteHandle note = store_->FindByUnid(unid).value_or(nullptr);
   return (note != nullptr && !note->deleted()) ? note : nullptr;
 }
 
 NoteHandle Database::FindById(NoteId id) const {
-  NoteHandle note = store_->Find(id);
+  NoteHandle note = store_->Find(id).value_or(nullptr);
   return (note != nullptr && !note->deleted()) ? note : nullptr;
 }
 
 NoteHandle Database::FindByIdAt(NoteId id, Epoch at) const {
   if (at == kEpochNone) return FindById(id);
-  NoteHandle note = ResolveAt(id, at);
+  NoteHandle note = ResolveAt(id, at).value_or(nullptr);
   return (note != nullptr && !note->deleted()) ? note : nullptr;
 }
 
@@ -1172,11 +1202,14 @@ Status Database::ApplyDesignNote(const Note& note) {
     std::string key = ToLower(design.name());
     auto index =
         std::make_shared<ViewIndex>(std::move(design), clock_, registry_);
+    // As in EnsureFullTextIndex: a failed scan installs nothing.
+    Status scan;
     DOMINO_RETURN_IF_ERROR(index->Rebuild(
-        [this](const std::function<void(const Note&)>& fn) {
-          store_->ForEach(fn);
+        [this, &scan](const std::function<void(const Note&)>& fn) {
+          scan = store_->ForEach(fn);
         },
         this));
+    DOMINO_RETURN_IF_ERROR(scan);
     // Swap in only after the rebuild: readers holding the old index via
     // its shared_ptr keep traversing it; new readers get the new one. A
     // design change is not snapshot-isolated (matching Domino, where a

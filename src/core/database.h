@@ -178,7 +178,8 @@ class Database : public NoteResolver {
   Status UpdateNote(Note note);
   /// Replaces the note with a deletion stub.
   Status DeleteNote(NoteId id);
-  /// Live notes only (NotFound for stubs).
+  /// Live notes only (NotFound for stubs). A note the store cannot read
+  /// is an error (Corruption, say), never NotFound.
   Result<Note> ReadNote(NoteId id) const;
   Result<Note> ReadNoteByUnid(const Unid& unid) const;
 
@@ -214,7 +215,7 @@ class Database : public NoteResolver {
   Status RemoveFromFolder(const std::string& name, const Unid& unid);
   /// Live documents currently in the folder (dangling refs are skipped).
   Result<std::vector<Note>> FolderContents(const std::string& name) const;
-  std::vector<std::string> FolderNames() const;
+  Result<std::vector<std::string>> FolderNames() const;
 
   // -- Background indexer -----------------------------------------------
   /// Hands the update queue to the server's indexer pool (the UPDATE
@@ -260,7 +261,7 @@ class Database : public NoteResolver {
   // -- Unread marks -----------------------------------------------------------
   void MarkRead(const Principal& who, const Unid& unid);
   bool IsUnread(const Principal& who, const Unid& unid) const;
-  size_t UnreadCount(const Principal& who) const;
+  Result<size_t> UnreadCount(const Principal& who) const;
 
   // -- Replication support ------------------------------------------------
   /// One change-summary entry: the OID plus the modified-in-this-file
@@ -274,16 +275,18 @@ class Database : public NoteResolver {
   /// ascending stamp (ties broken by UNID). A replication session that
   /// processes entries in this order can record any prefix boundary as a
   /// resumable low-water cutoff: everything stamped at or below it has
-  /// been seen.
-  std::vector<Change> ChangeSummarySince(Micros cutoff) const;
+  /// been seen. Fails on the first note the store cannot read.
+  Result<std::vector<Change>> ChangeSummarySince(Micros cutoff) const;
   /// The notes behind ChangeSummarySince, in the same order, resolved at
   /// one pinned snapshot. Costs O(changes): candidates come from the
-  /// store's modified-in-file index, not from a scan.
-  std::vector<NoteHandle> NotesModifiedSince(Micros cutoff) const;
+  /// store's modified-in-file index, not from a scan, and are read in one
+  /// batch.
+  Result<std::vector<NoteHandle>> NotesModifiedSince(Micros cutoff) const;
   /// Includes stubs.
   Result<Note> GetAnyByUnid(const Unid& unid) const;
   /// Stores a note received from a remote replica verbatim (no local
-  /// re-stamping); reuses the local note id when the UNID exists.
+  /// re-stamping); reuses the local note id when the UNID exists. Fails,
+  /// allocating nothing, when the local note cannot be read.
   Status InstallRemoteNote(Note note);
 
   /// Attaches this database's replication history (owned by the Server,
@@ -306,9 +309,10 @@ class Database : public NoteResolver {
   void RemoveObserver(DatabaseObserver* observer);
   /// The `Note&` passed to `fn` is only valid for the duration of the
   /// callback — copy it (or re-Find a NoteHandle) to keep it. Both scans
-  /// run at a pinned snapshot (join the caller's pin when nested).
-  void ForEachLiveNote(const std::function<void(const Note&)>& fn) const;
-  void ForEachNote(const std::function<void(const Note&)>& fn) const;
+  /// run at a pinned snapshot (join the caller's pin when nested) and stop
+  /// at the first note the store cannot read, returning that error.
+  Status ForEachLiveNote(const std::function<void(const Note&)>& fn) const;
+  Status ForEachNote(const std::function<void(const Note&)>& fn) const;
 
   size_t note_count() const;
   size_t stub_count() const;
@@ -326,7 +330,9 @@ class Database : public NoteResolver {
 
   // -- NoteResolver (for view indexes) ---------------------------------------
   // Reads backed by the store's / catalog's own locks: the latest state,
-  // except FindByIdAt, which resolves at a commit epoch like a reader.
+  // except FindByIdAt, which resolves at a commit epoch like a reader. The
+  // resolver has no error channel: an unreadable note resolves to null
+  // (the store still counts and logs the read error).
   NoteHandle FindByUnid(const Unid& unid) const override;
   NoteHandle FindById(NoteId id) const override;
   NoteHandle FindByIdAt(NoteId id, Epoch at) const override;
@@ -380,8 +386,9 @@ class Database : public NoteResolver {
   Micros StampTime() REQUIRES(mu_);
   /// Captures the current state of note `id` (live, stub, or absent) as
   /// the pre-image for the in-flight commit. Must run before the store
-  /// mutation it protects.
-  void RecordPreImage(NoteId id) REQUIRES(mu_);
+  /// mutation it protects, which must not run if this fails (the note is
+  /// unreadable).
+  Status RecordPreImage(NoteId id) REQUIRES(mu_);
   /// Post-commit bookkeeping: children index, design state, the update
   /// queue.
   Status AfterChange(const Note& note) REQUIRES(mu_);
@@ -390,7 +397,8 @@ class Database : public NoteResolver {
   /// WriteScope, durable), so a failure is logged as a `Store` warning,
   /// never returned to the writer.
   void MaintainStore() REQUIRES(mu_);
-  void LoadDesignState() REQUIRES(mu_);
+  /// Fails when its scan of the store fails.
+  Status LoadDesignState() REQUIRES(mu_);
   Status ApplyDesignNote(const Note& note) REQUIRES(mu_);
   /// Applies one queued note-change event to views and full-text, using
   /// the note state captured at enqueue time. Runs under the indexer's
@@ -410,18 +418,22 @@ class Database : public NoteResolver {
   /// can need.
   void ReclaimIndexVersions() const;
 
-  // Snapshot resolution (see core/mvcc.h for the protocol).
-  NoteHandle ResolveAt(NoteId id, Epoch at) const;
+  // Snapshot resolution (see core/mvcc.h for the protocol). Null means
+  // absent at `at`; an error, that the store could not read the note and
+  // no pre-image at `at` stands in for it.
+  Result<NoteHandle> ResolveAt(NoteId id, Epoch at) const;
   /// The version of note `id` at `at`, given `current`, the store's
-  /// handle for it read BEFORE this call.
-  NoteHandle VersionAt(NoteId id, Epoch at, NoteHandle current) const;
-  NoteHandle ResolveUnidAt(const Unid& unid, Epoch at) const;
+  /// answer for it read BEFORE this call.
+  Result<NoteHandle> VersionAt(NoteId id, Epoch at,
+                               Result<NoteHandle> current) const;
+  Result<NoteHandle> ResolveUnidAt(const Unid& unid, Epoch at) const;
   /// Visits every note (stubs included) visible at `at`, including notes
   /// the store has since purged but the overlay still carries. kLiveOnly
   /// skips the store's current stubs undecoded; overlay versions (stubs
   /// among them) are still visited, so callers filter deleted() anyway.
-  void ScanAt(Epoch at, const std::function<void(const Note&)>& fn,
-              NoteStore::Visit visit = NoteStore::Visit::kAll) const;
+  /// Returns the store scan's error.
+  Status ScanAt(Epoch at, const std::function<void(const Note&)>& fn,
+                NoteStore::Visit visit = NoteStore::Visit::kAll) const;
 
   /// Calls every observer's OnCommit (outside all locks).
   void NotifyCommit();

@@ -243,11 +243,11 @@ Status Router::RouteMessage(const Note& message,
 Result<size_t> Router::RunOnce(const std::map<std::string, Router*>& peers) {
   // Snapshot pending messages first; delivery mutates the mailbox.
   std::vector<Note> pending;
-  mailbox_->ForEachLiveNote([&](const Note& note) {
+  DOMINO_RETURN_IF_ERROR(mailbox_->ForEachLiveNote([&](const Note& note) {
     if (EqualsIgnoreCase(note.GetText("Form"), "Memo")) {
       pending.push_back(note);
     }
-  });
+  }));
 
   // First mail-file write failure of the pass; surfaced after every
   // message has been given its chance (one sick mail file must not stall

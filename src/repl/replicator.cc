@@ -51,6 +51,19 @@ bool RemoteWins(const Note& local, const Note& remote) {
   return remote.sequence_time() > local.sequence_time();
 }
 
+/// Installs `conflict` unless this database already holds its UNID (the
+/// UNID derives from the losing version, so every replica computes the
+/// same one); returns whether it did.
+Result<bool> InstallConflictOnce(Database* db, const Note& conflict,
+                                 ReplicationReport* report) {
+  auto known = db->GetAnyByUnid(conflict.unid());
+  if (known.ok()) return false;
+  if (!known.status().IsNotFound()) return known.status();
+  DOMINO_RETURN_IF_ERROR(db->InstallRemoteNote(conflict));
+  report->conflicts += 1;
+  return true;
+}
+
 }  // namespace
 
 void ReplicationReport::MergeFrom(const ReplicationReport& other) {
@@ -168,12 +181,8 @@ Result<bool> ApplyRemoteChange(Database* db, const Note& remote,
     const Note& loser = remote_wins ? local : remote;
     Micros stamp = db->clock() != nullptr ? db->clock()->Now() : 0;
     Note conflict = MakeConflictNote(loser, local.unid(), stamp);
-    bool changed = false;
-    if (!db->GetAnyByUnid(conflict.unid()).ok()) {
-      DOMINO_RETURN_IF_ERROR(db->InstallRemoteNote(conflict));
-      report->conflicts += 1;
-      changed = true;
-    }
+    DOMINO_ASSIGN_OR_RETURN(bool changed,
+                            InstallConflictOnce(db, conflict, report));
     if (remote_wins) {
       DOMINO_RETURN_IF_ERROR(db->InstallRemoteNote(remote));
       report->pulled += 1;
@@ -245,12 +254,8 @@ Result<bool> ApplyRemoteChange(Database* db, const Note& remote,
   const Note& loser = RemoteWins(local, remote) ? local : remote;
   Micros stamp = db->clock() != nullptr ? db->clock()->Now() : 0;
   Note conflict = MakeConflictNote(loser, winner.unid(), stamp);
-  bool changed = false;
-  if (!db->GetAnyByUnid(conflict.unid()).ok()) {
-    DOMINO_RETURN_IF_ERROR(db->InstallRemoteNote(conflict));
-    report->conflicts += 1;
-    changed = true;
-  }
+  DOMINO_ASSIGN_OR_RETURN(bool changed,
+                          InstallConflictOnce(db, conflict, report));
   if (&winner == &remote) {
     DOMINO_RETURN_IF_ERROR(db->InstallRemoteNote(remote));
     report->pulled += 1;
@@ -317,7 +322,8 @@ Status Replicator::Pull(const ReplicaEndpoint& dst,
   //    prefix is a valid resumption point. The notes behind it are
   //    resolved once, at one pin, so a body shipped below is the version
   //    its summary entry named.
-  std::vector<NoteHandle> summary = src.db->NotesModifiedSince(cutoff);
+  DOMINO_ASSIGN_OR_RETURN(std::vector<NoteHandle> summary,
+                          src.db->NotesModifiedSince(cutoff));
   ReplicationReport local;
   DOMINO_RETURN_IF_ERROR(Charge(dst.name, src.name, 32, &local));
   DOMINO_RETURN_IF_ERROR(Charge(src.name, dst.name,
@@ -404,9 +410,11 @@ Status Replicator::Pull(const ReplicaEndpoint& dst,
     for (const NoteHandle& note : summary) {
       summarized.emplace(note->unid(), note->oid());
     }
+    DOMINO_ASSIGN_OR_RETURN(
+        std::vector<NoteHandle> echoed,
+        dst.db->NotesModifiedSince(src.history.CutoffFor(dst.name)));
     Micros echo = 0;
-    for (const NoteHandle& note :
-         dst.db->NotesModifiedSince(src.history.CutoffFor(dst.name))) {
+    for (const NoteHandle& note : echoed) {
       auto it = summarized.find(note->unid());
       if (it == summarized.end() || it->second != note->oid()) break;
       echo = note->modified_in_file();
@@ -496,7 +504,16 @@ void ClusterReplicator::OnCommit() {
 }
 
 void ClusterReplicator::PushPending() {
-  for (const NoteHandle& note : source_->NotesModifiedSince(cursor_)) {
+  auto changed = source_->NotesModifiedSince(cursor_);
+  if (!changed.ok()) {
+    // The source cannot read its own change: push nothing, and leave the
+    // cursor for the scheduled replicator's session to fail on loudly.
+    report_.apply_failures += 1;
+    ctr_cluster_failures_->Add();
+    RecordClusterFailure(source_, changed.status());
+    return;
+  }
+  for (const NoteHandle& note : *changed) {
     cursor_ = note->modified_in_file();
     for (Database* peer : peers_) {
       if (peer->replica_id() != source_->replica_id()) {

@@ -58,15 +58,16 @@ uint64_t NoteFingerprint(const Note& note) {
 bool DatabasesConverged(const std::vector<Database*>& replicas) {
   if (replicas.size() < 2) return true;
   std::map<Unid, uint64_t> reference;
-  replicas[0]->ForEachNote([&](const Note& note) {
+  Status scan = replicas[0]->ForEachNote([&](const Note& note) {
     reference[note.unid()] = NoteFingerprint(note);
   });
+  if (!scan.ok()) return false;
   for (size_t i = 1; i < replicas.size(); ++i) {
     std::map<Unid, uint64_t> other;
-    replicas[i]->ForEachNote([&](const Note& note) {
+    scan = replicas[i]->ForEachNote([&](const Note& note) {
       other[note.unid()] = NoteFingerprint(note);
     });
-    if (other != reference) return false;
+    if (!scan.ok() || other != reference) return false;
   }
   return true;
 }

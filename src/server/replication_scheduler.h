@@ -23,7 +23,8 @@ std::vector<TopologyLink> RingTopology(const std::vector<std::string>& names);
 std::vector<TopologyLink> MeshTopology(const std::vector<std::string>& names);
 
 /// True if all replicas hold exactly the same set of notes (UNID, OID and
-/// content, stubs included).
+/// content, stubs included). False when a replica cannot be scanned: an
+/// unreadable note is not known to match.
 bool DatabasesConverged(const std::vector<Database*>& replicas);
 
 /// Topology front end for one database file: installs the links as

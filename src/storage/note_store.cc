@@ -468,24 +468,13 @@ Status NoteStore::RebuildIndexFromIdTable() {
   modified_index_.clear();
   live_count_ = 0;
   stub_count_ = 0;
-  const size_t per_page = EntriesPerPage();
+  std::vector<std::pair<NoteId, IdEntry>> used;
   for (size_t ti = 0; ti < id_table_pages_.size(); ++ti) {
-    DOMINO_ASSIGN_OR_RETURN(pager::PageRef ref,
-                            pool_->Pin(id_table_pages_[ti]));
-    if (PageTypeOf(ref.data()) != pager::kPageIdTable) {
-      return Status::Corruption("id-table page has wrong type");
-    }
-    for (size_t i = 0; i < per_page; ++i) {
-      const char* p = ref.data() + kPageHeaderSize + i * kIdEntrySize;
-      uint8_t flags = static_cast<uint8_t>(p[22]);
-      if ((flags & kEntryUsed) == 0) continue;
-      NoteId id = static_cast<NoteId>(ti * per_page + i + 1);
-      Unid unid;
-      unid.hi = LoadU64(p);
-      unid.lo = LoadU64(p + 8);
-      unid_index_[unid] = id;
-      modified_index_.emplace(static_cast<Micros>(LoadU64(p + 32)), id);
-      if (flags & kEntryDeleted) {
+    DOMINO_RETURN_IF_ERROR(UsedEntries(ti, &used));
+    for (const auto& [id, entry] : used) {
+      unid_index_[entry.unid] = id;
+      modified_index_.emplace(entry.modified, id);
+      if (entry.flags & kEntryDeleted) {
         ++stub_count_;
       } else {
         ++live_count_;
@@ -550,6 +539,25 @@ NoteStore::IdEntry NoteStore::DecodeEntry(const char* p) {
   entry.seq_time = static_cast<Micros>(LoadU64(p + 24));
   entry.modified = static_cast<Micros>(LoadU64(p + 32));
   return entry;
+}
+
+Status NoteStore::UsedEntries(
+    size_t table_index, std::vector<std::pair<NoteId, IdEntry>>* out) const {
+  out->clear();
+  DOMINO_ASSIGN_OR_RETURN(pager::PageRef ref,
+                          pool_->Pin(id_table_pages_[table_index]));
+  if (PageTypeOf(ref.data()) != pager::kPageIdTable) {
+    return Status::Corruption("id-table page has wrong type");
+  }
+  const size_t per_page = EntriesPerPage();
+  for (size_t i = 0; i < per_page; ++i) {
+    const IdEntry entry =
+        DecodeEntry(ref.data() + kPageHeaderSize + i * kIdEntrySize);
+    if ((entry.flags & kEntryUsed) == 0) continue;
+    out->emplace_back(static_cast<NoteId>(table_index * per_page + i + 1),
+                      entry);
+  }
+  return Status::Ok();
 }
 
 Status NoteStore::WriteEntry(NoteId id, const IdEntry& entry) {
@@ -747,12 +755,6 @@ Result<Note> NoteStore::ReadNoteAt(const IdEntry& entry) const {
 
 // -- Reads -----------------------------------------------------------------
 
-Result<NoteHandle> NoteStore::ResolveEntry(NoteId id,
-                                           const IdEntry& entry) const {
-  if (NoteHandle cached = note_cache_->Lookup(id)) return cached;
-  return LoadNote(id, entry);
-}
-
 Result<NoteHandle> NoteStore::LoadNote(NoteId id, const IdEntry& entry) const {
   // A miss decodes and inserts under mu_ shared, so no writer can change
   // the entry (and erase the id from the cache) in between.
@@ -764,25 +766,15 @@ Result<NoteHandle> NoteStore::LoadNote(NoteId id, const IdEntry& entry) const {
   return handle;
 }
 
-Result<Note> NoteStore::GetCore(NoteId id) const {
-  // The id table, read through the pool, stays the authority on whether
-  // a note exists; the cache only saves the bucket-page pin and decode.
-  DOMINO_ASSIGN_OR_RETURN(IdEntry entry, ReadEntry(id));
-  if ((entry.flags & kEntryUsed) == 0) {
-    return Status::NotFound("note id " + std::to_string(id));
-  }
-  DOMINO_ASSIGN_OR_RETURN(NoteHandle note, ResolveEntry(id, entry));
-  return *note;
-}
-
-void NoteStore::FindCore(const NoteId* ids, const uint32_t* order, size_t n,
-                         NoteHandle* out) const {
+Status NoteStore::FindCore(const NoteId* ids, const uint32_t* order,
+                           size_t n, NoteHandle* out) const {
   // The cache is searched first: under mu_ shared no writer can change
   // an entry or drop its cached note, so a cached note is the entry's.
   // The id table still decides existence.
   note_cache_->LookupMany(ids, n, out);
   uint64_t hits = 0;
   uint64_t misses = 0;
+  Status status;
   IdPageCursor cursor;
   for (size_t k = 0; k < n; ++k) {
     const uint32_t i = order[k];
@@ -790,44 +782,34 @@ void NoteStore::FindCore(const NoteId* ids, const uint32_t* order, size_t n,
     // any error it returns is a real one.
     auto entry = ReadEntry(ids[i], &cursor);
     if (!entry.ok()) {
-      out[i] = nullptr;
-      ReportReadError(ids[i], entry.status());
-    } else if ((entry->flags & kEntryUsed) == 0) {
+      status = ReportReadError(ids[i], entry.status());
+      break;
+    }
+    if ((entry->flags & kEntryUsed) == 0) {
       out[i] = nullptr;
     } else if (out[i] != nullptr) {
       ++hits;
     } else {
       ++misses;
       auto note = LoadNote(ids[i], *entry);
-      if (note.ok()) {
-        out[i] = std::move(*note);
-      } else {
-        ReportReadError(ids[i], note.status());
+      if (!note.ok()) {
+        status = ReportReadError(ids[i], note.status());
+        break;
       }
+      out[i] = std::move(*note);
     }
   }
   note_cache_->CountLookups(hits, misses);
+  return status;
 }
 
-void NoteStore::ReportReadError(NoteId id, const Status& status) const {
+Status NoteStore::ReportReadError(NoteId id, const Status& status) const {
   ctr_read_errors_->Add();
   registry_->events().Log(stats::Severity::kWarning, "Store",
                           "read of note id " + std::to_string(id) +
                               " failed: " + status.ToString());
-}
-
-Result<Note> NoteStore::Get(NoteId id) const {
-  ReaderLock lock(&mu_);
-  return GetCore(id);
-}
-
-Result<Note> NoteStore::GetByUnid(const Unid& unid) const {
-  ReaderLock lock(&mu_);
-  auto it = unid_index_.find(unid);
-  if (it == unid_index_.end()) {
-    return Status::NotFound("unid " + unid.ToString());
-  }
-  return GetCore(it->second);
+  return Status(status.code(),
+                "note id " + std::to_string(id) + ": " + status.message());
 }
 
 std::vector<NoteId> NoteStore::IdsModifiedSince(Micros cutoff) const {
@@ -846,35 +828,31 @@ Micros NoteStore::LatestModifiedStamp() const {
   return modified_index_.empty() ? 0 : modified_index_.rbegin()->first;
 }
 
-bool NoteStore::Contains(NoteId id) const {
-  ReaderLock lock(&mu_);
-  auto entry = ReadEntry(id);
-  return entry.ok() && (entry->flags & kEntryUsed) != 0;
-}
-
 bool NoteStore::ContainsUnid(const Unid& unid) const {
   ReaderLock lock(&mu_);
   return unid_index_.count(unid) != 0;
 }
 
-NoteHandle NoteStore::Find(NoteId id) const {
+Result<NoteHandle> NoteStore::Find(NoteId id) const {
   const uint32_t order = 0;
   NoteHandle out;
   ReaderLock lock(&mu_);
-  FindCore(&id, &order, 1, &out);
+  DOMINO_RETURN_IF_ERROR(FindCore(&id, &order, 1, &out));
   return out;
 }
 
-NoteHandle NoteStore::FindByUnid(const Unid& unid) const {
+Result<NoteHandle> NoteStore::FindByUnid(const Unid& unid) const {
   const uint32_t order = 0;
   NoteHandle out;
   ReaderLock lock(&mu_);
   auto it = unid_index_.find(unid);
-  if (it != unid_index_.end()) FindCore(&it->second, &order, 1, &out);
+  if (it != unid_index_.end()) {
+    DOMINO_RETURN_IF_ERROR(FindCore(&it->second, &order, 1, &out));
+  }
   return out;
 }
 
-std::vector<NoteHandle> NoteStore::FindMany(
+Result<std::vector<NoteHandle>> NoteStore::FindMany(
     const std::vector<NoteId>& ids) const {
   std::vector<uint32_t> order(ids.size());
   for (uint32_t i = 0; i < order.size(); ++i) order[i] = i;
@@ -882,48 +860,44 @@ std::vector<NoteHandle> NoteStore::FindMany(
             [&ids](uint32_t a, uint32_t b) { return ids[a] < ids[b]; });
   std::vector<NoteHandle> out(ids.size());
   ReaderLock lock(&mu_);
-  FindCore(ids.data(), order.data(), ids.size(), out.data());
+  DOMINO_RETURN_IF_ERROR(
+      FindCore(ids.data(), order.data(), ids.size(), out.data()));
   return out;
 }
 
-void NoteStore::ForEach(const std::function<void(const Note&)>& fn,
-                        Visit visit) const {
-  const uint8_t skip =
-      visit == Visit::kLiveOnly ? kEntryDeleted : uint8_t{0};
-  const size_t per_page = EntriesPerPage();
+Status NoteStore::ForEach(const std::function<void(const Note&)>& fn,
+                          Visit visit) const {
   size_t table_pages = 0;
   {
     ReaderLock lock(&mu_);
     table_pages = id_table_pages_.size();
   }
+  std::vector<std::pair<NoteId, IdEntry>> used;
   for (size_t ti = 0; ti < table_pages; ++ti) {
     // Entry decode AND note reads happen under one shared hold (an entry
     // read without its note would go stale if a writer moved the note in
     // between); `fn` then runs with no lock held, so callbacks may
     // re-enter store reads without self-deadlocking on the shared lock.
+    // Decoded straight from the pages: a scan neither reads nor fills
+    // the note cache.
     std::vector<Note> batch;
     {
       ReaderLock lock(&mu_);
       if (ti >= id_table_pages_.size()) break;
-      std::vector<IdEntry> used;
-      {
-        auto ref_or = pool_->Pin(id_table_pages_[ti]);
-        if (!ref_or.ok()) continue;
-        for (size_t i = 0; i < per_page; ++i) {
-          const char* p = ref_or->data() + kPageHeaderSize + i * kIdEntrySize;
-          const uint8_t flags = static_cast<uint8_t>(p[22]);
-          if ((flags & kEntryUsed) == 0 || (flags & skip) != 0) continue;
-          used.push_back(DecodeEntry(p));
-        }
-      }
+      DOMINO_RETURN_IF_ERROR(UsedEntries(ti, &used));
       batch.reserve(used.size());
-      for (const IdEntry& entry : used) {
+      for (const auto& [id, entry] : used) {
+        if (visit == Visit::kLiveOnly && (entry.flags & kEntryDeleted) != 0) {
+          continue;
+        }
         auto note = ReadNoteAt(entry);
-        if (note.ok()) batch.push_back(std::move(*note));
+        if (!note.ok()) return ReportReadError(id, note.status());
+        batch.push_back(std::move(*note));
       }
     }
     for (const Note& note : batch) fn(note);
   }
+  return Status::Ok();
 }
 
 // -- Apply (shared by live commits and recovery replay) --------------------
@@ -1124,17 +1098,13 @@ Result<std::vector<NoteId>> NoteStore::PurgeableStubs(
     Micros age_cutoff, Micros seen_cutoff) const {
   ReaderLock lock(&mu_);
   std::vector<NoteId> victims;
-  const size_t per_page = EntriesPerPage();
+  std::vector<std::pair<NoteId, IdEntry>> used;
   for (size_t ti = 0; ti < id_table_pages_.size(); ++ti) {
-    DOMINO_ASSIGN_OR_RETURN(pager::PageRef ref,
-                            pool_->Pin(id_table_pages_[ti]));
-    for (size_t i = 0; i < per_page; ++i) {
-      const IdEntry entry =
-          DecodeEntry(ref.data() + kPageHeaderSize + i * kIdEntrySize);
-      if ((entry.flags & kEntryUsed) != 0 &&
-          (entry.flags & kEntryDeleted) != 0 &&
-          entry.seq_time < age_cutoff && entry.modified <= seen_cutoff) {
-        victims.push_back(static_cast<NoteId>(ti * per_page + i + 1));
+    DOMINO_RETURN_IF_ERROR(UsedEntries(ti, &used));
+    for (const auto& [id, entry] : used) {
+      if ((entry.flags & kEntryDeleted) != 0 && entry.seq_time < age_cutoff &&
+          entry.modified <= seen_cutoff) {
+        victims.push_back(id);
       }
     }
   }

@@ -166,11 +166,14 @@ struct CompactStats {
 /// pages and frees the husks. The owning Database slices it under brief
 /// writer locks so readers interleave (the online Domino COMPACT).
 ///
-/// Reads: every lookup reads the note's id-table entry through the pool
-/// (the id table is the authority on existence), then takes the decoded
-/// note from a NoteCache budgeted like the pool, decoding the bucket
-/// slot only on a miss. WriteEntry — the one place an entry changes —
-/// drops the id from the cache.
+/// Reads: one core answers every lookup. It reads the note's id-table
+/// entry through the pool (the id table is the authority on existence),
+/// then takes the decoded note from a NoteCache budgeted like the pool,
+/// decoding the bucket slot only on a miss. A lookup answers present,
+/// absent or unreadable; an unreadable note is an error, never a missing
+/// note. Scans and open-time rebuilds walk the id table through one
+/// page walk, which checks each page's type. WriteEntry — the one place
+/// an entry changes — drops the id from the cache.
 ///
 /// Inside a WriteScope a write's log record is appended but not yet
 /// synced when Put returns; the write is applied and visible at once and
@@ -198,36 +201,39 @@ class NoteStore {
   NoteStore& operator=(const NoteStore&) = delete;
 
   // -- Reads ------------------------------------------------------------
-  /// Fetches by local note id (stubs included).
-  Result<Note> Get(NoteId id) const;
-  /// Fetches by UNID (stubs included).
-  Result<Note> GetByUnid(const Unid& unid) const;
-  bool Contains(NoteId id) const;
-  bool ContainsUnid(const Unid& unid) const;
-
-  /// Owning handle to the stored note (stubs included); null when absent
-  /// or unreadable. An unreadable note (a page failing its CRC, say)
-  /// counts in `Database.ReadErrors` and logs a Warning event. The handle
-  /// is an immutable decoded copy (shared with the decoded-note cache), so
-  /// it stays valid across evictions, compaction and later writes.
-  NoteHandle Find(NoteId id) const;
-  NoteHandle FindByUnid(const Unid& unid) const;
+  /// The note with local id `id`. The id table decides the answer:
+  ///  - a handle: the note is present (deletion stubs count as present);
+  ///  - null: the id is unused, or lies beyond the table;
+  ///  - an error: the table says the note exists but it cannot be read (a
+  ///    page failing its CRC, say). The error names the note id, counts in
+  ///    `Database.ReadErrors` and logs a Warning event.
+  /// A handle is an immutable decoded copy (shared with the decoded-note
+  /// cache), so it stays valid across evictions, compaction and later
+  /// writes.
+  Result<NoteHandle> Find(NoteId id) const;
+  /// Find by UNID; null when the UNID index does not know `unid`.
+  Result<NoteHandle> FindByUnid(const Unid& unid) const;
   /// Find over many ids under one shared hold: handles come back in the
-  /// order of `ids` (null where Find would return null), but the ids are
-  /// resolved in ascending order, so each id-table page is pinned once.
-  std::vector<NoteHandle> FindMany(const std::vector<NoteId>& ids) const;
+  /// order of `ids`, but the ids are resolved in ascending order, so each
+  /// id-table page is pinned once. Fails on the first unreadable id.
+  Result<std::vector<NoteHandle>> FindMany(
+      const std::vector<NoteId>& ids) const;
+  /// Whether the UNID index knows `unid` (stubs included); reads no note.
+  bool ContainsUnid(const Unid& unid) const;
 
   /// Which entries a scan visits. kLiveOnly skips deletion stubs at the
   /// id table, without decoding them.
   enum class Visit : uint8_t { kAll, kLiveOnly };
 
   /// Visits every note (including deletion stubs unless kLiveOnly) in
-  /// note-id order. The internal lock is held shared per id-table page,
-  /// NOT across `fn` callbacks, so callbacks may freely re-enter store
-  /// reads; notes committed concurrently with the scan may or may not be
+  /// note-id order, and stops at the first id-table page it cannot read
+  /// or note it cannot read (counted and logged as Find's are), returning
+  /// that error. The internal lock is held shared per id-table page, NOT
+  /// across `fn` callbacks, so callbacks may freely re-enter store reads;
+  /// notes committed concurrently with the scan may or may not be
   /// visited.
-  void ForEach(const std::function<void(const Note&)>& fn,
-               Visit visit = Visit::kAll) const;
+  Status ForEach(const std::function<void(const Note&)>& fn,
+                 Visit visit = Visit::kAll) const;
 
   /// Ids of the notes (stubs included) whose modified-in-file stamp is
   /// greater than `cutoff`, in ascending stamp order. Answered from an
@@ -357,24 +363,20 @@ class NoteStore {
   };
 
   // -- Lock-free read cores (caller holds mu_ at least shared) ----------
-  Result<Note> GetCore(NoteId id) const REQUIRES_SHARED(mu_);
-  /// The read core of Find and FindMany: sets out[i] to the note with id
-  /// ids[i] (null when absent or unreadable) for every i in [0, n).
-  /// Unreadable ids go through ReportReadError.
+  /// The read core of every lookup: sets out[i] to the note with id
+  /// ids[i] (null when absent) for every i in [0, n), and returns the
+  /// first read error (through ReportReadError).
   /// `order` lists the positions of `ids` by ascending id; the id table
   /// is read in that order, so each of its pages is pinned once, and the
   /// note cache is searched for all ids with one lock per shard.
-  void FindCore(const NoteId* ids, const uint32_t* order, size_t n,
-                NoteHandle* out) const REQUIRES_SHARED(mu_);
-  /// The decoded note behind a used entry: from the note cache, or
-  /// decoded from its bucket page and cached.
-  Result<NoteHandle> ResolveEntry(NoteId id, const IdEntry& entry) const
-      REQUIRES_SHARED(mu_);
+  Status FindCore(const NoteId* ids, const uint32_t* order, size_t n,
+                  NoteHandle* out) const REQUIRES_SHARED(mu_);
   /// Decodes a used entry's note from its bucket page and caches it.
   Result<NoteHandle> LoadNote(NoteId id, const IdEntry& entry) const
       REQUIRES_SHARED(mu_);
-  /// Counts and logs a read that failed on a note the store should hold.
-  void ReportReadError(NoteId id, const Status& status) const;
+  /// Counts and logs a read that failed on a note the store should hold;
+  /// returns the failure, naming the note id.
+  Status ReportReadError(NoteId id, const Status& status) const;
 
   // -- Id-table access ---------------------------------------------------
   size_t EntriesPerPage() const;
@@ -393,6 +395,12 @@ class NoteStore {
   }
   /// Decodes the serialized entry at `p` (a pinned id-table page).
   static IdEntry DecodeEntry(const char* p);
+  /// The id-table walk: replaces `out` with the used entries of id-table
+  /// page `table_index`, in id order. Pins the page once and refuses one
+  /// whose type is not the id table's.
+  Status UsedEntries(size_t table_index,
+                     std::vector<std::pair<NoteId, IdEntry>>* out) const
+      REQUIRES_SHARED(mu_);
   /// The one place an id's entry changes, so also the one place its
   /// cached note is dropped.
   Status WriteEntry(NoteId id, const IdEntry& entry) REQUIRES(mu_);

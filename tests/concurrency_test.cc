@@ -150,16 +150,17 @@ TEST_F(ConcurrencyFixture, ReadersProceedWhileWritersMutate) {
           EXPECT_GE(looked->size(), 1u);
         }
         EXPECT_OK(db_->ReadNote(anchor_id_).status());
-        (void)db_->UnreadCount(reader);
+        EXPECT_OK(db_->UnreadCount(reader).status());
         {
           // The modified-in-file index read races the writers' commits:
           // within one pin, the summary at a non-zero cutoff must be
           // exactly the tail of the full summary past that cutoff.
           Database::ReadTxn txn(db_.get(), /*catch_up=*/false);
           const Micros cutoff = db_->last_write_stamp() - 20'000;
-          std::vector<Database::Change> all = db_->ChangeSummarySince(0);
-          std::vector<Database::Change> recent =
-              db_->ChangeSummarySince(cutoff);
+          ASSERT_OK_AND_ASSIGN(std::vector<Database::Change> all,
+                               db_->ChangeSummarySince(0));
+          ASSERT_OK_AND_ASSIGN(std::vector<Database::Change> recent,
+                               db_->ChangeSummarySince(cutoff));
           auto tail = std::find_if(
               all.begin(), all.end(),
               [&](const Database::Change& c) { return c.stamp > cutoff; });

@@ -9,6 +9,7 @@ namespace {
 
 using testing_util::MakeDoc;
 using testing_util::ScratchDir;
+using testing_util::TearPages;
 
 class DatabaseFixture : public ::testing::Test {
  protected:
@@ -382,11 +383,11 @@ TEST_F(DatabaseFixture, UnreadMarks) {
   ASSERT_OK_AND_ASSIGN(NoteId a, Create("Memo", "one"));
   ASSERT_OK_AND_ASSIGN(NoteId b, Create("Memo", "two"));
   (void)b;
-  EXPECT_EQ(db_->UnreadCount(user), 2u);
+  EXPECT_EQ(*db_->UnreadCount(user), 2u);
   ASSERT_OK_AND_ASSIGN(Note note, db_->ReadNote(a));
   db_->MarkRead(user, note.unid());
   EXPECT_FALSE(db_->IsUnread(user, note.unid()));
-  EXPECT_EQ(db_->UnreadCount(user), 1u);
+  EXPECT_EQ(*db_->UnreadCount(user), 1u);
 }
 
 TEST_F(DatabaseFixture, ChangesSinceAndPurge) {
@@ -398,7 +399,7 @@ TEST_F(DatabaseFixture, ChangesSinceAndPurge) {
   ASSERT_OK(Create("Memo", "late").status());
   ASSERT_OK(db_->DeleteNote(a));
 
-  auto changes = db_->ChangeSummarySince(cutoff);
+  ASSERT_OK_AND_ASSIGN(auto changes, db_->ChangeSummarySince(cutoff));
   ASSERT_EQ(changes.size(), 2u);  // the late note and the stub
   EXPECT_GT(changes[0].stamp, cutoff);
   EXPECT_LT(changes[0].stamp, changes[1].stamp);
@@ -546,6 +547,140 @@ TEST_F(DatabaseFixture, ViewDesignChangeViaNoteTakesEffect) {
   ASSERT_OK(db_->InstallRemoteNote(incoming));
   EXPECT_EQ(db_->FindView("dyn")->size(), 1u);
   EXPECT_EQ(db_->FindView("dyn")->Entries()[0]->ColumnText(0), "doc-b");
+}
+
+// -- A torn page is corruption, never absence --------------------------------
+// Each case below once read an unreadable note as a missing one.
+
+TEST(DatabaseTornPage, OpenFailsNamingTheUnreadableAclNote) {
+  ScratchDir dir;
+  SimClock clock;
+  const std::string db_dir = dir.Sub("db");
+  DatabaseOptions options;
+  NoteId acl_id = kInvalidNoteId;
+  {
+    ASSERT_OK_AND_ASSIGN(auto db, Database::Open(db_dir, options, &clock));
+    Acl acl;
+    acl.set_default_level(AccessLevel::kNoAccess);
+    acl.SetEntry("Alice", AccessLevel::kManager);
+    ASSERT_OK(db->SetAcl(acl));
+    for (int i = 0; i < 40; ++i) {
+      ASSERT_OK(db->CreateNote(MakeDoc("Memo", StrPrintf("doc %d", i)))
+                    .status());
+    }
+    ASSERT_OK(db->ForEachLiveNote([&](const Note& note) {
+      if (note.note_class() == NoteClass::kAcl) acl_id = note.id();
+    }));
+    ASSERT_OK(db->Checkpoint());
+  }
+  ASSERT_NE(acl_id, kInvalidNoteId);
+  // The ACL note was the first note placed, so it sits on the first
+  // bucket page. Opening without it would fall back to the default ACL
+  // and let a shut-out user read.
+  ASSERT_NO_FATAL_FAILURE(
+      TearPages(db_dir, options.store.page_size, pager::kPageBucket));
+  auto reopened = Database::Open(db_dir, options, &clock);
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_TRUE(reopened.status().IsCorruption())
+      << reopened.status().ToString();
+  EXPECT_NE(reopened.status().message().find(
+                "note id " + std::to_string(acl_id) + ":"),
+            std::string::npos)
+      << reopened.status().ToString();
+}
+
+/// A database torn while open: 40 documents on 512-byte pages behind a
+/// 4-page pool, checkpointed, then scanned so the pool has evicted the
+/// first bucket page, which is then torn on disk. The first document
+/// sits on that page. At this size the note cache holds no note (each is
+/// larger than a cache shard's share), so every read goes to the pages.
+class TornPageFixture : public ::testing::Test {
+ protected:
+  static constexpr size_t kDocs = 40;
+
+  void SetUp() override {
+    DatabaseOptions options;
+    options.store.page_size = kPageSize;
+    options.store.cache_pages = 4;
+    ASSERT_OK_AND_ASSIGN(db_, Database::Open(dir_.Sub("db"), options, &clock_));
+    for (size_t i = 0; i < kDocs; ++i) {
+      ASSERT_OK_AND_ASSIGN(
+          NoteId id,
+          db_->CreateNote(MakeDoc("Memo", StrPrintf("doc %zu", i), i + 1)));
+      ids_.push_back(id);
+    }
+    ASSERT_OK(db_->Checkpoint());
+    size_t visited = 0;
+    ASSERT_OK(db_->ForEachNote([&](const Note& note) {
+      if (note.id() == ids_[0]) first_ = note;
+      ++visited;
+    }));
+    ASSERT_EQ(visited, kDocs);
+    ASSERT_NO_FATAL_FAILURE(
+        TearPages(dir_.Sub("db"), kPageSize, pager::kPageBucket));
+  }
+
+  void ExpectTorn(const Status& status) {
+    EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+    EXPECT_NE(status.message().find("note id " + std::to_string(ids_[0])),
+              std::string::npos)
+        << status.ToString();
+  }
+
+  static constexpr uint32_t kPageSize = 512;
+  ScratchDir dir_;
+  SimClock clock_;
+  std::unique_ptr<Database> db_;
+  std::vector<NoteId> ids_;
+  Note first_;
+};
+
+TEST_F(TornPageFixture, ReadsReturnCorruptionNotNotFound) {
+  ExpectTorn(db_->ReadNote(ids_[0]).status());
+  ExpectTorn(db_->ReadNoteByUnid(first_.unid()).status());
+  ExpectTorn(db_->GetAnyByUnid(first_.unid()).status());
+  ExpectTorn(db_->UpdateNote(first_));
+  ExpectTorn(db_->DeleteNote(ids_[0]));
+  // A note on an intact page still reads.
+  EXPECT_OK(db_->ReadNote(ids_.back()).status());
+}
+
+TEST_F(TornPageFixture, ScansFailInsteadOfSkipping) {
+  size_t visited = 0;
+  ExpectTorn(db_->ForEachNote([&](const Note&) { ++visited; }));
+  EXPECT_LT(visited, kDocs);
+  ExpectTorn(db_->ForEachLiveNote([](const Note&) {}));
+  ExpectTorn(db_->FormulaSearch("SELECT @All").status());
+  ExpectTorn(db_->NotesModifiedSince(0).status());
+  ExpectTorn(db_->UnreadCount(Principal::User("Alice")).status());
+}
+
+TEST_F(TornPageFixture, InstallOfTheSameUnidFailsAndAllocatesNoId) {
+  Note remote = first_;
+  remote.SetText("Subject", "from a replica");
+  remote.SetReplicationState(
+      Oid{first_.unid(), first_.sequence() + 1, first_.sequence_time() + 1},
+      {first_.sequence_time()}, first_.created(), false);
+  ExpectTorn(db_->InstallRemoteNote(remote));
+  EXPECT_EQ(db_->note_count(), kDocs);
+  // The next note takes the next id: the failed install allocated none.
+  ASSERT_OK_AND_ASSIGN(NoteId next, db_->CreateNote(MakeDoc("Memo", "next")));
+  EXPECT_EQ(next, ids_.back() + 1);
+}
+
+TEST_F(TornPageFixture, IndexBuildsFailAndInstallNothing) {
+  std::vector<ViewColumn> columns;
+  ViewColumn subject;
+  subject.title = "Subject";
+  subject.formula_source = "Subject";
+  columns.push_back(std::move(subject));
+  ASSERT_OK_AND_ASSIGN(ViewDesign design,
+                       ViewDesign::Create("all", "SELECT @All",
+                                          std::move(columns)));
+  ExpectTorn(db_->CreateView(design).status());
+  EXPECT_EQ(db_->FindView("all"), nullptr);
+  ExpectTorn(db_->EnsureFullTextIndex());
+  EXPECT_EQ(db_->fulltext(), nullptr);
 }
 
 }  // namespace

@@ -53,7 +53,7 @@ TEST_F(FolderFixture, Errors) {
   EXPECT_FALSE(db_->AddToFolder("NoSuch", unids_[0]).ok());
   EXPECT_FALSE(db_->AddToFolder("Inbox", Unid{9, 9}).ok());
   EXPECT_FALSE(db_->FolderContents("NoSuch").ok());
-  EXPECT_EQ(db_->FolderNames(), (std::vector<std::string>{"Inbox"}));
+  EXPECT_EQ(*db_->FolderNames(), (std::vector<std::string>{"Inbox"}));
 }
 
 TEST_F(FolderFixture, DeletedDocumentsDropOut) {
@@ -75,7 +75,7 @@ TEST_F(FolderFixture, FoldersReplicate) {
                 .Replicate(ReplicaEndpoint{db_.get(), "A", history_a},
                            ReplicaEndpoint{replica.get(), "B", history_b}, {})
                 .status());
-  EXPECT_EQ(replica->FolderNames(), (std::vector<std::string>{"Inbox"}));
+  EXPECT_EQ(*replica->FolderNames(), (std::vector<std::string>{"Inbox"}));
   ASSERT_OK_AND_ASSIGN(auto contents, replica->FolderContents("Inbox"));
   ASSERT_EQ(contents.size(), 1u);
   EXPECT_EQ(contents[0].GetText("Subject"), "m0");

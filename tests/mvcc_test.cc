@@ -30,6 +30,7 @@
 namespace dominodb {
 namespace {
 
+using testing_util::FoundNote;
 using testing_util::MakeDoc;
 using testing_util::ScratchDir;
 
@@ -303,7 +304,8 @@ TEST_F(MvccFixture, PurgedStubStaysVisibleToPinnedReader) {
   ASSERT_OK_AND_ASSIGN(Note stub, db_->GetAnyByUnid(unid));
   EXPECT_TRUE(stub.deleted());
   bool summarized = false;
-  for (const auto& change : db_->ChangeSummarySince(0)) {
+  ASSERT_OK_AND_ASSIGN(auto changes, db_->ChangeSummarySince(0));
+  for (const auto& change : changes) {
     summarized = summarized || change.oid.unid == unid;
   }
   EXPECT_TRUE(summarized);
@@ -456,7 +458,9 @@ using ChangeRow = std::tuple<Micros, Unid, uint32_t, Micros>;
 
 std::vector<ChangeRow> SummaryRows(const Database& db, Micros cutoff) {
   std::vector<ChangeRow> rows;
-  for (const Database::Change& c : db.ChangeSummarySince(cutoff)) {
+  auto changes = db.ChangeSummarySince(cutoff);
+  EXPECT_OK(changes.status());
+  for (const Database::Change& c : changes.value_or({})) {
     rows.emplace_back(c.stamp, c.oid.unid, c.oid.sequence,
                       c.oid.sequence_time);
   }
@@ -637,8 +641,8 @@ TEST_P(ChangeIndexDifferential, SummaryAndLiveScanMatchFullScanOracle) {
     } else if (op < 50) {
       std::vector<NoteId> ids = live_ids();
       if (!ids.empty()) {
-        ASSERT_OK_AND_ASSIGN(
-            Note note, db_->store()->Get(ids[rng.Uniform(ids.size())]));
+        const NoteId id = ids[rng.Uniform(ids.size())];
+        ASSERT_OK_AND_ASSIGN(Note note, FoundNote(db_->store()->Find(id)));
         note.SetText("Subject", "u" + std::to_string(step));
         ASSERT_OK(db_->UpdateNote(std::move(note)));
       }

@@ -49,6 +49,8 @@ void operator delete(void* p, std::size_t) noexcept { operator delete(p); }
 namespace dominodb {
 namespace {
 
+using testing_util::Found;
+using testing_util::FoundNote;
 using testing_util::ScratchDir;
 
 DatabaseInfo Info() {
@@ -85,7 +87,7 @@ class NoteCacheTest : public ::testing::Test {
   }
   int64_t Bytes() { return stats_.GetGauge("Store.NoteCache.Bytes").value(); }
   std::string Subject(NoteId id) {
-    NoteHandle note = store_->Find(id);
+    NoteHandle note = Found(store_->Find(id));
     return note == nullptr ? "<absent>" : note->GetText("Subject");
   }
 
@@ -98,20 +100,20 @@ TEST_F(NoteCacheTest, HitIsTheSameDecodedNote) {
   Open(Options());
   Note note = Doc(1, "v1");
   ASSERT_OK(store_->Put(&note));
-  NoteHandle first = store_->Find(note.id());
-  NoteHandle second = store_->Find(note.id());
+  NoteHandle first = Found(store_->Find(note.id()));
+  NoteHandle second = Found(store_->Find(note.id()));
   ASSERT_NE(first, nullptr);
   EXPECT_EQ(first.get(), second.get());
   EXPECT_EQ(Counter("Misses"), 1u);
   EXPECT_EQ(Counter("Hits"), 1u);
   EXPECT_EQ(Bytes(), static_cast<int64_t>(NoteCache::Charge(*first)));
   // Get and FindByUnid resolve through the same cache.
-  ASSERT_OK_AND_ASSIGN(Note copy, store_->Get(note.id()));
+  ASSERT_OK_AND_ASSIGN(Note copy, FoundNote(store_->Find(note.id())));
   EXPECT_EQ(copy.GetText("Subject"), "v1");
-  EXPECT_EQ(store_->FindByUnid(note.unid()).get(), first.get());
+  EXPECT_EQ(Found(store_->FindByUnid(note.unid())).get(), first.get());
   EXPECT_EQ(Counter("Hits"), 3u);
   // Absent ids are answered by the id table alone.
-  EXPECT_EQ(store_->Find(9999), nullptr);
+  EXPECT_EQ(Found(store_->Find(9999)), nullptr);
   EXPECT_EQ(Counter("Misses"), 1u);
 }
 
@@ -131,21 +133,21 @@ TEST_F(NoteCacheTest, WritesRefreshTheCachedNote) {
 
   ASSERT_OK(store_->Erase(b.id()));
   EXPECT_EQ(Subject(b.id()), "<absent>");
-  EXPECT_FALSE(store_->Get(b.id()).ok());
+  EXPECT_FALSE(FoundNote(store_->Find(b.id())).ok());
 
   // A stub keeps its id-table entry; purging it must drop the cached stub.
   Note stub = a;
   stub.MakeStub(20);
   ASSERT_OK(store_->Put(&stub));
-  ASSERT_NE(store_->Find(a.id()), nullptr);
-  EXPECT_TRUE(store_->Find(a.id())->deleted());
+  ASSERT_NE(Found(store_->Find(a.id())), nullptr);
+  EXPECT_TRUE(Found(store_->Find(a.id()))->deleted());
   ASSERT_OK_AND_ASSIGN(
       std::vector<NoteId> victims,
       store_->PurgeableStubs(100'000'000'000'000,
                              std::numeric_limits<Micros>::max()));
   ASSERT_EQ(victims, std::vector<NoteId>{a.id()});
   ASSERT_OK(store_->Erase(a.id()));
-  EXPECT_EQ(store_->Find(a.id()), nullptr);
+  EXPECT_EQ(Found(store_->Find(a.id())), nullptr);
   EXPECT_EQ(Bytes(), 0);
 }
 
@@ -153,7 +155,7 @@ TEST_F(NoteCacheTest, HandleHeldAcrossUpdateKeepsOldVersion) {
   Open(Options());
   Note note = Doc(1, "old");
   ASSERT_OK(store_->Put(&note));
-  NoteHandle held = store_->Find(note.id());
+  NoteHandle held = Found(store_->Find(note.id()));
   note.SetText("Subject", "new");
   note.BumpSequence(10);
   ASSERT_OK(store_->Put(&note));
@@ -179,7 +181,7 @@ TEST_F(NoteCacheTest, CompactionRelocationDropsMovedNotes) {
     notes[i].BumpSequence(1000 + static_cast<Micros>(i));
     ASSERT_OK(store_->Put(&notes[i]));
   }
-  for (const Note& n : notes) ASSERT_NE(store_->Find(n.id()), nullptr);
+  for (const Note& n : notes) ASSERT_NE(Found(store_->Find(n.id())), nullptr);
   const uint64_t misses = Counter("Misses");
   ASSERT_OK_AND_ASSIGN(size_t reclaimed, store_->CompactStep(100));
   ASSERT_GT(reclaimed, 0u);
@@ -232,9 +234,9 @@ TEST_F(NoteCacheTest, CrashRecoveryReplaysPastCachedVersions) {
   ASSERT_OK_AND_ASSIGN(auto recovered,
                        NoteStore::Open(dir_.Sub("crashed"), clean, Info()));
   EXPECT_GT(recovered->stats().recovered_records, 0u);
-  ASSERT_NE(recovered->Find(a.id()), nullptr);
-  EXPECT_EQ(recovered->Find(a.id())->GetText("Subject"), "a2");
-  EXPECT_EQ(recovered->Find(b.id()), nullptr);
+  ASSERT_NE(Found(recovered->Find(a.id())), nullptr);
+  EXPECT_EQ(Found(recovered->Find(a.id()))->GetText("Subject"), "a2");
+  EXPECT_EQ(Found(recovered->Find(b.id())), nullptr);
   EXPECT_EQ(recovered_stats.GetCounter("Store.NoteCache.Hits").value(), 1u);
 }
 
@@ -257,7 +259,7 @@ TEST_F(NoteCacheTest, BytesStayWithinTheBudget) {
   int64_t peak = 0;
   for (int i = 0; i < 5000; ++i) {
     NoteId id = ids[rng.Uniform(ids.size())];
-    ASSERT_NE(store_->Find(id), nullptr);
+    ASSERT_NE(Found(store_->Find(id)), nullptr);
     peak = std::max(peak, Bytes());
   }
   EXPECT_GT(peak, budget / 2);
@@ -312,7 +314,7 @@ TEST_F(NoteCacheTest, ConcurrentReadersSeeMonotonicVersions) {
       std::vector<double> seen(kNotes, 0);
       while (!done.load(std::memory_order_acquire)) {
         const size_t i = rng.Uniform(kNotes);
-        NoteHandle note = store_->Find(notes[i].id());
+        NoteHandle note = Found(store_->Find(notes[i].id()));
         if (note == nullptr) {
           ++failures;
           continue;
@@ -343,8 +345,8 @@ TEST_F(NoteCacheTest, ConcurrentReadersSeeMonotonicVersions) {
   for (std::thread& t : readers) t.join();
   EXPECT_EQ(failures.load(), 0);
   for (const Note& note : notes) {
-    ASSERT_NE(store_->Find(note.id()), nullptr);
-    EXPECT_EQ(store_->Find(note.id())->GetNumber("Version"),
+    ASSERT_NE(Found(store_->Find(note.id())), nullptr);
+    EXPECT_EQ(Found(store_->Find(note.id()))->GetNumber("Version"),
               note.GetNumber("Version"));
   }
 }

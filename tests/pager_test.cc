@@ -22,6 +22,8 @@ namespace dominodb {
 namespace {
 
 using testing_util::FirstLogSegment;
+using testing_util::Found;
+using testing_util::FoundNote;
 using testing_util::MakeDoc;
 using testing_util::ScratchDir;
 
@@ -360,7 +362,7 @@ TEST(PagedStoreTest, OverflowNotesRoundTrip) {
   ASSERT_OK(store->Put(&big));
   Note small = SizedDoc(2, 11, 10);
   ASSERT_OK(store->Put(&small));
-  ASSERT_OK_AND_ASSIGN(Note read_big, store->Get(big.id()));
+  ASSERT_OK_AND_ASSIGN(Note read_big, FoundNote(store->Find(big.id())));
   EXPECT_EQ(read_big.GetText("Body"), std::string(5000, 'b'));
   ASSERT_OK(store->Checkpoint());
 
@@ -368,13 +370,13 @@ TEST(PagedStoreTest, OverflowNotesRoundTrip) {
   ASSERT_OK_AND_ASSIGN(auto reopened, NoteStore::Open(dir.Sub("db"),
                                                       TinyPagedOptions(),
                                                       PagedInfo()));
-  ASSERT_OK_AND_ASSIGN(Note again, reopened->Get(big.id()));
+  ASSERT_OK_AND_ASSIGN(Note again, FoundNote(reopened->Find(big.id())));
   EXPECT_EQ(again.GetText("Body"), std::string(5000, 'b'));
   // Erasing the big note frees its chain pages for reuse.
   size_t free_before = 0;  // fresh pool after reopen
   (void)free_before;
   ASSERT_OK(reopened->Erase(big.id()));
-  ASSERT_OK_AND_ASSIGN(Note still, reopened->Get(small.id()));
+  ASSERT_OK_AND_ASSIGN(Note still, FoundNote(reopened->Find(small.id())));
   EXPECT_EQ(still.GetText("Subject"), "s2");
 }
 
@@ -398,7 +400,7 @@ TEST(PagedStoreTest, BeyondRamReopenEquivalence) {
       } else if (dice < 0.85) {
         auto it = model.begin();
         std::advance(it, rng.Uniform(model.size()));
-        ASSERT_OK_AND_ASSIGN(Note note, store->Get(it->first));
+        ASSERT_OK_AND_ASSIGN(Note note, FoundNote(store->Find(it->first)));
         size_t len = rng.Uniform(400);
         note.SetText("Body", std::string(len, 'b'));
         note.BumpSequence(t++);
@@ -424,7 +426,7 @@ TEST(PagedStoreTest, BeyondRamReopenEquivalence) {
                        NoteStore::Open(dir.Sub("db"), options, PagedInfo()));
   EXPECT_EQ(store->total_count(), model.size());
   for (const auto& [id, expected] : model) {
-    ASSERT_OK_AND_ASSIGN(Note note, store->Get(id));
+    ASSERT_OK_AND_ASSIGN(Note note, FoundNote(store->Find(id)));
     EXPECT_EQ(note.GetText("Subject"), expected.first);
     EXPECT_EQ(note.GetText("Body").size(), expected.second);
   }
@@ -449,7 +451,7 @@ TEST(PagedStoreTest, FindHandlesSurviveEvictionAndWrites) {
                                                    PagedInfo()));
   Note first = SizedDoc(1, 10, 100);
   ASSERT_OK(store->Put(&first));
-  NoteHandle handle = store->Find(first.id());
+  NoteHandle handle = Found(store->Find(first.id()));
   ASSERT_NE(handle, nullptr);
   // Churn enough pages to cycle the 8-frame pool several times, then
   // overwrite the note itself: the handle must still read "s1".
@@ -462,7 +464,7 @@ TEST(PagedStoreTest, FindHandlesSurviveEvictionAndWrites) {
   updated.BumpSequence(999);
   ASSERT_OK(store->Put(&updated));
   EXPECT_EQ(handle->GetText("Subject"), "s1");
-  NoteHandle fresh = store->Find(first.id());
+  NoteHandle fresh = Found(store->Find(first.id()));
   ASSERT_NE(fresh, nullptr);
   EXPECT_EQ(fresh->GetText("Subject"), "rewritten");
 }
@@ -491,7 +493,7 @@ TEST(CompactTest, ReclaimsPurgedStubVolume) {
   // Delete half the documents and purge the stubs — the husk bytes are
   // now dead in place.
   for (NoteId id : victims) {
-    ASSERT_OK_AND_ASSIGN(Note note, store->Get(id));
+    ASSERT_OK_AND_ASSIGN(Note note, FoundNote(store->Find(id)));
     note.MakeStub(t++);
     ASSERT_OK(store->Put(&note));
   }
@@ -515,7 +517,7 @@ TEST(CompactTest, ReclaimsPurgedStubVolume) {
   EXPECT_LT(store->pages_size_bytes(), size_before);
   // Survivors all moved intact.
   for (const auto& [id, subject] : survivors) {
-    ASSERT_OK_AND_ASSIGN(Note note, store->Get(id));
+    ASSERT_OK_AND_ASSIGN(Note note, FoundNote(store->Find(id)));
     EXPECT_EQ(note.GetText("Subject"), subject);
   }
   // And stay intact across a reopen.
@@ -523,7 +525,7 @@ TEST(CompactTest, ReclaimsPurgedStubVolume) {
                        NoteStore::Open(dir.Sub("db"), options, PagedInfo()));
   EXPECT_EQ(reopened->total_count(), survivors.size());
   for (const auto& [id, subject] : survivors) {
-    ASSERT_OK_AND_ASSIGN(Note note, reopened->Get(id));
+    ASSERT_OK_AND_ASSIGN(Note note, FoundNote(reopened->Find(id)));
     EXPECT_EQ(note.GetText("Subject"), subject);
   }
 }
@@ -561,7 +563,7 @@ TEST(CompactTest, CrashBeforeCheckpointLosesNothing) {
                        NoteStore::Open(dir.Sub("db"), options, PagedInfo()));
   EXPECT_EQ(store->total_count(), survivors.size());
   for (const auto& [id, subject] : survivors) {
-    ASSERT_OK_AND_ASSIGN(Note note, store->Get(id));
+    ASSERT_OK_AND_ASSIGN(Note note, FoundNote(store->Find(id)));
     EXPECT_EQ(note.GetText("Subject"), subject);
   }
 }
@@ -737,7 +739,7 @@ TEST_P(CheckpointFaultMatrix, TornPagesRecoverFromLoggedImages) {
     ASSERT_EQ(store->total_count(), model.size())
         << "fault " << fault_point << " torn page " << pg;
     for (const auto& [id, subject] : model) {
-      ASSERT_OK_AND_ASSIGN(Note note, store->Get(id));
+      ASSERT_OK_AND_ASSIGN(Note note, FoundNote(store->Find(id)));
       ASSERT_EQ(note.GetText("Subject"), subject)
           << "fault " << fault_point << " torn page " << pg;
     }

@@ -18,6 +18,7 @@ namespace {
 
 using testing_util::MakeDoc;
 using testing_util::ScratchDir;
+using testing_util::TearPages;
 
 class ReplicationFixture : public ::testing::Test {
  protected:
@@ -551,6 +552,56 @@ TEST_F(ReplicationFixture, ClusterPushFailureIsRecordedNotSwallowed) {
 }
 
 // ------------------------------------------------------- multi-server sweeps --
+
+// A note A holds but cannot read is not a note A lacks: pulling a newer
+// version of it fails A's session for that database (instead of
+// installing a second copy under a new note id), and leaves A's other
+// databases replicating. 512-byte pages behind a 4-page pool re-read the
+// torn page from disk; the note cache holds no note at that size.
+TEST_F(ReplicationFixture, TornLocalCopyFailsThatDatabasesSession) {
+  DatabaseOptions options;
+  options.title = "Torn DB";
+  options.store.page_size = 512;
+  options.store.cache_pages = 4;
+  ASSERT_OK_AND_ASSIGN(Database* torn_a,
+                       server_a_->OpenDatabase("torn.nsf", options));
+  ASSERT_OK_AND_ASSIGN(Database* torn_b,
+                       server_b_->CreateReplicaOf(*torn_a, "torn.nsf"));
+  std::vector<NoteId> ids;
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_OK_AND_ASSIGN(
+        NoteId id, torn_a->CreateNote(MakeDoc("Memo", StrPrintf("doc %d", i))));
+    ids.push_back(id);
+  }
+  clock_.Advance(1000);
+  ASSERT_OK(server_a_->ReplicateWith(*server_b_, "torn.nsf").status());
+
+  // B edits the first document, so A's next session pulls it.
+  ASSERT_OK_AND_ASSIGN(Note first, torn_a->ReadNote(ids[0]));
+  ASSERT_OK_AND_ASSIGN(Note edited, torn_b->ReadNoteByUnid(first.unid()));
+  edited.SetText("Subject", "edited on B");
+  ASSERT_OK(torn_b->UpdateNote(std::move(edited)));
+  clock_.Advance(1000);
+
+  ASSERT_OK(torn_a->Checkpoint());
+  ASSERT_OK(torn_a->ForEachNote([](const Note&) {}));  // evicts the page
+  ASSERT_NO_FATAL_FAILURE(TearPages(dir_.Sub("a") + "/torn.nsf",
+                                    options.store.page_size,
+                                    pager::kPageBucket));
+  auto report = server_a_->ReplicateWith(*server_b_, "torn.nsf");
+  ASSERT_FALSE(report.ok());
+  EXPECT_TRUE(report.status().IsCorruption()) << report.status().ToString();
+  EXPECT_NE(report.status().message().find("note id " +
+                                           std::to_string(ids[0])),
+            std::string::npos)
+      << report.status().ToString();
+  EXPECT_EQ(torn_a->note_count(), ids.size());
+
+  ASSERT_OK(a_->CreateNote(MakeDoc("Memo", "still replicates")).status());
+  clock_.Advance(1000);
+  EXPECT_EQ(Sync().pushed, 1u);
+  EXPECT_TRUE(Converged());
+}
 
 struct TopologyCase {
   const char* name;

@@ -23,6 +23,7 @@ namespace dominodb {
 namespace {
 
 using testing_util::CopyDirTree;
+using testing_util::FoundNote;
 using testing_util::MakeDoc;
 using testing_util::ScratchDir;
 
@@ -487,9 +488,8 @@ TEST(NoteStoreSharedLogTest, TwoStoresRecoverFromOneLog) {
   // +1: the persisted seed-metadata record of the fresh open.
   EXPECT_EQ(store_a->stats().recovered_records, 11u);
   for (int i = 0; i < 10; ++i) {
-    ASSERT_OK_AND_ASSIGN(Note doc,
-                         store_a->GetByUnid(Unid{0x11,
-                                                 static_cast<uint64_t>(i + 1)}));
+    const Unid unid{0x11, static_cast<uint64_t>(i + 1)};
+    ASSERT_OK_AND_ASSIGN(Note doc, FoundNote(store_a->FindByUnid(unid)));
     EXPECT_EQ(doc.GetText("Subject"), "a" + std::to_string(i));
   }
 }
@@ -577,7 +577,8 @@ TEST(NoteStoreSharedLogTest, TornTailRecoversCommittedPrefixPerStore) {
     const char* prefix = store_idx == 0 ? "a" : "b";
     const size_t count = store->note_count();
     for (size_t i = 0; i < count; ++i) {
-      ASSERT_OK_AND_ASSIGN(Note doc, store->GetByUnid(Unid{0x11, base + i}));
+      ASSERT_OK_AND_ASSIGN(
+          Note doc, FoundNote(store->FindByUnid(Unid{0x11, base + i})));
       EXPECT_EQ(doc.GetText("Subject"), prefix + std::to_string(i));
     }
     EXPECT_FALSE(store->ContainsUnid(Unid{0x11, base + count}));
@@ -641,7 +642,8 @@ TEST_P(NoteStoreSharedLogDamage, SealedCorruptionFailsTornTailRecovers) {
   const size_t count = store->note_count();
   EXPECT_LT(count, static_cast<size_t>(written));
   for (size_t i = 0; i < count; ++i) {
-    ASSERT_OK_AND_ASSIGN(Note doc, store->GetByUnid(Unid{0x11, i + 1}));
+    ASSERT_OK_AND_ASSIGN(Note doc,
+                         FoundNote(store->FindByUnid(Unid{0x11, i + 1})));
     EXPECT_EQ(doc.GetText("Subject"), "d" + std::to_string(i));
   }
 }
@@ -747,9 +749,8 @@ TEST(NoteStoreSharedLogTest, CheckpointKeepsOtherStreamsSuffix) {
             static_cast<uint64_t>(kPostCheckpoint));
   EXPECT_EQ(store_b->note_count(), 10u + kPostCheckpoint);
   for (int i = 0; i < kPostCheckpoint; ++i) {
-    ASSERT_OK_AND_ASSIGN(
-        Note doc,
-        store_b->GetByUnid(Unid{0x11, static_cast<uint64_t>(200 + i)}));
+    const Unid unid{0x11, static_cast<uint64_t>(200 + i)};
+    ASSERT_OK_AND_ASSIGN(Note doc, FoundNote(store_b->FindByUnid(unid)));
     EXPECT_EQ(doc.GetText("Subject"), "b-post" + std::to_string(i));
   }
 }

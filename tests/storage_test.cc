@@ -16,8 +16,11 @@ namespace dominodb {
 namespace {
 
 using testing_util::FirstLogSegment;
+using testing_util::Found;
+using testing_util::FoundNote;
 using testing_util::MakeDoc;
 using testing_util::ScratchDir;
+using testing_util::TearPages;
 
 // -------------------------------------------------------------------- WAL --
 
@@ -115,12 +118,12 @@ TEST(NoteStoreTest, PutGetAndUnidIndex) {
   Note note = StampedDoc("hello", 1, 100);
   ASSERT_OK(store->Put(&note));
   EXPECT_NE(note.id(), kInvalidNoteId);
-  ASSERT_OK_AND_ASSIGN(Note by_id, store->Get(note.id()));
+  ASSERT_OK_AND_ASSIGN(Note by_id, FoundNote(store->Find(note.id())));
   EXPECT_EQ(by_id.GetText("Subject"), "hello");
-  ASSERT_OK_AND_ASSIGN(Note by_unid, store->GetByUnid(note.unid()));
+  ASSERT_OK_AND_ASSIGN(Note by_unid, FoundNote(store->FindByUnid(note.unid())));
   EXPECT_EQ(by_unid.id(), note.id());
   EXPECT_EQ(store->note_count(), 1u);
-  EXPECT_FALSE(store->Get(9999).ok());
+  EXPECT_FALSE(FoundNote(store->Find(9999)).ok());
 }
 
 TEST(NoteStoreTest, PutRequiresUnid) {
@@ -150,7 +153,7 @@ TEST(NoteStoreTest, RecoveryReplaysWal) {
   EXPECT_EQ(store->note_count(), 50u);
   // 50 puts + the initial metadata record.
   EXPECT_EQ(store->stats().recovered_records, 51u);
-  ASSERT_OK_AND_ASSIGN(Note n, store->GetByUnid(Unid{0x11, 7}));
+  ASSERT_OK_AND_ASSIGN(Note n, FoundNote(store->FindByUnid(Unid{0x11, 7})));
   EXPECT_EQ(n.GetText("Subject"), "n6");
 }
 
@@ -270,7 +273,8 @@ TEST(NoteStoreTest, CrashThenCommitSurvivesNextRecovery) {
                        NoteStore::Open(db_dir, FastOptions(), TestInfo()));
   EXPECT_FALSE(store->stats().recovered_torn_tail);
   EXPECT_EQ(store->note_count(), 5u);
-  ASSERT_OK_AND_ASSIGN(Note late, store->GetByUnid(Unid{0x11, 100}));
+  ASSERT_OK_AND_ASSIGN(Note late,
+                       FoundNote(store->FindByUnid(Unid{0x11, 100})));
   EXPECT_EQ(late.GetText("Subject"), "late");
 }
 
@@ -298,9 +302,8 @@ TEST(NoteStoreTest, CrashOfProcessKeepsAcknowledgedCommits) {
                                        TestInfo()));
   EXPECT_EQ(recovered->note_count(), static_cast<size_t>(kNotes));
   for (int i = 0; i < kNotes; ++i) {
-    ASSERT_OK_AND_ASSIGN(
-        Note note,
-        recovered->GetByUnid(Unid{0x11, static_cast<uint64_t>(i + 1)}));
+    const Unid unid{0x11, static_cast<uint64_t>(i + 1)};
+    ASSERT_OK_AND_ASSIGN(Note note, FoundNote(recovered->FindByUnid(unid)));
     EXPECT_EQ(note.GetText("Subject"), "ack" + std::to_string(i));
   }
 }
@@ -334,7 +337,7 @@ TEST(NoteStoreTest, StubsAndPurge) {
   ASSERT_EQ(victims, std::vector<NoteId>{note.id()});
   ASSERT_OK(store->Erase(victims[0]));
   EXPECT_EQ(store->stub_count(), 0u);
-  EXPECT_FALSE(store->GetByUnid(Unid{0x11, 1}).ok());
+  EXPECT_FALSE(FoundNote(store->FindByUnid(Unid{0x11, 1})).ok());
 }
 
 TEST(NoteStoreTest, EraseRemovesPhysically) {
@@ -393,10 +396,11 @@ TEST(NoteStoreTest, FindManyEqualsFindPerId) {
 
   // Twice: the first pass decodes, the second finds the note cache warm.
   for (int pass = 0; pass < 2; ++pass) {
-    std::vector<NoteHandle> many = store->FindMany(query);
+    ASSERT_OK_AND_ASSIGN(std::vector<NoteHandle> many,
+                         store->FindMany(query));
     ASSERT_EQ(many.size(), query.size());
     for (size_t i = 0; i < query.size(); ++i) {
-      NoteHandle one = store->Find(query[i]);
+      NoteHandle one = Found(store->Find(query[i]));
       ASSERT_EQ(many[i] == nullptr, one == nullptr) << "id " << query[i];
       if (one == nullptr) continue;
       EXPECT_EQ(many[i]->id(), query[i]);
@@ -407,10 +411,10 @@ TEST(NoteStoreTest, FindManyEqualsFindPerId) {
       }
     }
   }
-  EXPECT_TRUE(store->FindMany(query).back()->deleted());
-  EXPECT_EQ(store->FindMany({ids[10], kInvalidNoteId, ids[41]}),
+  EXPECT_TRUE(store->FindMany(query)->back()->deleted());
+  EXPECT_EQ(*store->FindMany({ids[10], kInvalidNoteId, ids[41]}),
             (std::vector<NoteHandle>{nullptr, nullptr, nullptr}));
-  EXPECT_TRUE(store->FindMany({}).empty());
+  EXPECT_TRUE(store->FindMany({})->empty());
 }
 
 TEST(NoteStoreTest, CorruptBucketPageIsAReadErrorNotAnAbsentNote) {
@@ -418,49 +422,47 @@ TEST(NoteStoreTest, CorruptBucketPageIsAReadErrorNotAnAbsentNote) {
   const std::string db_dir = dir.Sub("db");
   StoreOptions options = FastOptions();
   options.page_size = 512;
-  NoteId id = kInvalidNoteId;
+  Note note = StampedDoc("fragile", 1, 100);
   {
     ASSERT_OK_AND_ASSIGN(auto store,
                          NoteStore::Open(db_dir, options, TestInfo()));
-    Note note = StampedDoc("fragile", 1, 100);
     ASSERT_OK(store->Put(&note));
-    id = note.id();
     ASSERT_OK(store->Checkpoint());
   }
-  // Tear the bucket page on disk: its second half reads back as zeros,
-  // so the page fails its CRC when the reopened store first reads it.
-  const std::string pages_path = db_dir + "/notes.pages";
-  ASSERT_OK_AND_ASSIGN(std::string pages, ReadFileToString(pages_path));
-  uint64_t bucket = pages.size();
-  for (uint64_t off = 0; off < pages.size(); off += options.page_size) {
-    if (pages[off + pager::kPageTypeOffset] == pager::kPageBucket) {
-      bucket = off;
-      break;
-    }
-  }
-  ASSERT_LT(bucket, pages.size()) << "no bucket page";
-  {
-    ASSERT_OK_AND_ASSIGN(auto file, RandomAccessFile::Open(pages_path));
-    ASSERT_OK(file->Write(bucket + options.page_size / 2,
-                          std::string(options.page_size / 2, '\0')));
-  }
+  const NoteId id = note.id();
+  ASSERT_NO_FATAL_FAILURE(
+      TearPages(db_dir, options.page_size, pager::kPageBucket));
 
   stats::StatRegistry stats;
   options.stats = &stats;
   ASSERT_OK_AND_ASSIGN(auto store,
                        NoteStore::Open(db_dir, options, TestInfo()));
   const stats::Counter& errors = stats.GetCounter("Database.ReadErrors");
-  // An id beyond the table is absent, not an error.
-  EXPECT_EQ(store->Find(id + 1000), nullptr);
+  // An id beyond the table, and an unknown UNID, are absent: no error.
+  ASSERT_OK_AND_ASSIGN(NoteHandle beyond, store->Find(id + 1000));
+  EXPECT_EQ(beyond, nullptr);
+  ASSERT_OK_AND_ASSIGN(NoteHandle unknown,
+                       store->FindByUnid(Unid{0x99, 0x99}));
+  EXPECT_EQ(unknown, nullptr);
   EXPECT_EQ(errors.value(), 0u);
 
-  EXPECT_EQ(store->Find(id), nullptr);
+  // Every read of the torn note fails, naming it, and counts once.
+  auto expect_read_error = [&](const Status& status) {
+    EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+    EXPECT_NE(status.message().find("note id " + std::to_string(id)),
+              std::string::npos)
+        << status.ToString();
+  };
+  expect_read_error(store->Find(id).status());
   EXPECT_EQ(errors.value(), 1u);
-  EXPECT_EQ(store->FindMany({id}), std::vector<NoteHandle>{nullptr});
+  expect_read_error(store->FindByUnid(note.unid()).status());
   EXPECT_EQ(errors.value(), 2u);
-  Result<Note> got = store->Get(id);
-  ASSERT_FALSE(got.ok());
-  EXPECT_TRUE(got.status().IsCorruption()) << got.status().ToString();
+  expect_read_error(store->FindMany({id + 1000, id}).status());
+  EXPECT_EQ(errors.value(), 3u);
+  size_t visited = 0;
+  expect_read_error(store->ForEach([&](const Note&) { ++visited; }));
+  EXPECT_EQ(visited, 0u);
+  EXPECT_EQ(errors.value(), 4u);
 
   size_t warnings = 0;
   for (const stats::Event& event : stats.events().Events()) {
@@ -473,7 +475,47 @@ TEST(NoteStoreTest, CorruptBucketPageIsAReadErrorNotAnAbsentNote) {
     EXPECT_NE(event.message.find("CRC mismatch"), std::string::npos)
         << event.message;
   }
-  EXPECT_EQ(warnings, 2u);
+  EXPECT_EQ(warnings, 4u);
+}
+
+// An id-table page torn while the store is open (after the pool evicted
+// it) fails every walk of the table instead of skipping its entries.
+TEST(NoteStoreTest, TornIdTablePageFailsScans) {
+  ScratchDir dir;
+  const std::string db_dir = dir.Sub("db");
+  StoreOptions options = FastOptions();
+  options.page_size = 512;  // 12 id-table entries per page
+  options.cache_pages = 4;
+  ASSERT_OK_AND_ASSIGN(auto store,
+                       NoteStore::Open(db_dir, options, TestInfo()));
+  for (int i = 0; i < 60; ++i) {
+    Note note = StampedDoc(StrPrintf("n%d", i), 100 + i, 1000 + i);
+    ASSERT_OK(store->Put(&note));
+    if (i % 5 == 0) {
+      note.MakeStub(2000 + i);
+      ASSERT_OK(store->Put(&note));
+    }
+  }
+  ASSERT_OK(store->Checkpoint());
+  size_t visited = 0;
+  ASSERT_OK(store->ForEach([&](const Note&) { ++visited; }));
+  ASSERT_EQ(visited, 60u);
+  ASSERT_OK_AND_ASSIGN(std::vector<NoteId> stubs,
+                       store->PurgeableStubs(1'000'000, 1'000'000));
+  ASSERT_EQ(stubs.size(), 12u);
+
+  // The scans above cycled more pages than the pool holds, so at least
+  // one of the torn id-table pages is read from disk again.
+  ASSERT_NO_FATAL_FAILURE(TearPages(db_dir, options.page_size,
+                                    pager::kPageIdTable, SIZE_MAX));
+  visited = 0;
+  Status scan = store->ForEach([&](const Note&) { ++visited; });
+  EXPECT_TRUE(scan.IsCorruption()) << scan.ToString();
+  EXPECT_LT(visited, 60u);
+  auto purgeable = store->PurgeableStubs(1'000'000, 1'000'000);
+  ASSERT_FALSE(purgeable.ok());
+  EXPECT_TRUE(purgeable.status().IsCorruption())
+      << purgeable.status().ToString();
 }
 
 TEST(NoteStoreTest, UpdateInfoPersists) {
@@ -534,7 +576,7 @@ TEST(NoteStoreTest, RandomizedWorkloadMatchesModel) {
     } else if (dice < 0.85) {
       auto it = model.begin();
       std::advance(it, rng.Uniform(model.size()));
-      ASSERT_OK_AND_ASSIGN(Note note, store->Get(it->first));
+      ASSERT_OK_AND_ASSIGN(Note note, FoundNote(store->Find(it->first)));
       note.SetText("Subject", rng.Word(3, 12));
       note.BumpSequence(t++);
       ASSERT_OK(store->Put(&note));
@@ -548,7 +590,7 @@ TEST(NoteStoreTest, RandomizedWorkloadMatchesModel) {
   }
   EXPECT_EQ(store->total_count(), model.size());
   for (const auto& [id, subject] : model) {
-    ASSERT_OK_AND_ASSIGN(Note note, store->Get(id));
+    ASSERT_OK_AND_ASSIGN(Note note, FoundNote(store->Find(id)));
     EXPECT_EQ(note.GetText("Subject"), subject);
   }
 }

@@ -1,6 +1,8 @@
 #ifndef DOMINODB_TESTS_TEST_UTIL_H_
 #define DOMINODB_TESTS_TEST_UTIL_H_
 
+#include <unistd.h>
+
 #include <filesystem>
 #include <string>
 
@@ -10,11 +12,13 @@
 #include "base/result.h"
 #include "base/string_util.h"
 #include "model/note.h"
+#include "pager/pager.h"
 
 namespace dominodb::testing_util {
 
 /// Creates (and on destruction removes) a scratch directory unique to the
-/// running test.
+/// running test and process, so concurrent runs of the suite (two build
+/// directories, two sanitizer gates) never share one.
 class ScratchDir {
  public:
   ScratchDir() {
@@ -27,7 +31,7 @@ class ScratchDir {
     for (char& c : name) {
       if (c == '/' || c == ':') c = '_';
     }
-    path_ = "/tmp/dominodb_test_" + name;
+    path_ = "/tmp/dominodb_test_" + std::to_string(getpid()) + "_" + name;
     RemoveDirRecursively(path_).ok();
     CreateDirIfMissing(path_).ok();
   }
@@ -53,6 +57,31 @@ inline void CopyDirTree(const std::string& from, const std::string& to) {
   std::filesystem::copy(from, to, std::filesystem::copy_options::recursive);
 }
 
+/// Zeroes the second half of the first `count` pages of `type` in a
+/// store's page file (all of them when `count` exceeds their number), so
+/// each fails its CRC when it is next read from disk: a torn page.
+inline void TearPages(const std::string& store_dir, uint32_t page_size,
+                      uint8_t type, size_t count = 1) {
+  const std::string pages_path = store_dir + "/notes.pages";
+  auto pages = ReadFileToString(pages_path);
+  ASSERT_TRUE(pages.ok()) << pages.status().ToString();
+  auto file = RandomAccessFile::Open(pages_path);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  size_t torn = 0;
+  for (uint64_t off = 0; off < pages->size() && torn < count;
+       off += page_size) {
+    if (static_cast<uint8_t>((*pages)[off + pager::kPageTypeOffset]) !=
+        type) {
+      continue;
+    }
+    Status written = (*file)->Write(off + page_size / 2,
+                                    std::string(page_size / 2, '\0'));
+    ASSERT_TRUE(written.ok()) << written.ToString();
+    ++torn;
+  }
+  ASSERT_GT(torn, 0u) << "no page of type " << int{type};
+}
+
 /// Quick document builder.
 inline Note MakeDoc(const std::string& form, const std::string& subject,
                     double amount = 0) {
@@ -61,6 +90,21 @@ inline Note MakeDoc(const std::string& form, const std::string& subject,
   note.SetText("Subject", subject);
   if (amount != 0) note.SetNumber("Amount", amount);
   return note;
+}
+
+/// A store lookup's note as a copy: NotFound when the lookup found
+/// nothing, the lookup's error when it failed.
+inline Result<Note> FoundNote(const Result<NoteHandle>& found) {
+  if (!found.ok()) return found.status();
+  if (*found == nullptr) return Status::NotFound("no such note");
+  return **found;
+}
+
+/// A store lookup's handle (null when absent); a failed lookup fails the
+/// running test and reads as null.
+inline NoteHandle Found(const Result<NoteHandle>& found) {
+  EXPECT_TRUE(found.ok()) << found.status().ToString();
+  return found.ok() ? *found : nullptr;
 }
 
 /// Extracts a by-value Status from either a Status or a Result<T>; the
