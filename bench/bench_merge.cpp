@@ -44,9 +44,8 @@ RunResult RunWorkload(bool merge_enabled, double overlap_prob,
   Replicator replicator(nullptr);
   ReplicationOptions ropts;
   ropts.merge_conflicts = merge_enabled;
-  ReplicationHistory history_a, history_b;
-  ReplicaEndpoint side_a{a.get(), "A", history_a};
-  ReplicaEndpoint side_b{b.get(), "B", history_b};
+  ReplicaEndpoint side_a{a.get(), "A"};
+  ReplicaEndpoint side_b{b.get(), "B"};
   replicator.Replicate(side_a, side_b, ropts).ok();
   clock.Advance(1'000'000);
 

@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "base/string_util.h"
-#include "core/replication_history.h"
 #include "formula/formula.h"
 
 namespace dominodb {
@@ -238,6 +237,9 @@ Result<std::unique_ptr<Database>> Database::Open(
   if (store_options.stats == nullptr) store_options.stats = registry;
   DOMINO_ASSIGN_OR_RETURN(db->store_,
                           NoteStore::Open(dir, store_options, default_info));
+  const DatabaseInfo info = db->store_->info();
+  db->replica_id_ = info.replica_id;
+  db->title_ = info.title;
   // Stamps stay monotonic across a reopen: a note written now must never
   // sort below a cutoff a peer or agent recorded before the close.
   db->last_stamp_.store(db->store_->LatestModifiedStamp(),
@@ -611,7 +613,12 @@ Result<ViewIndex*> Database::CreateView(ViewDesign design) {
     auto it = view_note_ids_.find(key);
     if (it != view_note_ids_.end()) existing = it->second;
   }
-  DOMINO_RETURN_IF_ERROR(SaveDesignNote(design.ToNote(), existing));
+  // Build first: a failed build leaves no design note for Open to retry.
+  Note note = design.ToNote();
+  DOMINO_ASSIGN_OR_RETURN(built_view_, BuildView(std::move(design)));
+  Status saved = SaveDesignNote(std::move(note), existing);
+  built_view_ = nullptr;
+  DOMINO_RETURN_IF_ERROR(saved);
   return FindViewShared(key).get();
 }
 
@@ -1048,9 +1055,33 @@ Status Database::InstallRemoteNote(Note note) {
   return CommitNote(&note);
 }
 
-void Database::AttachReplicationHistory(const ReplicationHistory* history) {
-  MutexLock lock(&catalog_mu_);
-  repl_history_ = history;
+PeerCutoffs Database::ReplicationCutoffs(const std::string& peer) const {
+  const DatabaseInfo info = store_->info();
+  auto it = info.history.find(peer);
+  return it == info.history.end() ? PeerCutoffs{} : it->second;
+}
+
+Status Database::RecordReplication(const std::string& peer,
+                                   PeerCutoffs cutoffs) {
+  MutexLock lock(&mu_);
+  DatabaseInfo info = store_->info();
+  auto [it, added] = info.history.try_emplace(peer);
+  PeerCutoffs& known = it->second;
+  if (!added && cutoffs.received <= known.received &&
+      cutoffs.sent <= known.sent) {
+    return Status::Ok();
+  }
+  known.received = std::max(known.received, cutoffs.received);
+  known.sent = std::max(known.sent, cutoffs.sent);
+  // Lost in a crash, a new peer would leave purge clamped by no peer.
+  return store_->UpdateInfo(info, /*sync=*/added);
+}
+
+Status Database::ClearReplicationHistory(const std::string& peer) {
+  MutexLock lock(&mu_);
+  DatabaseInfo info = store_->info();
+  info.history[peer] = PeerCutoffs{};
+  return store_->UpdateInfo(info);
 }
 
 Result<size_t> Database::PurgeStubs() {
@@ -1063,20 +1094,16 @@ Result<size_t> Database::PurgeStubs() {
                          : last_stamp_.load(std::memory_order_relaxed);
   // Deletion-resurrection guard: a stub some replication peer has not
   // yet pulled must survive the age cutoff — otherwise that peer's live
-  // copy replicates back and the delete silently undoes. Databases with
-  // no attached history (never replicate) purge by age alone.
-  const ReplicationHistory* history;
-  {
-    MutexLock lock(&catalog_mu_);
-    history = repl_history_;
+  // copy replicates back and the delete silently undoes. The erases go
+  // on the log after the sent-through records they rely on.
+  const DatabaseInfo info = store_->info();
+  Micros seen_by_all_peers = std::numeric_limits<Micros>::max();
+  for (const auto& [peer, cutoffs] : info.history) {
+    seen_by_all_peers = std::min(seen_by_all_peers, cutoffs.sent);
   }
-  const Micros seen_by_all_peers = history != nullptr
-                                       ? history->MinSentCutoff()
-                                       : std::numeric_limits<Micros>::max();
   DOMINO_ASSIGN_OR_RETURN(
       std::vector<NoteId> purged,
-      store_->PurgeableStubs(now - store_->info().purge_interval,
-                             seen_by_all_peers));
+      store_->PurgeableStubs(now - info.purge_interval, seen_by_all_peers));
   for (NoteId id : purged) {
     // Pre-image first: readers pinned before this commit keep resolving
     // the stub (and its UNID) through the overlay until they unpin.
@@ -1198,18 +1225,12 @@ Status Database::ApplyDesignNote(const Note& note) {
     return Status::Ok();
   }
   if (note.note_class() == NoteClass::kView) {
-    DOMINO_ASSIGN_OR_RETURN(ViewDesign design, ViewDesign::FromNote(note));
-    std::string key = ToLower(design.name());
-    auto index =
-        std::make_shared<ViewIndex>(std::move(design), clock_, registry_);
-    // As in EnsureFullTextIndex: a failed scan installs nothing.
-    Status scan;
-    DOMINO_RETURN_IF_ERROR(index->Rebuild(
-        [this, &scan](const std::function<void(const Note&)>& fn) {
-          scan = store_->ForEach(fn);
-        },
-        this));
-    DOMINO_RETURN_IF_ERROR(scan);
+    std::shared_ptr<ViewIndex> index = std::move(built_view_);
+    if (index == nullptr) {
+      DOMINO_ASSIGN_OR_RETURN(ViewDesign design, ViewDesign::FromNote(note));
+      DOMINO_ASSIGN_OR_RETURN(index, BuildView(std::move(design)));
+    }
+    std::string key = ToLower(index->design().name());
     // Swap in only after the rebuild: readers holding the old index via
     // its shared_ptr keep traversing it; new readers get the new one. A
     // design change is not snapshot-isolated (matching Domino, where a
@@ -1220,6 +1241,21 @@ Status Database::ApplyDesignNote(const Note& note) {
     return Status::Ok();
   }
   return Status::Ok();
+}
+
+Result<std::shared_ptr<ViewIndex>> Database::BuildView(
+    ViewDesign design) const {
+  auto index =
+      std::make_shared<ViewIndex>(std::move(design), clock_, registry_);
+  // As in EnsureFullTextIndex: a failed scan builds nothing.
+  Status scan;
+  DOMINO_RETURN_IF_ERROR(index->Rebuild(
+      [this, &scan](const std::function<void(const Note&)>& fn) {
+        scan = store_->ForEach(fn);
+      },
+      this));
+  DOMINO_RETURN_IF_ERROR(scan);
+  return index;
 }
 
 Status Database::AfterChange(const Note& note) {

@@ -27,8 +27,6 @@
 
 namespace dominodb {
 
-class ReplicationHistory;
-
 /// A payload-free commit signal. What changed is read from the
 /// modified-in-file index (`NotesModifiedSince`) with a stamp cursor, the
 /// one change feed every replication consumer uses. Used by the cluster
@@ -135,10 +133,10 @@ class Database : public NoteResolver {
   };
 
   // -- Identity ---------------------------------------------------------
-  // By value: the store returns its info snapshot by value (its internal
-  // lock protects concurrent UpdateInfo), so references would dangle.
-  Unid replica_id() const { return store_->info().replica_id; }
-  std::string title() const { return store_->info().title; }
+  // Fixed at creation, so copied at open: no lock and no copy of the
+  // store's info (with its replication history) per call.
+  const Unid& replica_id() const { return replica_id_; }
+  const std::string& title() const { return title_; }
   DatabaseInfo info() const { return store_->info(); }
   const Clock* clock() const { return clock_; }
 
@@ -289,19 +287,26 @@ class Database : public NoteResolver {
   /// allocating nothing, when the local note cannot be read.
   Status InstallRemoteNote(Note note);
 
-  /// Attaches this database's replication history (owned by the Server,
-  /// which must keep it alive for the database's lifetime). PurgeStubs
-  /// then clamps its cutoff by the least-caught-up peer so deletions can
-  /// never resurrect through a stale replica. Pass nullptr to detach —
-  /// the opt-out for databases that never replicate, which purge purely
-  /// by age.
-  void AttachReplicationHistory(const ReplicationHistory* history);
+  /// `peer`'s cutoffs in the replication history (DatabaseInfo::history);
+  /// both 0 for a peer not in it.
+  PeerCutoffs ReplicationCutoffs(const std::string& peer) const;
+  /// Raises `peer`'s cutoffs to at least `cutoffs` and logs the change,
+  /// if any. The record that adds a peer commits as a note does (an open
+  /// WriteScope owns its sync); a later one becomes durable with the
+  /// log's next sync, so a crash before that loses it, never what it
+  /// follows.
+  Status RecordReplication(const std::string& peer, PeerCutoffs cutoffs);
+  /// The administrator's "clear replication history": both of `peer`'s
+  /// cutoffs go to 0, so the next pull from it summarizes every note. The
+  /// peer stays, so purge stays clamped. Durable when it returns.
+  Status ClearReplicationHistory(const std::string& peer);
 
   /// Purges expired deletion stubs: stubs older than `purge_interval`
-  /// AND (when a replication history is attached) already pulled by every
-  /// recorded peer. Selected from the store's id table; no note is
-  /// decoded. Returns the number removed. Readers pinned before the
-  /// purge keep seeing the stubs through the overlay until they unpin.
+  /// AND already pulled by every peer in the replication history (with
+  /// no peer, the database never replicated: age alone decides).
+  /// Selected from the store's id table; no note is decoded. Returns the
+  /// number removed. Readers pinned before the purge keep seeing the
+  /// stubs through the overlay until they unpin.
   Result<size_t> PurgeStubs();
 
   // -- Observation / iteration ----------------------------------------------
@@ -399,7 +404,12 @@ class Database : public NoteResolver {
   void MaintainStore() REQUIRES(mu_);
   /// Fails when its scan of the store fails.
   Status LoadDesignState() REQUIRES(mu_);
+  /// Installs an ACL or view design note. A view note installs
+  /// `built_view_` when CreateView built it, else builds its index.
   Status ApplyDesignNote(const Note& note) REQUIRES(mu_);
+  /// The index of `design` over the store's notes; nothing on a failed
+  /// scan.
+  Result<std::shared_ptr<ViewIndex>> BuildView(ViewDesign design) const;
   /// Applies one queued note-change event to views and full-text, using
   /// the note state captured at enqueue time. Runs under the indexer's
   /// apply mutex, never needing mu_ (a pool-less writer holds it anyway).
@@ -443,6 +453,9 @@ class Database : public NoteResolver {
   Mutex mu_;
 
   const Clock* clock_;
+  /// Identity, copied from the store's info at open.
+  Unid replica_id_;
+  std::string title_;
   Rng rng_ GUARDED_BY(mu_);
   /// Last issued sequence-time stamp; keeps OID times strictly monotonic
   /// even under a frozen SimClock. Written under the write lock; atomic
@@ -475,8 +488,6 @@ class Database : public NoteResolver {
   std::shared_ptr<FullTextIndex> fulltext_ GUARDED_BY(catalog_mu_);
   std::unordered_map<Unid, std::set<NoteId>> children_
       GUARDED_BY(catalog_mu_);
-  /// Server-owned purge clamp; null when the database never replicates.
-  const ReplicationHistory* repl_history_ GUARDED_BY(catalog_mu_) = nullptr;
 
   /// Unread marks.
   mutable Mutex marks_mu_;
@@ -489,6 +500,8 @@ class Database : public NoteResolver {
 
   /// Epoch of the in-flight commit (set by its MutationGuard).
   Epoch commit_epoch_ GUARDED_BY(mu_) = kEpochNone;
+  /// The index CreateView built before committing its design note.
+  std::shared_ptr<ViewIndex> built_view_ GUARDED_BY(mu_);
 
   /// Registry handed down to the store, views and full-text index.
   stats::StatRegistry* registry_;

@@ -315,7 +315,7 @@ Status Replicator::Pull(const ReplicaEndpoint& dst,
                             formula::Formula::Compile(
                                 options.selective_formula));
   }
-  Micros cutoff = dst.history.CutoffFor(src.name);
+  Micros cutoff = dst.db->ReplicationCutoffs(src.name).received;
 
   // 1. Request + receive the change summary (OIDs newer than the cutoff),
   //    ordered by the source's modified-in-file stamps so any processed
@@ -324,6 +324,11 @@ Status Replicator::Pull(const ReplicaEndpoint& dst,
   //    its summary entry named.
   DOMINO_ASSIGN_OR_RETURN(std::vector<NoteHandle> summary,
                           src.db->NotesModifiedSince(cutoff));
+  // src knows dst durably before dst may hold anything of src's: without
+  // dst in its history, src's purge would not wait for dst at all.
+  if (!summary.empty()) {
+    DOMINO_RETURN_IF_ERROR(src.db->RecordReplication(dst.name, {}));
+  }
   ReplicationReport local;
   DOMINO_RETURN_IF_ERROR(Charge(dst.name, src.name, 32, &local));
   DOMINO_RETURN_IF_ERROR(Charge(src.name, dst.name,
@@ -335,20 +340,24 @@ Status Replicator::Pull(const ReplicaEndpoint& dst,
   //    every complete batch the low-water cutoff advances into both
   //    histories, so a mid-session link failure keeps the progress made
   //    and a retry ships only the remainder. A batch's installs share one
-  //    log sync: the scope defers them, and commit_progress makes them
-  //    durable before any cutoff may cover them (a cutoff ahead of the
-  //    durable installs would let src purge a stub dst then loses in a
-  //    crash). Later lookups of the batch still see its earlier installs,
-  //    which are applied as they append.
+  //    log sync: the scope defers them. dst's received-through record
+  //    goes on dst's log after them and rides that sync, so it is never
+  //    durable without them. src's sent-through record follows the sync
+  //    (ahead of dst's durable installs it would let src purge a stub
+  //    dst then loses in a crash) and rides src's next sync. Later
+  //    lookups of the batch still see its earlier installs, which are
+  //    applied as they append.
   size_t in_batch = 0;
   Micros low_water = 0;
   WriteScope scope;
   auto commit_progress = [&]() -> Status {
+    if (low_water > 0) {
+      DOMINO_RETURN_IF_ERROR(
+          dst.db->RecordReplication(src.name, {.received = low_water}));
+    }
     DOMINO_RETURN_IF_ERROR(scope.Finish());
     if (low_water == 0) return Status::Ok();
-    dst.history.Record(src.name, low_water);
-    src.history.RecordSent(dst.name, low_water);
-    return Status::Ok();
+    return src.db->RecordReplication(dst.name, {.sent = low_water});
   };
   for (const NoteHandle& remote_note : summary) {
     const Oid& oid = remote_note->oid();
@@ -412,7 +421,8 @@ Status Replicator::Pull(const ReplicaEndpoint& dst,
     }
     DOMINO_ASSIGN_OR_RETURN(
         std::vector<NoteHandle> echoed,
-        dst.db->NotesModifiedSince(src.history.CutoffFor(dst.name)));
+        dst.db->NotesModifiedSince(
+            src.db->ReplicationCutoffs(dst.name).received));
     Micros echo = 0;
     for (const NoteHandle& note : echoed) {
       auto it = summarized.find(note->unid());
@@ -420,8 +430,10 @@ Status Replicator::Pull(const ReplicaEndpoint& dst,
       echo = note->modified_in_file();
     }
     if (echo > 0) {
-      src.history.Record(dst.name, echo);
-      dst.history.RecordSent(src.name, echo);
+      DOMINO_RETURN_IF_ERROR(
+          src.db->RecordReplication(dst.name, {.received = echo}));
+      DOMINO_RETURN_IF_ERROR(
+          dst.db->RecordReplication(src.name, {.sent = echo}));
     }
   }
 

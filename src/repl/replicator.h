@@ -7,7 +7,6 @@
 
 #include "base/result.h"
 #include "core/database.h"
-#include "core/replication_history.h"
 #include "formula/formula.h"
 #include "net/sim_net.h"
 #include "stats/stats.h"
@@ -27,9 +26,9 @@ struct ReplicationOptions {
   /// document. Overlapping edits still conflict.
   bool merge_conflicts = false;
   /// Notes are installed in stamp order in batches of this size; after
-  /// each complete batch the receiving side's history cutoff advances to
-  /// the batch boundary, so a session that dies on a lossy link resumes
-  /// from the last committed batch instead of from scratch.
+  /// each complete batch the receiving database's history cutoff advances
+  /// to the batch boundary, so a session that dies on a lossy link (or a
+  /// crash) resumes from the last committed batch instead of from scratch.
   size_t batch_size = 32;
 };
 
@@ -49,15 +48,12 @@ struct ReplicationReport {
   void MergeFrom(const ReplicationReport& other);
 };
 
-/// One side of a replication session: the database, the server name it is
-/// addressed by on the SimNet, and that side's replication history
-/// (required). A fresh history has no cutoffs, so a session given fresh
-/// histories summarizes every note: the full-replication baseline of
-/// experiment E3.
+/// One side of a replication session: the database and the server name it
+/// is addressed by on the SimNet. Each database keeps its replication
+/// history itself, by peer name; the session reads and advances it there.
 struct ReplicaEndpoint {
   Database* db = nullptr;
   std::string name;
-  ReplicationHistory& history;
 };
 
 /// Installs `remote_note` (a note image from another replica of the same
@@ -92,11 +88,11 @@ class Replicator {
 
   /// One pull-pull session between two replicas. Fails if the replica
   /// ids differ (not replicas of the same database). Sessions are
-  /// resumable: each side's history advances batch-by-batch as notes
+  /// resumable: each database's history advances batch-by-batch as notes
   /// install, so a session killed by a link failure preserves its partial
   /// progress and the retry ships only the remainder. No cutoff ever
   /// covers a note written to either side during the session before that
-  /// note has shipped.
+  /// note has shipped, and none is durable before the notes it covers.
   Result<ReplicationReport> Replicate(const ReplicaEndpoint& local,
                                       const ReplicaEndpoint& remote,
                                       const ReplicationOptions& options = {});

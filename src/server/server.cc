@@ -56,10 +56,6 @@ Result<Database*> Server::OpenDatabase(const std::string& file,
                           Database::Open(DirFor(file), options, clock_));
   Database* ptr = db.get();
   if (indexer_pool_ != nullptr) ptr->AttachIndexer(indexer_pool_.get());
-  // Server-managed databases replicate; hand the purge path its history
-  // so deletion stubs survive until every recorded peer has seen them
-  // (histories_ is a node-stable map, so the pointer stays valid).
-  ptr->AttachReplicationHistory(HistoryFor(file));
   databases_[file] = std::move(db);
   gauge_databases_->Set(static_cast<int64_t>(databases_.size()));
   return ptr;
@@ -94,13 +90,8 @@ Result<ReplicationReport> Server::ReplicateWith(
     return Status::NotFound("database " + file + " missing on a side");
   }
   Replicator replicator(net_, stats_);
-  return replicator.Replicate(
-      ReplicaEndpoint{local, name_, *HistoryFor(file)},
-      ReplicaEndpoint{remote, peer.name(), *peer.HistoryFor(file)}, options);
-}
-
-ReplicationHistory* Server::HistoryFor(const std::string& file) {
-  return &histories_[file];
+  return replicator.Replicate(ReplicaEndpoint{local, name_},
+                              ReplicaEndpoint{remote, peer.name()}, options);
 }
 
 Status Server::StartReplicator(repl::RetryPolicy policy, uint64_t seed) {

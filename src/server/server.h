@@ -53,18 +53,12 @@ class Server {
 
   // -- Replication ----------------------------------------------------------
   /// One replication session of database `file` with the same-named
-  /// database on `peer` (pull-pull). The Server owns the per-(file, peer)
-  /// replication histories on both sides, so callers never thread history
-  /// objects by hand. The histories live in memory only: a restarted
-  /// Server starts with empty ones, so every peer is summarized in full
-  /// again, and until a peer pulls, PurgeStubs clamps by no peer and can
-  /// drop a stub that peer never saw.
+  /// database on `peer` (pull-pull). Each database keeps its replication
+  /// history with `peer` itself.
   Result<ReplicationReport> ReplicateWith(Server& peer,
                                           const std::string& file,
                                           const ReplicationOptions& options =
                                               ReplicationOptions());
-
-  ReplicationHistory* HistoryFor(const std::string& file);
 
   // -- Replicator task (connection documents + resilient scheduling) -------
   /// Sets the retry policy of this server's replicator task, which runs
@@ -172,7 +166,6 @@ class Server {
   /// log until destruction.
   std::unique_ptr<wal::SharedLog> shared_log_;
   std::map<std::string, std::unique_ptr<Database>> databases_;
-  std::map<std::string, ReplicationHistory> histories_;  // file → history
   repl::ReplicatorTask replicator_;
   std::map<std::string, Server*> known_peers_;  // name → peer (connections)
   std::unique_ptr<Router> router_;

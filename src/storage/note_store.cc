@@ -23,7 +23,8 @@ constexpr uint8_t kOpInfo = 3;
 
 constexpr char kMetaMagic[] = "DMET1";
 // Version 2: 40-byte id-table entries carrying the modified-in-file stamp.
-constexpr uint8_t kMetaVersion = 2;
+// Version 3: the database info carries the replication history.
+constexpr uint8_t kMetaVersion = 3;
 constexpr uint8_t kPagerSnapshotVersion = 1;
 
 // Id-table entry: unid(16) + page(4) + slot(2) + flags(1) + pad(1) +
@@ -136,6 +137,12 @@ void DatabaseInfo::EncodeTo(std::string* dst) const {
   PutFixed64(dst, replica_id.lo);
   PutLengthPrefixed(dst, title);
   PutVarSigned64(dst, purge_interval);
+  PutVarint64(dst, history.size());
+  for (const auto& [peer, cutoffs] : history) {
+    PutLengthPrefixed(dst, peer);
+    PutVarSigned64(dst, cutoffs.received);
+    PutVarSigned64(dst, cutoffs.sent);
+  }
 }
 
 Status DatabaseInfo::DecodeFrom(std::string_view* input, DatabaseInfo* out) {
@@ -146,6 +153,23 @@ Status DatabaseInfo::DecodeFrom(std::string_view* input, DatabaseInfo* out) {
       !GetLengthPrefixed(input, &title) ||
       !GetVarSigned64(input, &info.purge_interval)) {
     return Status::Corruption("database info: truncated");
+  }
+  // A version-2 info record ends here. A store never checkpointed has no
+  // notes.meta to refuse it by, only this record in its log.
+  if (input->empty()) return UnsupportedMetaVersion("database info", 2);
+  uint64_t peers = 0;
+  if (!GetVarint64(input, &peers)) {
+    return Status::Corruption("database info: truncated history");
+  }
+  for (uint64_t i = 0; i < peers; ++i) {
+    std::string_view peer;
+    PeerCutoffs cutoffs;
+    if (!GetLengthPrefixed(input, &peer) ||
+        !GetVarSigned64(input, &cutoffs.received) ||
+        !GetVarSigned64(input, &cutoffs.sent)) {
+      return Status::Corruption("database info: truncated history");
+    }
+    info.history.emplace(peer, cutoffs);
   }
   info.title = std::string(title);
   *out = std::move(info);
@@ -1000,16 +1024,17 @@ Status NoteStore::ApplyBatchPayload(std::string_view payload) {
   return Status::Ok();
 }
 
-Status NoteStore::CommitPayload(const std::string& payload) {
+Status NoteStore::CommitPayload(const std::string& payload, bool sync) {
   // Deliberately NOT under mu_: the append (and its fsync, under strict
   // sync modes) must not block concurrent shared-lock readers. Writers
   // are serialized by the owning Database, so two commits never race.
   auto start = std::chrono::steady_clock::now();
   DOMINO_ASSIGN_OR_RETURN(
       uint64_t seq, log_->Append(stream_, wal::RecordType::kData, payload));
-  if (WriteScope* scope = WriteScope::Current(); scope != nullptr) {
+  WriteScope* scope = WriteScope::Current();
+  if (sync && scope != nullptr) {
     scope->Defer(log_, seq);
-  } else {
+  } else if (sync) {
     DOMINO_RETURN_IF_ERROR(log_->SyncThrough(seq));
   }
   bytes_since_checkpoint_.fetch_add(payload.size(),
@@ -1111,14 +1136,14 @@ Result<std::vector<NoteId>> NoteStore::PurgeableStubs(
   return victims;
 }
 
-Status NoteStore::UpdateInfo(const DatabaseInfo& info) {
+Status NoteStore::UpdateInfo(const DatabaseInfo& info, bool sync) {
   std::string payload;
   PutVarint64(&payload, 1);
   payload.push_back(static_cast<char>(kOpInfo));
   std::string encoded;
   info.EncodeTo(&encoded);
   PutLengthPrefixed(&payload, encoded);
-  DOMINO_RETURN_IF_ERROR(CommitPayload(payload));
+  DOMINO_RETURN_IF_ERROR(CommitPayload(payload, sync));
   WriterLock lock(&mu_);
   info_ = info;
   return Status::Ok();

@@ -25,6 +25,17 @@
 
 namespace dominodb {
 
+/// One peer's entry in a database's replication history.
+struct PeerCutoffs {
+  /// This database has pulled every change of the peer stamped (in the
+  /// peer's stamps) at or below it: a pull summarizes only later ones.
+  Micros received = 0;
+  /// The peer has pulled every change of this database stamped at or
+  /// below it. PurgeStubs keeps any stub above the least of these, or a
+  /// peer's live copy replicates back (the resurrection anomaly).
+  Micros sent = 0;
+};
+
 /// Database-wide metadata persisted with the store. The replica id is the
 /// key fact: two databases replicate iff their replica ids match (the NSF
 /// "replica ID" of Notes).
@@ -34,6 +45,9 @@ struct DatabaseInfo {
   /// Deletion stubs older than this are eligible for purge. Notes default
   /// is 90 days; experiments shrink it to provoke the resurrection anomaly.
   Micros purge_interval = 90ll * 24 * 3600 * 1'000'000;
+  /// The replication history, by peer server name. Kept in the database,
+  /// as Domino keeps it in the NSF, so it outlives a restart.
+  std::map<std::string, PeerCutoffs> history;
 
   void EncodeTo(std::string* dst) const;
   static Status DecodeFrom(std::string_view* input, DatabaseInfo* out);
@@ -274,7 +288,10 @@ class NoteStore {
 
   // -- Metadata / maintenance -------------------------------------------
   DatabaseInfo info() const;
-  Status UpdateInfo(const DatabaseInfo& info);
+  /// Logs `info` and makes it the store's metadata. With `sync` it
+  /// commits as a Put does; without, it is only appended, and becomes
+  /// durable with the log's next sync (a crash may lose it).
+  Status UpdateInfo(const DatabaseInfo& info, bool sync = true);
 
   /// Makes all in-memory page state durable and truncates this store's
   /// WAL obligation. Protocol: (1) append one atomic kPagerSnapshot
@@ -341,9 +358,9 @@ class NoteStore {
   Status Recover(const DatabaseInfo& default_info, std::string_view meta_blob,
                  bool have_meta) REQUIRES(mu_);
   Status ApplyBatchPayload(std::string_view payload) REQUIRES(mu_);
-  /// Appends one kData record; syncs it unless a WriteScope is open on
-  /// this thread, which then owns the sync.
-  Status CommitPayload(const std::string& payload);
+  /// Appends one kData record. With `sync` also syncs it, unless a
+  /// WriteScope is open on this thread, which then owns the sync.
+  Status CommitPayload(const std::string& payload, bool sync = true);
 
   // -- Meta / snapshot encoding -----------------------------------------
   std::string EncodeMetaBlob() const REQUIRES(mu_);

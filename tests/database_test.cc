@@ -679,6 +679,8 @@ TEST_F(TornPageFixture, IndexBuildsFailAndInstallNothing) {
                                           std::move(columns)));
   ExpectTorn(db_->CreateView(design).status());
   EXPECT_EQ(db_->FindView("all"), nullptr);
+  // Nor its design note, which the next Open would try to build again.
+  EXPECT_EQ(db_->note_count(), kDocs);
   ExpectTorn(db_->EnsureFullTextIndex());
   EXPECT_EQ(db_->fulltext(), nullptr);
 }

@@ -70,10 +70,9 @@ TEST_F(FolderFixture, FoldersReplicate) {
   options.replica_id = db_->replica_id();
   auto replica = *Database::Open(dir_.Sub("replica"), options, &clock_);
   Replicator replicator(nullptr);
-  ReplicationHistory history_a, history_b;
   ASSERT_OK(replicator
-                .Replicate(ReplicaEndpoint{db_.get(), "A", history_a},
-                           ReplicaEndpoint{replica.get(), "B", history_b}, {})
+                .Replicate(ReplicaEndpoint{db_.get(), "A"},
+                           ReplicaEndpoint{replica.get(), "B"}, {})
                 .status());
   EXPECT_EQ(*replica->FolderNames(), (std::vector<std::string>{"Inbox"}));
   ASSERT_OK_AND_ASSIGN(auto contents, replica->FolderContents("Inbox"));

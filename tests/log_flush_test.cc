@@ -312,8 +312,11 @@ TEST(RouterFlushFailureTest, ACopyOnlyInAFailStoppedPeerIsNoDelivery) {
 TEST(RouterFlushFailureTest, AFailStoppedPeerDefersForwards) {
   MailPair mail;
   Server* alpha = mail.alpha.get();
+  // A named options object: a temporary DatabaseOptions{} here draws a
+  // GCC 12 -Wmaybe-uninitialized on its checkpoint_fault in Release.
+  DatabaseOptions options;
   ASSERT_OK_AND_ASSIGN(Database * scratch,
-                       mail.beta->OpenDatabase("scratch.nsf", {}));
+                       mail.beta->OpenDatabase("scratch.nsf", options));
   {
     FailFlushes fail_beta(mail.beta_log(), EIO);
     Note note(NoteClass::kDocument);

@@ -39,7 +39,7 @@ class ReplicationFixture : public ::testing::Test {
     b_ = *b;
   }
 
-  /// The Servers own the replication histories; tests never thread them.
+  /// Each database keeps its replication history; tests never thread it.
   ReplicationReport Sync(const ReplicationOptions& options = {}) {
     auto report = server_a_->ReplicateWith(*server_b_, "shared.nsf", options);
     EXPECT_OK(report);
@@ -62,10 +62,9 @@ TEST_F(ReplicationFixture, MismatchedReplicaIdsRejected) {
   auto other = Database::Open(dir_.Sub("other"), options, &clock_);
   ASSERT_OK(other);
   Replicator replicator(nullptr);
-  ReplicationHistory history_a, history_o;
   EXPECT_FALSE(replicator
-                   .Replicate(ReplicaEndpoint{a_, "A", history_a},
-                              ReplicaEndpoint{other->get(), "O", history_o}, {})
+                   .Replicate(ReplicaEndpoint{a_, "A"},
+                              ReplicaEndpoint{other->get(), "O"}, {})
                    .ok());
 }
 
@@ -75,9 +74,8 @@ TEST_F(ReplicationFixture, StatCountersMatchReport) {
   clock_.Advance(1000);
   stats::StatRegistry reg;
   Replicator replicator(net_.get(), &reg);
-  ReplicationHistory history_a, history_b;
-  auto result = replicator.Replicate(ReplicaEndpoint{a_, "A", history_a},
-                                     ReplicaEndpoint{b_, "B", history_b}, {});
+  auto result = replicator.Replicate(ReplicaEndpoint{a_, "A"},
+                                     ReplicaEndpoint{b_, "B"}, {});
   ASSERT_OK(result);
   const ReplicationReport& report = *result;
   auto counter = [&reg](const std::string& name) {
@@ -106,10 +104,9 @@ TEST_F(ReplicationFixture, FailedSessionCountsAndLogsFailureEvent) {
   ASSERT_OK(other);
   stats::StatRegistry reg;
   Replicator replicator(nullptr, &reg);
-  ReplicationHistory history_a, history_o;
   EXPECT_FALSE(replicator
-                   .Replicate(ReplicaEndpoint{a_, "A", history_a},
-                              ReplicaEndpoint{other->get(), "O", history_o}, {})
+                   .Replicate(ReplicaEndpoint{a_, "A"},
+                              ReplicaEndpoint{other->get(), "O"}, {})
                    .ok());
   EXPECT_EQ(reg.FindCounter("Replica.Sessions.Failed")->value(), 1u);
   EXPECT_EQ(reg.events().CountRetained(stats::Severity::kFailure), 1u);
@@ -145,11 +142,11 @@ TEST_F(ReplicationFixture, IncrementalSecondPassMovesNothing) {
   EXPECT_LT(second.bytes_transferred, first.bytes_transferred / 10);
 }
 
-TEST_F(ReplicationFixture, FreshHistoriesSummarizeEveryNote) {
-  // The full-replication baseline (E3): a session whose sides hold no
-  // cutoff summarizes every note, however often the pair has replicated
-  // (with the Servers' histories the second session summarizes none, as
-  // IncrementalSecondPassMovesNothing shows).
+TEST_F(ReplicationFixture, ClearedHistorySummarizesEveryNote) {
+  // The full-replication baseline (E3): once both databases clear their
+  // history with the other, a session summarizes every note, however
+  // often the pair has replicated (kept, the history makes the second
+  // session summarize none, as IncrementalSecondPassMovesNothing shows).
   for (int i = 0; i < 20; ++i) {
     ASSERT_OK(a_->CreateNote(MakeDoc("Memo", StrPrintf("m%d", i)))
                   .status());
@@ -159,13 +156,10 @@ TEST_F(ReplicationFixture, FreshHistoriesSummarizeEveryNote) {
                   .status());
   }
   clock_.Advance(1000);
-  Replicator replicator(net_.get());
   for (int session = 0; session < 2; ++session) {
-    ReplicationHistory history_a, history_b;
-    ASSERT_OK_AND_ASSIGN(
-        ReplicationReport report,
-        replicator.Replicate(ReplicaEndpoint{a_, "A", history_a},
-                             ReplicaEndpoint{b_, "B", history_b}, {}));
+    ASSERT_OK(a_->ClearReplicationHistory("B"));
+    ASSERT_OK(b_->ClearReplicationHistory("A"));
+    ReplicationReport report = Sync();
     // A pulls from B, then B pulls from A. Session 0: A's own 20 notes
     // come first in A's stamp order, so the echo walk stops at once and B
     // is summarized all 25 notes A then holds. Session 1: every note of A
@@ -380,11 +374,10 @@ TEST_F(ReplicationFixture, NoteWrittenDuringSessionReplicatesLater) {
   EXPECT_TRUE(Converged());
 }
 
-TEST_F(ReplicationFixture, PurgeWithoutHistoryIsAgeOnlyAndCanResurrect) {
-  // Databases that never replicate through a Server have no replication
-  // history attached; purge falls back to the age-only rule and the
-  // paper's resurrection anomaly remains demonstrable. This pins down
-  // the opt-out: the peer clamp only engages when a history is attached.
+TEST_F(ReplicationFixture, BareReplicatorPairPurgeIsClampedToo) {
+  // Databases replicated through a bare Replicator, with no Server, keep
+  // their replication history too, so purge is clamped exactly as for
+  // Server-managed ones: the paper's resurrection anomaly cannot happen.
   DatabaseOptions options;
   options.title = "raw pair";
   auto a_or = Database::Open(dir_.Sub("raw_a"), options, &clock_);
@@ -396,14 +389,10 @@ TEST_F(ReplicationFixture, PurgeWithoutHistoryIsAgeOnlyAndCanResurrect) {
   ASSERT_OK(b_or);
   Database* b = b_or->get();
 
-  // No Server and no attached history: each session gets fresh histories
-  // of its own, which the databases' purge never sees.
   Replicator replicator(net_.get());
   auto replicate = [&] {
-    ReplicationHistory history_a, history_b;
     return replicator
-        .Replicate(ReplicaEndpoint{a, "A", history_a},
-                   ReplicaEndpoint{b, "B", history_b}, {})
+        .Replicate(ReplicaEndpoint{a, "A"}, ReplicaEndpoint{b, "B"}, {})
         .status();
   };
   ASSERT_OK_AND_ASSIGN(NoteId id, a->CreateNote(MakeDoc("Memo", "zombie")));
@@ -412,11 +401,11 @@ TEST_F(ReplicationFixture, PurgeWithoutHistoryIsAgeOnlyAndCanResurrect) {
   ASSERT_OK(a->DeleteNote(id));
   clock_.Advance(a->info().purge_interval + 1'000'000);
   ASSERT_OK_AND_ASSIGN(size_t purged, a->PurgeStubs());
-  EXPECT_EQ(purged, 1u);
-  EXPECT_EQ(a->stub_count(), 0u);
+  EXPECT_EQ(purged, 0u);
+  EXPECT_EQ(a->stub_count(), 1u);
 
-  // B never saw the deletion and touches the document; with A's stub
-  // gone, replication brings the document *back from the dead*.
+  // B never saw the deletion and touches the document; A's stub survived,
+  // so the deletion wins.
   ASSERT_OK_AND_ASSIGN(auto on_b, b->FormulaSearch("SELECT @All"));
   ASSERT_EQ(on_b.size(), 1u);
   Note edit = on_b[0];
@@ -424,7 +413,8 @@ TEST_F(ReplicationFixture, PurgeWithoutHistoryIsAgeOnlyAndCanResurrect) {
   ASSERT_OK(b->UpdateNote(edit));
   clock_.Advance(1000);
   ASSERT_OK(replicate());
-  EXPECT_EQ(a->note_count(), 1u);  // resurrected
+  EXPECT_EQ(a->note_count(), 0u);
+  EXPECT_EQ(b->note_count(), 0u);
 }
 
 TEST_F(ReplicationFixture, StubInstalledEvenWithoutLocalCopy) {
@@ -775,11 +765,27 @@ TEST_F(BatchedInstallTest, HundredNotePullSyncsOncePerBatch) {
   EXPECT_LE(pair.Syncs() - before, (100u + 31u) / 32u + 1u);
 }
 
+// The number of A's notes stamped at or below `cutoff`, a recovered
+// claim that B holds them all; fails the test for any B does not hold.
+size_t NotesCoveredBy(const LoggedPair& pair, Micros cutoff) {
+  size_t covered = 0;
+  EXPECT_OK(pair.db_a->ForEachNote([&](const Note& note) {
+    if (note.modified_in_file() > cutoff) return;
+    ++covered;
+    EXPECT_TRUE(pair.db_b->GetAnyByUnid(note.unid()).ok())
+        << "cutoff " << cutoff << " covers a note B lacks";
+  }));
+  return covered;
+}
+
 // A crash between a batch's installs and its sync loses that batch and
 // nothing before it; a new session after restart converges, and the
-// deletions the lost batch carried still win.
+// deletions the lost batch carried still win. Whether the crash comes
+// just after a batch's sync or inside the next batch, B's recovered
+// received-through cutoff covers only notes B holds.
 TEST_F(BatchedInstallTest, CrashBeforeBatchSyncRecoversAndConverges) {
   const std::string live = dir_.Sub("live");
+  const std::string between = dir_.Sub("between");
   const std::string crashed = dir_.Sub("crashed");
   std::vector<Unid> deleted;
   {
@@ -806,16 +812,20 @@ TEST_F(BatchedInstallTest, CrashBeforeBatchSyncRecoversAndConverges) {
       ASSERT_OK(pair.db_a->DeleteNote(originals[i]));
     }
     clock_.Advance(1000);
-    // Crash at B's 62nd install: inside batch 2, after two of its stubs.
+    // Crash at B's 33rd install, the first after batch 1's sync (the
+    // install itself is not yet written), and at its 62nd: inside batch
+    // 2, after two of its stubs.
     struct CopyAtInstall : DatabaseObserver {
       int installs = 0;
-      std::string from, to;
+      std::string from, between, to;
       void OnCommit() override {
-        if (++installs != 62) return;
-        testing_util::CopyDirTree(from, to);
+        ++installs;
+        if (installs == 33) testing_util::CopyDirTree(from, between);
+        if (installs == 62) testing_util::CopyDirTree(from, to);
       }
     } crash;
     crash.from = live;
+    crash.between = between;
     crash.to = crashed;
     pair.db_b->AddObserver(&crash);
     ASSERT_OK(pair.a->ReplicateWith(*pair.b, "shared.nsf").status());
@@ -823,11 +833,28 @@ TEST_F(BatchedInstallTest, CrashBeforeBatchSyncRecoversAndConverges) {
     ASSERT_GE(crash.installs, 62);
   }
 
+  {
+    LoggedPair pair(between, &clock_, net_.get(), &directory_,
+                    /*create=*/false);
+    EXPECT_EQ(pair.db_b->note_count(), 132u);
+    // Batch 1's received-through cutoff rode its sync: it covers A's 90
+    // untouched originals and the 32 new notes of batch 1, all in B.
+    EXPECT_EQ(NotesCoveredBy(pair, pair.db_b->ReplicationCutoffs("A").received),
+              122u);
+    // A's sent-through record for batch 1 waits for A's next sync, so A
+    // recovers the cutoff of session 1: it lags, and never leads.
+    EXPECT_EQ(NotesCoveredBy(pair, pair.db_a->ReplicationCutoffs("B").sent),
+              90u);
+  }
   LoggedPair pair(crashed, &clock_, net_.get(), &directory_,
                   /*create=*/false);
-  // Batch 1 was synced before the crash; batch 2 was not.
+  // Batch 1 was synced before the crash; batch 2 was not, nor its cutoff.
   EXPECT_EQ(pair.db_b->note_count(), 132u);
   EXPECT_EQ(pair.db_b->stub_count(), 0u);
+  EXPECT_EQ(NotesCoveredBy(pair, pair.db_b->ReplicationCutoffs("A").received),
+            122u);
+  EXPECT_LE(NotesCoveredBy(pair, pair.db_a->ReplicationCutoffs("B").sent),
+            122u);
   clock_.Advance(1000);
   ASSERT_OK(pair.a->ReplicateWith(*pair.b, "shared.nsf").status());
   EXPECT_TRUE(DatabasesConverged({pair.db_a, pair.db_b}));
@@ -840,28 +867,137 @@ TEST_F(BatchedInstallTest, CrashBeforeBatchSyncRecoversAndConverges) {
   }
 }
 
-TEST(ReplicationHistoryTest, CutoffBookkeeping) {
-  ReplicationHistory history;
-  EXPECT_EQ(history.CutoffFor("peer"), 0);
-  history.Record("peer", 100);
-  EXPECT_EQ(history.CutoffFor("peer"), 100);
-  history.Record("peer", 50);  // never regresses
-  EXPECT_EQ(history.CutoffFor("peer"), 100);
-  history.Record("peer", 200);
-  EXPECT_EQ(history.CutoffFor("peer"), 200);
+// Each database keeps its replication history in its store, so a restart
+// of both servers keeps purge clamped and sessions incremental.
+class ReplicaRestartTest : public BatchedInstallTest {};
 
-  // Sent-through is separate and clamps purge: a peer this database only
-  // pulled from has seen none of its changes.
-  EXPECT_EQ(history.MinSentCutoff(), 0);
-  history.RecordSent("peer", 150);
-  history.RecordSent("peer", 120);  // never regresses
-  EXPECT_EQ(history.MinSentCutoff(), 150);
-  EXPECT_EQ(history.CutoffFor("peer"), 200);
-  history.RecordSent("other", 90);
-  EXPECT_EQ(history.MinSentCutoff(), 90);
-  EXPECT_EQ(history.CutoffFor("other"), 0);
-  EXPECT_EQ(ReplicationHistory().MinSentCutoff(),
-            std::numeric_limits<Micros>::max());
+TEST_F(ReplicaRestartTest, DeletedDocumentStaysDeletedAfterRestart) {
+  const std::string base = dir_.Sub("pair");
+  Micros purge_interval = 0;
+  {
+    LoggedPair pair(base, &clock_, net_.get(), &directory_, /*create=*/true);
+    ASSERT_OK_AND_ASSIGN(NoteId id,
+                         pair.db_a->CreateNote(MakeDoc("Memo", "zombie")));
+    clock_.Advance(1000);
+    ASSERT_OK(pair.a->ReplicateWith(*pair.b, "shared.nsf").status());
+    ASSERT_OK(pair.db_a->DeleteNote(id));
+    purge_interval = pair.db_a->info().purge_interval;
+  }
+  LoggedPair pair(base, &clock_, net_.get(), &directory_, /*create=*/false);
+  clock_.Advance(purge_interval + 1'000'000);
+  // B has not pulled the deletion: the stub outlives its age.
+  ASSERT_OK_AND_ASSIGN(size_t purged, pair.db_a->PurgeStubs());
+  EXPECT_EQ(purged, 0u);
+  ASSERT_OK(pair.a->ReplicateWith(*pair.b, "shared.nsf").status());
+  EXPECT_EQ(pair.db_a->note_count(), 0u);
+  EXPECT_EQ(pair.db_b->note_count(), 0u);
+  EXPECT_EQ(pair.db_b->stub_count(), 1u);
+  // B has it now, so the stub may go.
+  clock_.Advance(purge_interval + 1'000'000);
+  ASSERT_OK_AND_ASSIGN(purged, pair.db_a->PurgeStubs());
+  EXPECT_EQ(purged, 1u);
+}
+
+// The record that first adds a peer is synced, even though later cutoff
+// records wait for the log's next sync, and a source adds its puller
+// before the puller installs anything: a crash at B's first install
+// finds B in A's history, so A's purge waits for B.
+TEST_F(ReplicaRestartTest, CrashAtFirstInstallKeepsThePeer) {
+  const std::string live = dir_.Sub("live");
+  const std::string crashed = dir_.Sub("crashed");
+  NoteId id = kInvalidNoteId;
+  {
+    LoggedPair pair(live, &clock_, net_.get(), &directory_, /*create=*/true);
+    ASSERT_OK_AND_ASSIGN(id, pair.db_a->CreateNote(MakeDoc("Memo", "kept")));
+    clock_.Advance(1000);
+    struct CopyAtFirstInstall : DatabaseObserver {
+      bool copied = false;
+      std::string from, to;
+      void OnCommit() override {
+        if (copied) return;
+        copied = true;
+        testing_util::CopyDirTree(from, to);
+      }
+    } crash;
+    crash.from = live;
+    crash.to = crashed;
+    pair.db_b->AddObserver(&crash);
+    ASSERT_OK(pair.a->ReplicateWith(*pair.b, "shared.nsf").status());
+    pair.db_b->RemoveObserver(&crash);
+    ASSERT_TRUE(crash.copied);
+    EXPECT_EQ(pair.db_b->info().history.count("A"), 1u);
+  }
+  LoggedPair pair(crashed, &clock_, net_.get(), &directory_,
+                  /*create=*/false);
+  EXPECT_EQ(pair.db_a->info().history.count("B"), 1u);
+  ASSERT_OK(pair.db_a->DeleteNote(id));
+  clock_.Advance(pair.db_a->info().purge_interval + 1'000'000);
+  ASSERT_OK_AND_ASSIGN(size_t purged, pair.db_a->PurgeStubs());
+  EXPECT_EQ(purged, 0u);
+}
+
+TEST_F(ReplicaRestartTest, IncrementalSecondPassMovesNothing) {
+  const std::string base = dir_.Sub("pair");
+  uint64_t first_bytes = 0;
+  {
+    LoggedPair pair(base, &clock_, net_.get(), &directory_, /*create=*/true);
+    for (int i = 0; i < 50; ++i) {
+      ASSERT_OK(pair.db_a->CreateNote(MakeDoc("Memo", StrPrintf("m%d", i)))
+                    .status());
+    }
+    clock_.Advance(1000);
+    ASSERT_OK_AND_ASSIGN(ReplicationReport first,
+                         pair.a->ReplicateWith(*pair.b, "shared.nsf"));
+    EXPECT_EQ(first.pushed, 50u);
+    first_bytes = first.bytes_transferred;
+  }
+  LoggedPair pair(base, &clock_, net_.get(), &directory_, /*create=*/false);
+  clock_.Advance(1000);
+  ASSERT_OK_AND_ASSIGN(ReplicationReport second,
+                       pair.a->ReplicateWith(*pair.b, "shared.nsf"));
+  EXPECT_EQ(second.pushed, 0u);
+  EXPECT_EQ(second.pulled, 0u);
+  EXPECT_EQ(second.summarized, 0u);
+  EXPECT_LT(second.bytes_transferred, first_bytes / 10);
+}
+
+TEST(ReplicationHistoryTest, CutoffBookkeeping) {
+  ScratchDir dir;
+  SimClock clock;
+  clock.Set(1'000'000'000);
+  const std::string path = dir.Sub("db");
+  const DatabaseOptions options;
+  {
+    ASSERT_OK_AND_ASSIGN(auto db, Database::Open(path, options, &clock));
+    EXPECT_EQ(db->ReplicationCutoffs("peer").received, 0);
+    ASSERT_OK(db->RecordReplication("peer", {.received = 100}));
+    // A lower cutoff never regresses the history.
+    ASSERT_OK(db->RecordReplication("peer", {.received = 50}));
+    ASSERT_OK(db->RecordReplication("peer", {.received = 200}));
+    // Sent-through is separate: a peer this database only pulled from has
+    // seen none of its changes.
+    EXPECT_EQ(db->ReplicationCutoffs("peer").sent, 0);
+    ASSERT_OK(db->RecordReplication("peer", {.sent = 150}));
+    ASSERT_OK(db->RecordReplication("peer", {.sent = 120}));  // never regresses
+    ASSERT_OK(db->RecordReplication("other", {.sent = 90}));
+  }
+  // The history is part of the database: a reopen replays it from the
+  // log, and the next one reads it from notes.meta.
+  for (int reopen = 0; reopen < 2; ++reopen) {
+    SCOPED_TRACE(StrPrintf("reopen %d", reopen));
+    ASSERT_OK_AND_ASSIGN(auto db, Database::Open(path, options, &clock));
+    EXPECT_EQ(db->ReplicationCutoffs("peer").received, 200);
+    EXPECT_EQ(db->ReplicationCutoffs("peer").sent, 150);
+    EXPECT_EQ(db->ReplicationCutoffs("other").received, 0);
+    EXPECT_EQ(db->ReplicationCutoffs("other").sent, 90);
+    ASSERT_OK(db->Checkpoint());
+  }
+  // Clearing resets both cutoffs and keeps the peer (purge stays clamped).
+  ASSERT_OK_AND_ASSIGN(auto db, Database::Open(path, options, &clock));
+  ASSERT_OK(db->ClearReplicationHistory("peer"));
+  EXPECT_EQ(db->ReplicationCutoffs("peer").received, 0);
+  EXPECT_EQ(db->ReplicationCutoffs("peer").sent, 0);
+  EXPECT_EQ(db->info().history.count("peer"), 1u);
 }
 
 }  // namespace

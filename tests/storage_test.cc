@@ -183,30 +183,67 @@ TEST(NoteStoreTest, CheckpointThenReopen) {
 
 TEST(NoteStoreTest, RefusesStoreOfAnotherFormatVersion) {
   // notes.meta = "DMET1" + blob (version byte first) + masked CRC of the
-  // blob. Rewrite the version as 1 (the 32-byte id-table layout) with a
-  // valid CRC: open must refuse it by name, not misread the id table.
-  ScratchDir dir;
-  {
-    ASSERT_OK_AND_ASSIGN(auto store,
-                         NoteStore::Open(dir.Sub("db"), FastOptions(),
-                                         TestInfo()));
-    Note note = StampedDoc("old", 1, 10);
-    ASSERT_OK(store->Put(&note));
-    ASSERT_OK(store->Checkpoint());
-  }
-  const std::string meta_path = dir.Sub("db") + "/notes.meta";
-  ASSERT_OK_AND_ASSIGN(std::string meta, ReadFileToString(meta_path));
-  constexpr size_t kMagicLen = 5;
-  std::string blob = meta.substr(kMagicLen, meta.size() - kMagicLen - 4);
-  blob[0] = 1;
-  std::string old_meta = meta.substr(0, kMagicLen) + blob;
-  PutFixed32(&old_meta, crc32c::Mask(crc32c::Value(blob)));
-  ASSERT_OK(WriteFileAtomic(meta_path, old_meta));
+  // blob. Rewrite the version as 1 (the 32-byte id-table layout) or 2
+  // (no replication history in the info) with a valid CRC: open must
+  // refuse it by name, naming the version it reads, not misread it.
+  for (char version : {1, 2}) {
+    SCOPED_TRACE(StrPrintf("version %d", version));
+    ScratchDir dir;
+    {
+      ASSERT_OK_AND_ASSIGN(auto store,
+                           NoteStore::Open(dir.Sub("db"), FastOptions(),
+                                           TestInfo()));
+      Note note = StampedDoc("old", 1, 10);
+      ASSERT_OK(store->Put(&note));
+      ASSERT_OK(store->Checkpoint());
+    }
+    const std::string meta_path = dir.Sub("db") + "/notes.meta";
+    ASSERT_OK_AND_ASSIGN(std::string meta, ReadFileToString(meta_path));
+    constexpr size_t kMagicLen = 5;
+    std::string blob = meta.substr(kMagicLen, meta.size() - kMagicLen - 4);
+    blob[0] = version;
+    std::string old_meta = meta.substr(0, kMagicLen) + blob;
+    PutFixed32(&old_meta, crc32c::Mask(crc32c::Value(blob)));
+    ASSERT_OK(WriteFileAtomic(meta_path, old_meta));
 
+    auto reopened = NoteStore::Open(dir.Sub("db"), FastOptions(), TestInfo());
+    ASSERT_FALSE(reopened.ok());
+    EXPECT_EQ(reopened.status().code(), StatusCode::kNotSupported);
+    const std::string& message = reopened.status().message();
+    EXPECT_NE(message.find(StrPrintf("format version %d", version)),
+              std::string::npos)
+        << message;
+    EXPECT_NE(message.find("reads only version 3"), std::string::npos)
+        << message;
+  }
+}
+
+TEST(NoteStoreTest, RefusesVersion2InfoRecordInLog) {
+  // A store that never checkpointed has no notes.meta; its format shows
+  // only in its log. A version-2 info record (no replication history)
+  // must be refused as the meta file is.
+  ScratchDir dir;
+  ASSERT_OK(CreateDirIfMissing(dir.Sub("db")));
+  {
+    ASSERT_OK_AND_ASSIGN(auto log,
+                         wal::SharedLog::Open(dir.Sub("db") + "/log", {}));
+    ASSERT_OK_AND_ASSIGN(uint32_t stream, log->RegisterStream("notes"));
+    std::string info;
+    PutFixed64(&info, 0xabc);
+    PutFixed64(&info, 0xdef);
+    PutLengthPrefixed(&info, "old store");
+    PutVarSigned64(&info, 1000);
+    std::string payload;
+    PutVarint64(&payload, 1);
+    payload.push_back(3);  // the info op
+    PutLengthPrefixed(&payload, info);
+    ASSERT_OK(log->Commit(stream, wal::RecordType::kData, payload));
+  }
   auto reopened = NoteStore::Open(dir.Sub("db"), FastOptions(), TestInfo());
   ASSERT_FALSE(reopened.ok());
   EXPECT_EQ(reopened.status().code(), StatusCode::kNotSupported);
-  EXPECT_NE(reopened.status().message().find("version 1"), std::string::npos)
+  EXPECT_NE(reopened.status().message().find("format version 2"),
+            std::string::npos)
       << reopened.status().ToString();
 }
 
@@ -527,13 +564,27 @@ TEST(NoteStoreTest, UpdateInfoPersists) {
     DatabaseInfo info = store->info();
     info.title = "renamed";
     info.purge_interval = 12345;
+    info.history["peer"] = PeerCutoffs{100, 200};
     ASSERT_OK(store->UpdateInfo(info));
+    // Unsynced, it still reaches the log before the store closes.
+    info.history["other"] = PeerCutoffs{0, 7};
+    ASSERT_OK(store->UpdateInfo(info, /*sync=*/false));
   }
-  ASSERT_OK_AND_ASSIGN(auto store,
-                       NoteStore::Open(dir.Sub("db"), FastOptions(),
-                                       TestInfo()));
-  EXPECT_EQ(store->info().title, "renamed");
-  EXPECT_EQ(store->info().purge_interval, 12345);
+  // Once from the log, once from notes.meta after a checkpoint.
+  for (int reopen = 0; reopen < 2; ++reopen) {
+    ASSERT_OK_AND_ASSIGN(auto store,
+                         NoteStore::Open(dir.Sub("db"), FastOptions(),
+                                         TestInfo()));
+    const DatabaseInfo info = store->info();
+    EXPECT_EQ(info.title, "renamed");
+    EXPECT_EQ(info.purge_interval, 12345);
+    ASSERT_EQ(info.history.size(), 2u);
+    EXPECT_EQ(info.history.at("peer").received, 100);
+    EXPECT_EQ(info.history.at("peer").sent, 200);
+    EXPECT_EQ(info.history.at("other").received, 0);
+    EXPECT_EQ(info.history.at("other").sent, 7);
+    ASSERT_OK(store->Checkpoint());
+  }
 }
 
 TEST(NoteStoreTest, MaybeCheckpointHonorsThreshold) {
